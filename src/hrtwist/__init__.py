@@ -40,7 +40,6 @@ from .solver import (
     MinmaxSolution,
     SumProblem,
     dominant_index,
-    iid_theta_reference,
     second_moment_bound,
     solve_pprime,
     theta_star,

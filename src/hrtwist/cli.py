@@ -144,6 +144,15 @@ def _solved_theta(cfg: ExperimentConfig, problem: SumProblem):
     return theta, solution
 
 
+def _naive_count(cfg: ExperimentConfig, args) -> int:
+    """samples_naive, capped at LARGE_NAIVE_CAP unless --allow-large."""
+    if cfg.samples_naive > LARGE_NAIVE_CAP and not args.allow_large:
+        print(f"capping samples_naive at {LARGE_NAIVE_CAP} "
+              "(pass --allow-large for the full run)", file=sys.stderr)
+        return LARGE_NAIVE_CAP
+    return cfg.samples_naive
+
+
 def _derived_seed(seed: int, index: int) -> int:
     return (seed + 1000003 * index) & 0xFFFFFFFFFFFFFFFF
 
@@ -166,11 +175,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    m_naive = cfg.samples_naive
-    if m_naive > LARGE_NAIVE_CAP and not args.allow_large:
-        print(f"capping samples_naive at {LARGE_NAIVE_CAP} "
-              "(pass --allow-large for the full run)", file=sys.stderr)
-        m_naive = LARGE_NAIVE_CAP
+    m_naive = _naive_count(cfg, args)
     rows = []
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         theta, _ = _solved_theta(cfg, problem)
@@ -188,13 +193,14 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+    m_naive = _naive_count(cfg, args)
     rows = []
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         theta, _ = _solved_theta(cfg, problem)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                            stream_id=2 * idx, confidence=cfg.confidence,
                            workers=args.workers)
-        r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
+        r_mc = naive_mc(problem, m_naive, cfg.seed,
                         stream_id=2 * idx + 1, confidence=cfg.confidence,
                         workers=args.workers)
         rows.append((gamma_db, r_is.alpha_hat, r_is.hit_frequency,
@@ -249,6 +255,7 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     if len(cfg.components) > 2:
         raise ConfigError("validate supports configs with N <= 2 components")
+    m_naive = _naive_count(cfg, args)
     failures = 0
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         if problem.n == 1:
@@ -261,7 +268,7 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                            stream_id=2 * idx, confidence=cfg.confidence,
                            workers=args.workers)
-        r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
+        r_mc = naive_mc(problem, m_naive, cfg.seed,
                         stream_id=2 * idx + 1, confidence=cfg.confidence,
                         workers=args.workers)
         ok_is = abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error

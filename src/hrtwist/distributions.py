@@ -8,15 +8,17 @@ intermediate ever forms ``1 - F(x)`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 from scipy import special
+from scipy.optimize import brentq
 
 from .errors import DomainError, ParameterError, UnsupportedFamilyError
 
 # decibel <-> natural-log scaling for log-normal parameters
 DB_SCALE = np.log(10.0) / 10.0
+
+_LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def db_to_linear(value_db):
@@ -35,34 +37,14 @@ def linear_to_db(value):
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------
 
-def norm_pdf(z):
-    z = np.asarray(z, dtype=float)
-    return np.exp(-0.5 * z * z) / np.sqrt(2.0 * np.pi)
-
-
-def norm_cdf(z):
-    return special.ndtr(z)
-
-
-def norm_sf(z):
-    return special.ndtr(-np.asarray(z, dtype=float))
-
-
-def log_norm_sf(z):
-    """log of the standard-normal survival function, stable for large z."""
-    return special.log_ndtr(-np.asarray(z, dtype=float))
-
-
-def norm_ppf(u):
-    u = np.asarray(u, dtype=float)
-    if np.any((u <= 0.0) | (u >= 1.0)):
-        raise DomainError("probability must lie in (0, 1)")
-    return special.ndtri(u)
-
-
 def norm_isf_exp(log_sf):
     """z such that the normal survival function equals exp(log_sf)."""
     return -special.ndtri_exp(np.asarray(log_sf, dtype=float))
+
+
+def _log_mills(z):
+    """log of phi(z) / (1 - Phi(z)), the standard-normal hazard rate."""
+    return -0.5 * z * z - _LOG_SQRT_2PI - special.log_ndtr(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -236,33 +218,20 @@ class Weibull(Distribution):
         return f"Weibull(shape={self.shape}, scale={self.scale})"
 
 
-@lru_cache(maxsize=None)
-def _lognormal_onset_unit_median(sigma: float) -> float:
-    """Concavity onset of the cumulative hazard for Lognormal(mu=0, sigma).
+def _hazard_peak_z(sigma: float) -> float:
+    """Standard score z at which the Lognormal(mu, sigma) hazard rate peaks.
 
-    Smallest abscissa beyond which the relative second difference of the
-    cumulative hazard stays nonpositive, located by a geometric-grid scan
-    plus bisection.  Values for mu != 0 follow by the scaling x -> e^mu x.
+    In z = (log x - mu) / sigma the log hazard rate is
+    log_mills(z) - sigma z - mu - log(sigma).  It is strictly concave with
+    slope mills(z) - z - sigma, so it rises up to the root of that slope
+    and falls after it.
     """
-    h = 1e-5
+    def slope(z):
+        return np.exp(_log_mills(z)) - z - sigma
 
-    def second_diff(x):
-        lam = lambda y: -special.log_ndtr(-np.log(y) / sigma)
-        return (lam(x * (1 + h)) - 2.0 * lam(x) + lam(x * (1 - h))) / (x * h) ** 2
-
-    grid = np.geomspace(1e-10, 1e6, 3201)
-    signs = np.array([second_diff(x) for x in grid])
-    positive = np.where(signs > 0.0)[0]
-    if len(positive) == 0:
-        return 0.0
-    lo, hi = grid[positive[-1]], grid[positive[-1] + 1]
-    for _ in range(80):
-        mid = np.sqrt(lo * hi)
-        if second_diff(mid) <= 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return float(hi)
+    # slope(-sigma - 1) > 1, and mills(z) - z < 1/z for z > 0 makes
+    # slope(1/sigma + 1) < 0
+    return brentq(slope, -sigma - 1.0, 1.0 / sigma + 1.0, xtol=1e-15)
 
 
 class Lognormal(Distribution):
@@ -305,7 +274,33 @@ class Lognormal(Distribution):
         return np.exp(self.mu + self.sigma * z)
 
     def concavity_onset(self) -> float:
-        return float(np.exp(self.mu)) * _lognormal_onset_unit_median(self.sigma)
+        # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak
+        return float(np.exp(self.mu + self.sigma * _hazard_peak_z(self.sigma)))
+
+    def rising_branch(self, rate):
+        """x <= concavity_onset() at which the hazard rate equals rate.
+
+        Vectorised over rate.  A rate at or above the peak hazard rate maps
+        to a point just below the peak.
+        """
+        sigma = self.sigma
+        z_peak = _hazard_peak_z(sigma)
+        top = _log_mills(z_peak) - sigma * z_peak
+        level = np.log(np.asarray(rate, dtype=float)) + self.mu + np.log(sigma)
+        # keep the root strictly below the peak, where the slope is positive
+        level = np.minimum(level, top - 1e-12 * max(1.0, abs(top)))
+        # log_mills(z) <= log(2 phi(z)) for z <= 0, so this z is at or below
+        # the root; Newton steps on a concave increasing function then rise
+        # monotonically to the root
+        c = level + _LOG_SQRT_2PI - np.log(2.0)
+        z = -sigma - np.sqrt(np.maximum(sigma * sigma - 2.0 * c, 0.0))
+        for _ in range(60):
+            lm = _log_mills(z)
+            step = (lm - sigma * z - level) / (np.exp(lm) - z - sigma)
+            z = z - step
+            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+                break
+        return np.exp(self.mu + sigma * z)
 
     def to_dict(self) -> dict:
         d = {"family": self.family, "mu": self.mu, "sigma": self.sigma}

@@ -12,12 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.optimize import brentq
 
 from .distributions import Lognormal, Weibull, db_to_linear
 from .errors import DomainError, ParameterError
-
-_DESCENT_TOL = 1e-10
-_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -99,16 +97,6 @@ def second_moment_bound(theta: float, objective: float, n: int) -> float:
     return (1.0 - theta) ** (-2 * n) * np.exp(-2.0 * theta * objective)
 
 
-def iid_theta_reference(hazard_at_gamma: float, n: int) -> float:
-    """Single-hazard reference twisting amount for the iid comparison.
-
-    Unclamped on purpose: this is a diagnostic, not a sampling input.
-    """
-    if hazard_at_gamma <= 0.0:
-        raise DomainError("hazard_at_gamma must be positive")
-    return 1.0 - n / hazard_at_gamma
-
-
 def dominant_index(problem: SumProblem) -> int:
     """Index of the component whose tail dominates the sum for large gamma.
 
@@ -132,93 +120,87 @@ def dominant_index(problem: SumProblem) -> int:
 # constrained minimization over the scaled simplex
 # ---------------------------------------------------------------------------
 
-def _project_simplex(v: np.ndarray, total: float) -> np.ndarray:
-    """Euclidean projection onto {x >= 0, sum(x) = total}."""
-    n = v.shape[0]
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - total
-    rho = np.nonzero(u * np.arange(1, n + 1) > css)[0][-1]
-    tau = css[rho] / (rho + 1.0)
-    return np.maximum(v - tau, 0.0)
+# cells of the log-rate scan; two roots inside one cell are not seen
+_SCAN_POINTS = 128
 
 
-def _objective(components, x: np.ndarray) -> float:
-    total = 0.0
-    for comp, xi in zip(components, x):
-        if xi > 0.0:
-            total += float(comp.hazard_function(xi))
-    return total
+def _equal_rate_points(gamma: float, n: int, d: int, rising, nu) -> np.ndarray:
+    """Points with x_j = r_j(nu) for the listed j, x_d = the rest, 0 elsewhere.
 
-
-def _gradient(components, x: np.ndarray, gamma: float) -> np.ndarray:
-    # hazard rates blow up at 0 for shape < 1; evaluate just inside
-    floor = 1e-14 * gamma
-    g = np.empty(len(components))
-    for i, comp in enumerate(components):
-        g[i] = float(comp.hazard_rate(max(x[i], floor)))
-    return np.minimum(g, 1e15)
-
-
-def _refine(components, x0: np.ndarray, gamma: float) -> tuple[np.ndarray, float]:
-    """Projected gradient descent with backtracking from one candidate."""
-    x = x0.copy()
-    f = _objective(components, x)
-    for _ in range(_MAX_ITER):
-        g = _gradient(components, x, gamma)
-        step = gamma / max(np.max(np.abs(g)), 1e-30)
-        moved = 0.0
-        while step > 1e-18 * gamma:
-            trial = _project_simplex(x - step * g, gamma)
-            f_trial = _objective(components, trial)
-            if f_trial < f - 1e-14 * (1.0 + abs(f)):
-                moved = float(np.max(np.abs(trial - x)))
-                x, f = trial, f_trial
-                break
-            step *= 0.5
-        if moved < _DESCENT_TOL * gamma:
-            break
-    return x, f
+    One row per rate in nu; rising holds (Log-normal component, indices).
+    """
+    x = np.zeros((np.size(nu), n))
+    for comp, idx in rising:
+        x[:, idx] = comp.rising_branch(np.atleast_1d(nu))[:, None]
+    x[:, d] = gamma - x.sum(axis=1)
+    return x
 
 
 def solve_pprime(problem: SumProblem) -> MinmaxSolution:
     """Minimize the summed cumulative hazards over {x >= 0, sum x = gamma}.
 
-    Multi-start strategy: the N vertices (all mass on one coordinate),
-    the extreme points with the off-coordinates pinned at their concavity
-    onsets, and the uniform split; each candidate is refined by projected
-    gradient descent and the best refined point wins (ties by candidate
-    order).
+    At a minimum every positive coordinate has the same hazard rate nu,
+    and at most one coordinate d lies past the peak of its hazard rate,
+    where its cumulative hazard turns concave.  Weibull hazard rates fall
+    from the origin, so every Weibull coordinate other than d is 0, and
+    every Log-normal coordinate other than d sits on the rising branch
+    x_j = r_j(nu) of its hazard rate.  The candidates are the N vertices
+    and, for each index d, the roots in nu of
+    hazard_rate_d(gamma - sum_{j != d} r_j(nu)) = nu, bracketed by a scan
+    over log nu and refined with brentq.  The candidate with the least
+    hazard sum wins, ties going to the earlier candidate.  Identical
+    components give identical candidates, so d runs over distinct
+    components only.  A Weibull-only problem reduces to the closed form
+    A = min_i Lambda_i(gamma).
     """
     comps = problem.components
     gamma = problem.gamma
     n = problem.n
-    onsets = np.array([c.concavity_onset() for c in comps])
 
-    if n == 1:
-        x_best = np.array([gamma])
-        f_best = _objective(comps, x_best)
-    else:
-        candidates = []
-        for i in range(n):
-            v = np.zeros(n)
-            v[i] = gamma
-            candidates.append(v)
-        if np.any(onsets > 0.0):
-            for i in range(n):
-                rest = onsets.sum() - onsets[i]
-                if gamma > rest:
-                    v = onsets.copy()
-                    v[i] = gamma - rest
-                    candidates.append(v)
-        candidates.append(np.full(n, gamma / n))
+    groups: dict = {}
+    for i, comp in enumerate(comps):
+        groups.setdefault((type(comp), comp.params), []).append(i)
+    heads = [idx[0] for idx in groups.values()]
 
-        x_best, f_best = None, np.inf
-        for cand in candidates:
-            x, f = _refine(comps, cand, gamma)
-            if x_best is None or f < f_best - 1e-15 * (1.0 + abs(f_best)):
-                x_best, f_best = x, f
+    candidates = []
+    for d in heads:
+        comps[d].concavity_onset()  # raises outside the family restriction
+        vertex = np.zeros(n)
+        vertex[d] = gamma
+        candidates.append(vertex)
 
-    a = f_best
+    for d in heads:
+        rising = [(comps[idx[0]], [j for j in idx if j != d])
+                  for idx in groups.values()
+                  if isinstance(comps[idx[0]], Lognormal) and idx != [d]]
+        if not rising:
+            continue
+        nu_hi = min(float(c.hazard_rate(c.concavity_onset())) for c, _ in rising)
+        # the largest coordinate lies in [gamma/n, gamma] and has rate nu
+        ends = np.array([gamma / n, gamma])
+        nu_lo = min(float(np.min(c.hazard_rate(ends)))
+                    for c in [comps[d]] + [c for c, _ in rising])
+        if not nu_lo < nu_hi:
+            continue
+
+        def mismatch(t, d=d, rising=rising):
+            nu = np.exp(t)
+            x_d = _equal_rate_points(gamma, n, d, rising, nu)[:, d]
+            rate = comps[d].hazard_rate(np.maximum(x_d, np.finfo(float).tiny))
+            return rate / nu - 1.0
+
+        grid = np.linspace(np.log(nu_lo), np.log(nu_hi), _SCAN_POINTS)
+        f = mismatch(grid)
+        for k in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
+            t = brentq(lambda t: mismatch(t)[0], grid[k], grid[k + 1],
+                       xtol=1e-14)
+            candidates.append(
+                _equal_rate_points(gamma, n, d, rising, np.exp(t))[0])
+
+    x_all = np.array(candidates)
+    objectives = problem.hazard_sum(x_all)
+    best = int(np.argmin(objectives))
+    x_best, a = x_all[best], float(objectives[best])
     th = theta_star(a, n)
     clamped = a <= n
     return MinmaxSolution(

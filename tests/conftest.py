@@ -9,6 +9,10 @@ LN6_SF_100 = 4.2906033319683746e-4      # survival of Lognormal(0, LN6_SIGMA) at
 LN6_LAMBDA_100 = 7.753913012102223      # cumulative hazard at 100
 LN6_ONSET = 0.2057833                   # concavity onset, regression constant
 LN1_ONSET = 0.6181332                   # same for Lognormal(0, 1)
+# hazard-rate peak e^(sigma z), phi(z)/Phi_bar(z) - z = sigma, solved with
+# mpmath 1.3.0 findroot at 40 digits
+LN6_ONSET_EXACT = 0.2057826769264802
+LN1_ONSET_EXACT = 0.6181288259401258
 
 LN_PAIR_A_20DB = 7.753840980008583      # min of hazard sum, two iid 6 dB comps
 LN_PAIR_THETA_20DB = 0.7420633199524571

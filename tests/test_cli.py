@@ -187,8 +187,9 @@ class TestValidate:
 
 
 class TestNaiveCap:
-    def test_cap_without_allow_large(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["ccdf", "freq-table", "validate"])
+    def test_cap_without_allow_large(self, tmp_path, capsys, command):
         raw = dict(LN_PAIR, samples_naive=2_000_000, samples_is=1_000)
-        code, out = run(tmp_path, "ccdf", raw)
+        code, out = run(tmp_path, command, raw)
         assert code == 0
         assert "capping samples_naive" in capsys.readouterr().err

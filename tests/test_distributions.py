@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy import special
 
 from hrtwist import (
     DomainError,
@@ -14,20 +15,14 @@ from hrtwist import (
     db_to_linear,
     distribution_from_dict,
 )
-from hrtwist.distributions import (
-    DB_SCALE,
-    log_norm_sf,
-    norm_cdf,
-    norm_isf_exp,
-    norm_pdf,
-    norm_ppf,
-    norm_sf,
-)
+from hrtwist.distributions import DB_SCALE, norm_isf_exp
 
 from conftest import (
     LN1_ONSET,
+    LN1_ONSET_EXACT,
     LN6_LAMBDA_100,
     LN6_ONSET,
+    LN6_ONSET_EXACT,
     LN6_SF_100,
     LN6_SIGMA,
     random_component,
@@ -66,30 +61,10 @@ class TestDbConversion:
 
 
 class TestNormalTailOps:
-    def test_cdf_sf_complement(self):
-        z = np.linspace(-8.0, 8.0, 1601)
-        assert np.max(np.abs(norm_cdf(z) + norm_sf(z) - 1.0)) <= 1e-14
-
-    def test_ppf_round_trip(self):
-        z = np.linspace(-6.0, 6.0, 241)
-        assert np.max(np.abs(norm_ppf(norm_cdf(z)) - z)) <= 1e-8
-
-    def test_log_sf_matches_sf(self):
-        z = np.linspace(-8.0, 8.0, 161)
-        assert np.allclose(np.exp(log_norm_sf(z)), norm_sf(z), rtol=1e-12)
-
-    def test_far_tail_log_sf(self):
-        # leading asymptotic term -z^2/2 - log(z sqrt(2 pi)) at z = 40
-        z = 40.0
-        expect = -z * z / 2.0 - math.log(z * math.sqrt(2.0 * math.pi))
-        assert log_norm_sf(z) == pytest.approx(expect, rel=0.01)
-
     def test_isf_exp_inverts_log_sf(self):
         for ls in (-1e-6, -0.5, -5.0, -100.0, -1e4):
-            assert log_norm_sf(norm_isf_exp(ls)) == pytest.approx(ls, rel=1e-10)
-
-    def test_pdf_peak(self):
-        assert norm_pdf(0.0) == pytest.approx(1.0 / math.sqrt(2 * math.pi), rel=1e-15)
+            assert special.log_ndtr(-norm_isf_exp(ls)) == pytest.approx(
+                ls, rel=1e-10)
 
 
 class TestPdf:
@@ -241,6 +216,12 @@ class TestConcavityOnset:
     def test_lognormal_regression_values(self, lognormal_std, lognormal_6db):
         assert lognormal_6db.concavity_onset() == pytest.approx(LN6_ONSET, rel=1e-3)
         assert lognormal_std.concavity_onset() == pytest.approx(LN1_ONSET, rel=1e-3)
+
+    def test_lognormal_exact_values(self, lognormal_std, lognormal_6db):
+        assert lognormal_std.concavity_onset() == pytest.approx(
+            LN1_ONSET_EXACT, rel=1e-10)
+        assert lognormal_6db.concavity_onset() == pytest.approx(
+            LN6_ONSET_EXACT, rel=1e-10)
 
     def test_scaling_with_mu(self):
         base = Lognormal(0.0, 1.0).concavity_onset()

@@ -12,7 +12,6 @@ from hrtwist import (
     Weibull,
     dominant_index,
     grid_oracle_pprime,
-    iid_theta_reference,
     second_moment_bound,
     solve_pprime,
     theta_star,
@@ -22,6 +21,7 @@ from conftest import (
     LN_PAIR_A_20DB,
     LN_PAIR_THETA_20DB,
     lognormal_pair,
+    random_component,
     weibull_pair,
 )
 
@@ -83,32 +83,26 @@ class TestSecondMomentBound:
 
 
 class TestIidReference:
+    # the single-hazard reference twisting amount 1 - N / Lambda(gamma)
+
     def test_weibull_matches_minmax(self):
         # the all-mass-on-one-coordinate optimum makes A = Lambda(gamma)
         problem = weibull_pair(20.0)
         sol = solve_pprime(problem)
-        ref = iid_theta_reference(
-            float(problem.components[0].hazard_function(problem.gamma)), 2)
+        ref = 1.0 - 2.0 / float(
+            problem.components[0].hazard_function(problem.gamma))
         assert ref == pytest.approx(sol.theta_star, rel=1e-12)
         assert ref == pytest.approx(0.8, rel=1e-12)
-
-    def test_lognormal_value(self):
-        ref = iid_theta_reference(7.753913012102223, 2)
-        assert ref == pytest.approx(1.0 - 2.0 / 7.753913012102223, rel=1e-12)
 
     def test_gap_shrinks_with_threshold(self):
         gaps = []
         for gdb in (15.0, 20.0, 25.0, 30.0, 35.0):
             problem = lognormal_pair(gdb)
             sol = solve_pprime(problem)
-            ref = iid_theta_reference(
-                float(problem.components[0].hazard_function(problem.gamma)), 2)
+            ref = 1.0 - 2.0 / float(
+                problem.components[0].hazard_function(problem.gamma))
             gaps.append(abs(sol.theta_star - ref))
         assert all(b < a for a, b in zip(gaps[:-1], gaps[1:]))
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            iid_theta_reference(0.0, 2)
 
 
 class TestDominantIndex:
@@ -149,16 +143,23 @@ class TestSolvePPrime:
 
     def test_weibull_pair_vertex(self):
         sol = solve_pprime(weibull_pair(20.0))
-        assert sol.objective == pytest.approx(10.0, rel=1e-9)
+        assert sol.objective == pytest.approx(10.0, abs=1e-12)
         assert sol.theta_star == pytest.approx(0.8, rel=1e-9)
         assert max(sol.x_star) == pytest.approx(100.0, rel=1e-6)
 
     def test_lognormal_pair_regression(self):
         sol = solve_pprime(lognormal_pair(20.0))
-        assert sol.objective == pytest.approx(LN_PAIR_A_20DB, rel=1e-9)
+        assert sol.objective == pytest.approx(LN_PAIR_A_20DB, rel=1e-12)
         assert sol.theta_star == pytest.approx(LN_PAIR_THETA_20DB, rel=1e-9)
         assert max(sol.x_star) > 99.0
         assert min(sol.x_star) < 0.1
+
+    def test_iid_lognormal_large_n(self):
+        # values of the multi-start descent this solver replaced
+        ln = Lognormal.from_db(0.0, 6.0)
+        for n, a in ((8, 7.753408712031991), (16, 7.752832153496349)):
+            sol = solve_pprime(SumProblem.from_db([ln] * n, 20.0))
+            assert sol.objective == pytest.approx(a, rel=1e-12)
 
     def test_feasibility(self):
         for problem in (weibull_pair(25.0), lognormal_pair(25.0)):
@@ -198,11 +199,43 @@ class TestSolvePPrime:
             cases.append(lognormal_pair(gdb))
             cases.append(SumProblem.from_db(
                 (Weibull(0.4, 1.0), Weibull(0.8, 1.0), Weibull(0.6, 2.0)), gdb))
+        # a mixed triple on which multi-start descent stopped 7e-4 above
+        # the minimum
+        cases.append(SumProblem.from_db(
+            (Lognormal(0.43301237959749606, 0.6862907596392953),
+             Weibull(0.7065318402600085, 2.36791157696514),
+             Lognormal(0.1919902580099455, 1.4821845170046135)), 13.0))
         for problem in cases:
             sol = solve_pprime(problem)
-            grid_pts = 2001 if problem.n == 2 else 301
+            grid_pts = 2001 if problem.n == 2 else 601
             _, oracle = grid_oracle_pprime(problem, grid_pts)
             assert sol.objective <= oracle + 1e-6 * (1.0 + abs(oracle))
+
+    def test_certificate_on_random_mixes(self):
+        # optimality conditions that hold whatever the solver's method
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            n = int(rng.integers(2, 9))
+            problem = SumProblem.from_db(
+                [random_component(rng) for _ in range(n)],
+                float(rng.uniform(5.0, 40.0)))
+            sol = solve_pprime(problem)
+            x = sol.x_star
+            assert np.all(x >= 0.0)
+            assert float(np.sum(x)) == pytest.approx(problem.gamma, rel=1e-12)
+            a = float(problem.hazard_sum(x)[0])
+            assert sol.objective == pytest.approx(a, rel=1e-14)
+            vertices = problem.gamma * np.eye(n)
+            assert np.all(a <= problem.hazard_sum(vertices))
+            positive = np.flatnonzero(x > 0.0)
+            rates = np.array([float(problem.components[i].hazard_rate(x[i]))
+                              for i in positive])
+            assert rates.max() <= rates.min() * (1.0 + 1e-6)
+            onsets = [c.concavity_onset() for c in problem.components]
+            assert np.count_nonzero(x > onsets) <= 1
+            if n <= 3:
+                _, oracle = grid_oracle_pprime(problem, 2001 if n == 2 else 601)
+                assert a <= oracle + 1e-6 * abs(oracle)
 
 
 class TestSerialization:
