@@ -39,7 +39,6 @@ from .oracles import (
 from .solver import (
     MinmaxSolution,
     SumProblem,
-    dominant_index,
     second_moment_bound,
     solve_pprime,
     theta_star,

@@ -271,7 +271,9 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
         r_mc = naive_mc(problem, m_naive, cfg.seed,
                         stream_id=2 * idx + 1, confidence=cfg.confidence,
                         workers=args.workers)
-        ok_is = abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error
+        # a tail that underflowed on either side validates nothing
+        ok_is = (0.0 < reference < math.inf and 0.0 < r_is.alpha_hat < math.inf
+                 and abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error)
         # binomial SE from the reference tail, so a zero-hit naive run at a
         # deep threshold is judged against its own expected count
         se_mc = max(r_mc.std_error,

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .distributions import Lognormal, Weibull, db_to_linear
+from .distributions import Lognormal, db_to_linear
 from .errors import DomainError, ParameterError
 
 
@@ -95,25 +95,6 @@ def second_moment_bound(theta: float, objective: float, n: int) -> float:
     if not (0.0 <= theta < 1.0):
         raise DomainError(f"theta must lie in [0, 1), got {theta}")
     return (1.0 - theta) ** (-2 * n) * np.exp(-2.0 * theta * objective)
-
-
-def dominant_index(problem: SumProblem) -> int:
-    """Index of the component whose tail dominates the sum for large gamma.
-
-    Closed rules for homogeneous lists: smallest shape for Weibull (ties
-    broken by largest scale), largest sigma for Log-normal (ties broken
-    by largest mu).  Mixed lists fall back to the smallest cumulative
-    hazard at the threshold.
-    """
-    comps = problem.components
-    if all(isinstance(c, Weibull) for c in comps):
-        return min(range(len(comps)),
-                   key=lambda i: (comps[i].shape, -comps[i].scale))
-    if all(isinstance(c, Lognormal) for c in comps):
-        return min(range(len(comps)),
-                   key=lambda i: (-comps[i].sigma, -comps[i].mu))
-    hazards = [float(c.hazard_function(problem.gamma)) for c in comps]
-    return int(np.argmin(hazards))
 
 
 # ---------------------------------------------------------------------------

@@ -179,6 +179,14 @@ class TestValidate:
         assert code == 0
         assert "PASS" in capsys.readouterr().out
 
+    def test_fail_when_both_sides_underflow(self, tmp_path, capsys):
+        # at 58 dB the Weibull pair's tail is below the smallest double
+        raw = dict(WB_PAIR, thresholds_db=[58.0])
+        code, _ = run(tmp_path, "validate", raw)
+        assert code == 2
+        out = capsys.readouterr().out
+        assert out.startswith("FAIL") and "oracle=0.000000e+00" in out
+
     def test_rejects_three_components(self, tmp_path, capsys):
         raw = dict(WB_PAIR, components=[{"family": "weibull", "shape": 0.5,
                                          "scale": 1.0, "count": 3}])

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from hrtwist import (
@@ -17,8 +18,9 @@ from hrtwist import (
     relative_error_naive,
     solve_pprime,
 )
+from hrtwist import estimators
 
-from conftest import lognormal_pair, weibull_pair
+from conftest import lognormal_pair, random_component, weibull_pair
 
 
 @pytest.fixture
@@ -122,6 +124,63 @@ class TestDeterminism:
         a = is_estimate(problem, 0.8, 10_000, 1)
         b = is_estimate(problem, 0.8, 10_000, 2)
         assert a.alpha_hat != b.alpha_hat
+
+
+def _full_inversion_chunk_stats(problem, theta, cut, stream, start, stop):
+    """The sampling core without the survival cut: every row is inverted."""
+    n = problem.n
+    u = stream.uniforms_at(start * n, (stop - start) * n).reshape(-1, n)
+    x = np.empty_like(u)
+    hazard_sum = np.zeros(u.shape[0])
+    for i, comp in enumerate(problem.components):
+        log_sf = np.log1p(-u[:, i]) / (1.0 - theta)
+        x[:, i] = comp.quantile_from_log_sf(log_sf)
+        hazard_sum -= log_sf
+    hits = x.sum(axis=1) > problem.gamma
+    n_hits = int(np.count_nonzero(hits))
+    if n_hits == 0:
+        return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
+    if theta == 0.0:
+        return (float(n_hits), float(n_hits), float(n_hits), n_hits, 0.0,
+                float(np.min(hazard_sum[hits])))
+    log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
+    w = np.exp(log_w)
+    return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
+            n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
+
+
+class TestSurvivalCut:
+    def test_bit_identical_to_full_inversion(self, monkeypatch):
+        # gamma from below the median (nearly every row kept) to deep tails
+        rng = np.random.default_rng(2026)
+        cases = []
+        for k in range(40):
+            comps = [random_component(rng) for _ in range(k % 6 + 1)]
+            problem = SumProblem.from_db(comps, float(rng.uniform(-5.0, 40.0)))
+            m = int(rng.integers(1, 2 * estimators.CHUNK_SIZE))
+            cases.append((problem, solve_pprime(problem).theta_star, m,
+                          k % 2 + 1))
+
+        def fields(result):
+            d = result.to_dict()
+            del d["duration_seconds"]
+            return d
+
+        def run_all():
+            out = []
+            for k, (problem, theta, m, workers) in enumerate(cases):
+                out.append(fields(is_estimate(problem, theta, m, k,
+                                              workers=workers)))
+                out.append(fields(naive_mc(problem, m, k, stream_id=1,
+                                           workers=workers)))
+            return out
+
+        with_cut = run_all()
+        monkeypatch.setattr(estimators, "_chunk_stats",
+                            _full_inversion_chunk_stats)
+        assert run_all() == with_cut
+        assert any(c[2] % estimators.CHUNK_SIZE for c in cases)
+        assert {c[1] > 0.0 for c in cases} == {True, False}
 
 
 class TestBoundCertificate:

@@ -10,7 +10,6 @@ from hrtwist import (
     SumProblem,
     UnsupportedFamilyError,
     Weibull,
-    dominant_index,
     grid_oracle_pprime,
     second_moment_bound,
     solve_pprime,
@@ -106,32 +105,30 @@ class TestIidReference:
 
 
 class TestDominantIndex:
+    """The coordinate of the minimizer that carries the most mass."""
+
     def test_weibull_min_shape(self):
         p = SumProblem((Weibull(0.4, 1.0), Weibull(0.8, 1.0)), 100.0)
-        assert dominant_index(p) == 0
+        assert solve_pprime(p).dominant_index == 0
 
     def test_weibull_scale_tiebreak(self):
         p = SumProblem((Weibull(0.5, 1.0), Weibull(0.5, 2.0)), 100.0)
-        assert dominant_index(p) == 1
+        assert solve_pprime(p).dominant_index == 1
 
     def test_lognormal_max_sigma(self):
         p = SumProblem((Lognormal.from_db(0.0, 6.0),
                         Lognormal.from_db(0.0, 3.0)), 100.0)
-        assert dominant_index(p) == 0
+        assert solve_pprime(p).dominant_index == 0
 
     def test_lognormal_mu_tiebreak(self):
         p = SumProblem((Lognormal.from_db(0.0, 6.0),
                         Lognormal.from_db(3.0, 6.0)), 100.0)
-        assert dominant_index(p) == 1
+        assert solve_pprime(p).dominant_index == 1
 
-    def test_mixed_falls_back_to_hazard(self):
+    def test_mixed_smallest_vertex_hazard(self):
         p = SumProblem((Weibull(0.5, 1.0), Lognormal.from_db(0.0, 6.0)), 100.0)
         hazards = [float(c.hazard_function(100.0)) for c in p.components]
-        assert dominant_index(p) == int(np.argmin(hazards))
-
-    def test_consistent_with_solver(self):
-        p = SumProblem((Weibull(0.4, 1.0), Weibull(0.8, 1.0)), 1000.0)
-        assert dominant_index(p) == solve_pprime(p).dominant_index
+        assert solve_pprime(p).dominant_index == int(np.argmin(hazards))
 
 
 class TestSolvePPrime:
