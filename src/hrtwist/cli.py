@@ -180,10 +180,9 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         theta, _ = _solved_theta(cfg, problem)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, confidence=cfg.confidence,
-                           workers=args.workers)
+                           stream_id=2 * idx, workers=args.workers)
         r_mc = naive_mc(problem, m_naive, cfg.seed, stream_id=2 * idx + 1,
-                        confidence=cfg.confidence, workers=args.workers)
+                        workers=args.workers)
         rows.append((gamma_db, r_mc.alpha_hat, r_is.alpha_hat,
                      r_mc.std_error, r_is.std_error))
     _write_csv(out_dir / "ccdf.csv", cfg,
@@ -198,11 +197,9 @@ def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         theta, _ = _solved_theta(cfg, problem)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, confidence=cfg.confidence,
-                           workers=args.workers)
+                           stream_id=2 * idx, workers=args.workers)
         r_mc = naive_mc(problem, m_naive, cfg.seed,
-                        stream_id=2 * idx + 1, confidence=cfg.confidence,
-                        workers=args.workers)
+                        stream_id=2 * idx + 1, workers=args.workers)
         rows.append((gamma_db, r_is.alpha_hat, r_is.hit_frequency,
                      r_mc.hit_frequency))
     _write_csv(out_dir / "freq_table.csv", cfg,
@@ -215,8 +212,7 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     for idx, (gamma_db, problem) in enumerate(cfg.problems()):
         theta, _ = _solved_theta(cfg, problem)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, confidence=cfg.confidence,
-                           workers=args.workers)
+                           stream_id=2 * idx, workers=args.workers)
         if r_is.alpha_hat <= 0.0:
             print(f"skipping gamma_db={gamma_db:g}: estimate is zero",
                   file=sys.stderr)
@@ -266,11 +262,9 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
                                            problem.gamma)
         theta, _ = _solved_theta(cfg, problem)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, confidence=cfg.confidence,
-                           workers=args.workers)
+                           stream_id=2 * idx, workers=args.workers)
         r_mc = naive_mc(problem, m_naive, cfg.seed,
-                        stream_id=2 * idx + 1, confidence=cfg.confidence,
-                        workers=args.workers)
+                        stream_id=2 * idx + 1, workers=args.workers)
         # a tail that underflowed on either side validates nothing
         ok_is = (0.0 < reference < math.inf and 0.0 < r_is.alpha_hat < math.inf
                  and abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error)

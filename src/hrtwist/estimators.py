@@ -43,22 +43,20 @@ class ConfidenceConfig:
 class EstimateResult:
     """Output of one estimation run.
 
-    `mean_weight` etc. describe the weighted exceedance indicator: for
-    the naive method the weight is the indicator itself.  The two hit
-    extremes (`max_log_weight_hit`, `min_hazard_sum_hit`) support the
-    per-sample worst-case-weight certificate.
+    `alpha_hat` and the moments describe the weighted exceedance
+    indicator: for the naive method the weight is the indicator itself.
+    The two hit extremes (`max_log_weight_hit`, `min_hazard_sum_hit`)
+    support the per-sample worst-case-weight certificate.
     """
 
     method: str
     alpha_hat: float
     sample_count: int
     hit_frequency: int
-    mean_weight: float
     second_moment_weight: float
     fourth_moment_weight: float
     variance_weight: float
     std_error: float
-    relative_error: float
     seed: int
     stream_id: int
     theta_used: float
@@ -106,8 +104,7 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
-         stream_id: int, method: str, confidence: ConfidenceConfig,
-         workers: int) -> EstimateResult:
+         stream_id: int, method: str, workers: int) -> EstimateResult:
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if not (0.0 <= theta < 1.0):
@@ -146,19 +143,15 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     variance = (m / (m - 1.0)) * (second - mean_w * mean_w) if m >= 2 else 0.0
     variance = max(variance, 0.0)
     std_error = math.sqrt(variance / m)
-    c = confidence.confidence_constant
-    rel_err = c * std_error / mean_w if mean_w > 0.0 else math.inf
     return EstimateResult(
         method=method,
         alpha_hat=mean_w,
         sample_count=m,
         hit_frequency=hits,
-        mean_weight=mean_w,
         second_moment_weight=second,
         fourth_moment_weight=fourth,
         variance_weight=variance,
         std_error=std_error,
-        relative_error=rel_err,
         seed=seed,
         stream_id=stream_id,
         theta_used=theta,
@@ -169,18 +162,13 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
 
 
 def naive_mc(problem: SumProblem, sample_count: int, seed: int,
-             stream_id: int = 0,
-             confidence: ConfidenceConfig = ConfidenceConfig(),
-             workers: int = 1) -> EstimateResult:
+             stream_id: int = 0, workers: int = 1) -> EstimateResult:
     """Plain Monte Carlo exceedance frequency under the base laws."""
-    return _run(problem, 0.0, sample_count, seed, stream_id, NAIVE,
-                confidence, workers)
+    return _run(problem, 0.0, sample_count, seed, stream_id, NAIVE, workers)
 
 
 def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
-                stream_id: int = 0,
-                confidence: ConfidenceConfig = ConfidenceConfig(),
-                workers: int = 1) -> EstimateResult:
+                stream_id: int = 0, workers: int = 1) -> EstimateResult:
     """Importance-sampling estimate under the theta-twisted laws.
 
     Each exceedance carries the likelihood weight
@@ -188,7 +176,7 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     in log space.
     """
     return _run(problem, theta, sample_count, seed, stream_id,
-                HAZARD_TWIST_IS, confidence, workers)
+                HAZARD_TWIST_IS, workers)
 
 
 # ---------------------------------------------------------------------------

@@ -23,10 +23,9 @@ class RandomStream:
     def __init__(self, seed: int, stream_id: int = 0):
         self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
         self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
-        self._cursor = 0
 
     def uniforms_at(self, offset: int, count: int) -> np.ndarray:
-        """Words [offset, offset+count) of this stream, cursor untouched."""
+        """Words [offset, offset+count) of this stream."""
         offset, count = int(offset), int(count)
         if offset < 0 or count < 0:
             raise ValueError("offset and count must be nonnegative")
@@ -39,15 +38,5 @@ class RandomStream:
         u[u == 0.0] = _TINY_UNIFORM
         return u
 
-    def uniforms(self, count: int) -> np.ndarray:
-        """Next `count` uniforms, advancing the cursor."""
-        u = self.uniforms_at(self._cursor, count)
-        self._cursor += count
-        return u
-
-    def uniform(self) -> float:
-        return float(self.uniforms(1)[0])
-
     def __repr__(self):
-        return (f"RandomStream(seed={self.seed}, stream_id={self.stream_id}, "
-                f"cursor={self._cursor})")
+        return f"RandomStream(seed={self.seed}, stream_id={self.stream_id})"

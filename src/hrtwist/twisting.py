@@ -11,7 +11,6 @@ import numpy as np
 
 from .distributions import Distribution, WeibullParams
 from .errors import DomainError, ParameterError
-from .streams import RandomStream
 
 
 class TwistedDistribution:
@@ -57,9 +56,6 @@ class TwistedDistribution:
             raise DomainError("probability must lie in (0, 1)")
         log_sf = np.log1p(-y) / (1.0 - self.theta)
         return self.base.quantile_from_log_sf(log_sf)
-
-    def sample(self, stream: RandomStream):
-        return self.quantile(stream.uniform())
 
     def __repr__(self):
         return f"TwistedDistribution({self.base!r}, theta={self.theta})"

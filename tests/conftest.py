@@ -2,8 +2,7 @@ import pytest
 
 from hrtwist import Lognormal, SumProblem, Weibull
 
-# Frozen reference values, computed before the build with independent
-# high-precision tools (50-digit quadrature / normal-tail evaluation).
+# Frozen reference values from independent high-precision evaluation.
 LN6_SIGMA = 1.3815510557964275          # 6 dB in natural-log units
 LN6_SF_100 = 4.2906033319683746e-4      # survival of Lognormal(0, LN6_SIGMA) at 100
 LN6_LAMBDA_100 = 7.753913012102223      # cumulative hazard at 100
@@ -17,9 +16,15 @@ LN1_ONSET_EXACT = 0.6181288259401258
 LN_PAIR_A_20DB = 7.753840980008583      # min of hazard sum, two iid 6 dB comps
 LN_PAIR_THETA_20DB = 0.7420633199524571
 
-LN_PAIR_TAIL_20DB = 9.2894328997e-4     # P(X1+X2 > 100), iid Lognormal 0/6 dB
-WB_PAIR_TAIL_20DB = 1.0469642975e-4     # P(X1+X2 > 100), iid Weibull(0.5, 1)
-WB_PAIR_TAIL_30DB = 3.82435982357e-14   # P(X1+X2 > 1000), iid Weibull(0.5, 1)
+# P(X1 + X2 > gamma) to 17 digits, from tests/make_constants.py (mpmath
+# 1.3.0 quadrature at 50 digits, no hrtwist code)
+LN_PAIR_TAIL_20DB = 9.2894328996958111e-4    # iid Lognormal 0/6 dB, gamma 100
+WB_PAIR_TAIL_20DB = 1.0469642975019535e-4    # iid Weibull(0.5, 1), gamma 100
+WB_PAIR_TAIL_30DB = 3.8243598235715955e-14   # iid Weibull(0.5, 1), gamma 1000
+WB_PAIR_TAIL_55DB = 1.2024617976855149e-244  # iid Weibull(0.5, 1), 55 dB
+WB_SKEW_TAIL_35DB = 6.6656167603880517e-3    # Weibull(0.2, 1) + Weibull(0.8, 3)
+WB_SKEW_TAIL_42DB = 9.8979487930247306e-4    # same pair, 42 dB
+WB_LN_TAIL_26DB = 8.6279163942626544e-3      # Weibull(0.3, 2) + Lognormal 1/8 dB
 
 
 @pytest.fixture

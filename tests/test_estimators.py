@@ -57,7 +57,7 @@ class TestISEstimate:
         b = is_estimate(single_weibull_gamma4, 0.0, 50_000, 11)
         assert a.alpha_hat == b.alpha_hat
         assert a.hit_frequency == b.hit_frequency
-        assert b.second_moment_weight == b.mean_weight  # weights in {0, 1}
+        assert b.second_moment_weight == b.alpha_hat  # weights in {0, 1}
 
     def test_table1_lognormal_20db(self):
         problem = lognormal_pair(20.0)
@@ -83,7 +83,7 @@ class TestISEstimate:
         r = is_estimate(lognormal_pair(20.0), 0.74, 10_000, 3)
         m = r.sample_count
         expect = (m / (m - 1.0)) * (
-            r.second_moment_weight - r.mean_weight ** 2)
+            r.second_moment_weight - r.alpha_hat ** 2)
         assert r.variance_weight == pytest.approx(expect, rel=1e-12)
 
     def test_deep_threshold_no_overflow(self):

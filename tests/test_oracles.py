@@ -1,7 +1,9 @@
+import functools
 import math
 
 import numpy as np
 import pytest
+from scipy.integrate import tanhsinh
 
 from hrtwist import (
     Lognormal,
@@ -10,6 +12,7 @@ from hrtwist import (
     QuadratureConfig,
     SumProblem,
     Weibull,
+    db_to_linear,
     exact_tail_single,
     grid_oracle_pprime,
     is_estimate,
@@ -17,12 +20,18 @@ from hrtwist import (
     tail_convolution_2,
     theta_sensitivity_sweep,
 )
+from hrtwist import oracles
 
 from conftest import (
     LN_PAIR_TAIL_20DB,
+    WB_LN_TAIL_26DB,
     WB_PAIR_TAIL_20DB,
     WB_PAIR_TAIL_30DB,
+    WB_PAIR_TAIL_55DB,
+    WB_SKEW_TAIL_35DB,
+    WB_SKEW_TAIL_42DB,
     lognormal_pair,
+    random_component,
     weibull_pair,
 )
 
@@ -47,17 +56,40 @@ class TestTailConvolution:
         assert tail_convolution_2(d, d, 2.0) == pytest.approx(
             3.0 * math.exp(-2.0), rel=1e-9)
 
+    def test_tiny_threshold(self):
+        # tanh-sinh abscissae round onto the endpoint 0 at such thresholds
+        for d in (Weibull(1.0, 1.0), Weibull(0.5, 1.0)):
+            assert tail_convolution_2(d, d, 1e-17) == pytest.approx(1.0, rel=1e-15)
+
     def test_lognormal_pair_frozen_value(self):
         a, b = Lognormal.from_db(0.0, 6.0), Lognormal.from_db(0.0, 6.0)
         assert tail_convolution_2(a, b, 100.0) == pytest.approx(
-            LN_PAIR_TAIL_20DB, rel=1e-8)
+            LN_PAIR_TAIL_20DB, rel=1e-10)
 
     def test_weibull_pair_frozen_values(self):
         d = Weibull(0.5, 1.0)
         assert tail_convolution_2(d, d, 100.0) == pytest.approx(
-            WB_PAIR_TAIL_20DB, rel=1e-8)
+            WB_PAIR_TAIL_20DB, rel=1e-10)
         assert tail_convolution_2(d, d, 1000.0) == pytest.approx(
-            WB_PAIR_TAIL_30DB, rel=1e-8)
+            WB_PAIR_TAIL_30DB, rel=1e-10)
+
+    def test_deep_weibull_pair_frozen_value(self):
+        # about 1e-244: summed in log space, the tail keeps its precision
+        d = Weibull(0.5, 1.0)
+        assert tail_convolution_2(d, d, float(db_to_linear(55.0))) == pytest.approx(
+            WB_PAIR_TAIL_55DB, rel=1e-10)
+
+    @pytest.mark.parametrize("first, second, gamma_db, exact", [
+        (Weibull(0.2, 1.0), Weibull(0.8, 3.0), 35.0, WB_SKEW_TAIL_35DB),
+        (Weibull(0.2, 1.0), Weibull(0.8, 3.0), 42.0, WB_SKEW_TAIL_42DB),
+        (Weibull(0.3, 2.0), Lognormal.from_db(1.0, 8.0), 26.0, WB_LN_TAIL_26DB),
+    ], ids=["skew-35dB", "skew-42dB", "weibull-lognormal-26dB"])
+    def test_mixed_pair_frozen_values(self, first, second, gamma_db, exact):
+        gamma = float(db_to_linear(gamma_db))
+        assert tail_convolution_2(first, second, gamma) == pytest.approx(
+            exact, rel=1e-10)
+        assert tail_convolution_2(second, first, gamma) == pytest.approx(
+            exact, rel=1e-10)
 
     def test_symmetry(self):
         a, b = Weibull(0.4, 1.0), Lognormal.from_db(0.0, 6.0)
@@ -71,19 +103,34 @@ class TestTailConvolution:
         values = [tail_convolution_2(d, d, g) for g in gammas]
         assert all(b < a for a, b in zip(values[:-1], values[1:]))
 
-    def test_refinement_self_consistency(self):
-        d = Weibull(0.5, 1.0)
-        loose = tail_convolution_2(d, d, 316.2278,
-                                   QuadratureConfig(max_subdivisions=100))
-        tight = tail_convolution_2(d, d, 316.2278,
-                                   QuadratureConfig(max_subdivisions=800))
-        assert loose == pytest.approx(tight, rel=1e-9)
+    def test_random_mixes(self):
+        # P(max > gamma) <= P(X1 + X2 > gamma) <= P(max > gamma / 2), and
+        # the tail is symmetric in its two arguments
+        rng = np.random.default_rng(2024)
+        for _ in range(40):
+            a, b = random_component(rng), random_component(rng)
+            gamma = float(db_to_linear(rng.uniform(-10.0, 50.0)))
+            value = tail_convolution_2(a, b, gamma)
+            swapped = tail_convolution_2(b, a, gamma)
+            lo_a, lo_b = exact_tail_single(a, gamma), exact_tail_single(b, gamma)
+            hi_a = exact_tail_single(a, gamma / 2)
+            hi_b = exact_tail_single(b, gamma / 2)
+            assert lo_a + lo_b - lo_a * lo_b <= value <= hi_a + hi_b - hi_a * hi_b
+            assert swapped == pytest.approx(value, rel=1e-12)
 
     def test_unreachable_tolerance_raises(self):
         d = Weibull(0.5, 1.0)
         with pytest.raises(OracleConvergenceError):
             tail_convolution_2(d, d, 100.0,
                                QuadratureConfig(absolute_tolerance=1e-300))
+
+    def test_unconverged_status_raises(self, monkeypatch):
+        # one refinement level cannot reach the stopping rule
+        monkeypatch.setattr(oracles, "tanhsinh",
+                            functools.partial(tanhsinh, maxlevel=1))
+        d = Weibull(0.5, 1.0)
+        with pytest.raises(OracleConvergenceError):
+            tail_convolution_2(d, d, 100.0)
 
     def test_matches_is_estimate(self):
         for problem, oracle in ((lognormal_pair(20.0), LN_PAIR_TAIL_20DB),
