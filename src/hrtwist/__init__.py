@@ -28,14 +28,9 @@ from .estimators import (
     optimality_ratio,
     relative_error_is,
     relative_error_naive,
-)
-from .oracles import (
-    QuadratureConfig,
-    exact_tail_single,
-    grid_oracle_pprime,
-    tail_convolution_2,
     theta_sensitivity_sweep,
 )
+from .oracles import exact_tail_single, grid_oracle_pprime, tail_convolution_2
 from .solver import (
     MinmaxSolution,
     SumProblem,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .distributions import distribution_from_dict, linear_to_db
-from .errors import OracleConvergenceError, ParameterError
+from .errors import OracleConvergenceError, ParameterError, UnsupportedFamilyError
 from .estimators import (
     ConfidenceConfig,
     efficiency_indicator,
@@ -26,8 +26,9 @@ from .estimators import (
     naive_mc,
     relative_error_is,
     relative_error_naive,
+    theta_sensitivity_sweep,
 )
-from .oracles import exact_tail_single, tail_convolution_2, theta_sensitivity_sweep
+from .oracles import exact_tail_single, tail_convolution_2
 from .solver import SumProblem, solve_pprime
 
 LARGE_NAIVE_CAP = 10 ** 6  # without --allow-large
@@ -40,14 +41,13 @@ class ConfigError(ValueError):
 @dataclass
 class ExperimentConfig:
     components: list
-    thresholds_db: list | None
-    thresholds_linear: list | None
+    problems: list  # (gamma_db, SumProblem) per threshold
     samples_is: int
     samples_naive: int
     seed: int
     theta_override: float | None = None
     theta_grid: list = field(default_factory=list)
-    confidence_constant: float = 1.96
+    confidence: ConfidenceConfig = ConfidenceConfig()
     output_dir: str = "out"
     config_hash: str = ""
 
@@ -70,20 +70,33 @@ class ExperimentConfig:
             if has_db == has_lin:
                 raise ConfigError(
                     "exactly one of thresholds_db / thresholds_linear required")
-            thresholds = raw["thresholds_db"] if has_db else raw["thresholds_linear"]
+            thresholds = [float(t) for t in
+                          (raw["thresholds_db"] if has_db else raw["thresholds_linear"])]
             if not thresholds:
                 raise ConfigError("threshold list is empty")
+            if has_db:
+                problems = [(t, SumProblem.from_db(components, t)) for t in thresholds]
+            else:
+                problems = [(float(linear_to_db(t)), SumProblem(tuple(components), t))
+                            for t in thresholds]
+            theta_override = raw.get("theta_override")
+            if theta_override is not None:
+                theta_override = float(theta_override)
+            theta_grid = [float(t) for t in raw.get("theta_grid", [])]
+            thetas = theta_grid + ([] if theta_override is None else [theta_override])
+            bad = [t for t in thetas if not 0.0 <= t < 1.0]
+            if bad:
+                raise ConfigError(f"theta values outside [0, 1): {bad}")
             cfg = cls(
                 components=components,
-                thresholds_db=[float(t) for t in thresholds] if has_db else None,
-                thresholds_linear=[float(t) for t in thresholds] if has_lin else None,
+                problems=problems,
                 samples_is=int(raw["samples_is"]),
                 samples_naive=int(raw["samples_naive"]),
                 seed=int(raw["seed"]),
-                theta_override=(None if raw.get("theta_override") is None
-                                else float(raw["theta_override"])),
-                theta_grid=[float(t) for t in raw.get("theta_grid", [])],
-                confidence_constant=float(raw.get("confidence_constant", 1.96)),
+                theta_override=theta_override,
+                theta_grid=theta_grid,
+                confidence=ConfidenceConfig(
+                    float(raw.get("confidence_constant", 1.96))),
                 output_dir=str(raw.get("output_dir", "out")),
             )
         except ConfigError:
@@ -95,22 +108,6 @@ class ExperimentConfig:
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
         cfg.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
         return cfg
-
-    def problems(self):
-        """(gamma_db, SumProblem) per threshold; gamma_db may be None."""
-        out = []
-        if self.thresholds_db is not None:
-            for t in self.thresholds_db:
-                out.append((t, SumProblem.from_db(self.components, t)))
-        else:
-            for t in self.thresholds_linear:
-                out.append((float(linear_to_db(t)),
-                            SumProblem(tuple(self.components), t)))
-        return out
-
-    @property
-    def confidence(self) -> ConfidenceConfig:
-        return ConfidenceConfig(self.confidence_constant)
 
 
 def _fmt(x) -> str:
@@ -137,13 +134,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _solved_theta(cfg: ExperimentConfig, problem: SumProblem):
-    solution = solve_pprime(problem)
-    theta = (cfg.theta_override if cfg.theta_override is not None
-             else solution.theta_star)
-    return theta, solution
-
-
 def _naive_count(cfg: ExperimentConfig, args) -> int:
     """samples_naive, capped at LARGE_NAIVE_CAP unless --allow-large."""
     if cfg.samples_naive > LARGE_NAIVE_CAP and not args.allow_large:
@@ -157,9 +147,28 @@ def _derived_seed(seed: int, index: int) -> int:
     return (seed + 1000003 * index) & 0xFFFFFFFFFFFFFFFF
 
 
+def _runs(cfg: ExperimentConfig, args, naive: bool = True):
+    """The estimation pass behind every sampling table, one threshold at a time.
+
+    Threshold idx is solved, then sampled by IS at theta_override (theta*
+    if unset) on stream 2*idx and, when `naive`, by naive MC on stream
+    2*idx + 1 at the capped naive count.  Yields
+    (gamma_db, problem, r_is, r_mc), with r_mc None when not `naive`.
+    """
+    m_naive = _naive_count(cfg, args) if naive else 0
+    for idx, (gamma_db, problem) in enumerate(cfg.problems):
+        theta_star = solve_pprime(problem).theta_star
+        theta = theta_star if cfg.theta_override is None else cfg.theta_override
+        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
+                           stream_id=2 * idx, workers=args.workers)
+        r_mc = (naive_mc(problem, m_naive, cfg.seed, stream_id=2 * idx + 1,
+                         workers=args.workers) if naive else None)
+        yield gamma_db, problem, r_is, r_mc
+
+
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     reports = []
-    for gamma_db, problem in cfg.problems():
+    for gamma_db, problem in cfg.problems:
         sol = solve_pprime(problem)
         entry = {"gamma_db": gamma_db, **sol.to_dict()}
         reports.append(entry)
@@ -175,16 +184,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    m_naive = _naive_count(cfg, args)
-    rows = []
-    for idx, (gamma_db, problem) in enumerate(cfg.problems()):
-        theta, _ = _solved_theta(cfg, problem)
-        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=args.workers)
-        r_mc = naive_mc(problem, m_naive, cfg.seed, stream_id=2 * idx + 1,
-                        workers=args.workers)
-        rows.append((gamma_db, r_mc.alpha_hat, r_is.alpha_hat,
-                     r_mc.std_error, r_is.std_error))
+    rows = [(gamma_db, r_mc.alpha_hat, r_is.alpha_hat, r_mc.std_error, r_is.std_error)
+            for gamma_db, _, r_is, r_mc in _runs(cfg, args)]
     _write_csv(out_dir / "ccdf.csv", cfg,
                ["gamma_db", "alpha_naive", "alpha_is", "se_naive", "se_is"],
                rows)
@@ -192,16 +193,8 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    m_naive = _naive_count(cfg, args)
-    rows = []
-    for idx, (gamma_db, problem) in enumerate(cfg.problems()):
-        theta, _ = _solved_theta(cfg, problem)
-        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=args.workers)
-        r_mc = naive_mc(problem, m_naive, cfg.seed,
-                        stream_id=2 * idx + 1, workers=args.workers)
-        rows.append((gamma_db, r_is.alpha_hat, r_is.hit_frequency,
-                     r_mc.hit_frequency))
+    rows = [(gamma_db, r_is.alpha_hat, r_is.hit_frequency, r_mc.hit_frequency)
+            for gamma_db, _, r_is, r_mc in _runs(cfg, args)]
     _write_csv(out_dir / "freq_table.csv", cfg,
                ["gamma_db", "alpha_is", "freq_is", "freq_naive"], rows)
     return 0
@@ -209,20 +202,19 @@ def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     rows = []
-    for idx, (gamma_db, problem) in enumerate(cfg.problems()):
-        theta, _ = _solved_theta(cfg, problem)
-        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=args.workers)
-        if r_is.alpha_hat <= 0.0:
-            print(f"skipping gamma_db={gamma_db:g}: estimate is zero",
+    for gamma_db, _, r_is, _ in _runs(cfg, args, naive=False):
+        alpha = r_is.alpha_hat
+        if not 0.0 < alpha < 1.0:
+            # the relative errors are undefined outside (0, 1)
+            why = "zero" if alpha <= 0.0 else "at least 1"
+            print(f"skipping gamma_db={gamma_db:g}: estimate is {why}",
                   file=sys.stderr)
             continue
         rows.append((
             gamma_db,
-            relative_error_naive(r_is.alpha_hat, cfg.samples_naive,
-                                 cfg.confidence),
+            relative_error_naive(alpha, cfg.samples_naive, cfg.confidence),
             relative_error_is(r_is, cfg.confidence),
-            efficiency_indicator(r_is.alpha_hat, r_is.variance_weight),
+            efficiency_indicator(alpha, r_is.variance_weight),
         ))
     _write_csv(out_dir / "efficiency.csv", cfg,
                ["gamma_db", "rel_err_naive", "rel_err_is", "k"], rows)
@@ -232,7 +224,7 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
-    for idx, (gamma_db, problem) in enumerate(cfg.problems()):
+    for idx, (gamma_db, problem) in enumerate(cfg.problems):
         rows, solution = theta_sensitivity_sweep(
             problem, cfg.theta_grid, cfg.samples_is,
             _derived_seed(cfg.seed, idx))
@@ -251,20 +243,12 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     if len(cfg.components) > 2:
         raise ConfigError("validate supports configs with N <= 2 components")
-    m_naive = _naive_count(cfg, args)
     failures = 0
-    for idx, (gamma_db, problem) in enumerate(cfg.problems()):
+    for gamma_db, problem, r_is, r_mc in _runs(cfg, args):
         if problem.n == 1:
             reference = exact_tail_single(problem.components[0], problem.gamma)
         else:
-            reference = tail_convolution_2(problem.components[0],
-                                           problem.components[1],
-                                           problem.gamma)
-        theta, _ = _solved_theta(cfg, problem)
-        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=args.workers)
-        r_mc = naive_mc(problem, m_naive, cfg.seed,
-                        stream_id=2 * idx + 1, workers=args.workers)
+            reference = tail_convolution_2(*problem.components, problem.gamma)
         # a tail that underflowed on either side validates nothing
         ok_is = (0.0 < reference < math.inf and 0.0 < r_is.alpha_hat < math.inf
                  and abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error)
@@ -320,7 +304,8 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         out_dir = Path(args.output if args.output else cfg.output_dir)
         return COMMANDS[args.command](cfg, out_dir, args)
-    except (ConfigError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ConfigError, UnsupportedFamilyError, FileNotFoundError,
+            json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OracleConvergenceError, ParameterError) as exc:

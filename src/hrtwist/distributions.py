@@ -22,8 +22,9 @@ _LOG_SQRT_2PI = 0.5 * np.log(2.0 * np.pi)
 
 
 def db_to_linear(value_db):
-    """Convert a decibel quantity to linear scale, 10^(value/10)."""
-    return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
+    """Convert a decibel quantity to linear scale, 10^(value/10); inf on overflow."""
+    with np.errstate(over="ignore"):
+        return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
 
 def linear_to_db(value):

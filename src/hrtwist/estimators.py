@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ParameterError, UndefinedMetricError
-from .solver import SumProblem
+from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
 from .streams import RandomStream
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
@@ -87,20 +87,11 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
         return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
-    if theta == 0.0:
-        # naive limit: weight is exactly 1 on hits
-        sum_w = float(n_hits)
-        sum_w2 = float(n_hits)
-        sum_w4 = float(n_hits)
-        max_log_w = 0.0
-    else:
-        log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
-        w = np.exp(log_w)
-        sum_w = float(np.sum(w))
-        sum_w2 = float(np.sum(w * w))
-        sum_w4 = float(np.sum((w * w) ** 2))
-        max_log_w = float(np.max(log_w))
-    return sum_w, sum_w2, sum_w4, n_hits, max_log_w, float(np.min(hazard_sum[hits]))
+    # at theta = 0 every weight is exactly 1 (log weight +0.0)
+    log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
+    w = np.exp(log_w)
+    return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
+            n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
@@ -177,6 +168,43 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     """
     return _run(problem, theta, sample_count, seed, stream_id,
                 HAZARD_TWIST_IS, workers)
+
+
+@dataclass(frozen=True)
+class SweepRow:
+    theta: float
+    second_moment_empirical: float
+    second_moment_bound: float
+    std_error: float
+
+
+def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
+                            seed: int) -> tuple[list[SweepRow], MinmaxSolution]:
+    """Empirical second moment vs the analytic bound across twisting amounts.
+
+    The solved minmax theta* is inserted into the grid if absent.  Run i
+    of the sweep uses substream i of the base seed, so the whole table is
+    reproducible from (config, seed) alone.
+    """
+    solution = solve_pprime(problem)
+    grid = sorted(set(float(t) for t in theta_grid) | {solution.theta_star})
+    for t in grid:
+        if not (0.0 <= t < 1.0):
+            raise ParameterError(f"theta grid value {t} outside [0, 1)")
+    rows = []
+    for idx, theta in enumerate(grid):
+        res = is_estimate(problem, theta, sample_count, seed, stream_id=idx)
+        m2 = res.second_moment_weight
+        sweep_se = math.sqrt(
+            max(res.fourth_moment_weight - m2 * m2, 0.0) / sample_count)
+        rows.append(SweepRow(
+            theta=theta,
+            second_moment_empirical=m2,
+            second_moment_bound=float(
+                second_moment_bound(theta, solution.objective, problem.n)),
+            std_error=sweep_se,
+        ))
+    return rows, solution
 
 
 # ---------------------------------------------------------------------------

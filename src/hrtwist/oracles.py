@@ -1,14 +1,13 @@
-"""Independent brute-force references for validating the estimators.
+"""Independent brute-force references for validating the sampling runs.
 
-Nothing here shares code paths with the sampling estimators: tails come
-from closed-form survival functions or from tanh-sinh quadrature of the
-two-component convolution in log space, and the constrained minimization
-is checked against exhaustive grid search.
+Nothing here shares a code path with importance sampling or naive Monte
+Carlo: tails come from closed-form survival functions or from tanh-sinh
+quadrature of the two-component convolution in log space, and the
+constrained minimization is checked against exhaustive grid search.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import tanhsinh
@@ -16,22 +15,13 @@ from scipy.special import logsumexp
 
 from .distributions import Distribution
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import is_estimate
-from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
+from .solver import SumProblem
 
-# tanh-sinh stopping rule, relative: well inside the 1e-10 the oracle
-# promises, since the rule bounds its error estimate, not the error
+# the oracle promises 1e-10 relative and checks tanh-sinh's error estimate
+# against it; the stopping rule aims well inside that, since it bounds the
+# error estimate, not the error
+_LOG_TOL = math.log(1e-10)
 _LOG_RTOL = math.log(1e-13)
-
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    # None means 1e-10 relative to the computed value
-    absolute_tolerance: float | None = None
-
-    def __post_init__(self):
-        if self.absolute_tolerance is not None and self.absolute_tolerance <= 0.0:
-            raise ParameterError("tolerance must be positive")
 
 
 def exact_tail_single(dist: Distribution, gamma: float) -> float:
@@ -39,8 +29,8 @@ def exact_tail_single(dist: Distribution, gamma: float) -> float:
     return float(dist.survival(gamma))
 
 
-def tail_convolution_2(dist1: Distribution, dist2: Distribution, gamma: float,
-                       cfg: QuadratureConfig = QuadratureConfig()) -> float:
+def tail_convolution_2(dist1: Distribution, dist2: Distribution,
+                       gamma: float) -> float:
     """P(X1 + X2 > gamma) by tanh-sinh quadrature of the convolution.
 
     Split at gamma / 2: either both components exceed it, or one lies
@@ -76,8 +66,7 @@ def tail_convolution_2(dist1: Distribution, dist2: Distribution, gamma: float,
     corner = float(dist1.log_survival(half) + dist2.log_survival(half))
     log_result = float(logsumexp(np.append(res.integral, corner)))
     log_err = float(logsumexp(res.error))
-    tol = cfg.absolute_tolerance
-    log_tol = math.log(1e-10) + log_result if tol is None else math.log(tol)
+    log_tol = _LOG_TOL + log_result
     if log_err > log_tol:
         raise OracleConvergenceError(
             f"convolution quadrature error {math.exp(log_err):.3e} exceeds "
@@ -112,40 +101,3 @@ def grid_oracle_pprime(problem: SumProblem,
     objs = problem.hazard_sum(pts)
     best = int(np.argmin(objs))
     return pts[best], float(objs[best])
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    second_moment_empirical: float
-    second_moment_bound: float
-    std_error: float
-
-
-def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
-                            seed: int) -> tuple[list[SweepRow], MinmaxSolution]:
-    """Empirical second moment vs the analytic bound across twisting amounts.
-
-    The solved minmax theta* is inserted into the grid if absent.  Run i
-    of the sweep uses substream i of the base seed, so the whole table is
-    reproducible from (config, seed) alone.
-    """
-    solution = solve_pprime(problem)
-    grid = sorted(set(float(t) for t in theta_grid) | {solution.theta_star})
-    for t in grid:
-        if not (0.0 <= t < 1.0):
-            raise ParameterError(f"theta grid value {t} outside [0, 1)")
-    rows = []
-    for idx, theta in enumerate(grid):
-        res = is_estimate(problem, theta, sample_count, seed, stream_id=idx)
-        m2 = res.second_moment_weight
-        sweep_se = math.sqrt(
-            max(res.fourth_moment_weight - m2 * m2, 0.0) / sample_count)
-        rows.append(SweepRow(
-            theta=theta,
-            second_moment_empirical=m2,
-            second_moment_bound=float(
-                second_moment_bound(theta, solution.objective, problem.n)),
-            std_error=sweep_se,
-        ))
-    return rows, solution

@@ -31,7 +31,7 @@ class SumProblem:
         if len(self.components) < 1:
             raise ParameterError("need at least one component")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be positive, got {self.gamma}")
+            raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
         if self.gamma_db is not None:
             expect = float(db_to_linear(self.gamma_db))
             if abs(self.gamma - expect) > 1e-12 * expect:

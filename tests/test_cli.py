@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -37,6 +38,11 @@ def run(tmp_path, command, raw, *extra):
                 + list(extra)), out
 
 
+def data_rows(path):
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    return [l.split(",") for l in lines[1:]]
+
+
 class TestConfigParsing:
     def test_count_replication(self):
         cfg = ExperimentConfig.from_dict(WB_PAIR)
@@ -72,7 +78,7 @@ class TestConfigParsing:
         raw = {k: v for k, v in LN_PAIR.items() if k != "thresholds_db"}
         raw["thresholds_linear"] = [100.0]
         cfg = ExperimentConfig.from_dict(raw)
-        (gamma_db, problem), = cfg.problems()
+        (gamma_db, problem), = cfg.problems
         assert gamma_db == pytest.approx(20.0)
         assert problem.gamma == pytest.approx(100.0)
 
@@ -93,6 +99,25 @@ class TestExitCodes:
 
     def test_theta_sweep_without_grid(self, tmp_path, capsys):
         assert run(tmp_path, "theta-sweep", WB_PAIR)[0] == 1
+
+    @pytest.mark.parametrize("command, change", [
+        ("ccdf", {"theta_override": 1.0}),
+        ("ccdf", {"theta_override": -0.1}),
+        ("solve", {"thresholds_db": None, "thresholds_linear": [0.0]}),
+        ("solve", {"components": [{"family": "weibull", "shape": 1.5,
+                                   "scale": 1.0, "count": 2}]}),
+        ("theta-sweep", {"theta_grid": [0.5, 1.2]}),
+        ("efficiency", {"confidence_constant": -1.0}),
+        ("ccdf", {"confidence_constant": -1.0}),
+        ("ccdf", {"thresholds_db": [4000.0]}),
+    ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
+            "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
+            "ccdf-confidence", "threshold-4000dB"])
+    def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
+        raw = {k: v for k, v in dict(WB_PAIR, samples_is=100, samples_naive=100,
+                                     **change).items() if v is not None}
+        assert run(tmp_path, command, raw)[0] == 1
+        assert capsys.readouterr().err.startswith("config error: ")
 
 
 class TestSolveCommand:
@@ -157,6 +182,15 @@ class TestEfficiency:
         row = lines[1].split(",")
         assert float(row[3]) > 1.0  # variance reduction at a rare threshold
 
+    def test_skips_threshold_where_estimate_is_one(self, tmp_path, capsys):
+        # at -30 dB theta* clamps to 0; with this seed all 1,000 samples
+        # exceed gamma, so alpha_is = 1
+        raw = dict(WB_PAIR, thresholds_db=[-30.0, 20.0], samples_is=1_000)
+        code, out = run(tmp_path, "efficiency", raw)
+        assert code == 0
+        assert "skipping gamma_db=-30: estimate is at least 1" in capsys.readouterr().err
+        assert [float(r[0]) for r in data_rows(out / "efficiency.csv")] == [20.0]
+
 
 class TestThetaSweep:
     def test_writes_per_threshold_files(self, tmp_path):
@@ -192,6 +226,27 @@ class TestValidate:
                                          "scale": 1.0, "count": 3}])
         code, _ = run(tmp_path, "validate", raw)
         assert code == 1
+
+
+class TestSharedPass:
+    def test_tables_agree_on_alpha_is(self, tmp_path, capsys):
+        by_theta = []
+        for override in (None, 0.6):
+            raw = dict(WB_PAIR, samples_is=5_000, samples_naive=5_000)
+            if override is not None:
+                raw["theta_override"] = override
+            _, out = run(tmp_path, "ccdf", raw)
+            ccdf = [r[2] for r in data_rows(out / "ccdf.csv")]
+            _, out = run(tmp_path, "freq-table", raw)
+            freq = [r[1] for r in data_rows(out / "freq_table.csv")]
+            capsys.readouterr()
+            run(tmp_path, "validate", raw)
+            validate = re.findall(r" is=(\S+) ", capsys.readouterr().out)
+            assert ccdf == freq
+            assert [format(float(a), ".6e") for a in ccdf] == validate
+            by_theta.append(ccdf)
+        assert len(by_theta[0]) == 2
+        assert all(a != b for a, b in zip(*by_theta))  # the override is used
 
 
 class TestNaiveCap:
