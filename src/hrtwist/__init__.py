@@ -5,9 +5,7 @@ from .distributions import (
     DB_SCALE,
     Distribution,
     Lognormal,
-    LognormalParams,
     Weibull,
-    WeibullParams,
     db_to_linear,
     distribution_from_dict,
     linear_to_db,
@@ -30,7 +28,7 @@ from .estimators import (
     relative_error_naive,
     theta_sensitivity_sweep,
 )
-from .oracles import exact_tail_single, grid_oracle_pprime, tail_convolution_2
+from .oracles import exact_tail_single, tail_convolution_2
 from .solver import (
     MinmaxSolution,
     SumProblem,
@@ -39,6 +37,6 @@ from .solver import (
     theta_star,
 )
 from .streams import RandomStream
-from .twisting import TwistedDistribution, twist, weibull_twist_equivalent
+from .twisting import TwistedDistribution
 
 __version__ = "0.1.0"

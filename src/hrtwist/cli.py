@@ -240,6 +240,14 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     return 0
 
 
+def _binomial_se(result, reference: float) -> float:
+    """SE of an unweighted run, floored at the binomial SE of the reference
+    tail, so a run that hits always or never is judged against its
+    expected count."""
+    return max(result.std_error, math.sqrt(
+        reference * (1 - reference) / result.sample_count))
+
+
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     if len(cfg.components) > 2:
         raise ConfigError("validate supports configs with N <= 2 components")
@@ -249,14 +257,14 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
             reference = exact_tail_single(problem.components[0], problem.gamma)
         else:
             reference = tail_convolution_2(*problem.components, problem.gamma)
+        # IS at theta 0 is naive MC, whose SE can be 0 when every sample hits
+        se_is = (_binomial_se(r_is, reference) if r_is.theta_used == 0.0
+                 else r_is.std_error)
         # a tail that underflowed on either side validates nothing
         ok_is = (0.0 < reference < math.inf and 0.0 < r_is.alpha_hat < math.inf
-                 and abs(r_is.alpha_hat - reference) <= 3.0 * r_is.std_error)
-        # binomial SE from the reference tail, so a zero-hit naive run at a
-        # deep threshold is judged against its own expected count
-        se_mc = max(r_mc.std_error,
-                    math.sqrt(reference * (1 - reference) / r_mc.sample_count))
-        ok_mc = abs(r_mc.alpha_hat - reference) <= 3.0 * se_mc
+                 and abs(r_is.alpha_hat - reference) <= 3.0 * se_is)
+        ok_mc = (abs(r_mc.alpha_hat - reference)
+                 <= 3.0 * _binomial_se(r_mc, reference))
         status = "PASS" if ok_is and ok_mc else "FAIL"
         print(f"{status} gamma_db={gamma_db:g} oracle={reference:.6e} "
               f"is={r_is.alpha_hat:.6e} (se={r_is.std_error:.2e}) "

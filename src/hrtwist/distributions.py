@@ -49,54 +49,6 @@ def _log_mills(z):
 
 
 # ---------------------------------------------------------------------------
-# parameter records
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class WeibullParams:
-    shape: float
-    scale: float
-
-    def __post_init__(self):
-        if not (self.shape > 0.0 and np.isfinite(self.shape)):
-            raise ParameterError(f"Weibull shape must be positive, got {self.shape}")
-        if not (self.scale > 0.0 and np.isfinite(self.scale)):
-            raise ParameterError(f"Weibull scale must be positive, got {self.scale}")
-
-    @property
-    def subexponential(self) -> bool:
-        return self.shape < 1.0
-
-
-@dataclass(frozen=True)
-class LognormalParams:
-    mu: float
-    sigma: float
-    mu_db: float | None = None
-    sigma_db: float | None = None
-
-    def __post_init__(self):
-        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
-            raise ParameterError(f"Log-normal sigma must be positive, got {self.sigma}")
-        # dB fields, when present, must agree with the natural-log fields
-        if self.mu_db is not None:
-            expect = DB_SCALE * self.mu_db
-            if abs(self.mu - expect) > 1e-12 * max(1.0, abs(expect)):
-                raise ParameterError(
-                    f"mu={self.mu} inconsistent with mu_db={self.mu_db}")
-        if self.sigma_db is not None:
-            expect = DB_SCALE * self.sigma_db
-            if abs(self.sigma - expect) > 1e-12 * abs(expect):
-                raise ParameterError(
-                    f"sigma={self.sigma} inconsistent with sigma_db={self.sigma_db}")
-
-    @classmethod
-    def from_db(cls, mu_db: float, sigma_db: float) -> "LognormalParams":
-        return cls(mu=DB_SCALE * mu_db, sigma=DB_SCALE * sigma_db,
-                   mu_db=mu_db, sigma_db=sigma_db)
-
-
-# ---------------------------------------------------------------------------
 # distributions
 # ---------------------------------------------------------------------------
 
@@ -165,25 +117,23 @@ class Distribution:
             raise DomainError("probability must lie in (0, 1)")
         return self.quantile_from_log_sf(np.log1p(-u))
 
-    def to_dict(self) -> dict:
-        raise NotImplementedError
 
-
+@dataclass(frozen=True)
 class Weibull(Distribution):
     """Weibull component; subexponential when shape < 1."""
 
+    shape: float
+    scale: float
+
     family = "weibull"
 
-    def __init__(self, shape: float, scale: float):
-        self.params = WeibullParams(float(shape), float(scale))
-
-    @property
-    def shape(self) -> float:
-        return self.params.shape
-
-    @property
-    def scale(self) -> float:
-        return self.params.scale
+    def __post_init__(self):
+        object.__setattr__(self, "shape", float(self.shape))
+        object.__setattr__(self, "scale", float(self.scale))
+        if not (self.shape > 0.0 and np.isfinite(self.shape)):
+            raise ParameterError(f"Weibull shape must be positive, got {self.shape}")
+        if not (self.scale > 0.0 and np.isfinite(self.scale)):
+            raise ParameterError(f"Weibull scale must be positive, got {self.scale}")
 
     def log_pdf(self, x):
         x = _require_positive(x)
@@ -212,12 +162,6 @@ class Weibull(Distribution):
                 f"restriction (Weibull shape {self.shape} >= 1)")
         return 0.0
 
-    def to_dict(self) -> dict:
-        return {"family": self.family, "shape": self.shape, "scale": self.scale}
-
-    def __repr__(self):
-        return f"Weibull(shape={self.shape}, scale={self.scale})"
-
 
 def _hazard_peak_z(sigma: float) -> float:
     """Standard score z at which the Lognormal(mu, sigma) hazard rate peaks.
@@ -235,27 +179,41 @@ def _hazard_peak_z(sigma: float) -> float:
     return brentq(slope, -sigma - 1.0, 1.0 / sigma + 1.0, xtol=1e-15)
 
 
+@dataclass(frozen=True)
 class Lognormal(Distribution):
-    """Log-normal component: log X ~ Normal(mu, sigma^2)."""
+    """Log-normal component: log X ~ Normal(mu, sigma^2).
+
+    The dB fields, when given, must agree with the natural-log ones.
+    """
+
+    mu: float
+    sigma: float
+    mu_db: float | None = None
+    sigma_db: float | None = None
 
     family = "lognormal"
 
-    def __init__(self, mu: float, sigma: float,
-                 mu_db: float | None = None, sigma_db: float | None = None):
-        self.params = LognormalParams(float(mu), float(sigma), mu_db, sigma_db)
+    def __post_init__(self):
+        object.__setattr__(self, "mu", float(self.mu))
+        object.__setattr__(self, "sigma", float(self.sigma))
+        if not np.isfinite(self.mu):
+            raise ParameterError(f"Log-normal mu must be finite, got {self.mu}")
+        if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
+            raise ParameterError(f"Log-normal sigma must be positive, got {self.sigma}")
+        if self.mu_db is not None:
+            expect = DB_SCALE * self.mu_db
+            if abs(self.mu - expect) > 1e-12 * max(1.0, abs(expect)):
+                raise ParameterError(
+                    f"mu={self.mu} inconsistent with mu_db={self.mu_db}")
+        if self.sigma_db is not None:
+            expect = DB_SCALE * self.sigma_db
+            if abs(self.sigma - expect) > 1e-12 * abs(expect):
+                raise ParameterError(
+                    f"sigma={self.sigma} inconsistent with sigma_db={self.sigma_db}")
 
     @classmethod
     def from_db(cls, mu_db: float, sigma_db: float) -> "Lognormal":
-        p = LognormalParams.from_db(mu_db, sigma_db)
-        return cls(p.mu, p.sigma, p.mu_db, p.sigma_db)
-
-    @property
-    def mu(self) -> float:
-        return self.params.mu
-
-    @property
-    def sigma(self) -> float:
-        return self.params.sigma
+        return cls(DB_SCALE * mu_db, DB_SCALE * sigma_db, mu_db, sigma_db)
 
     def _z(self, x):
         return (np.log(x) - self.mu) / self.sigma
@@ -303,17 +261,6 @@ class Lognormal(Distribution):
                 break
         return np.exp(self.mu + sigma * z)
 
-    def to_dict(self) -> dict:
-        d = {"family": self.family, "mu": self.mu, "sigma": self.sigma}
-        if self.params.mu_db is not None:
-            d["mu_db"] = self.params.mu_db
-        if self.params.sigma_db is not None:
-            d["sigma_db"] = self.params.sigma_db
-        return d
-
-    def __repr__(self):
-        return f"Lognormal(mu={self.mu}, sigma={self.sigma})"
-
 
 def distribution_from_dict(d: dict) -> Distribution:
     """Construct a component from its serialized form (natural or dB)."""
@@ -328,8 +275,8 @@ def distribution_from_dict(d: dict) -> Distribution:
             ln = Lognormal.from_db(d["mu_db"], d["sigma_db"])
             if "mu" in d or "sigma" in d:
                 # both forms present: dB takes precedence, natural must agree
-                LognormalParams(d.get("mu", ln.mu), d.get("sigma", ln.sigma),
-                                d["mu_db"], d["sigma_db"])
+                Lognormal(d.get("mu", ln.mu), d.get("sigma", ln.sigma),
+                          d["mu_db"], d["sigma_db"])
             return ln
         try:
             return Lognormal(d["mu"], d["sigma"])

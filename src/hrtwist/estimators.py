@@ -14,7 +14,6 @@ bit-identical regardless of how many workers process the chunks.
 from __future__ import annotations
 
 import math
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,9 +24,6 @@ from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprim
 from .streams import RandomStream
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
-
-NAIVE = "naive"
-HAZARD_TWIST_IS = "hazard_twist_is"
 
 
 @dataclass(frozen=True)
@@ -44,12 +40,11 @@ class EstimateResult:
     """Output of one estimation run.
 
     `alpha_hat` and the moments describe the weighted exceedance
-    indicator: for the naive method the weight is the indicator itself.
+    indicator: for naive MC (theta 0) the weight is the indicator itself.
     The two hit extremes (`max_log_weight_hit`, `min_hazard_sum_hit`)
     support the per-sample worst-case-weight certificate.
     """
 
-    method: str
     alpha_hat: float
     sample_count: int
     hit_frequency: int
@@ -62,10 +57,6 @@ class EstimateResult:
     theta_used: float
     max_log_weight_hit: float
     min_hazard_sum_hit: float
-    duration_seconds: float
-
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
 
 
 def _chunk_stats(problem: SumProblem, theta: float, cut: list,
@@ -95,12 +86,11 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
-         stream_id: int, method: str, workers: int) -> EstimateResult:
+         stream_id: int, workers: int) -> EstimateResult:
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if not (0.0 <= theta < 1.0):
         raise DomainError(f"theta must lie in [0, 1), got {theta}")
-    t0 = time.perf_counter()
     stream = RandomStream(seed, stream_id)
     # a sum above gamma has a component above gamma / N, so a row whose
     # log_sf all lie at or above these cuts is a miss; the 1e-9 margin
@@ -135,7 +125,6 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     variance = max(variance, 0.0)
     std_error = math.sqrt(variance / m)
     return EstimateResult(
-        method=method,
         alpha_hat=mean_w,
         sample_count=m,
         hit_frequency=hits,
@@ -148,14 +137,13 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         theta_used=theta,
         max_log_weight_hit=max_log_w,
         min_hazard_sum_hit=min_hs,
-        duration_seconds=time.perf_counter() - t0,
     )
 
 
 def naive_mc(problem: SumProblem, sample_count: int, seed: int,
              stream_id: int = 0, workers: int = 1) -> EstimateResult:
     """Plain Monte Carlo exceedance frequency under the base laws."""
-    return _run(problem, 0.0, sample_count, seed, stream_id, NAIVE, workers)
+    return _run(problem, 0.0, sample_count, seed, stream_id, workers)
 
 
 def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
@@ -166,8 +154,7 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     (1-theta)^(-N) exp(-theta * sum of cumulative hazards), accumulated
     in log space.
     """
-    return _run(problem, theta, sample_count, seed, stream_id,
-                HAZARD_TWIST_IS, workers)
+    return _run(problem, theta, sample_count, seed, stream_id, workers)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,7 @@
 
 Nothing here shares a code path with importance sampling or naive Monte
 Carlo: tails come from closed-form survival functions or from tanh-sinh
-quadrature of the two-component convolution in log space, and the
-constrained minimization is checked against exhaustive grid search.
+quadrature of the two-component convolution in log space.
 """
 from __future__ import annotations
 
@@ -15,7 +14,6 @@ from scipy.special import logsumexp
 
 from .distributions import Distribution
 from .errors import OracleConvergenceError, ParameterError
-from .solver import SumProblem
 
 # the oracle promises 1e-10 relative and checks tanh-sinh's error estimate
 # against it; the stopping rule aims well inside that, since it bounds the
@@ -72,32 +70,3 @@ def tail_convolution_2(dist1: Distribution, dist2: Distribution,
             f"convolution quadrature error {math.exp(log_err):.3e} exceeds "
             f"tolerance {math.exp(log_tol):.3e} at gamma={gamma}")
     return math.exp(log_result)
-
-
-def grid_oracle_pprime(problem: SumProblem,
-                       grid_points_per_dim: int) -> tuple[np.ndarray, float]:
-    """Exhaustive simplex-grid minimization of the summed hazards, N <= 3."""
-    n = problem.n
-    gamma = problem.gamma
-    if n > 3:
-        raise ParameterError("grid oracle supports N <= 3 only")
-    g = int(grid_points_per_dim)
-    if g < 2:
-        raise ParameterError("need at least 2 grid points per dimension")
-
-    if n == 1:
-        x = np.array([gamma])
-        return x, float(problem.hazard_sum(x)[0])
-
-    axis = np.linspace(0.0, gamma, g)
-    if n == 2:
-        pts = np.column_stack([axis, gamma - axis])
-    else:
-        x1, x2 = np.meshgrid(axis, axis, indexing="ij")
-        x1, x2 = x1.ravel(), x2.ravel()
-        x3 = gamma - x1 - x2
-        keep = x3 >= -1e-12 * gamma
-        pts = np.column_stack([x1[keep], x2[keep], np.maximum(x3[keep], 0.0)])
-    objs = problem.hazard_sum(pts)
-    best = int(np.argmin(objs))
-    return pts[best], float(objs[best])

@@ -24,7 +24,6 @@ class SumProblem:
 
     components: tuple
     gamma: float
-    gamma_db: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "components", tuple(self.components))
@@ -32,15 +31,10 @@ class SumProblem:
             raise ParameterError("need at least one component")
         if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
             raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
-        if self.gamma_db is not None:
-            expect = float(db_to_linear(self.gamma_db))
-            if abs(self.gamma - expect) > 1e-12 * expect:
-                raise ParameterError(
-                    f"gamma={self.gamma} inconsistent with gamma_db={self.gamma_db}")
 
     @classmethod
     def from_db(cls, components, gamma_db: float) -> "SumProblem":
-        return cls(tuple(components), float(db_to_linear(gamma_db)), float(gamma_db))
+        return cls(tuple(components), float(db_to_linear(gamma_db)))
 
     @property
     def n(self) -> int:
@@ -140,7 +134,7 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
 
     groups: dict = {}
     for i, comp in enumerate(comps):
-        groups.setdefault((type(comp), comp.params), []).append(i)
+        groups.setdefault(comp, []).append(i)
     heads = [idx[0] for idx in groups.values()]
 
     candidates = []

@@ -4,12 +4,15 @@ Twisting a component by theta in [0, 1) rescales its hazard rate by
 (1 - theta), which raises its survival function to the power (1 - theta)
 and therefore makes the sampling law heavier-tailed.  theta = 0 leaves
 the base law untouched.
+
+The estimators' sampling core inverts this law inline;
+`TwistedDistribution` is its stand-alone reference form.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .distributions import Distribution, WeibullParams
+from .distributions import Distribution
 from .errors import DomainError, ParameterError
 
 
@@ -59,15 +62,3 @@ class TwistedDistribution:
 
     def __repr__(self):
         return f"TwistedDistribution({self.base!r}, theta={self.theta})"
-
-
-def weibull_twist_equivalent(params: WeibullParams, theta: float) -> WeibullParams:
-    """Twisted Weibull law as a plain Weibull: same shape, inflated scale."""
-    if not (0.0 <= theta < 1.0):
-        raise ParameterError(f"theta must lie in [0, 1), got {theta}")
-    k = params.shape
-    return WeibullParams(k, params.scale / (1.0 - theta) ** (1.0 / k))
-
-
-def twist(base: Distribution, theta: float) -> TwistedDistribution:
-    return TwistedDistribution(base, theta)

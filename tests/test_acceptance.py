@@ -16,7 +16,6 @@ from hrtwist import (
     SumProblem,
     Weibull,
     efficiency_indicator,
-    grid_oracle_pprime,
     is_estimate,
     naive_mc,
     optimality_ratio,
@@ -28,6 +27,7 @@ from hrtwist import (
 from hrtwist.cli import main as cli_main
 
 from conftest import lognormal_pair, weibull_pair
+from grid_oracle import grid_oracle_pprime
 
 SEED = 1234
 

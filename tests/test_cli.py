@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import pytest
@@ -47,8 +48,7 @@ class TestConfigParsing:
     def test_count_replication(self):
         cfg = ExperimentConfig.from_dict(WB_PAIR)
         assert len(cfg.components) == 2
-        assert cfg.components[0] is cfg.components[1] or (
-            cfg.components[0].params == cfg.components[1].params)
+        assert cfg.components[0] == cfg.components[1]
 
     def test_hash_stable_under_key_order(self):
         reordered = dict(reversed(list(WB_PAIR.items())))
@@ -110,9 +110,16 @@ class TestExitCodes:
         ("efficiency", {"confidence_constant": -1.0}),
         ("ccdf", {"confidence_constant": -1.0}),
         ("ccdf", {"thresholds_db": [4000.0]}),
+        ("solve", {"components": [{"family": "lognormal", "mu": math.nan,
+                                   "sigma": 1.0, "count": 2}]}),
+        ("solve", {"components": [{"family": "lognormal", "mu": math.inf,
+                                   "sigma": 1.0, "count": 2}]}),
+        ("ccdf", {"components": [{"family": "lognormal", "mu_db": math.nan,
+                                  "sigma_db": 6.0, "count": 2}]}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
-            "ccdf-confidence", "threshold-4000dB"])
+            "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
+            "lognormal-mu-inf", "lognormal-mu-db-nan"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {k: v for k, v in dict(WB_PAIR, samples_is=100, samples_naive=100,
                                      **change).items() if v is not None}
@@ -212,6 +219,16 @@ class TestValidate:
         code, _ = run(tmp_path, "validate", raw)
         assert code == 0
         assert "PASS" in capsys.readouterr().out
+
+    def test_pass_when_theta_clamps_to_zero(self, tmp_path, capsys):
+        # at -30 dB theta* clamps to 0, and with this seed all 1,000 IS
+        # samples exceed gamma: alpha_is = 1 with SE 0, judged binomially
+        raw = dict(WB_PAIR, thresholds_db=[-30.0], samples_is=1_000,
+                   samples_naive=1_000)
+        code, _ = run(tmp_path, "validate", raw)
+        out = capsys.readouterr().out
+        assert "is=1.000000e+00 (se=0.00e+00)" in out
+        assert code == 0 and out.startswith("PASS")
 
     def test_fail_when_both_sides_underflow(self, tmp_path, capsys):
         # at 58 dB the Weibull pair's tail is below the smallest double

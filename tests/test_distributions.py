@@ -7,11 +7,9 @@ from scipy import special
 from hrtwist import (
     DomainError,
     Lognormal,
-    LognormalParams,
     ParameterError,
     UnsupportedFamilyError,
     Weibull,
-    WeibullParams,
     db_to_linear,
     distribution_from_dict,
 )
@@ -32,22 +30,38 @@ from conftest import (
 class TestParams:
     def test_weibull_validation(self):
         with pytest.raises(ParameterError):
-            WeibullParams(0.0, 1.0)
+            Weibull(0.0, 1.0)
         with pytest.raises(ParameterError):
-            WeibullParams(0.5, -1.0)
-        assert WeibullParams(0.5, 1.0).subexponential
-        assert not WeibullParams(1.5, 1.0).subexponential
+            Weibull(0.5, -1.0)
+        with pytest.raises(ParameterError):
+            Weibull(math.nan, 1.0)
 
     def test_lognormal_validation(self):
         with pytest.raises(ParameterError):
-            LognormalParams(0.0, 0.0)
-        p = LognormalParams.from_db(0.0, 6.0)
+            Lognormal(0.0, 0.0)
+        for mu in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                Lognormal(mu, 1.0)
+        with pytest.raises(ParameterError):
+            Lognormal.from_db(math.nan, 6.0)
+        p = Lognormal.from_db(0.0, 6.0)
         assert p.mu == 0.0
         assert p.sigma == pytest.approx(DB_SCALE * 6.0, rel=1e-15)
 
     def test_db_consistency_enforced(self):
         with pytest.raises(ParameterError):
-            LognormalParams(mu=0.5, sigma=1.0, mu_db=0.0, sigma_db=6.0)
+            Lognormal(mu=0.5, sigma=1.0, mu_db=0.0, sigma_db=6.0)
+        with pytest.raises(ParameterError):
+            distribution_from_dict({"family": "lognormal", "mu": 0.5,
+                                    "mu_db": 0.0, "sigma_db": 6.0})
+
+    def test_value_types(self):
+        # frozen values: equal parameters give equal, hashable components
+        assert Weibull(0.5, 1) == Weibull(0.5, 1.0)
+        assert len({Lognormal.from_db(0.0, 6.0), Lognormal.from_db(0.0, 6.0)}) == 1
+        assert Weibull(0.5, 1.0) != Weibull(0.5, 2.0)
+        with pytest.raises(AttributeError):
+            Weibull(0.5, 1.0).shape = 0.7
 
     def test_db_scale_constant(self):
         assert DB_SCALE == pytest.approx(math.log(10.0) / 10.0, rel=1e-16)
@@ -240,12 +254,15 @@ class TestConcavityOnset:
 
 class TestSerialization:
     def test_round_trip_weibull(self, weibull_half):
-        d = distribution_from_dict(weibull_half.to_dict())
-        assert d.to_dict() == weibull_half.to_dict()
+        spec = {"family": "weibull", "shape": 0.5, "scale": 1.0}
+        assert distribution_from_dict(spec) == weibull_half
 
     def test_round_trip_lognormal_db(self, lognormal_6db):
-        d = distribution_from_dict(lognormal_6db.to_dict())
-        assert d.to_dict() == lognormal_6db.to_dict()
+        spec = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}
+        assert distribution_from_dict(spec) == lognormal_6db
+        # both forms: dB wins, the natural form must agree with it
+        both = dict(spec, mu=0.0, sigma=lognormal_6db.sigma)
+        assert distribution_from_dict(both) == lognormal_6db
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):

@@ -13,7 +13,6 @@ from hrtwist import (
     Weibull,
     db_to_linear,
     exact_tail_single,
-    grid_oracle_pprime,
     is_estimate,
     solve_pprime,
     tail_convolution_2,
@@ -33,6 +32,7 @@ from conftest import (
     random_component,
     weibull_pair,
 )
+from grid_oracle import grid_oracle_pprime
 
 
 class TestExactTailSingle:
@@ -179,6 +179,8 @@ class TestGridOracle:
         p = SumProblem((Weibull(0.5, 1.0),) * 4, 10.0)
         with pytest.raises(ParameterError):
             grid_oracle_pprime(p, 10)
+        with pytest.raises(ParameterError):
+            grid_oracle_pprime(weibull_pair(20.0), 1)
 
 
 class TestThetaSweep:

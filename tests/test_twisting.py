@@ -6,14 +6,7 @@ import pytest
 from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
 
-from hrtwist import (
-    ParameterError,
-    RandomStream,
-    TwistedDistribution,
-    Weibull,
-    twist,
-    weibull_twist_equivalent,
-)
+from hrtwist import ParameterError, RandomStream, TwistedDistribution, Weibull
 from hrtwist.distributions import DomainError
 
 from conftest import random_component
@@ -23,12 +16,12 @@ class TestTwistedPdf:
     def test_zero_twist_is_identity(self, weibull_half, lognormal_6db):
         xs = np.geomspace(0.01, 100.0, 40)
         for base in (weibull_half, lognormal_6db):
-            tw = twist(base, 0.0)
+            tw = TwistedDistribution(base, 0.0)
             assert np.allclose(tw.pdf(xs), base.pdf(xs), rtol=1e-14)
 
     def test_weibull_twist_is_rescaled_weibull(self, weibull_half):
         # theta = 0.75 at shape 0.5 inflates the scale to 1/(0.25)^2 = 16
-        tw = twist(weibull_half, 0.75)
+        tw = TwistedDistribution(weibull_half, 0.75)
         equivalent = Weibull(0.5, 16.0)
         assert tw.pdf(4.0) == pytest.approx(float(equivalent.pdf(4.0)), rel=1e-12)
 
@@ -38,7 +31,7 @@ class TestTwistedPdf:
             warnings.simplefilter("ignore", IntegrationWarning)
             for _ in range(20):
                 base = random_component(rng)
-                tw = twist(base, float(rng.uniform(0.0, 0.95)))
+                tw = TwistedDistribution(base, float(rng.uniform(0.0, 0.95)))
                 total = 0.0
                 edges = [0.0] + list(np.geomspace(1e-12, 1e12, 25)) + [np.inf]
                 for a, b in zip(edges[:-1], edges[1:]):
@@ -48,22 +41,22 @@ class TestTwistedPdf:
 
     def test_domain(self, weibull_half):
         with pytest.raises(DomainError):
-            twist(weibull_half, 0.5).pdf(-1.0)
+            TwistedDistribution(weibull_half, 0.5).pdf(-1.0)
 
 
 class TestTwistedCdf:
     def test_zero_twist(self, lognormal_std):
         xs = np.geomspace(0.1, 10.0, 20)
-        assert np.allclose(twist(lognormal_std, 0.0).cdf(xs),
+        assert np.allclose(TwistedDistribution(lognormal_std, 0.0).cdf(xs),
                            lognormal_std.cdf(xs), rtol=1e-12)
 
     def test_weibull_value(self, weibull_half):
         # survival^(1-theta) at theta=0.5, x=4: e^-2 -> e^-1
-        assert twist(weibull_half, 0.5).cdf(4.0) == pytest.approx(
+        assert TwistedDistribution(weibull_half, 0.5).cdf(4.0) == pytest.approx(
             1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_lognormal_median(self, lognormal_std):
-        assert twist(lognormal_std, 0.5).cdf(1.0) == pytest.approx(
+        assert TwistedDistribution(lognormal_std, 0.5).cdf(1.0) == pytest.approx(
             1.0 - math.sqrt(0.5), rel=1e-12)
 
     def test_heavier_tail_domination(self):
@@ -71,7 +64,7 @@ class TestTwistedCdf:
         xs = np.geomspace(1e-3, 1e5, 200)
         for _ in range(10):
             base = random_component(rng)
-            tw = twist(base, float(rng.uniform(0.05, 0.95)))
+            tw = TwistedDistribution(base, float(rng.uniform(0.05, 0.95)))
             base_sf = base.survival(xs)
             tw_sf = tw.survival(xs)
             assert np.all(tw_sf >= base_sf)
@@ -83,28 +76,28 @@ class TestTwistedCdf:
 class TestTwistedQuantile:
     def test_zero_twist_exact(self, weibull_half):
         for y in (1e-9, 0.3, 0.999999):
-            assert twist(weibull_half, 0.0).quantile(y) == pytest.approx(
+            assert TwistedDistribution(weibull_half, 0.0).quantile(y) == pytest.approx(
                 float(weibull_half.quantile(y)), rel=1e-14)
 
     def test_weibull_closed_form(self, weibull_half):
         y = 1.0 - math.exp(-1.0)
-        assert twist(weibull_half, 0.75).quantile(y) == pytest.approx(16.0, rel=1e-12)
+        assert TwistedDistribution(weibull_half, 0.75).quantile(y) == pytest.approx(16.0, rel=1e-12)
 
     @pytest.mark.parametrize("y", [1e-9, 0.5, 1.0 - 1e-9])
     def test_round_trip(self, y, weibull_half, lognormal_6db):
         for base in (weibull_half, lognormal_6db):
             for theta in (0.0, 0.3, 0.8, 0.99):
-                tw = twist(base, theta)
+                tw = TwistedDistribution(base, theta)
                 assert float(tw.cdf(tw.quantile(y))) == pytest.approx(y, abs=1e-9)
 
     def test_extreme_y_no_overflow(self, lognormal_6db):
         # exponent 1/(1-theta) above 10^3: stays finite via the log-space path
-        tw = twist(lognormal_6db, 0.999)
+        tw = TwistedDistribution(lognormal_6db, 0.999)
         x = float(tw.quantile(1.0 - 1e-12))
         assert math.isfinite(x) and x > 0.0
 
     def test_domain(self, weibull_half):
-        tw = twist(weibull_half, 0.5)
+        tw = TwistedDistribution(weibull_half, 0.5)
         for y in (0.0, 1.0, -1.0):
             with pytest.raises(DomainError):
                 tw.quantile(y)
@@ -112,20 +105,25 @@ class TestTwistedQuantile:
 
 class TestWeibullShortcut:
     def test_identity_at_zero(self, weibull_half):
-        assert weibull_twist_equivalent(weibull_half.params, 0.0) == weibull_half.params
+        ys = np.linspace(1e-6, 1.0 - 1e-6, 1000)
+        assert np.array_equal(TwistedDistribution(weibull_half, 0.0).quantile(ys),
+                              weibull_half.quantile(ys))
 
     @pytest.mark.parametrize("theta,scale", [(0.75, 16.0), (0.8, 25.0)])
     def test_scale_inflation(self, weibull_half, theta, scale):
-        p = weibull_twist_equivalent(weibull_half.params, theta)
-        assert p.shape == 0.5
-        assert p.scale == pytest.approx(scale, rel=1e-12)
+        # the 1 - 1/e quantile of a Weibull is its scale
+        tw = TwistedDistribution(weibull_half, theta)
+        assert tw.quantile(1.0 - math.exp(-1.0)) == pytest.approx(scale, rel=1e-12)
+        xs = np.geomspace(0.1, 1e4, 50)
+        assert np.allclose(tw.survival(xs), Weibull(0.5, scale).survival(xs),
+                           rtol=1e-12)
 
     def test_quantile_equivalence(self, weibull_half):
         # generic inversion path vs the closed-form rescaled Weibull
         theta = 0.6180339887
-        tw = twist(weibull_half, theta)
-        p = weibull_twist_equivalent(weibull_half.params, theta)
-        shortcut = Weibull(p.shape, p.scale)
+        tw = TwistedDistribution(weibull_half, theta)
+        # same shape, scale inflated by (1 - theta)^(-1/shape)
+        shortcut = Weibull(0.5, 1.0 / (1.0 - theta) ** 2.0)
         ys = np.linspace(1e-6, 1.0 - 1e-6, 1000)
         a = tw.quantile(ys)
         b = shortcut.quantile(ys)
@@ -134,18 +132,18 @@ class TestWeibullShortcut:
 
 class TestSampling:
     def test_zero_twist_median(self, lognormal_std):
-        assert twist(lognormal_std, 0.0).quantile(0.5) == pytest.approx(
+        assert TwistedDistribution(lognormal_std, 0.0).quantile(0.5) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_determinism(self, weibull_half):
-        tw = twist(weibull_half, 0.4)
+        tw = TwistedDistribution(weibull_half, 0.4)
         assert np.array_equal(tw.quantile(RandomStream(5, 0).uniforms_at(0, 8)),
                               tw.quantile(RandomStream(5, 0).uniforms_at(0, 8)))
 
     def test_hazard_of_sample_is_exponential_mean(self, lognormal_6db):
         # the base cumulative hazard of a twisted draw is Exp(1 - theta)
         theta = 0.7
-        tw = twist(lognormal_6db, theta)
+        tw = TwistedDistribution(lognormal_6db, theta)
         u = RandomStream(2024).uniforms_at(0, 1_000_000)
         lam = lognormal_6db.hazard_function(tw.quantile(u))
         target = 1.0 / (1.0 - theta)
@@ -154,7 +152,7 @@ class TestSampling:
 
     def test_hazard_of_sample_exponential_ks(self, weibull_half):
         theta = 0.55
-        tw = twist(weibull_half, theta)
+        tw = TwistedDistribution(weibull_half, theta)
         u = RandomStream(77).uniforms_at(0, 100_000)
         lam = weibull_half.hazard_function(tw.quantile(u))
         stat = stats.kstest(lam, "expon",
