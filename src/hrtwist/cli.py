@@ -227,7 +227,7 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
         rows, solution = theta_sensitivity_sweep(
             problem, cfg.theta_grid, cfg.samples_is,
-            _derived_seed(cfg.seed, idx))
+            _derived_seed(cfg.seed, idx), workers=args.workers)
         tag = format(gamma_db, "g").replace("-", "m").replace(".", "p")
         _write_csv(
             out_dir / f"theta_sweep_{tag}dB.csv", cfg,

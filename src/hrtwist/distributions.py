@@ -7,7 +7,7 @@ intermediate ever forms ``1 - F(x)`` directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import special
@@ -183,13 +183,15 @@ def _hazard_peak_z(sigma: float) -> float:
 class Lognormal(Distribution):
     """Log-normal component: log X ~ Normal(mu, sigma^2).
 
-    The dB fields, when given, must agree with the natural-log ones.
+    The dB fields, when given, must agree with the natural-log ones.  They
+    record how the law was written and take no part in equality, so the
+    same law given in dB or in natural units is one component.
     """
 
     mu: float
     sigma: float
-    mu_db: float | None = None
-    sigma_db: float | None = None
+    mu_db: float | None = field(default=None, compare=False)
+    sigma_db: float | None = field(default=None, compare=False)
 
     family = "lognormal"
 

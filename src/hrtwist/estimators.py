@@ -1,12 +1,16 @@
 """Naive Monte Carlo and hazard-twisting importance-sampling estimators.
 
 Both estimators share one sampling core: component i of sample j uses
-word j*N + i of the run's uniform stream, and samples are generated by
+word j*N + i of the run's Philox stream, and samples are generated by
 exact inversion of the (possibly twisted) CDF.  A sum above gamma needs
 a component above gamma / N, so a sample whose components all lie below
-gamma / N, read off their survival values before inversion, is counted
-as a miss and never inverted.  With theta = 0 the weighted estimator
-degenerates to naive MC exactly, weight identically 1 on exceedances.
+gamma / N is counted as a miss and never inverted.  That survival cut is
+made on the raw 64-bit words: each component's cut is turned once per
+run into the least word that passes it, so a chunk compares integers,
+and only the rows it keeps are converted to uniforms and inverted.  A
+run in which no word of any component can pass draws no words at all.
+With theta = 0 the weighted estimator degenerates to naive MC exactly,
+weight identically 1 on exceedances.
 
 Accumulation is chunked with a fixed chunk size so results are
 bit-identical regardless of how many workers process the chunks.
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, UndefinedMetricError
 from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
-from .streams import RandomStream
+from .streams import RandomStream, uniforms_from_words
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
 
@@ -61,20 +65,30 @@ class EstimateResult:
 
 def _chunk_stats(problem: SumProblem, theta: float, cut: list,
                  stream: RandomStream, start: int, stop: int):
+    """Hit moments of samples [start, stop), keeping rows past the word cut.
+
+    `cut` lists (i, least word) for the components that can reach their
+    cut (`_word_cuts`).  A row's sum is added up column by column, left
+    to right.  numpy's row sum adds fewer than 8 terms in that order too,
+    so for N <= 7 every hit is the one a full inversion finds; from N = 8
+    on numpy sums pairwise, and a sum within rounding of gamma could in
+    principle fall the other way.
+    """
     n = problem.n
-    u = stream.uniforms_at(start * n, (stop - start) * n).reshape(-1, n)
-    log_sf = np.log1p(-u) / (1.0 - theta)
-    # column by column: far cheaper than (log_sf < cut).any(axis=1)
-    keep = log_sf[:, 0] < cut[0]
-    for i in range(1, n):
-        keep |= log_sf[:, i] < cut[i]
-    log_sf = log_sf[keep]
-    x = np.empty_like(log_sf)
-    hazard_sum = np.zeros(log_sf.shape[0])
+    raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
+    # column by column: far cheaper than a 2-D compare and any(axis=1)
+    (i, w), *rest = cut
+    keep = raw[:, i] >= w
+    for i, w in rest:
+        keep |= raw[:, i] >= w
+    raw = np.compress(keep, raw, axis=0)
+    total = np.zeros(raw.shape[0])
+    hazard_sum = np.zeros(raw.shape[0])
     for i, comp in enumerate(problem.components):
-        x[:, i] = comp.quantile_from_log_sf(log_sf[:, i])
-        hazard_sum -= log_sf[:, i]  # cumulative hazard of the base law at x[:, i]
-    hits = x.sum(axis=1) > problem.gamma
+        log_sf = np.log1p(-uniforms_from_words(raw[:, i])) / (1.0 - theta)
+        total += comp.quantile_from_log_sf(log_sf)
+        hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
+    hits = total > problem.gamma
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
         return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
@@ -83,6 +97,36 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
     w = np.exp(log_w)
     return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
+
+
+def _word_cuts(theta: float, cut: list) -> list:
+    """(i, least word) for each component i some word can take past its cut.
+
+    Word w of component i is kept iff its uniform u passes the float test
+    log1p(-u) / (1 - theta) < cut[i].  That test only gets easier as w
+    grows, so bisecting over the words against the very expression the
+    core evaluates finds the least passing word exactly, and the keep
+    mask of `w >= least` equals the float test's bit for bit.  A
+    component that not even the largest word passes is left out.  The
+    test is numpy's `log1p`, which differs from `math.log1p` in the last
+    bit on some inputs, so the bisection evaluates it on arrays.
+    """
+    cut = np.asarray(cut, dtype=float)
+
+    def passes(words):
+        return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
+
+    lo = np.zeros(cut.shape, dtype=np.uint64)
+    hi = np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64)
+    reachable = passes(hi)
+    # 64 halvings shrink hi - lo to at most 1, leaving hi at the least
+    # passing word (0 when even word 0 passes)
+    for _ in range(64):
+        mid = lo + (hi - lo) // 2
+        ok = passes(mid)
+        hi = np.where(ok, mid, hi)
+        lo = np.where(ok, lo, mid)
+    return [(i, w) for i, w in enumerate(hi) if reachable[i]]
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
@@ -94,10 +138,14 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     stream = RandomStream(seed, stream_id)
     # a sum above gamma has a component above gamma / N, so a row whose
     # log_sf all lie at or above these cuts is a miss; the 1e-9 margin
-    # dwarfs the rounding of the inversion, which keeps the cut exact
+    # dwarfs the rounding of the inversion, which keeps the cut exact.
+    # The cuts are then moved onto the raw words (`_word_cuts`).
     edge = problem.gamma * (1.0 - 1e-9) / problem.n
-    cut = [float(c.log_survival(edge)) for c in problem.components]
-    bounds = list(range(0, sample_count, CHUNK_SIZE)) + [sample_count]
+    cut = _word_cuts(
+        theta, [float(c.log_survival(edge)) for c in problem.components])
+    # no word can reach the cut: every row is a miss, so draw none
+    bounds = list(range(0, sample_count, CHUNK_SIZE)) if cut else []
+    bounds.append(sample_count)
     jobs = list(zip(bounds[:-1], bounds[1:]))
 
     def work(job):
@@ -114,8 +162,8 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     sum_w2 = math.fsum(r[1] for r in results)
     sum_w4 = math.fsum(r[2] for r in results)
     hits = sum(r[3] for r in results)
-    max_log_w = max(r[4] for r in results)
-    min_hs = min(r[5] for r in results)
+    max_log_w = max((r[4] for r in results), default=-math.inf)
+    min_hs = min((r[5] for r in results), default=math.inf)
 
     m = sample_count
     mean_w = sum_w / m
@@ -166,12 +214,13 @@ class SweepRow:
 
 
 def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
-                            seed: int) -> tuple[list[SweepRow], MinmaxSolution]:
+                            seed: int, workers: int = 1
+                            ) -> tuple[list[SweepRow], MinmaxSolution]:
     """Empirical second moment vs the analytic bound across twisting amounts.
 
     The solved minmax theta* is inserted into the grid if absent.  Run i
     of the sweep uses substream i of the base seed, so the whole table is
-    reproducible from (config, seed) alone.
+    reproducible from (config, seed) alone, whatever the worker count.
     """
     solution = solve_pprime(problem)
     grid = sorted(set(float(t) for t in theta_grid) | {solution.theta_star})
@@ -180,7 +229,8 @@ def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
             raise ParameterError(f"theta grid value {t} outside [0, 1)")
     rows = []
     for idx, theta in enumerate(grid):
-        res = is_estimate(problem, theta, sample_count, seed, stream_id=idx)
+        res = is_estimate(problem, theta, sample_count, seed, stream_id=idx,
+                          workers=workers)
         m2 = res.second_moment_weight
         sweep_se = math.sqrt(
             max(res.fourth_moment_weight - m2 * m2, 0.0) / sample_count)

@@ -211,6 +211,30 @@ class TestThetaSweep:
         # grid plus the inserted optimum
         assert len(data) == 1 + 4
 
+    def test_runs_on_the_requested_workers(self, tmp_path, monkeypatch):
+        from hrtwist import estimators
+
+        seen = []
+        real = estimators.is_estimate
+
+        def spy(*args, **kwargs):
+            seen.append(kwargs.get("workers", 1))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "is_estimate", spy)
+        raw = dict(WB_PAIR, samples_is=40_000, theta_grid=[0.5, 0.9])
+        csvs = {}
+        for workers in (1, 2):
+            seen.clear()
+            (tmp_path / str(workers)).mkdir()
+            code, out = run(tmp_path / str(workers), "theta-sweep", raw,
+                            "--workers", str(workers))
+            assert code == 0
+            assert seen == [workers] * 6  # two thresholds, grid plus theta*
+            csvs[workers] = {p.name: p.read_bytes()
+                             for p in sorted(out.glob("*.csv"))}
+        assert len(csvs[1]) == 2 and csvs[1] == csvs[2]
+
 
 class TestValidate:
     def test_pass_on_weibull_pair(self, tmp_path, capsys):

@@ -60,6 +60,10 @@ class TestParams:
         assert Weibull(0.5, 1) == Weibull(0.5, 1.0)
         assert len({Lognormal.from_db(0.0, 6.0), Lognormal.from_db(0.0, 6.0)}) == 1
         assert Weibull(0.5, 1.0) != Weibull(0.5, 2.0)
+        # the same law in dB and in natural units is one value
+        natural = Lognormal(0.0, 1.3815510557964275)
+        assert Lognormal.from_db(0.0, 6.0) == natural
+        assert len({Lognormal.from_db(0.0, 6.0), natural}) == 1
         with pytest.raises(AttributeError):
             Weibull(0.5, 1.0).shape = 0.7
 

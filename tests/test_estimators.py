@@ -18,7 +18,9 @@ from hrtwist import (
     relative_error_naive,
     solve_pprime,
 )
-from hrtwist import estimators
+from hrtwist import RandomStream, estimators
+from hrtwist.estimators import EstimateResult
+from hrtwist.streams import uniforms_from_words
 
 from conftest import lognormal_pair, random_component, weibull_pair
 
@@ -148,9 +150,11 @@ class TestSurvivalCut:
     def test_bit_identical_to_full_inversion(self, monkeypatch):
         # gamma from below the median (nearly every row kept) to deep tails
         rng = np.random.default_rng(2026)
+        # N >= 8 too, where numpy's row sum is pairwise, not left to right
+        sizes = [k % 6 + 1 for k in range(40)] + list(range(8, 13))
         cases = []
-        for k in range(40):
-            comps = [random_component(rng) for _ in range(k % 6 + 1)]
+        for k, size in enumerate(sizes):
+            comps = [random_component(rng) for _ in range(size)]
             problem = SumProblem.from_db(comps, float(rng.uniform(-5.0, 40.0)))
             m = int(rng.integers(1, 2 * estimators.CHUNK_SIZE))
             cases.append((problem, solve_pprime(problem).theta_star, m,
@@ -170,6 +174,65 @@ class TestSurvivalCut:
         assert run_all() == with_cut
         assert any(c[2] % estimators.CHUNK_SIZE for c in cases)
         assert {c[1] > 0.0 for c in cases} == {True, False}
+
+
+def _float_cut(theta, cut, words):
+    """The survival test on floats that the word cut stands for."""
+    return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
+
+
+class TestWordCut:
+    @pytest.mark.parametrize("theta", [0.0, 0.1378, 0.5, 0.8, 0.9731, 1 - 1e-12])
+    def test_equals_float_test(self, theta):
+        rng = np.random.default_rng(int(theta * 1e4))
+        cuts = -np.logspace(-18.0, math.log10(160.0), 60)
+        least = dict(estimators._word_cuts(theta, cuts))
+        top = (1 << 53) - 1
+        for i, cut in enumerate(cuts):
+            if i in least:
+                k0 = int(least[i]) >> 11
+                assert _float_cut(theta, cut, least[i])
+            else:  # not even the largest word passes
+                k0 = top
+                assert not _float_cut(theta, cut, np.uint64(2 ** 64 - 1))
+            k = np.clip(np.arange(k0 - 50, k0 + 51), 0, top).astype(np.uint64)
+            low = rng.integers(0, 2048, k.size, dtype=np.uint64)
+            words = np.concatenate([
+                (k << np.uint64(11)) | low,
+                rng.integers(0, 2 ** 64 - 1, 1000, dtype=np.uint64,
+                             endpoint=True)])
+            kept = (words >= least[i] if i in least
+                    else np.zeros(words.size, dtype=bool))
+            assert np.array_equal(kept, _float_cut(theta, cut, words))
+        # the cuts span always-kept, boundary and unreachable components
+        if theta == 0.0:
+            assert 0 < len(least) < len(cuts)
+            assert least[0] == 0
+
+    def test_unreachable_run_draws_nothing(self, monkeypatch):
+        # Weibull(0.5, 1) pair at 40 dB: each component must pass 5,000,
+        # survival exp(-70.7), beyond any uniform's reach unless the twist
+        # is strong
+        problem = weibull_pair(40.0)
+        m = 3 * estimators.CHUNK_SIZE + 5
+        for theta in (0.0, 0.3):
+            # inverting every row agrees: nothing reaches gamma
+            ref = _full_inversion_chunk_stats(
+                problem, theta, None, RandomStream(3, 1), 0, m)
+            assert ref[3] == 0
+
+        def no_draw(self, offset, count):
+            raise AssertionError("an unreachable run drew words")
+
+        monkeypatch.setattr(RandomStream, "words_at", no_draw)
+        for theta in (0.0, 0.3):
+            r = is_estimate(problem, theta, m, 3, stream_id=1, workers=2)
+            assert r == EstimateResult(
+                alpha_hat=0.0, sample_count=m, hit_frequency=0,
+                second_moment_weight=0.0, fourth_moment_weight=0.0,
+                variance_weight=0.0, std_error=0.0, seed=3, stream_id=1,
+                theta_used=theta, max_log_weight_hit=-math.inf,
+                min_hazard_sum_hit=math.inf)
 
 
 class TestBoundCertificate:

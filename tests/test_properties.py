@@ -1,12 +1,16 @@
-"""Exact identities of the sampling core over random component mixes,
-thresholds, sample counts and seeds.
+"""Identities and bounds of the sampling core over random component
+mixes, thresholds, sample counts and seeds.
 
 The examples are derandomized and few, so the suite stays deterministic
-and quick; every property compares whole results with ``==``.
+and quick.  Identities compare whole results with ``==``; bounds allow
+only rounding.
 """
-from hypothesis import given, settings, strategies as st
+import math
 
-from hrtwist import Lognormal, SumProblem, Weibull, is_estimate, naive_mc
+from hypothesis import assume, given, settings, strategies as st
+
+from hrtwist import (Lognormal, SumProblem, Weibull, is_estimate, naive_mc,
+                     solve_pprime)
 from hrtwist.estimators import CHUNK_SIZE
 
 components = st.one_of(
@@ -39,3 +43,31 @@ def test_zero_twist_is_naive_mc(problem, m, seed, stream_id):
 def test_worker_count_irrelevant(problem, theta, m, seed):
     assert (is_estimate(problem, theta, m, seed, workers=1)
             == is_estimate(problem, theta, m, seed, workers=2))
+
+
+@settings(quick, max_examples=12)
+@given(problems, sample_counts, seeds)
+def test_certificate_holds_at_theta_star(problem, m, seed):
+    # every hit lies beyond the simplex, so its hazard sum is at least A
+    # and its log weight at most the analytic worst case
+    sol = solve_pprime(problem)
+    theta, a = sol.theta_star, sol.objective
+    r = is_estimate(problem, theta, m, seed)
+    assert r.min_hazard_sum_hit >= a * (1.0 - 1e-9)
+    assert (r.max_log_weight_hit
+            <= -problem.n * math.log1p(-theta) - theta * a + 1e-12)
+
+
+@settings(quick, max_examples=20)
+@given(st.lists(components, min_size=1, max_size=4), st.floats(-5.0, 40.0),
+       st.floats(0.01, 2.0), st.floats(0.0, 0.95), sample_counts, seeds)
+def test_estimate_falls_as_threshold_rises(comps, gamma_db, rise_db, theta,
+                                           m, seed):
+    # the same words give the same samples at both thresholds, so the
+    # hits at the higher one are a subset of those at the lower one
+    low = is_estimate(SumProblem.from_db(comps, gamma_db), theta, m, seed)
+    high = is_estimate(SumProblem.from_db(comps, gamma_db + rise_db), theta,
+                       m, seed)
+    assume(low.hit_frequency > 0)
+    assert high.hit_frequency <= low.hit_frequency
+    assert high.alpha_hat <= low.alpha_hat * (1.0 + 1e-12)

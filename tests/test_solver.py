@@ -157,6 +157,23 @@ class TestSolvePPrime:
             sol = solve_pprime(SumProblem.from_db([ln] * n, 20.0))
             assert sol.objective == pytest.approx(a, rel=1e-12)
 
+    def test_one_group_per_law(self, monkeypatch):
+        # the middle component is the same law written in natural units
+        calls = []
+        rate = Lognormal.hazard_rate
+        monkeypatch.setattr(Lognormal, "hazard_rate",
+                            lambda self, x: calls.append(1) or rate(self, x))
+        ln = Lognormal.from_db(0.0, 6.0)
+        solutions = []
+        for comps in ([ln] * 3, [ln, Lognormal(0.0, 1.3815510557964275), ln]):
+            calls.clear()
+            solutions.append(
+                (solve_pprime(SumProblem.from_db(comps, 30.0)), len(calls)))
+        (one, one_calls), (mixed, mixed_calls) = solutions
+        assert mixed_calls == one_calls
+        assert mixed.objective == one.objective
+        assert np.array_equal(mixed.x_star, one.x_star)
+
     def test_feasibility(self):
         for problem in (weibull_pair(25.0), lognormal_pair(25.0)):
             sol = solve_pprime(problem)

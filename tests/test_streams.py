@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hrtwist import RandomStream
+from hrtwist.streams import uniforms_from_words
 
 
 def test_partition_independence():
@@ -42,3 +43,38 @@ def test_determinism_across_instances():
 def test_negative_offset_rejected():
     with pytest.raises(ValueError):
         RandomStream(0).uniforms_at(-1, 4)
+
+
+def test_words_partition_independence():
+    full = RandomStream(99).words_at(0, 1000)
+    assert full.dtype == np.uint64
+    for n_parts in (2, 3, 7):
+        edges = np.linspace(0, 1000, n_parts + 1).astype(int)
+        parts = [RandomStream(99).words_at(a, b - a)
+                 for a, b in zip(edges[:-1], edges[1:])]
+        assert np.array_equal(np.concatenate(parts), full)
+
+
+def test_words_unaligned_offsets():
+    full = RandomStream(7, 1).words_at(0, 64)
+    for off in (1, 2, 3, 5, 17):
+        assert np.array_equal(RandomStream(7, 1).words_at(off, 10),
+                              full[off:off + 10])
+
+
+@pytest.mark.parametrize("offset", [0, 1, 2, 3, 4097])
+def test_float_view_is_generator_random(offset):
+    # uniforms_at is the float view of words_at, and both are numpy's
+    # Generator.random over the same Philox key, bit for bit
+    stream = RandomStream(2024, 3)
+    u = stream.uniforms_at(offset, 5000)
+    assert np.array_equal(uniforms_from_words(stream.words_at(offset, 5000)), u)
+    bits = np.random.Philox(key=[2024, 3])
+    expect = np.random.Generator(bits).random(offset + 5000)[offset:]
+    assert np.array_equal(u.view(np.uint64), expect.view(np.uint64))
+
+
+def test_zero_word_maps_to_smallest_uniform():
+    words = np.array([0, 1, 2047, 2048, 4096, 2 ** 64 - 1], dtype=np.uint64)
+    assert list(uniforms_from_words(words) * 2.0 ** 53) == [
+        1.0, 1.0, 1.0, 1.0, 2.0, 2.0 ** 53 - 1.0]
