@@ -18,7 +18,6 @@ from .errors import (
     UnsupportedFamilyError,
 )
 from .estimators import (
-    ConfidenceConfig,
     EstimateResult,
     efficiency_indicator,
     is_estimate,

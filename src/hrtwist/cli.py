@@ -20,7 +20,6 @@ from . import __version__
 from .distributions import distribution_from_dict, linear_to_db
 from .errors import OracleConvergenceError, ParameterError, UnsupportedFamilyError
 from .estimators import (
-    ConfidenceConfig,
     efficiency_indicator,
     is_estimate,
     naive_mc,
@@ -31,8 +30,6 @@ from .estimators import (
 from .oracles import exact_tail_single, tail_convolution_2
 from .solver import SumProblem, solve_pprime
 
-LARGE_NAIVE_CAP = 10 ** 6  # without --allow-large
-
 
 class ConfigError(ValueError):
     pass
@@ -40,14 +37,13 @@ class ConfigError(ValueError):
 
 @dataclass
 class ExperimentConfig:
-    components: list
     problems: list  # (gamma_db, SumProblem) per threshold
     samples_is: int
     samples_naive: int
     seed: int
     theta_override: float | None = None
     theta_grid: list = field(default_factory=list)
-    confidence: ConfidenceConfig = ConfidenceConfig()
+    confidence_constant: float = 1.96
     output_dir: str = "out"
     config_hash: str = ""
 
@@ -55,6 +51,9 @@ class ExperimentConfig:
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
             comp_specs = raw["components"]
+            if not (isinstance(comp_specs, list)
+                    and all(isinstance(spec, dict) for spec in comp_specs)):
+                raise ConfigError("components must be a list of objects")
             if not comp_specs:
                 raise ConfigError("components list is empty")
             components = []
@@ -87,16 +86,17 @@ class ExperimentConfig:
             bad = [t for t in thetas if not 0.0 <= t < 1.0]
             if bad:
                 raise ConfigError(f"theta values outside [0, 1): {bad}")
+            confidence_constant = float(raw.get("confidence_constant", 1.96))
+            if not confidence_constant > 0.0:
+                raise ParameterError("confidence constant must be positive")
             cfg = cls(
-                components=components,
                 problems=problems,
                 samples_is=int(raw["samples_is"]),
                 samples_naive=int(raw["samples_naive"]),
                 seed=int(raw["seed"]),
                 theta_override=theta_override,
                 theta_grid=theta_grid,
-                confidence=ConfidenceConfig(
-                    float(raw.get("confidence_constant", 1.96))),
+                confidence_constant=confidence_constant,
                 output_dir=str(raw.get("output_dir", "out")),
             )
         except ConfigError:
@@ -134,15 +134,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str],
     path.write_text("\n".join(lines) + "\n")
 
 
-def _naive_count(cfg: ExperimentConfig, args) -> int:
-    """samples_naive, capped at LARGE_NAIVE_CAP unless --allow-large."""
-    if cfg.samples_naive > LARGE_NAIVE_CAP and not args.allow_large:
-        print(f"capping samples_naive at {LARGE_NAIVE_CAP} "
-              "(pass --allow-large for the full run)", file=sys.stderr)
-        return LARGE_NAIVE_CAP
-    return cfg.samples_naive
-
-
 def _derived_seed(seed: int, index: int) -> int:
     return (seed + 1000003 * index) & 0xFFFFFFFFFFFFFFFF
 
@@ -152,17 +143,17 @@ def _runs(cfg: ExperimentConfig, args, naive: bool = True):
 
     Threshold idx is solved, then sampled by IS at theta_override (theta*
     if unset) on stream 2*idx and, when `naive`, by naive MC on stream
-    2*idx + 1 at the capped naive count.  Yields
-    (gamma_db, problem, r_is, r_mc), with r_mc None when not `naive`.
+    2*idx + 1.  Yields (gamma_db, problem, r_is, r_mc), with r_mc None
+    when not `naive`.
     """
-    m_naive = _naive_count(cfg, args) if naive else 0
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
         theta_star = solve_pprime(problem).theta_star
         theta = theta_star if cfg.theta_override is None else cfg.theta_override
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                            stream_id=2 * idx, workers=args.workers)
-        r_mc = (naive_mc(problem, m_naive, cfg.seed, stream_id=2 * idx + 1,
-                         workers=args.workers) if naive else None)
+        r_mc = (naive_mc(problem, cfg.samples_naive, cfg.seed,
+                         stream_id=2 * idx + 1, workers=args.workers)
+                if naive else None)
         yield gamma_db, problem, r_is, r_mc
 
 
@@ -212,8 +203,9 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
             continue
         rows.append((
             gamma_db,
-            relative_error_naive(alpha, cfg.samples_naive, cfg.confidence),
-            relative_error_is(r_is, cfg.confidence),
+            relative_error_naive(alpha, cfg.samples_naive,
+                                 cfg.confidence_constant),
+            relative_error_is(r_is, cfg.confidence_constant),
             efficiency_indicator(alpha, r_is.variance_weight),
         ))
     _write_csv(out_dir / "efficiency.csv", cfg,
@@ -249,7 +241,7 @@ def _binomial_se(result, reference: float) -> float:
 
 
 def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
-    if len(cfg.components) > 2:
+    if cfg.problems[0][1].n > 2:
         raise ConfigError("validate supports configs with N <= 2 components")
     failures = 0
     for gamma_db, problem, r_is, r_mc in _runs(cfg, args):
@@ -295,8 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="override the config seed")
     parser.add_argument("--output", default=None,
                         help="override the config output directory")
-    parser.add_argument("--allow-large", action="store_true",
-                        help="permit naive runs beyond the desk-scale cap")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads per estimation run "
                              "(results are identical for any count)")

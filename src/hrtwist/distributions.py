@@ -7,7 +7,7 @@ intermediate ever forms ``1 - F(x)`` directly.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
@@ -181,17 +181,10 @@ def _hazard_peak_z(sigma: float) -> float:
 
 @dataclass(frozen=True)
 class Lognormal(Distribution):
-    """Log-normal component: log X ~ Normal(mu, sigma^2).
-
-    The dB fields, when given, must agree with the natural-log ones.  They
-    record how the law was written and take no part in equality, so the
-    same law given in dB or in natural units is one component.
-    """
+    """Log-normal component: log X ~ Normal(mu, sigma^2)."""
 
     mu: float
     sigma: float
-    mu_db: float | None = field(default=None, compare=False)
-    sigma_db: float | None = field(default=None, compare=False)
 
     family = "lognormal"
 
@@ -202,20 +195,10 @@ class Lognormal(Distribution):
             raise ParameterError(f"Log-normal mu must be finite, got {self.mu}")
         if not (self.sigma > 0.0 and np.isfinite(self.sigma)):
             raise ParameterError(f"Log-normal sigma must be positive, got {self.sigma}")
-        if self.mu_db is not None:
-            expect = DB_SCALE * self.mu_db
-            if abs(self.mu - expect) > 1e-12 * max(1.0, abs(expect)):
-                raise ParameterError(
-                    f"mu={self.mu} inconsistent with mu_db={self.mu_db}")
-        if self.sigma_db is not None:
-            expect = DB_SCALE * self.sigma_db
-            if abs(self.sigma - expect) > 1e-12 * abs(expect):
-                raise ParameterError(
-                    f"sigma={self.sigma} inconsistent with sigma_db={self.sigma_db}")
 
     @classmethod
     def from_db(cls, mu_db: float, sigma_db: float) -> "Lognormal":
-        return cls(DB_SCALE * mu_db, DB_SCALE * sigma_db, mu_db, sigma_db)
+        return cls(DB_SCALE * mu_db, DB_SCALE * sigma_db)
 
     def _z(self, x):
         return (np.log(x) - self.mu) / self.sigma
@@ -265,7 +248,10 @@ class Lognormal(Distribution):
 
 
 def distribution_from_dict(d: dict) -> Distribution:
-    """Construct a component from its serialized form (natural or dB)."""
+    """Construct a component from its serialized form.
+
+    A lognormal takes `mu` and `sigma`, or both `mu_db` and `sigma_db`
+    with any natural value given beside them agreeing with them."""
     family = d.get("family")
     if family == "weibull":
         try:
@@ -273,15 +259,18 @@ def distribution_from_dict(d: dict) -> Distribution:
         except KeyError as exc:
             raise ParameterError(f"weibull component missing field {exc}") from exc
     if family == "lognormal":
-        if "mu_db" in d and "sigma_db" in d:
-            ln = Lognormal.from_db(d["mu_db"], d["sigma_db"])
-            if "mu" in d or "sigma" in d:
-                # both forms present: dB takes precedence, natural must agree
-                Lognormal(d.get("mu", ln.mu), d.get("sigma", ln.sigma),
-                          d["mu_db"], d["sigma_db"])
-            return ln
         try:
-            return Lognormal(d["mu"], d["sigma"])
+            if "mu_db" not in d and "sigma_db" not in d:
+                return Lognormal(d["mu"], d["sigma"])
+            ln = Lognormal.from_db(d["mu_db"], d["sigma_db"])
         except KeyError as exc:
             raise ParameterError(f"lognormal component missing field {exc}") from exc
+        natural = Lognormal(d.get("mu", ln.mu), d.get("sigma", ln.sigma))
+        if abs(natural.mu - ln.mu) > 1e-12 * max(1.0, abs(ln.mu)):
+            raise ParameterError(
+                f"mu={natural.mu} inconsistent with mu_db={d['mu_db']}")
+        if abs(natural.sigma - ln.sigma) > 1e-12 * ln.sigma:
+            raise ParameterError(
+                f"sigma={natural.sigma} inconsistent with sigma_db={d['sigma_db']}")
+        return ln
     raise ParameterError(f"unknown distribution family: {family!r}")

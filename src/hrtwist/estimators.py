@@ -31,15 +31,6 @@ CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
 
 
 @dataclass(frozen=True)
-class ConfidenceConfig:
-    confidence_constant: float = 1.96
-
-    def __post_init__(self):
-        if not self.confidence_constant > 0.0:
-            raise ParameterError("confidence constant must be positive")
-
-
-@dataclass(frozen=True)
 class EstimateResult:
     """Output of one estimation run.
 
@@ -56,8 +47,6 @@ class EstimateResult:
     fourth_moment_weight: float
     variance_weight: float
     std_error: float
-    seed: int
-    stream_id: int
     theta_used: float
     max_log_weight_hit: float
     min_hazard_sum_hit: float
@@ -180,8 +169,6 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         fourth_moment_weight=fourth,
         variance_weight=variance,
         std_error=std_error,
-        seed=seed,
-        stream_id=stream_id,
         theta_used=theta,
         max_log_weight_hit=max_log_w,
         min_hazard_sum_hit=min_hs,
@@ -249,7 +236,7 @@ def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
 # ---------------------------------------------------------------------------
 
 def relative_error_naive(alpha_hat: float, sample_count_naive: int,
-                         confidence: ConfidenceConfig = ConfidenceConfig()) -> float:
+                         confidence_constant: float = 1.96) -> float:
     """CLT relative error a naive run of that size would achieve.
 
     Feeding the IS point estimate in place of the (noisier) naive one
@@ -258,17 +245,15 @@ def relative_error_naive(alpha_hat: float, sample_count_naive: int,
     if not (0.0 < alpha_hat < 1.0):
         raise UndefinedMetricError(
             f"relative error undefined for alpha_hat={alpha_hat}")
-    c = confidence.confidence_constant
-    return c * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
+    return confidence_constant * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
         math.sqrt(sample_count_naive) * alpha_hat)
 
 
 def relative_error_is(result: EstimateResult,
-                      confidence: ConfidenceConfig = ConfidenceConfig()) -> float:
+                      confidence_constant: float = 1.96) -> float:
     if result.alpha_hat <= 0.0 or result.sample_count < 2:
         raise UndefinedMetricError("relative error needs alpha_hat > 0 and M >= 2")
-    c = confidence.confidence_constant
-    return c * math.sqrt(result.variance_weight) / (
+    return confidence_constant * math.sqrt(result.variance_weight) / (
         math.sqrt(result.sample_count) * result.alpha_hat)
 
 

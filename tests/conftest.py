@@ -2,10 +2,11 @@ import pytest
 
 from hrtwist import Lognormal, SumProblem, Weibull
 
-# Frozen reference values from independent high-precision evaluation.
 LN6_SIGMA = 1.3815510557964275          # 6 dB in natural-log units
-LN6_SF_100 = 4.2906033319683746e-4      # survival of Lognormal(0, LN6_SIGMA) at 100
-LN6_LAMBDA_100 = 7.753913012102223      # cumulative hazard at 100
+# survival and cumulative hazard of Lognormal(0, LN6_SIGMA) at 100, from
+# tests/make_constants.py (mpmath 1.3.0 at 50 digits, no hrtwist code)
+LN6_SF_100 = 4.2906033319683764e-4
+LN6_LAMBDA_100 = 7.7539130121022226
 LN6_ONSET = 0.2057833                   # concavity onset, regression constant
 LN1_ONSET = 0.6181332                   # same for Lognormal(0, 1)
 # hazard-rate peak e^(sigma z), phi(z)/Phi_bar(z) - z = sigma, solved with
@@ -13,8 +14,11 @@ LN1_ONSET = 0.6181332                   # same for Lognormal(0, 1)
 LN6_ONSET_EXACT = 0.2057826769264802
 LN1_ONSET_EXACT = 0.6181288259401258
 
-LN_PAIR_A_20DB = 7.753840980008583      # min of hazard sum, two iid 6 dB comps
-LN_PAIR_THETA_20DB = 0.7420633199524571
+# min over x of Lambda(x) + Lambda(100 - x) for two iid 6 dB components,
+# reached at x* = 0.0041250 below the vertex value Lambda(100), and
+# theta* = 1 - 2 / A; from tests/make_constants.py
+LN_PAIR_A_20DB = 7.7538409800085834
+LN_PAIR_THETA_20DB = 7.4206331995245716e-1
 
 # P(X1 + X2 > gamma) to 17 digits, from tests/make_constants.py (mpmath
 # 1.3.0 quadrature at 50 digits, no hrtwist code)

@@ -1,4 +1,4 @@
-"""Recompute the frozen convolution tails in conftest.py with mpmath.
+"""Recompute the frozen constants in conftest.py with mpmath.
 
 Run from the repository root:
 
@@ -19,6 +19,14 @@ decompositions of P(X1 + X2 > g):
 
 each integral over panels packed geometrically toward its endpoints.
 The script stops if the two disagree beyond 1e-20 relative.
+
+The lognormal(0 dB, 6 dB) constants are its survival and cumulative
+hazard at 100, and for the iid pair at gamma = 100 the minimum A of
+Lambda(x) + Lambda(gamma - x) over 0 <= x <= gamma, with
+theta* = 1 - 2 / A.  The sum is scanned on a geometric grid over
+(0, gamma / 2], its least grid point is refined to the root of
+lambda(x) = lambda(gamma - x) between its neighbours, and the result is
+compared against the vertex value Lambda(gamma) at x = 0.
 """
 from __future__ import annotations
 
@@ -54,6 +62,26 @@ def lognormal_db(mu_db, sigma_db):
         return mp.erfc((mp.log(x) - mu) / (s * mp.sqrt(2))) / 2
 
     return pdf, sf
+
+
+def lognormal_pair_minimum(mu_db, sigma_db, g):
+    """(A, x*) of min Lambda(x) + Lambda(g - x), iid lognormal pair."""
+    pdf, sf = lognormal_db(mu_db, sigma_db)
+
+    def hazard_sum(x):
+        return -mp.log(sf(x)) - mp.log(sf(g - x))
+
+    def slope(x):
+        return pdf(x) / sf(x) - pdf(g - x) / sf(g - x)
+
+    grid = [g / 2 * mp.mpf(10) ** (-12 * (1 - mp.mpf(i) / 2000))
+            for i in range(2001)]
+    i = min(range(len(grid)), key=lambda j: hazard_sum(grid[j]))
+    if not 0 < i < len(grid) - 1:
+        raise SystemExit("hazard-sum minimum at the edge of the scan")
+    x = mp.findroot(slope, (grid[i - 1], grid[i + 1]), solver="anderson")
+    interior, vertex = hazard_sum(x), -mp.log(sf(g))
+    return (interior, x) if interior < vertex else (vertex, mp.mpf(0))
 
 
 def _panels(lo, hi):
@@ -103,6 +131,17 @@ CASES = [
 
 
 def main():
+    _, sf = lognormal_db(0.0, 6.0)
+    a, x = lognormal_pair_minimum(0.0, 6.0, mp.mpf(100.0))
+    values = [
+        ("LN6_SF_100", sf(mp.mpf(100.0))),
+        ("LN6_LAMBDA_100", -mp.log(sf(mp.mpf(100.0)))),
+        ("LN_PAIR_A_20DB", a),
+        ("LN_PAIR_THETA_20DB", 1 - 2 / a),
+    ]
+    print(f"# LN_PAIR_A_20DB minimiser x* = {mp.nstr(x, 8)}")
+    for name, value in values:
+        print(f"{name} = {mp.nstr(value, 17, min_fixed=1, max_fixed=0)}")
     for name, d1, d2, g in CASES:
         g = mp.mpf(g)
         split = tail_split(d1, d2, g)

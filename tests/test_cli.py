@@ -47,8 +47,9 @@ def data_rows(path):
 class TestConfigParsing:
     def test_count_replication(self):
         cfg = ExperimentConfig.from_dict(WB_PAIR)
-        assert len(cfg.components) == 2
-        assert cfg.components[0] == cfg.components[1]
+        for _, problem in cfg.problems:
+            assert problem.n == 2
+            assert problem.components[0] == problem.components[1]
 
     def test_hash_stable_under_key_order(self):
         reordered = dict(reversed(list(WB_PAIR.items())))
@@ -116,10 +117,17 @@ class TestExitCodes:
                                    "sigma": 1.0, "count": 2}]}),
         ("ccdf", {"components": [{"family": "lognormal", "mu_db": math.nan,
                                   "sigma_db": 6.0, "count": 2}]}),
+        ("ccdf", {"components": [{"family": "lognormal", "mu": 5.0,
+                                  "sigma": 1.0, "mu_db": 0.0, "count": 2}]}),
+        ("solve", {"components": ["weibull"]}),
+        ("solve", {"components": [5]}),
+        ("solve", {"components": {"family": "weibull", "shape": 0.5,
+                                  "scale": 1.0, "count": 2}}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
             "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
-            "lognormal-mu-inf", "lognormal-mu-db-nan"])
+            "lognormal-mu-inf", "lognormal-mu-db-nan", "lognormal-lone-mu-db",
+            "component-string", "component-number", "components-object"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {k: v for k, v in dict(WB_PAIR, samples_is=100, samples_naive=100,
                                      **change).items() if v is not None}
@@ -290,10 +298,23 @@ class TestSharedPass:
         assert all(a != b for a, b in zip(*by_theta))  # the override is used
 
 
-class TestNaiveCap:
+class TestNaiveCount:
     @pytest.mark.parametrize("command", ["ccdf", "freq-table", "validate"])
-    def test_cap_without_allow_large(self, tmp_path, capsys, command):
+    def test_runs_the_configured_count(self, tmp_path, capsys, monkeypatch,
+                                       command):
+        from hrtwist import cli
+
+        counts = []
+        real = cli.naive_mc
+
+        def spy(*args, **kwargs):
+            result = real(*args, **kwargs)
+            counts.append(result.sample_count)
+            return result
+
+        monkeypatch.setattr(cli, "naive_mc", spy)
         raw = dict(LN_PAIR, samples_naive=2_000_000, samples_is=1_000)
         code, out = run(tmp_path, command, raw)
         assert code == 0
-        assert "capping samples_naive" in capsys.readouterr().err
+        assert counts == [2_000_000]
+        assert capsys.readouterr().err == ""

@@ -49,11 +49,23 @@ class TestParams:
         assert p.sigma == pytest.approx(DB_SCALE * 6.0, rel=1e-15)
 
     def test_db_consistency_enforced(self):
-        with pytest.raises(ParameterError):
-            Lognormal(mu=0.5, sigma=1.0, mu_db=0.0, sigma_db=6.0)
-        with pytest.raises(ParameterError):
-            distribution_from_dict({"family": "lognormal", "mu": 0.5,
-                                    "mu_db": 0.0, "sigma_db": 6.0})
+        db = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}
+        for natural in ({"mu": 0.5}, {"sigma": 1.0}, {"mu": 0.5, "sigma": 1.0},
+                        {"mu": math.nan}):
+            with pytest.raises(ParameterError):
+                distribution_from_dict(dict(db, **natural))
+        # within the tolerance the dB pair is taken as given
+        sigma = DB_SCALE * 6.0
+        close = dict(db, mu=1e-13, sigma=sigma * (1 + 5e-13))
+        assert distribution_from_dict(close) == Lognormal.from_db(0.0, 6.0)
+
+    def test_lone_db_key_rejected(self):
+        # either dB key asks for both, even beside a full natural pair
+        natural = {"family": "lognormal", "mu": 5.0, "sigma": 1.0}
+        for lone in ({"mu_db": 0.0}, {"sigma_db": 6.0}):
+            key = next(iter({"mu_db", "sigma_db"} - set(lone)))
+            with pytest.raises(ParameterError, match=key):
+                distribution_from_dict(dict(natural, **lone))
 
     def test_value_types(self):
         # frozen values: equal parameters give equal, hashable components
