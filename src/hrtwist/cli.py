@@ -35,6 +35,13 @@ class ConfigError(ValueError):
     pass
 
 
+def _whole(value, name: str) -> int:
+    """A count, sample size or seed: 2 and 2.0 pass, 2.7 and true do not."""
+    if isinstance(value, bool) or not float(value).is_integer():
+        raise ConfigError(f"{name} must be a whole number, got {value!r}")
+    return int(value)
+
+
 @dataclass
 class ExperimentConfig:
     problems: list  # (gamma_db, SumProblem) per threshold
@@ -58,7 +65,7 @@ class ExperimentConfig:
                 raise ConfigError("components list is empty")
             components = []
             for spec in comp_specs:
-                count = int(spec.get("count", 1))
+                count = _whole(spec.get("count", 1), "component count")
                 if count < 1:
                     raise ConfigError(f"component count must be >= 1: {spec}")
                 d = {k: v for k, v in spec.items() if k != "count"}
@@ -91,9 +98,9 @@ class ExperimentConfig:
                 raise ParameterError("confidence constant must be positive")
             cfg = cls(
                 problems=problems,
-                samples_is=int(raw["samples_is"]),
-                samples_naive=int(raw["samples_naive"]),
-                seed=int(raw["seed"]),
+                samples_is=_whole(raw["samples_is"], "samples_is"),
+                samples_naive=_whole(raw["samples_naive"], "samples_naive"),
+                seed=_whole(raw["seed"], "seed"),
                 theta_override=theta_override,
                 theta_grid=theta_grid,
                 confidence_constant=confidence_constant,
@@ -161,8 +168,8 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     reports = []
     for gamma_db, problem in cfg.problems:
         sol = solve_pprime(problem)
-        entry = {"gamma_db": gamma_db, **sol.to_dict()}
-        reports.append(entry)
+        reports.append({"gamma_db": gamma_db, "gamma": problem.gamma,
+                        "n": problem.n, **sol.to_dict()})
         flag = "  [clamped: degenerates to naive MC]" if sol.clamped else ""
         print(f"gamma_db={gamma_db:g}  A={sol.objective:.10g}  "
               f"theta_star={sol.theta_star:.10g}  i0={sol.dominant_index}  "
@@ -192,6 +199,8 @@ def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 
 
 def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+    if cfg.samples_is < 2:
+        raise ConfigError("efficiency needs samples_is >= 2 for the IS relative error")
     rows = []
     for gamma_db, _, r_is, _ in _runs(cfg, args, naive=False):
         alpha = r_is.alpha_hat
@@ -216,17 +225,23 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
-    for idx, (gamma_db, problem) in enumerate(cfg.problems):
+    names = {}
+    for gamma_db, _ in cfg.problems:
+        tag = format(gamma_db, "g").replace("-", "m").replace(".", "p")
+        names.setdefault(f"theta_sweep_{tag}dB.csv", []).append(gamma_db)
+    clashes = [f"{name} (gamma_db {', '.join(map(repr, dbs))})"
+               for name, dbs in names.items() if len(dbs) > 1]
+    if clashes:
+        raise ConfigError("thresholds share a sweep file: " + "; ".join(clashes))
+    # with no clash, names holds one file per threshold, in threshold order
+    for idx, ((gamma_db, problem), name) in enumerate(zip(cfg.problems, names)):
         rows, solution = theta_sensitivity_sweep(
             problem, cfg.theta_grid, cfg.samples_is,
             _derived_seed(cfg.seed, idx), workers=args.workers)
-        tag = format(gamma_db, "g").replace("-", "m").replace(".", "p")
         _write_csv(
-            out_dir / f"theta_sweep_{tag}dB.csv", cfg,
+            out_dir / name, cfg,
             ["theta", "second_moment_empirical", "second_moment_bound",
-             "std_error"],
-            [(r.theta, r.second_moment_empirical, r.second_moment_bound,
-              r.std_error) for r in rows],
+             "std_error"], rows,
             extra_meta={"gamma_db": format(gamma_db, "g"),
                         "theta_star": format(solution.theta_star, ".12e")})
     return 0

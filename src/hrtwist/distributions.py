@@ -38,11 +38,6 @@ def linear_to_db(value):
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------
 
-def norm_isf_exp(log_sf):
-    """z such that the normal survival function equals exp(log_sf)."""
-    return -special.ndtri_exp(np.asarray(log_sf, dtype=float))
-
-
 def _log_mills(z):
     """log of phi(z) / (1 - Phi(z)), the standard-normal hazard rate."""
     return -0.5 * z * z - _LOG_SQRT_2PI - special.log_ndtr(-z)
@@ -214,8 +209,8 @@ class Lognormal(Distribution):
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)
-        z = norm_isf_exp(log_sf)
-        return np.exp(self.mu + self.sigma * z)
+        # ndtri_exp(log_sf) is minus the normal score whose survival is exp(log_sf)
+        return np.exp(self.mu - self.sigma * special.ndtri_exp(log_sf))
 
     def concavity_onset(self) -> float:
         # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak

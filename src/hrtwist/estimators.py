@@ -192,22 +192,16 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     return _run(problem, theta, sample_count, seed, stream_id, workers)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    theta: float
-    second_moment_empirical: float
-    second_moment_bound: float
-    std_error: float
-
-
 def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
                             seed: int, workers: int = 1
-                            ) -> tuple[list[SweepRow], MinmaxSolution]:
+                            ) -> tuple[list[tuple], MinmaxSolution]:
     """Empirical second moment vs the analytic bound across twisting amounts.
 
-    The solved minmax theta* is inserted into the grid if absent.  Run i
-    of the sweep uses substream i of the base seed, so the whole table is
-    reproducible from (config, seed) alone, whatever the worker count.
+    Each row is (theta, empirical second moment, analytic bound, SE of the
+    empirical second moment), the columns of the CLI table.  The solved
+    minmax theta* is inserted into the grid if absent.  Run i of the sweep
+    uses substream i of the base seed, so the whole table is reproducible
+    from (config, seed) alone, whatever the worker count.
     """
     solution = solve_pprime(problem)
     grid = sorted(set(float(t) for t in theta_grid) | {solution.theta_star})
@@ -221,13 +215,8 @@ def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
         m2 = res.second_moment_weight
         sweep_se = math.sqrt(
             max(res.fourth_moment_weight - m2 * m2, 0.0) / sample_count)
-        rows.append(SweepRow(
-            theta=theta,
-            second_moment_empirical=m2,
-            second_moment_bound=float(
-                second_moment_bound(theta, solution.objective, problem.n)),
-            std_error=sweep_se,
-        ))
+        bound = float(second_moment_bound(theta, solution.objective, problem.n))
+        rows.append((theta, m2, bound, sweep_se))
     return rows, solution
 
 

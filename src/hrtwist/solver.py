@@ -9,7 +9,7 @@ second-moment upper bound (1-theta)^(-2N) exp(-2 theta A).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -57,20 +57,9 @@ class MinmaxSolution:
     theta_star: float
     second_moment_bound: float
     clamped: bool
-    n: int
-    gamma: float
 
     def to_dict(self) -> dict:
-        return {
-            "x_star": [float(v) for v in self.x_star],
-            "objective": self.objective,
-            "dominant_index": self.dominant_index,
-            "theta_star": self.theta_star,
-            "second_moment_bound": self.second_moment_bound,
-            "clamped": self.clamped,
-            "n": self.n,
-            "gamma": self.gamma,
-        }
+        return {**asdict(self), "x_star": [float(v) for v in self.x_star]}
 
 
 def theta_star(objective: float, n: int) -> float:
@@ -177,14 +166,11 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
     best = int(np.argmin(objectives))
     x_best, a = x_all[best], float(objectives[best])
     th = theta_star(a, n)
-    clamped = a <= n
     return MinmaxSolution(
         x_star=x_best,
         objective=a,
         dominant_index=int(np.argmax(x_best)),
         theta_star=th,
         second_moment_bound=float(second_moment_bound(th, a, n)),
-        clamped=clamped,
-        n=n,
-        gamma=gamma,
+        clamped=a <= n,
     )

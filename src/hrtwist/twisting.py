@@ -16,7 +16,7 @@ from .distributions import Distribution
 from .errors import DomainError, ParameterError
 
 
-class TwistedDistribution:
+class TwistedDistribution(Distribution):
     """A base component paired with a twisting amount theta in [0, 1)."""
 
     def __init__(self, base: Distribution, theta: float):
@@ -31,21 +31,11 @@ class TwistedDistribution:
         return (np.log1p(-th) + self.base.log_pdf(x)
                 + th * self.base.hazard_function(x))
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
     def log_survival(self, x):
         return (1.0 - self.theta) * self.base.log_survival(x)
 
-    def survival(self, x):
-        return np.exp(self.log_survival(x))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x <= 0.0):
-            raise DomainError("x must be positive")
-        return -np.expm1(self.log_survival(x))
-
+    # defined here rather than through quantile_from_log_sf: tracing
+    # wraps the method found in this class's own __dict__
     def quantile(self, y):
         """Exact inversion of the twisted CDF.
 

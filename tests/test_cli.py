@@ -6,6 +6,8 @@ import pytest
 
 from hrtwist.cli import ConfigError, ExperimentConfig, main
 
+from outputs_digest import CASES, run_case
+
 
 WB_PAIR = {
     "components": [{"family": "weibull", "shape": 0.5, "scale": 1.0,
@@ -83,6 +85,15 @@ class TestConfigParsing:
         assert gamma_db == pytest.approx(20.0)
         assert problem.gamma == pytest.approx(100.0)
 
+    def test_whole_number_floats_accepted(self):
+        # JSON writers emit 1e6 and 2.0 for whole numbers
+        raw = dict(WB_PAIR, samples_is=1e6, samples_naive=2.0, seed=7.0,
+                   components=[dict(WB_PAIR["components"][0], count=3.0)])
+        cfg = ExperimentConfig.from_dict(raw)
+        assert (cfg.samples_is, cfg.samples_naive, cfg.seed) == (10**6, 2, 7)
+        assert all(type(v) is int for v in (cfg.samples_is, cfg.seed))
+        assert cfg.problems[0][1].n == 3
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -123,14 +134,24 @@ class TestExitCodes:
         ("solve", {"components": [5]}),
         ("solve", {"components": {"family": "weibull", "shape": 0.5,
                                   "scale": 1.0, "count": 2}}),
+        ("solve", {"components": [{"family": "weibull", "shape": 0.5,
+                                   "scale": 1.0, "count": 2.7}]}),
+        ("solve", {"components": [{"family": "weibull", "shape": 0.5,
+                                   "scale": 1.0, "count": True}]}),
+        ("ccdf", {"samples_is": 10.9}),
+        ("ccdf", {"samples_naive": True}),
+        ("ccdf", {"seed": 1.5}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
             "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
             "lognormal-mu-inf", "lognormal-mu-db-nan", "lognormal-lone-mu-db",
-            "component-string", "component-number", "components-object"])
+            "component-string", "component-number", "components-object",
+            "count-2.7", "count-true", "samples-is-10.9", "samples-naive-true",
+            "seed-1.5"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
-        raw = {k: v for k, v in dict(WB_PAIR, samples_is=100, samples_naive=100,
-                                     **change).items() if v is not None}
+        raw = {k: v for k, v in {**WB_PAIR, "samples_is": 100,
+                                 "samples_naive": 100, **change}.items()
+               if v is not None}
         assert run(tmp_path, command, raw)[0] == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
@@ -144,6 +165,8 @@ class TestSolveCommand:
         assert [s["gamma_db"] for s in sols] == [15.0, 20.0]
         assert sols[1]["objective"] == pytest.approx(10.0, rel=1e-10)
         assert sols[1]["theta_star"] == pytest.approx(0.8, rel=1e-10)
+        # the problem's gamma and N, which the solution no longer carries
+        assert (sols[1]["gamma"], sols[1]["n"]) == (pytest.approx(100.0), 2)
         assert "theta_star=" in capsys.readouterr().out
 
 
@@ -206,6 +229,19 @@ class TestEfficiency:
         assert "skipping gamma_db=-30: estimate is at least 1" in capsys.readouterr().err
         assert [float(r[0]) for r in data_rows(out / "efficiency.csv")] == [20.0]
 
+    def test_one_is_sample_is_config_error(self, tmp_path, capsys, monkeypatch):
+        # with this seed the single IS sample hits (alpha_is about 0.49), so
+        # only the IS relative error, which needs two samples, is undefined
+        from hrtwist import cli
+
+        monkeypatch.setattr(cli, "is_estimate", None)  # nothing is sampled
+        raw = dict(WB_PAIR, thresholds_db=[10.0], samples_is=1, seed=3)
+        code, out = run(tmp_path, "efficiency", raw)
+        assert code == 1
+        assert capsys.readouterr().err.startswith(
+            "config error: efficiency needs samples_is >= 2 ")
+        assert not out.exists()
+
 
 class TestThetaSweep:
     def test_writes_per_threshold_files(self, tmp_path):
@@ -242,6 +278,25 @@ class TestThetaSweep:
             csvs[workers] = {p.name: p.read_bytes()
                              for p in sorted(out.glob("*.csv"))}
         assert len(csvs[1]) == 2 and csvs[1] == csvs[2]
+
+    @pytest.mark.parametrize("thresholds, clashes", [
+        ([20.0, 20.0000001], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0000001)"]),
+        ([20.0, 20.0], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0)"]),
+        ([15.0, -1.5, 15.0, -1.5], ["theta_sweep_15dB.csv (gamma_db 15.0, 15.0)",
+                                    "theta_sweep_m1p5dB.csv (gamma_db -1.5, -1.5)"]),
+    ], ids=["rounds-equal", "repeated", "two-pairs"])
+    def test_file_name_clash_is_config_error(self, tmp_path, capsys, monkeypatch,
+                                             thresholds, clashes):
+        from hrtwist import estimators
+
+        monkeypatch.setattr(estimators, "is_estimate", None)  # nothing is sampled
+        raw = dict(WB_PAIR, thresholds_db=thresholds, theta_grid=[0.5])
+        code, out = run(tmp_path, "theta-sweep", raw)
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ")
+        assert all(clash in err for clash in clashes)
+        assert not out.exists()
 
 
 class TestValidate:
@@ -318,3 +373,17 @@ class TestNaiveCount:
         assert code == 0
         assert counts == [2_000_000]
         assert capsys.readouterr().err == ""
+
+
+class TestWorkers:
+    @pytest.mark.parametrize("command, raw", [case[1:] for case in CASES],
+                             ids=[case[0] for case in CASES])
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, command,
+                                                   raw):
+        runs = []
+        for workers in (1, 2):
+            (tmp_path / str(workers)).mkdir()
+            runs.append(run_case(main, command, raw, workers,
+                                 tmp_path / str(workers)))
+        assert runs[0][0] in (0, 1, 2)
+        assert runs[0] == runs[1]

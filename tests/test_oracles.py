@@ -188,21 +188,20 @@ class TestThetaSweep:
         problem = weibull_pair(20.0)
         grid = [0.5, 0.7, 0.9]
         rows, solution = theta_sensitivity_sweep(problem, grid, 20_000, 12)
-        thetas = [r.theta for r in rows]
+        thetas = [theta for theta, *_ in rows]
         assert solution.theta_star in thetas  # inserted automatically
         from hrtwist import second_moment_bound
-        for r in rows:
-            assert r.second_moment_bound == pytest.approx(
-                float(second_moment_bound(r.theta, solution.objective,
+        for theta, _, bound, _ in rows:
+            assert bound == pytest.approx(
+                float(second_moment_bound(theta, solution.objective,
                                           problem.n)), rel=1e-12)
 
     def test_empirical_below_bound(self):
         problem = weibull_pair(20.0)
         grid = np.arange(0.3, 0.96, 0.05)
         rows, _ = theta_sensitivity_sweep(problem, grid, 50_000, 9)
-        for r in rows:
-            assert (r.second_moment_empirical
-                    <= r.second_moment_bound + 5.0 * r.std_error)
+        for _, m2, bound, se in rows:
+            assert m2 <= bound + 5.0 * se
 
     def test_invalid_grid(self):
         with pytest.raises(ParameterError):

@@ -59,6 +59,22 @@ class TestTwistedCdf:
         assert TwistedDistribution(lognormal_std, 0.5).cdf(1.0) == pytest.approx(
             1.0 - math.sqrt(0.5), rel=1e-12)
 
+    def test_zero_like_every_law(self, weibull_half, lognormal_std):
+        for base in (weibull_half, lognormal_std):
+            tw = TwistedDistribution(base, 0.5)
+            assert float(tw.cdf(0.0)) == float(base.cdf(0.0)) == 0.0
+            with pytest.raises(DomainError):
+                tw.cdf(-1.0)
+
+    def test_hazard_is_rescaled(self, lognormal_6db):
+        # twisting multiplies the hazard rate and its integral by 1 - theta
+        tw = TwistedDistribution(lognormal_6db, 0.7)
+        xs = np.geomspace(0.01, 1e4, 30)
+        assert np.allclose(tw.hazard_function(xs),
+                           0.3 * lognormal_6db.hazard_function(xs), rtol=1e-12)
+        assert np.allclose(tw.hazard_rate(xs),
+                           0.3 * lognormal_6db.hazard_rate(xs), rtol=1e-10)
+
     def test_heavier_tail_domination(self):
         rng = np.random.default_rng(8)
         xs = np.geomspace(1e-3, 1e5, 200)
