@@ -35,9 +35,23 @@ class ConfigError(ValueError):
     pass
 
 
+def _number(value, name: str) -> float:
+    """A JSON number: true and "20" are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def _numbers(values, name: str) -> list:
+    """A JSON array of numbers: "20" and {"20": 1} are not arrays."""
+    if not isinstance(values, list):
+        raise ConfigError(f"{name} must be a list of numbers, got {values!r}")
+    return [_number(v, name) for v in values]
+
+
 def _whole(value, name: str) -> int:
     """A count, sample size or seed: 2 and 2.0 pass, 2.7 and true do not."""
-    if isinstance(value, bool) or not float(value).is_integer():
+    if not _number(value, name).is_integer():
         raise ConfigError(f"{name} must be a whole number, got {value!r}")
     return int(value)
 
@@ -69,15 +83,13 @@ class ExperimentConfig:
                 if count < 1:
                     raise ConfigError(f"component count must be >= 1: {spec}")
                 d = {k: v for k, v in spec.items() if k != "count"}
-                dist = distribution_from_dict(d)
-                components.extend([dist] * count)
+                components.extend([distribution_from_dict(d)] * count)
             has_db = "thresholds_db" in raw
-            has_lin = "thresholds_linear" in raw
-            if has_db == has_lin:
+            if has_db == ("thresholds_linear" in raw):
                 raise ConfigError(
                     "exactly one of thresholds_db / thresholds_linear required")
-            thresholds = [float(t) for t in
-                          (raw["thresholds_db"] if has_db else raw["thresholds_linear"])]
+            key = "thresholds_db" if has_db else "thresholds_linear"
+            thresholds = _numbers(raw[key], key)
             if not thresholds:
                 raise ConfigError("threshold list is empty")
             if has_db:
@@ -87,15 +99,16 @@ class ExperimentConfig:
                             for t in thresholds]
             theta_override = raw.get("theta_override")
             if theta_override is not None:
-                theta_override = float(theta_override)
-            theta_grid = [float(t) for t in raw.get("theta_grid", [])]
+                theta_override = _number(theta_override, "theta_override")
+            theta_grid = _numbers(raw.get("theta_grid", []), "theta_grid")
             thetas = theta_grid + ([] if theta_override is None else [theta_override])
             bad = [t for t in thetas if not 0.0 <= t < 1.0]
             if bad:
                 raise ConfigError(f"theta values outside [0, 1): {bad}")
-            confidence_constant = float(raw.get("confidence_constant", 1.96))
-            if not confidence_constant > 0.0:
-                raise ParameterError("confidence constant must be positive")
+            confidence_constant = _number(
+                raw.get("confidence_constant", 1.96), "confidence_constant")
+            if not 0.0 < confidence_constant < math.inf:
+                raise ParameterError("confidence constant must be positive and finite")
             cfg = cls(
                 problems=problems,
                 samples_is=_whole(raw["samples_is"], "samples_is"),
@@ -311,6 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.workers < 1:
+            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
         raw = json.loads(Path(args.config).read_text())
         cfg = ExperimentConfig.from_dict(raw)
         if args.seed is not None:

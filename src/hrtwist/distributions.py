@@ -8,6 +8,7 @@ intermediate ever forms ``1 - F(x)`` directly.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy import special
@@ -147,7 +148,8 @@ class Weibull(Distribution):
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)
-        return self.scale * (-log_sf) ** (1.0 / self.shape)
+        with np.errstate(over="ignore"):  # x past the float range is inf
+            return self.scale * (-log_sf) ** (1.0 / self.shape)
 
     def concavity_onset(self) -> float:
         # (x/b)^k is concave on all of (0, inf) iff k < 1
@@ -158,6 +160,7 @@ class Weibull(Distribution):
         return 0.0
 
 
+@lru_cache  # a root solve that depends on sigma only; the solver asks often
 def _hazard_peak_z(sigma: float) -> float:
     """Standard score z at which the Lognormal(mu, sigma) hazard rate peaks.
 
@@ -210,7 +213,8 @@ class Lognormal(Distribution):
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)
         # ndtri_exp(log_sf) is minus the normal score whose survival is exp(log_sf)
-        return np.exp(self.mu - self.sigma * special.ndtri_exp(log_sf))
+        with np.errstate(over="ignore"):  # x past the float range is inf
+            return np.exp(self.mu - self.sigma * special.ndtri_exp(log_sf))
 
     def concavity_onset(self) -> float:
         # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak

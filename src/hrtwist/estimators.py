@@ -2,13 +2,9 @@
 
 Both estimators share one sampling core: component i of sample j uses
 word j*N + i of the run's Philox stream, and samples are generated by
-exact inversion of the (possibly twisted) CDF.  A sum above gamma needs
-a component above gamma / N, so a sample whose components all lie below
-gamma / N is counted as a miss and never inverted.  That survival cut is
-made on the raw 64-bit words: each component's cut is turned once per
-run into the least word that passes it, so a chunk compares integers,
-and only the rows it keeps are converted to uniforms and inverted.  A
-run in which no word of any component can pass draws no words at all.
+exact inversion of the (possibly twisted) CDF.  Only rows with a word at
+or past its component's survival cut (`_word_cuts`) are converted to
+uniforms and inverted; the rest are misses.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
@@ -25,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ParameterError, UndefinedMetricError
 from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
-from .streams import RandomStream, uniforms_from_words
+from .streams import RandomStream, least_word, uniforms_from_words
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
 
@@ -56,12 +52,11 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
                  stream: RandomStream, start: int, stop: int):
     """Hit moments of samples [start, stop), keeping rows past the word cut.
 
-    `cut` lists (i, least word) for the components that can reach their
-    cut (`_word_cuts`).  A row's sum is added up column by column, left
-    to right.  numpy's row sum adds fewer than 8 terms in that order too,
-    so for N <= 7 every hit is the one a full inversion finds; from N = 8
-    on numpy sums pairwise, and a sum within rounding of gamma could in
-    principle fall the other way.
+    `cut` is `_word_cuts(problem, theta)`.  A row's sum is added up column
+    by column, left to right.  numpy's row sum adds fewer than 8 terms in
+    that order too, so for N <= 7 every hit is the one a full inversion
+    finds; from N = 8 on numpy sums pairwise, and a sum within rounding of
+    gamma could in principle fall the other way.
     """
     n = problem.n
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
@@ -88,34 +83,25 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: list,
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
 
 
-def _word_cuts(theta: float, cut: list) -> list:
-    """(i, least word) for each component i some word can take past its cut.
+def _word_cuts(problem: SumProblem, theta: float) -> list:
+    """(i, least kept word) for each component i that can pass the survival cut.
 
-    Word w of component i is kept iff its uniform u passes the float test
-    log1p(-u) / (1 - theta) < cut[i].  That test only gets easier as w
-    grows, so bisecting over the words against the very expression the
-    core evaluates finds the least passing word exactly, and the keep
-    mask of `w >= least` equals the float test's bit for bit.  A
-    component that not even the largest word passes is left out.  The
-    test is numpy's `log1p`, which differs from `math.log1p` in the last
-    bit on some inputs, so the bisection evaluates it on arrays.
+    A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
+    and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
+    S_i(edge)^(1 - theta).  The least kept word is the least whose uniform
+    is at least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding
+    of the core's log1p(-u) / (1 - theta), so every row that can hit is
+    kept, and the extra rows lie under the edge and miss.  Components whose
+    largest word fails the core's float test are left out.
     """
-    cut = np.asarray(cut, dtype=float)
-
-    def passes(words):
-        return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
-
-    lo = np.zeros(cut.shape, dtype=np.uint64)
-    hi = np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64)
-    reachable = passes(hi)
-    # 64 halvings shrink hi - lo to at most 1, leaving hi at the least
-    # passing word (0 when even word 0 passes)
-    for _ in range(64):
-        mid = lo + (hi - lo) // 2
-        ok = passes(mid)
-        hi = np.where(ok, mid, hi)
-        lo = np.where(ok, lo, mid)
-    return [(i, w) for i, w in enumerate(hi) if reachable[i]]
+    edge = problem.gamma * (1.0 - 1e-9) / problem.n
+    cut = np.array([c.log_survival(edge) for c in problem.components])
+    # numpy's log1p, as in the core (math.log1p can differ in the last bit)
+    top = uniforms_from_words(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64))
+    reachable = np.log1p(-top) / (1.0 - theta) < cut
+    least = least_word(
+        1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
+    return [(i, w) for i, w in enumerate(least) if reachable[i]]
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
@@ -125,13 +111,7 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     if not (0.0 <= theta < 1.0):
         raise DomainError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    # a sum above gamma has a component above gamma / N, so a row whose
-    # log_sf all lie at or above these cuts is a miss; the 1e-9 margin
-    # dwarfs the rounding of the inversion, which keeps the cut exact.
-    # The cuts are then moved onto the raw words (`_word_cuts`).
-    edge = problem.gamma * (1.0 - 1e-9) / problem.n
-    cut = _word_cuts(
-        theta, [float(c.log_survival(edge)) for c in problem.components])
+    cut = _word_cuts(problem, theta)
     # no word can reach the cut: every row is a miss, so draw none
     bounds = list(range(0, sample_count, CHUNK_SIZE)) if cut else []
     bounds.append(sample_count)
@@ -147,20 +127,14 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         results = [work(j) for j in jobs]
 
     # merge in chunk order; fsum keeps the merge associative in practice
-    sum_w = math.fsum(r[0] for r in results)
-    sum_w2 = math.fsum(r[1] for r in results)
-    sum_w4 = math.fsum(r[2] for r in results)
+    sum_w, sum_w2, sum_w4 = (math.fsum(r[k] for r in results) for k in range(3))
     hits = sum(r[3] for r in results)
     max_log_w = max((r[4] for r in results), default=-math.inf)
     min_hs = min((r[5] for r in results), default=math.inf)
 
     m = sample_count
-    mean_w = sum_w / m
-    second = sum_w2 / m
-    fourth = sum_w4 / m
-    variance = (m / (m - 1.0)) * (second - mean_w * mean_w) if m >= 2 else 0.0
-    variance = max(variance, 0.0)
-    std_error = math.sqrt(variance / m)
+    mean_w, second, fourth = sum_w / m, sum_w2 / m, sum_w4 / m
+    variance = max((m / (m - 1.0)) * (second - mean_w * mean_w), 0.0) if m >= 2 else 0.0
     return EstimateResult(
         alpha_hat=mean_w,
         sample_count=m,
@@ -168,7 +142,7 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         second_moment_weight=second,
         fourth_moment_weight=fourth,
         variance_weight=variance,
-        std_error=std_error,
+        std_error=math.sqrt(variance / m),
         theta_used=theta,
         max_log_weight_hit=max_log_w,
         min_hazard_sum_hit=min_hs,

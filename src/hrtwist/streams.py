@@ -9,9 +9,9 @@ independent of the parallel execution order.
 
 The uniform of word w is `uniforms_from_words`: (w >> 11) * 2^-53, the
 value numpy's `Generator.random` makes of it, with 0 replaced by 2^-53 so
-every uniform lies in (0, 1).  `uniforms_at` is that float view of
-`words_at`.  The sampling core reads raw words, so it can test them as
-integers and convert only the ones it keeps.
+every uniform lies in (0, 1); `least_word` inverts it.  `uniforms_at` is
+the float view of `words_at`.  The core tests raw words as integers and
+converts only the ones it keeps.
 
 The convention used by the estimators: the uniform for component i of
 sample j in an N-component problem is word j*N + i of the run's stream.
@@ -27,6 +27,13 @@ _ULP = 2.0 ** -53                # also substituted for an exact 0.0 draw
 def uniforms_from_words(words: np.ndarray) -> np.ndarray:
     """Uniforms in (0, 1) of raw words, bit for bit `Generator.random`'s."""
     return np.maximum(words >> _MANTISSA_SHIFT, 1) * _ULP
+
+
+def least_word(u: np.ndarray) -> np.ndarray:
+    """Least word whose uniform is at least u, for u up to 1 - 2^-53."""
+    k = np.clip(np.ceil(u / _ULP), 0.0, 2.0 ** 53 - 1.0)
+    # words 0 .. 2^11 - 1 all map to 2^-53, the uniform of index 1
+    return np.where(k > 1.0, k, 0.0).astype(np.uint64) << _MANTISSA_SHIFT
 
 
 class RandomStream:

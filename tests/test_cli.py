@@ -141,18 +141,43 @@ class TestExitCodes:
         ("ccdf", {"samples_is": 10.9}),
         ("ccdf", {"samples_naive": True}),
         ("ccdf", {"seed": 1.5}),
+        ("ccdf", {"thresholds_db": "20"}),
+        ("ccdf", {"thresholds_db": {"20": 1}}),
+        ("ccdf", {"thresholds_db": [True]}),
+        ("ccdf", {"thresholds_db": None, "thresholds_linear": "23"}),
+        ("theta-sweep", {"theta_grid": {"0.5": 1}}),
+        ("theta-sweep", {"theta_grid": [False]}),
+        ("ccdf", {"theta_override": False}),
+        ("ccdf", {"theta_override": "0.5"}),
+        ("solve", {"components": [{"family": "weibull", "shape": 0.5,
+                                   "scale": 1.0, "count": "2"}]}),
+        ("ccdf", {"samples_is": "1000"}),
+        ("ccdf", {"samples_naive": "1000"}),
+        ("ccdf", {"seed": "7"}),
+        ("efficiency", {"confidence_constant": "1.96"}),
+        ("efficiency", {"confidence_constant": math.inf}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
             "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
             "lognormal-mu-inf", "lognormal-mu-db-nan", "lognormal-lone-mu-db",
             "component-string", "component-number", "components-object",
             "count-2.7", "count-true", "samples-is-10.9", "samples-naive-true",
-            "seed-1.5"])
+            "seed-1.5", "thresholds-string", "thresholds-object",
+            "thresholds-true", "thresholds-linear-string", "theta-grid-object",
+            "theta-grid-false", "theta-override-false", "theta-override-string",
+            "count-string", "samples-is-string", "samples-naive-string",
+            "seed-string", "confidence-string", "confidence-inf"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {k: v for k, v in {**WB_PAIR, "samples_is": 100,
                                  "samples_naive": 100, **change}.items()
                if v is not None}
         assert run(tmp_path, command, raw)[0] == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
+        code, _ = run(tmp_path, "ccdf", WB_PAIR, "--workers", str(workers))
+        assert code == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
 

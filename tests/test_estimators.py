@@ -178,6 +178,13 @@ class TestSurvivalCut:
             m = int(rng.integers(1, 2 * estimators.CHUNK_SIZE))
             cases.append((problem, solve_pprime(problem).theta_star, m,
                           k % 2 + 1))
+        # the strongest twist the estimators take, where nearly every row hits
+        for k in range(2):
+            comps = [random_component(rng) for _ in range(k + 2)]
+            problem = SumProblem.from_db(comps, float(rng.uniform(-5.0, 40.0)))
+            cases.append((problem, 1 - 1e-12, estimators.CHUNK_SIZE + 7, k + 1))
+        # untwisted, only the top few uniforms of each component reach gamma / N
+        cases.append((weibull_pair(34.0), 0.0, 2 * estimators.CHUNK_SIZE, 2))
 
         def run_all():
             out = []
@@ -204,25 +211,37 @@ class TestWordCut:
     @pytest.mark.parametrize("theta", [0.0, 0.1378, 0.5, 0.8, 0.9731, 1 - 1e-12])
     def test_equals_float_test(self, theta):
         rng = np.random.default_rng(int(theta * 1e4))
-        cuts = -np.logspace(-18.0, math.log10(160.0), 60)
-        least = dict(estimators._word_cuts(theta, cuts))
+        # one Weibull(1, b) component per cut, log S(edge) = -edge / b
+        target = -np.logspace(-18.0, math.log10(160.0), 60)
+        gamma = 60.0
+        edge = gamma * (1.0 - 1e-9) / target.size
+        problem = SumProblem([Weibull(1.0, edge / -c) for c in target], gamma)
+        cuts = [float(c.log_survival(edge)) for c in problem.components]
+        least = dict(estimators._word_cuts(problem, theta))
         top = (1 << 53) - 1
+        largest = np.array([2 ** 64 - 1], dtype=np.uint64)
         for i, cut in enumerate(cuts):
-            if i in least:
-                k0 = int(least[i]) >> 11
-                assert _float_cut(theta, cut, least[i])
-            else:  # not even the largest word passes
-                k0 = top
-                assert not _float_cut(theta, cut, np.uint64(2 ** 64 - 1))
-            k = np.clip(np.arange(k0 - 50, k0 + 51), 0, top).astype(np.uint64)
+            # reachable iff the largest word passes the float test
+            assert (i in least) == _float_cut(theta, cut, largest)[0]
+            if i not in least:
+                continue
+            k0 = int(least[i]) >> 11
+            # kept indexes the float test fails: the 1e-12 slack, plus 2
+            # for the 2^-53 slack and the ceiling, 0.8 for 1 + 1e-12 in
+            # binary and 1 for the rounding of S(edge)^(1 - theta)
+            slack = 1e-12 * math.exp((1.0 - theta) * cut) * 2.0 ** 53 + 4
+            k = np.arange(max(k0 - 50, 0), min(k0 + int(slack) + 50, top) + 1,
+                          dtype=np.uint64)
             low = rng.integers(0, 2048, k.size, dtype=np.uint64)
             words = np.concatenate([
                 (k << np.uint64(11)) | low,
                 rng.integers(0, 2 ** 64 - 1, 1000, dtype=np.uint64,
                              endpoint=True)])
-            kept = (words >= least[i] if i in least
-                    else np.zeros(words.size, dtype=bool))
-            assert np.array_equal(kept, _float_cut(theta, cut, words))
+            passes = _float_cut(theta, cut, words)
+            # every word the float test passes is kept
+            assert np.all(words[passes] >= least[i])
+            near = passes[:k.size]
+            assert near.any() and int(k[near][0]) - k0 <= slack
         # the cuts span always-kept, boundary and unreachable components
         if theta == 0.0:
             assert 0 < len(least) < len(cuts)
