@@ -10,19 +10,12 @@ from .distributions import (
     distribution_from_dict,
     linear_to_db,
 )
-from .errors import (
-    DomainError,
-    OracleConvergenceError,
-    ParameterError,
-    UndefinedMetricError,
-    UnsupportedFamilyError,
-)
+from .errors import OracleConvergenceError, ParameterError
 from .estimators import (
     EstimateResult,
     efficiency_indicator,
     is_estimate,
     naive_mc,
-    optimality_ratio,
     relative_error_is,
     relative_error_naive,
     theta_sensitivity_sweep,

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import __version__
 from .distributions import distribution_from_dict, linear_to_db
-from .errors import OracleConvergenceError, ParameterError, UnsupportedFamilyError
+from .errors import OracleConvergenceError, ParameterError
 from .estimators import (
     efficiency_indicator,
     is_estimate,
@@ -56,6 +56,11 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
+_CONFIG_KEYS = {"components", "thresholds_db", "thresholds_linear", "samples_is",
+                "samples_naive", "seed", "theta_override", "theta_grid",
+                "confidence_constant", "output_dir"}
+
+
 @dataclass
 class ExperimentConfig:
     problems: list  # (gamma_db, SumProblem) per threshold
@@ -71,6 +76,9 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
         try:
+            unknown = sorted(set(raw) - _CONFIG_KEYS)
+            if unknown:
+                raise ConfigError(f"unknown config key(s) {unknown}")
             comp_specs = raw["components"]
             if not (isinstance(comp_specs, list)
                     and all(isinstance(spec, dict) for spec in comp_specs)):
@@ -84,6 +92,7 @@ class ExperimentConfig:
                     raise ConfigError(f"component count must be >= 1: {spec}")
                 d = {k: v for k, v in spec.items() if k != "count"}
                 components.extend([distribution_from_dict(d)] * count)
+                components[-1].concavity_onset()  # shape >= 1 or tiny sigma raises
             has_db = "thresholds_db" in raw
             if has_db == ("thresholds_linear" in raw):
                 raise ConfigError(
@@ -108,7 +117,7 @@ class ExperimentConfig:
             confidence_constant = _number(
                 raw.get("confidence_constant", 1.96), "confidence_constant")
             if not 0.0 < confidence_constant < math.inf:
-                raise ParameterError("confidence constant must be positive and finite")
+                raise ConfigError("confidence constant must be positive and finite")
             cfg = cls(
                 problems=problems,
                 samples_is=_whole(raw["samples_is"], "samples_is"),
@@ -121,7 +130,7 @@ class ExperimentConfig:
             )
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError, ParameterError) as exc:
+        except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
         if cfg.samples_is < 1 or cfg.samples_naive < 1:
             raise ConfigError("sample counts must be positive")
@@ -332,8 +341,7 @@ def main(argv=None) -> int:
             cfg.seed = args.seed
         out_dir = Path(args.output if args.output else cfg.output_dir)
         return COMMANDS[args.command](cfg, out_dir, args)
-    except (ConfigError, UnsupportedFamilyError, FileNotFoundError,
-            json.JSONDecodeError) as exc:
+    except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OracleConvergenceError, ParameterError) as exc:

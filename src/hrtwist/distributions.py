@@ -1,9 +1,9 @@
 """Component distribution families with numerically stable tail math.
 
-Weibull (shape < 1) and Log-normal components expose density, survival,
-quantile, hazard rate and cumulative hazard, all usable deep in the far
-tail: survival-related quantities are computed in log space so that no
-intermediate ever forms ``1 - F(x)`` directly.
+Weibull (shape < 1) and Log-normal components expose log density, log
+survival, its inverse, hazard rate and cumulative hazard, all usable deep
+in the far tail: survival-related quantities are computed in log space so
+that no intermediate ever forms ``1 - F(x)`` directly.
 """
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ import numpy as np
 from scipy import special
 from scipy.optimize import brentq
 
-from .errors import DomainError, ParameterError, UnsupportedFamilyError
+from .errors import ParameterError
 
 # decibel <-> natural-log scaling for log-normal parameters
 DB_SCALE = np.log(10.0) / 10.0
@@ -31,7 +31,7 @@ def db_to_linear(value_db):
 def linear_to_db(value):
     value = np.asarray(value, dtype=float)
     if np.any(value <= 0.0):
-        raise DomainError("linear value must be positive to express in dB")
+        raise ParameterError("linear value must be positive to express in dB")
     return 10.0 * np.log10(value)
 
 
@@ -51,14 +51,14 @@ def _log_mills(z):
 def _require_positive(x):
     x = np.asarray(x, dtype=float)
     if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
-        raise DomainError("x must be positive and finite")
+        raise ParameterError("x must be positive and finite")
     return x
 
 
 def _require_nonnegative(x):
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0) or np.any(~np.isfinite(x)):
-        raise DomainError("x must be nonnegative and finite")
+        raise ParameterError("x must be nonnegative and finite")
     return x
 
 
@@ -67,7 +67,7 @@ class Distribution:
 
     Subclasses implement ``log_pdf``, ``log_survival`` and
     ``quantile_from_log_sf``; everything else derives from those three so
-    the identities pdf = hazard_rate * exp(-hazard_function) and
+    the identities exp(log_pdf) = hazard_rate * exp(-hazard_function) and
     hazard_function = -log_survival hold by construction.
     """
 
@@ -86,18 +86,8 @@ class Distribution:
     def concavity_onset(self) -> float:
         raise NotImplementedError
 
-    def pdf(self, x):
-        return np.exp(self.log_pdf(x))
-
     def survival(self, x):
         return np.exp(self.log_survival(x))
-
-    def cdf(self, x):
-        x = np.asarray(x, dtype=float)
-        if np.any(x < 0.0):
-            raise DomainError("x must be nonnegative")
-        out = -np.expm1(self.log_survival(np.maximum(x, np.finfo(float).tiny)))
-        return np.where(x == 0.0, 0.0, out)
 
     def hazard_rate(self, x):
         return np.exp(self.log_pdf(x) - self.log_survival(x))
@@ -106,12 +96,6 @@ class Distribution:
         x = _require_nonnegative(x)
         out = -self.log_survival(np.maximum(x, np.finfo(float).tiny))
         return np.where(x == 0.0, 0.0, out)
-
-    def quantile(self, u):
-        u = np.asarray(u, dtype=float)
-        if np.any((u <= 0.0) | (u >= 1.0)):
-            raise DomainError("probability must lie in (0, 1)")
-        return self.quantile_from_log_sf(np.log1p(-u))
 
 
 @dataclass(frozen=True)
@@ -154,7 +138,7 @@ class Weibull(Distribution):
     def concavity_onset(self) -> float:
         # (x/b)^k is concave on all of (0, inf) iff k < 1
         if self.shape >= 1.0:
-            raise UnsupportedFamilyError(
+            raise ParameterError(
                 "hazard function not eventually concave under this family "
                 f"restriction (Weibull shape {self.shape} >= 1)")
         return 0.0
@@ -173,8 +157,11 @@ def _hazard_peak_z(sigma: float) -> float:
         return np.exp(_log_mills(z)) - z - sigma
 
     # slope(-sigma - 1) > 1, and mills(z) - z < 1/z for z > 0 makes
-    # slope(1/sigma + 1) < 0
-    return brentq(slope, -sigma - 1.0, 1.0 / sigma + 1.0, xtol=1e-15)
+    # slope(1/sigma + 1) < 0, unless rounding hides a sigma that small
+    lo, hi = -sigma - 1.0, 1.0 / sigma + 1.0
+    if np.sign(slope(lo)) == np.sign(slope(hi)):
+        raise ParameterError(f"sigma {sigma} too small to place the hazard-rate peak")
+    return brentq(slope, lo, hi, xtol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -246,6 +233,12 @@ class Lognormal(Distribution):
         return np.exp(self.mu + sigma * z)
 
 
+def _known_fields(d: dict, *fields):
+    unknown = sorted(set(d) - {"family", *fields})
+    if unknown:
+        raise ParameterError(f"{d['family']} component has unknown field(s) {unknown}")
+
+
 def distribution_from_dict(d: dict) -> Distribution:
     """Construct a component from its serialized form.
 
@@ -253,11 +246,13 @@ def distribution_from_dict(d: dict) -> Distribution:
     with any natural value given beside them agreeing with them."""
     family = d.get("family")
     if family == "weibull":
+        _known_fields(d, "shape", "scale")
         try:
             return Weibull(d["shape"], d["scale"])
         except KeyError as exc:
             raise ParameterError(f"weibull component missing field {exc}") from exc
     if family == "lognormal":
+        _known_fields(d, "mu", "sigma", "mu_db", "sigma_db")
         try:
             if "mu_db" not in d and "sigma_db" not in d:
                 return Lognormal(d["mu"], d["sigma"])

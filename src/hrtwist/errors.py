@@ -1,21 +1,9 @@
 """Exception types shared across the package."""
 
 
-class DomainError(ValueError):
-    """Argument outside the mathematical domain of an operation."""
-
-
 class ParameterError(ValueError):
-    """Invalid distribution or configuration parameters at construction."""
-
-
-class UnsupportedFamilyError(ValueError):
-    """Operation requires a family restriction that does not hold."""
+    """An argument the operation does not accept."""
 
 
 class OracleConvergenceError(RuntimeError):
     """A reference computation failed to reach its accuracy target."""
-
-
-class UndefinedMetricError(ValueError):
-    """A diagnostic metric is undefined for the given inputs."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, ParameterError, UndefinedMetricError
+from .errors import ParameterError
 from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
 from .streams import RandomStream, least_word, uniforms_from_words
 
@@ -109,7 +109,7 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if not (0.0 <= theta < 1.0):
-        raise DomainError(f"theta must lie in [0, 1), got {theta}")
+        raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
     cut = _word_cuts(problem, theta)
     # no word can reach the cut: every row is a miss, so draw none
@@ -206,7 +206,7 @@ def relative_error_naive(alpha_hat: float, sample_count_naive: int,
     gives the sharper Bernoulli-variance figure.
     """
     if not (0.0 < alpha_hat < 1.0):
-        raise UndefinedMetricError(
+        raise ParameterError(
             f"relative error undefined for alpha_hat={alpha_hat}")
     return confidence_constant * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
         math.sqrt(sample_count_naive) * alpha_hat)
@@ -215,7 +215,7 @@ def relative_error_naive(alpha_hat: float, sample_count_naive: int,
 def relative_error_is(result: EstimateResult,
                       confidence_constant: float = 1.96) -> float:
     if result.alpha_hat <= 0.0 or result.sample_count < 2:
-        raise UndefinedMetricError("relative error needs alpha_hat > 0 and M >= 2")
+        raise ParameterError("relative error needs alpha_hat > 0 and M >= 2")
     return confidence_constant * math.sqrt(result.variance_weight) / (
         math.sqrt(result.sample_count) * result.alpha_hat)
 
@@ -223,14 +223,7 @@ def relative_error_is(result: EstimateResult,
 def efficiency_indicator(alpha_hat: float, variance_weight: float) -> float:
     """Naive-to-IS sample-count ratio at equal relative error."""
     if variance_weight < 0.0:
-        raise UndefinedMetricError("variance must be nonnegative")
+        raise ParameterError("variance must be nonnegative")
     if variance_weight == 0.0:
         return math.inf
     return alpha_hat * (1.0 - alpha_hat) / variance_weight
-
-
-def optimality_ratio(second_moment_weight: float, alpha_hat: float) -> float:
-    """log second moment over log probability; approaches 2 when optimal."""
-    if not (0.0 < alpha_hat < 1.0) or second_moment_weight <= 0.0:
-        raise UndefinedMetricError("optimality ratio undefined for these inputs")
-    return math.log(second_moment_weight) / math.log(alpha_hat)

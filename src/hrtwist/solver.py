@@ -15,7 +15,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .distributions import Lognormal, db_to_linear
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 
 @dataclass(frozen=True)
@@ -29,8 +29,9 @@ class SumProblem:
         object.__setattr__(self, "components", tuple(self.components))
         if len(self.components) < 1:
             raise ParameterError("need at least one component")
-        if not (self.gamma > 0.0 and np.isfinite(self.gamma)):
-            raise ParameterError(f"gamma must be positive and finite, got {self.gamma}")
+        # below the least normal float, gamma / N can round to 0
+        if not np.finfo(float).tiny <= self.gamma < np.inf:
+            raise ParameterError(f"gamma {self.gamma} is not a finite normal float")
 
     @classmethod
     def from_db(cls, components, gamma_db: float) -> "SumProblem":
@@ -65,9 +66,9 @@ class MinmaxSolution:
 def theta_star(objective: float, n: int) -> float:
     """Minmax-optimal twisting amount, clamped to 0 for small objectives."""
     if objective < 0.0:
-        raise DomainError(f"objective must be nonnegative, got {objective}")
+        raise ParameterError(f"objective must be nonnegative, got {objective}")
     if n < 1:
-        raise DomainError("n must be >= 1")
+        raise ParameterError("n must be >= 1")
     if objective <= n:
         return 0.0
     return 1.0 - n / objective
@@ -76,7 +77,7 @@ def theta_star(objective: float, n: int) -> float:
 def second_moment_bound(theta: float, objective: float, n: int) -> float:
     """Upper bound on the second moment of the weighted indicator."""
     if not (0.0 <= theta < 1.0):
-        raise DomainError(f"theta must lie in [0, 1), got {theta}")
+        raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     return (1.0 - theta) ** (-2 * n) * np.exp(-2.0 * theta * objective)
 
 
@@ -146,6 +147,8 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
                     for c in [comps[d]] + [c for c, _ in rising])
         if not nu_lo < nu_hi:
             continue
+        if nu_lo == 0.0:
+            raise ParameterError(f"hazard rates underflow to 0 at gamma={gamma}")
 
         def mismatch(t, d=d, rising=rising):
             nu = np.exp(t)

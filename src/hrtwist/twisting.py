@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .distributions import Distribution
-from .errors import DomainError, ParameterError
+from .errors import ParameterError
 
 
 class TwistedDistribution(Distribution):
@@ -34,8 +34,7 @@ class TwistedDistribution(Distribution):
     def log_survival(self, x):
         return (1.0 - self.theta) * self.base.log_survival(x)
 
-    # defined here rather than through quantile_from_log_sf: tracing
-    # wraps the method found in this class's own __dict__
+    # bench/spans.py wraps `quantile` through this class's own __dict__
     def quantile(self, y):
         """Exact inversion of the twisted CDF.
 
@@ -46,7 +45,7 @@ class TwistedDistribution(Distribution):
         """
         y = np.asarray(y, dtype=float)
         if np.any((y <= 0.0) | (y >= 1.0)):
-            raise DomainError("probability must lie in (0, 1)")
+            raise ParameterError("probability must lie in (0, 1)")
         log_sf = np.log1p(-y) / (1.0 - self.theta)
         return self.base.quantile_from_log_sf(log_sf)
 

@@ -156,6 +156,14 @@ class TestExitCodes:
         ("ccdf", {"seed": "7"}),
         ("efficiency", {"confidence_constant": "1.96"}),
         ("efficiency", {"confidence_constant": math.inf}),
+        ("ccdf", {"components": [{"family": "weibull", "shape": 0.5,
+                                  "scale": 1.0, "cont": 2}]}),
+        ("ccdf", {"theta_overide": 0.5}),
+        ("ccdf", {"thresholds_db": None, "thresholds_linear": [5e-324],
+                  "components": [{"family": "weibull", "shape": 0.5,
+                                  "scale": 1.0, "count": 3}]}),
+        ("solve", {"components": [{"family": "lognormal", "mu": 0.0,
+                                   "sigma": 1e-4, "count": 2}]}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
             "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
@@ -166,12 +174,39 @@ class TestExitCodes:
             "thresholds-true", "thresholds-linear-string", "theta-grid-object",
             "theta-grid-false", "theta-override-false", "theta-override-string",
             "count-string", "samples-is-string", "samples-naive-string",
-            "seed-string", "confidence-string", "confidence-inf"])
+            "seed-string", "confidence-string", "confidence-inf",
+            "component-unknown-key", "unknown-key", "linear-subnormal",
+            "lognormal-sigma-1e-4"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {k: v for k, v in {**WB_PAIR, "samples_is": 100,
                                  "samples_naive": 100, **change}.items()
                if v is not None}
         assert run(tmp_path, command, raw)[0] == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("change", [
+        {"thresholds_db": [-200.0],
+         "components": [{"family": "lognormal", "mu": 0.0, "sigma": 1.0,
+                         "count": 2}]},
+        {"components": [{"family": "lognormal", "mu": 0.0, "sigma": 30.0,
+                         "count": 2}]},
+    ], ids=["lognormal-1-at-m200dB", "lognormal-sigma-30"])
+    def test_numerical_failure_is_exit_2(self, tmp_path, capsys, change):
+        assert run(tmp_path, "solve", dict(WB_PAIR, **change))[0] == 2
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+
+    def test_config_directory_is_config_error(self, tmp_path, capsys):
+        assert main(["solve", "--config", str(tmp_path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_output_file_is_config_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        raw = dict(WB_PAIR, samples_is=100, samples_naive=100)
+        code = main(["ccdf", "--config", write_config(tmp_path, raw),
+                     "--output", str(taken)])
+        assert code == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
     @pytest.mark.parametrize("workers", [0, -3])

@@ -5,10 +5,8 @@ import pytest
 from scipy import special
 
 from hrtwist import (
-    DomainError,
     Lognormal,
     ParameterError,
-    UnsupportedFamilyError,
     Weibull,
     db_to_linear,
     distribution_from_dict,
@@ -100,21 +98,23 @@ class TestNormalTailOps:
 
 class TestPdf:
     def test_weibull_exponential_case(self):
-        assert Weibull(1.0, 1.0).pdf(1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
+        assert np.exp(Weibull(1.0, 1.0).log_pdf(1.0)) == pytest.approx(
+            math.exp(-1.0), rel=1e-12)
 
     def test_lognormal_median(self, lognormal_std):
-        assert lognormal_std.pdf(1.0) == pytest.approx(
+        assert np.exp(lognormal_std.log_pdf(1.0)) == pytest.approx(
             1.0 / math.sqrt(2.0 * math.pi), rel=1e-12)
 
     def test_weibull_half_at_four(self, weibull_half):
-        assert weibull_half.pdf(4.0) == pytest.approx(0.25 * math.exp(-2.0), rel=1e-12)
+        assert np.exp(weibull_half.log_pdf(4.0)) == pytest.approx(
+            0.25 * math.exp(-2.0), rel=1e-12)
 
     def test_domain(self, weibull_half, lognormal_std):
         for dist in (weibull_half, lognormal_std):
-            with pytest.raises(DomainError):
-                dist.pdf(0.0)
-            with pytest.raises(DomainError):
-                dist.pdf(-1.0)
+            with pytest.raises(ParameterError):
+                dist.log_pdf(0.0)
+            with pytest.raises(ParameterError):
+                dist.log_pdf(-1.0)
 
 
 class TestSurvival:
@@ -174,7 +174,7 @@ class TestHazardFunction:
     def test_zero(self, weibull_half, lognormal_std):
         assert weibull_half.hazard_function(0.0) == 0.0
         assert lognormal_std.hazard_function(0.0) == 0.0
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             weibull_half.hazard_function(-1.0)
 
     def test_strictly_increasing(self, lognormal_6db, weibull_half):
@@ -184,27 +184,27 @@ class TestHazardFunction:
             assert np.all(np.diff(lam) > 0.0)
 
 
+def quantile(dist, u):
+    return dist.quantile_from_log_sf(np.log1p(-u))
+
+
 class TestQuantile:
     def test_weibull_inverse_of_survival(self, weibull_half):
-        assert weibull_half.quantile(1.0 - math.exp(-1.0)) == pytest.approx(
+        assert quantile(weibull_half, 1.0 - math.exp(-1.0)) == pytest.approx(
             1.0, rel=1e-12)
 
     def test_lognormal_median(self, lognormal_std):
-        assert lognormal_std.quantile(0.5) == pytest.approx(1.0, rel=1e-12)
+        assert quantile(lognormal_std, 0.5) == pytest.approx(1.0, rel=1e-12)
 
     def test_lognormal_upper_quantile(self, lognormal_6db):
         expect = math.exp(LN6_SIGMA * 1.959963984540054)
-        assert lognormal_6db.quantile(0.975) == pytest.approx(expect, rel=1e-9)
+        assert quantile(lognormal_6db, 0.975) == pytest.approx(expect, rel=1e-9)
 
     @pytest.mark.parametrize("u", [1e-12, 1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
     def test_round_trip(self, u, weibull_half, lognormal_6db):
         for dist in (weibull_half, lognormal_6db):
-            assert abs(float(dist.cdf(dist.quantile(u))) - u) <= 1e-9
-
-    def test_domain(self, weibull_half):
-        for u in (0.0, 1.0, -0.5, 2.0):
-            with pytest.raises(DomainError):
-                weibull_half.quantile(u)
+            cdf = -np.expm1(dist.log_survival(quantile(dist, u)))
+            assert abs(float(cdf) - u) <= 1e-9
 
 
 class TestIdentities:
@@ -214,7 +214,7 @@ class TestIdentities:
         for _ in range(1000):
             dist = random_component(rng)
             x = float(rng.uniform(0.05, 20.0))
-            pdf = float(dist.pdf(x))
+            pdf = math.exp(float(dist.log_pdf(x)))
             recon = float(dist.hazard_rate(x)) * math.exp(
                 -float(dist.hazard_function(x)))
             assert abs(pdf - recon) <= 1e-10 * pdf
@@ -227,7 +227,7 @@ class TestIdentities:
             sf = float(dist.survival(x))
             if sf <= 1e-15:
                 continue
-            indep = -math.log1p(-float(dist.cdf(x)))
+            indep = -math.log1p(float(np.expm1(dist.log_survival(x))))
             # the independent path forms 1 - F, whose rounding costs eps/sf
             tol = max(1e-12, 4.0 * np.finfo(float).eps / sf)
             assert abs(float(dist.hazard_function(x)) - indep) <= tol
@@ -239,9 +239,9 @@ class TestConcavityOnset:
         assert Weibull(0.9, 1.0).concavity_onset() == 0.0
 
     def test_weibull_light_tail_rejected(self):
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(ParameterError):
             Weibull(1.0, 1.0).concavity_onset()
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(ParameterError):
             Weibull(1.5, 1.0).concavity_onset()
 
     def test_lognormal_regression_values(self, lognormal_std, lognormal_6db):
@@ -253,6 +253,13 @@ class TestConcavityOnset:
             LN1_ONSET_EXACT, rel=1e-10)
         assert lognormal_6db.concavity_onset() == pytest.approx(
             LN6_ONSET_EXACT, rel=1e-10)
+
+    def test_sigma_too_small_to_place_the_peak(self):
+        # at sigma 1e-4 the bracket's upper slope rounds to the sign of its
+        # lower one; 1e-3 is still placed
+        with pytest.raises(ParameterError, match="sigma 0.0001"):
+            Lognormal(0.0, 1e-4).concavity_onset()
+        assert 0.0 < Lognormal(0.0, 1e-3).concavity_onset() < math.inf
 
     def test_scaling_with_mu(self):
         base = Lognormal(0.0, 1.0).concavity_onset()
@@ -280,6 +287,14 @@ class TestSerialization:
         # both forms: dB wins, the natural form must agree with it
         both = dict(spec, mu=0.0, sigma=lognormal_6db.sigma)
         assert distribution_from_dict(both) == lognormal_6db
+
+    @pytest.mark.parametrize("spec, key", [
+        ({"family": "weibull", "shape": 0.5, "scale": 1.0, "cont": 2}, "cont"),
+        ({"family": "lognormal", "mu": 0.0, "sigma": 1.0, "shape": 0.5}, "shape"),
+    ])
+    def test_unknown_field(self, spec, key):
+        with pytest.raises(ParameterError, match=key):
+            distribution_from_dict(spec)
 
     def test_unknown_family(self):
         with pytest.raises(ParameterError):

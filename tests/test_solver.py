@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from hrtwist import (
-    DomainError,
     Lognormal,
     ParameterError,
     SumProblem,
-    UnsupportedFamilyError,
     Weibull,
     second_moment_bound,
     solve_pprime,
@@ -38,6 +36,14 @@ class TestSumProblem:
         with pytest.raises(ParameterError):
             SumProblem((Weibull(0.5, 1.0),), math.inf)
 
+    def test_gamma_must_be_normal(self):
+        # a subnormal gamma / N rounds to 0 in the sampling core's cut
+        tiny = np.finfo(float).tiny
+        assert SumProblem((Weibull(0.5, 1.0),) * 3, tiny).gamma == tiny
+        for gamma in (5e-324, tiny / 2.0):
+            with pytest.raises(ParameterError):
+                SumProblem((Weibull(0.5, 1.0),) * 3, gamma)
+
 
 class TestThetaStar:
     def test_direct(self):
@@ -52,7 +58,7 @@ class TestThetaStar:
             LN_PAIR_THETA_20DB, rel=1e-12)
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             theta_star(-1.0, 2)
 
 
@@ -76,7 +82,7 @@ class TestSecondMomentBound:
                     <= second_moment_bound(ts + dt, a, n))
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ParameterError):
             second_moment_bound(1.0, 5.0, 1)
 
 
@@ -182,8 +188,15 @@ class TestSolvePPrime:
             assert np.all(sol.x_star >= 0.0)
 
     def test_light_tailed_weibull_rejected(self):
-        with pytest.raises(UnsupportedFamilyError):
+        with pytest.raises(ParameterError):
             solve_pprime(SumProblem((Weibull(1.2, 1.0), Weibull(0.5, 1.0)), 10.0))
+
+    @pytest.mark.parametrize("sigma, gamma_db",
+                             [(1.0, -170.0), (1.3815510557964275, -240.0)])
+    def test_underflowing_hazard_rates_rejected(self, sigma, gamma_db):
+        comps = (Lognormal(0.0, sigma),) * 2
+        with pytest.raises(ParameterError, match="underflow"):
+            solve_pprime(SumProblem.from_db(comps, gamma_db))
 
     def test_small_gamma_clamps(self):
         sol = solve_pprime(SumProblem(

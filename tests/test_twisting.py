@@ -7,9 +7,16 @@ from scipy import stats
 from scipy.integrate import IntegrationWarning, quad
 
 from hrtwist import ParameterError, RandomStream, TwistedDistribution, Weibull
-from hrtwist.distributions import DomainError
 
 from conftest import random_component
+
+
+def cdf(dist, x):
+    return -np.expm1(dist.log_survival(x))
+
+
+def quantile(dist, u):
+    return dist.quantile_from_log_sf(np.log1p(-u))
 
 
 class TestTwistedPdf:
@@ -17,13 +24,15 @@ class TestTwistedPdf:
         xs = np.geomspace(0.01, 100.0, 40)
         for base in (weibull_half, lognormal_6db):
             tw = TwistedDistribution(base, 0.0)
-            assert np.allclose(tw.pdf(xs), base.pdf(xs), rtol=1e-14)
+            assert np.allclose(np.exp(tw.log_pdf(xs)), np.exp(base.log_pdf(xs)),
+                               rtol=1e-14)
 
     def test_weibull_twist_is_rescaled_weibull(self, weibull_half):
         # theta = 0.75 at shape 0.5 inflates the scale to 1/(0.25)^2 = 16
         tw = TwistedDistribution(weibull_half, 0.75)
         equivalent = Weibull(0.5, 16.0)
-        assert tw.pdf(4.0) == pytest.approx(float(equivalent.pdf(4.0)), rel=1e-12)
+        assert np.exp(tw.log_pdf(4.0)) == pytest.approx(
+            math.exp(equivalent.log_pdf(4.0)), rel=1e-12)
 
     def test_normalization_random_triples(self):
         rng = np.random.default_rng(314159)
@@ -35,36 +44,29 @@ class TestTwistedPdf:
                 total = 0.0
                 edges = [0.0] + list(np.geomspace(1e-12, 1e12, 25)) + [np.inf]
                 for a, b in zip(edges[:-1], edges[1:]):
-                    v, _ = quad(lambda x: float(tw.pdf(x)), a, b, limit=400)
+                    v, _ = quad(lambda x: math.exp(tw.log_pdf(x)), a, b, limit=400)
                     total += v
                 assert total == pytest.approx(1.0, abs=1e-6)
 
     def test_domain(self, weibull_half):
-        with pytest.raises(DomainError):
-            TwistedDistribution(weibull_half, 0.5).pdf(-1.0)
+        with pytest.raises(ParameterError):
+            TwistedDistribution(weibull_half, 0.5).log_pdf(-1.0)
 
 
 class TestTwistedCdf:
     def test_zero_twist(self, lognormal_std):
         xs = np.geomspace(0.1, 10.0, 20)
-        assert np.allclose(TwistedDistribution(lognormal_std, 0.0).cdf(xs),
-                           lognormal_std.cdf(xs), rtol=1e-12)
+        assert np.allclose(cdf(TwistedDistribution(lognormal_std, 0.0), xs),
+                           cdf(lognormal_std, xs), rtol=1e-12)
 
     def test_weibull_value(self, weibull_half):
         # survival^(1-theta) at theta=0.5, x=4: e^-2 -> e^-1
-        assert TwistedDistribution(weibull_half, 0.5).cdf(4.0) == pytest.approx(
+        assert cdf(TwistedDistribution(weibull_half, 0.5), 4.0) == pytest.approx(
             1.0 - math.exp(-1.0), rel=1e-12)
 
     def test_lognormal_median(self, lognormal_std):
-        assert TwistedDistribution(lognormal_std, 0.5).cdf(1.0) == pytest.approx(
+        assert cdf(TwistedDistribution(lognormal_std, 0.5), 1.0) == pytest.approx(
             1.0 - math.sqrt(0.5), rel=1e-12)
-
-    def test_zero_like_every_law(self, weibull_half, lognormal_std):
-        for base in (weibull_half, lognormal_std):
-            tw = TwistedDistribution(base, 0.5)
-            assert float(tw.cdf(0.0)) == float(base.cdf(0.0)) == 0.0
-            with pytest.raises(DomainError):
-                tw.cdf(-1.0)
 
     def test_hazard_is_rescaled(self, lognormal_6db):
         # twisting multiplies the hazard rate and its integral by 1 - theta
@@ -85,7 +87,7 @@ class TestTwistedCdf:
             tw_sf = tw.survival(xs)
             assert np.all(tw_sf >= base_sf)
             # strict only where the base survival has not underflowed
-            strict = (base.cdf(xs) > 1e-12) & (base_sf > 1e-290)
+            strict = (cdf(base, xs) > 1e-12) & (base_sf > 1e-290)
             assert np.all(tw_sf[strict] > base_sf[strict])
 
 
@@ -93,7 +95,7 @@ class TestTwistedQuantile:
     def test_zero_twist_exact(self, weibull_half):
         for y in (1e-9, 0.3, 0.999999):
             assert TwistedDistribution(weibull_half, 0.0).quantile(y) == pytest.approx(
-                float(weibull_half.quantile(y)), rel=1e-14)
+                float(quantile(weibull_half, y)), rel=1e-14)
 
     def test_weibull_closed_form(self, weibull_half):
         y = 1.0 - math.exp(-1.0)
@@ -104,7 +106,7 @@ class TestTwistedQuantile:
         for base in (weibull_half, lognormal_6db):
             for theta in (0.0, 0.3, 0.8, 0.99):
                 tw = TwistedDistribution(base, theta)
-                assert float(tw.cdf(tw.quantile(y))) == pytest.approx(y, abs=1e-9)
+                assert float(cdf(tw, tw.quantile(y))) == pytest.approx(y, abs=1e-9)
 
     def test_extreme_y_no_overflow(self, lognormal_6db):
         # exponent 1/(1-theta) above 10^3: stays finite via the log-space path
@@ -115,7 +117,7 @@ class TestTwistedQuantile:
     def test_domain(self, weibull_half):
         tw = TwistedDistribution(weibull_half, 0.5)
         for y in (0.0, 1.0, -1.0):
-            with pytest.raises(DomainError):
+            with pytest.raises(ParameterError):
                 tw.quantile(y)
 
 
@@ -123,7 +125,7 @@ class TestWeibullShortcut:
     def test_identity_at_zero(self, weibull_half):
         ys = np.linspace(1e-6, 1.0 - 1e-6, 1000)
         assert np.array_equal(TwistedDistribution(weibull_half, 0.0).quantile(ys),
-                              weibull_half.quantile(ys))
+                              quantile(weibull_half, ys))
 
     @pytest.mark.parametrize("theta,scale", [(0.75, 16.0), (0.8, 25.0)])
     def test_scale_inflation(self, weibull_half, theta, scale):
@@ -142,7 +144,7 @@ class TestWeibullShortcut:
         shortcut = Weibull(0.5, 1.0 / (1.0 - theta) ** 2.0)
         ys = np.linspace(1e-6, 1.0 - 1e-6, 1000)
         a = tw.quantile(ys)
-        b = shortcut.quantile(ys)
+        b = quantile(shortcut, ys)
         assert np.max(np.abs(a - b) / b) <= 1e-12
 
 
