@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from hrtwist import Lognormal, SumProblem, Weibull
@@ -71,3 +72,13 @@ def random_component(rng):
     if rng.random() < 0.5:
         return Weibull(rng.uniform(0.3, 0.95), rng.uniform(0.5, 3.0))
     return Lognormal(rng.uniform(-1.0, 1.0), rng.uniform(0.5, 2.0))
+
+
+def cdf(dist, x):
+    """1 - survival, from the log survival."""
+    return -np.expm1(dist.log_survival(x))
+
+
+def quantile(dist, u):
+    """Inverse cdf through the log-survival inverse."""
+    return dist.quantile_from_log_sf(np.log1p(-u))

@@ -8,15 +8,7 @@ from scipy.integrate import IntegrationWarning, quad
 
 from hrtwist import ParameterError, RandomStream, TwistedDistribution, Weibull
 
-from conftest import random_component
-
-
-def cdf(dist, x):
-    return -np.expm1(dist.log_survival(x))
-
-
-def quantile(dist, u):
-    return dist.quantile_from_log_sf(np.log1p(-u))
+from conftest import cdf, quantile, random_component
 
 
 class TestTwistedPdf:
