@@ -7,7 +7,6 @@ from .distributions import (
     Lognormal,
     Weibull,
     db_to_linear,
-    distribution_from_dict,
     linear_to_db,
 )
 from .errors import OracleConvergenceError, ParameterError

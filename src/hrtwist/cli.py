@@ -13,11 +13,11 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .distributions import distribution_from_dict, linear_to_db
+from .distributions import Lognormal, Weibull, linear_to_db
 from .errors import OracleConvergenceError, ParameterError
 from .estimators import (
     efficiency_indicator,
@@ -31,8 +31,8 @@ from .oracles import exact_tail_single, tail_convolution_2
 from .solver import SumProblem, solve_pprime
 
 
-class ConfigError(ValueError):
-    pass
+class ConfigError(Exception):
+    """A command line or config that hrtwist does not accept: exit 1."""
 
 
 def _number(value, name: str) -> float:
@@ -58,20 +58,45 @@ def _whole(value, name: str) -> int:
 
 _CONFIG_KEYS = {"components", "thresholds_db", "thresholds_linear", "samples_is",
                 "samples_naive", "seed", "theta_override", "theta_grid",
-                "confidence_constant", "output_dir"}
+                "confidence_constant"}
+
+# each family's spellings: the exact field names, and the constructor they feed
+_FAMILIES = {
+    "weibull": {("shape", "scale"): Weibull},
+    "lognormal": {("mu", "sigma"): Lognormal,
+                  ("mu_db", "sigma_db"): Lognormal.from_db},
+}
 
 
-@dataclass
+def _component(spec: dict) -> list:
+    """The `count` copies of the law one component object describes."""
+    family = spec.get("family")
+    if family not in _FAMILIES:
+        raise ConfigError(f"unknown distribution family: {family!r}")
+    spellings = _FAMILIES[family]
+    fields = set(spec) - {"family", "count"}
+    names = next((names for names in spellings if set(names) == fields), None)
+    if names is None:
+        raise ConfigError(f"a {family} component takes exactly "
+                          f"{' or '.join(map(str, spellings))}, got {spec}")
+    count = _whole(spec.get("count", 1), "component count")
+    if count < 1:
+        raise ConfigError(f"component count must be >= 1: {spec}")
+    law = spellings[names](*(_number(spec[n], f"{family} {n}") for n in names))
+    law.concavity_onset()  # shape >= 1 or tiny sigma raises
+    return [law] * count
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
-    problems: list  # (gamma_db, SumProblem) per threshold
+    problems: tuple  # (gamma_db, SumProblem) per threshold
     samples_is: int
     samples_naive: int
     seed: int
-    theta_override: float | None = None
-    theta_grid: list = field(default_factory=list)
-    confidence_constant: float = 1.96
-    output_dir: str = "out"
-    config_hash: str = ""
+    theta_override: float | None
+    theta_grid: tuple
+    confidence_constant: float
+    config_hash: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -79,20 +104,11 @@ class ExperimentConfig:
             unknown = sorted(set(raw) - _CONFIG_KEYS)
             if unknown:
                 raise ConfigError(f"unknown config key(s) {unknown}")
-            comp_specs = raw["components"]
-            if not (isinstance(comp_specs, list)
-                    and all(isinstance(spec, dict) for spec in comp_specs)):
-                raise ConfigError("components must be a list of objects")
-            if not comp_specs:
-                raise ConfigError("components list is empty")
-            components = []
-            for spec in comp_specs:
-                count = _whole(spec.get("count", 1), "component count")
-                if count < 1:
-                    raise ConfigError(f"component count must be >= 1: {spec}")
-                d = {k: v for k, v in spec.items() if k != "count"}
-                components.extend([distribution_from_dict(d)] * count)
-                components[-1].concavity_onset()  # shape >= 1 or tiny sigma raises
+            specs = raw["components"]
+            if not (specs and isinstance(specs, list)
+                    and all(isinstance(spec, dict) for spec in specs)):
+                raise ConfigError("components must be a non-empty list of objects")
+            components = [law for spec in specs for law in _component(spec)]
             has_db = "thresholds_db" in raw
             if has_db == ("thresholds_linear" in raw):
                 raise ConfigError(
@@ -118,25 +134,19 @@ class ExperimentConfig:
                 raw.get("confidence_constant", 1.96), "confidence_constant")
             if not 0.0 < confidence_constant < math.inf:
                 raise ConfigError("confidence constant must be positive and finite")
-            cfg = cls(
-                problems=problems,
-                samples_is=_whole(raw["samples_is"], "samples_is"),
-                samples_naive=_whole(raw["samples_naive"], "samples_naive"),
-                seed=_whole(raw["seed"], "seed"),
-                theta_override=theta_override,
-                theta_grid=theta_grid,
-                confidence_constant=confidence_constant,
-                output_dir=str(raw.get("output_dir", "out")),
-            )
-        except ConfigError:
-            raise
+            samples_is = _whole(raw["samples_is"], "samples_is")
+            samples_naive = _whole(raw["samples_naive"], "samples_naive")
+            if samples_is < 1 or samples_naive < 1:
+                raise ConfigError("sample counts must be positive")
+            seed = _whole(raw["seed"], "seed")
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigError(f"invalid config: {exc}") from exc
-        if cfg.samples_is < 1 or cfg.samples_naive < 1:
-            raise ConfigError("sample counts must be positive")
         canonical = json.dumps(raw, sort_keys=True, separators=(",", ":"))
-        cfg.config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
-        return cfg
+        config_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+        return cls(problems=tuple(problems), samples_is=samples_is,
+                   samples_naive=samples_naive, seed=seed,
+                   theta_override=theta_override, theta_grid=tuple(theta_grid),
+                   confidence_constant=confidence_constant, config_hash=config_hash)
 
 
 def _fmt(x) -> str:
@@ -167,7 +177,7 @@ def _derived_seed(seed: int, index: int) -> int:
     return (seed + 1000003 * index) & 0xFFFFFFFFFFFFFFFF
 
 
-def _runs(cfg: ExperimentConfig, args, naive: bool = True):
+def _runs(cfg: ExperimentConfig, workers: int, naive: bool = True):
     """The estimation pass behind every sampling table, one threshold at a time.
 
     Threshold idx is solved, then sampled by IS at theta_override (theta*
@@ -179,14 +189,14 @@ def _runs(cfg: ExperimentConfig, args, naive: bool = True):
         theta_star = solve_pprime(problem).theta_star
         theta = theta_star if cfg.theta_override is None else cfg.theta_override
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=args.workers)
+                           stream_id=2 * idx, workers=workers)
         r_mc = (naive_mc(problem, cfg.samples_naive, cfg.seed,
-                         stream_id=2 * idx + 1, workers=args.workers)
+                         stream_id=2 * idx + 1, workers=workers)
                 if naive else None)
         yield gamma_db, problem, r_is, r_mc
 
 
-def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     reports = []
     for gamma_db, problem in cfg.problems:
         sol = solve_pprime(problem)
@@ -203,28 +213,28 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     rows = [(gamma_db, r_mc.alpha_hat, r_is.alpha_hat, r_mc.std_error, r_is.std_error)
-            for gamma_db, _, r_is, r_mc in _runs(cfg, args)]
+            for gamma_db, _, r_is, r_mc in _runs(cfg, workers)]
     _write_csv(out_dir / "ccdf.csv", cfg,
                ["gamma_db", "alpha_naive", "alpha_is", "se_naive", "se_is"],
                rows)
     return 0
 
 
-def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     rows = [(gamma_db, r_is.alpha_hat, r_is.hit_frequency, r_mc.hit_frequency)
-            for gamma_db, _, r_is, r_mc in _runs(cfg, args)]
+            for gamma_db, _, r_is, r_mc in _runs(cfg, workers)]
     _write_csv(out_dir / "freq_table.csv", cfg,
                ["gamma_db", "alpha_is", "freq_is", "freq_naive"], rows)
     return 0
 
 
-def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if cfg.samples_is < 2:
         raise ConfigError("efficiency needs samples_is >= 2 for the IS relative error")
     rows = []
-    for gamma_db, _, r_is, _ in _runs(cfg, args, naive=False):
+    for gamma_db, _, r_is, _ in _runs(cfg, workers, naive=False):
         alpha = r_is.alpha_hat
         if not 0.0 < alpha < 1.0:
             # the relative errors are undefined outside (0, 1)
@@ -244,7 +254,7 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     return 0
 
 
-def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
     names = {}
@@ -259,7 +269,7 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, args) -> int:
     for idx, ((gamma_db, problem), name) in enumerate(zip(cfg.problems, names)):
         rows, solution = theta_sensitivity_sweep(
             problem, cfg.theta_grid, cfg.samples_is,
-            _derived_seed(cfg.seed, idx), workers=args.workers)
+            _derived_seed(cfg.seed, idx), workers=workers)
         _write_csv(
             out_dir / name, cfg,
             ["theta", "second_moment_empirical", "second_moment_bound",
@@ -277,11 +287,11 @@ def _binomial_se(result, reference: float) -> float:
         reference * (1 - reference) / result.sample_count))
 
 
-def cmd_validate(cfg: ExperimentConfig, out_dir: Path, args) -> int:
+def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if cfg.problems[0][1].n > 2:
         raise ConfigError("validate supports configs with N <= 2 components")
     failures = 0
-    for gamma_db, problem, r_is, r_mc in _runs(cfg, args):
+    for gamma_db, problem, r_is, r_mc in _runs(cfg, workers):
         if problem.n == 1:
             reference = exact_tail_single(problem.components[0], problem.gamma)
         else:
@@ -313,17 +323,20 @@ COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a config error, exit 1
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="hrtwist",
         description="Tail probabilities of heavy-tailed sums via "
                     "hazard-rate-twisting importance sampling.")
     parser.add_argument("command", choices=sorted(COMMANDS))
     parser.add_argument("--config", required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    parser.add_argument("--output", default=None,
-                        help="override the config output directory")
+    parser.add_argument("--output", default="out",
+                        help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads per estimation run "
                              "(results are identical for any count)")
@@ -331,17 +344,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.workers < 1:
             raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-        raw = json.loads(Path(args.config).read_text())
-        cfg = ExperimentConfig.from_dict(raw)
-        if args.seed is not None:
-            cfg.seed = args.seed
-        out_dir = Path(args.output if args.output else cfg.output_dir)
-        return COMMANDS[args.command](cfg, out_dir, args)
-    except (ConfigError, OSError, json.JSONDecodeError) as exc:
+        cfg = ExperimentConfig.from_dict(
+            json.loads(Path(args.config).read_text(encoding="utf-8")))
+        return COMMANDS[args.command](cfg, Path(args.output), args.workers)
+    except (ConfigError, OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
     except (OracleConvergenceError, ParameterError) as exc:

@@ -232,39 +232,3 @@ class Lognormal(Distribution):
                 break
         return np.exp(self.mu + sigma * z)
 
-
-def _known_fields(d: dict, *fields):
-    unknown = sorted(set(d) - {"family", *fields})
-    if unknown:
-        raise ParameterError(f"{d['family']} component has unknown field(s) {unknown}")
-
-
-def distribution_from_dict(d: dict) -> Distribution:
-    """Construct a component from its serialized form.
-
-    A lognormal takes `mu` and `sigma`, or both `mu_db` and `sigma_db`
-    with any natural value given beside them agreeing with them."""
-    family = d.get("family")
-    if family == "weibull":
-        _known_fields(d, "shape", "scale")
-        try:
-            return Weibull(d["shape"], d["scale"])
-        except KeyError as exc:
-            raise ParameterError(f"weibull component missing field {exc}") from exc
-    if family == "lognormal":
-        _known_fields(d, "mu", "sigma", "mu_db", "sigma_db")
-        try:
-            if "mu_db" not in d and "sigma_db" not in d:
-                return Lognormal(d["mu"], d["sigma"])
-            ln = Lognormal.from_db(d["mu_db"], d["sigma_db"])
-        except KeyError as exc:
-            raise ParameterError(f"lognormal component missing field {exc}") from exc
-        natural = Lognormal(d.get("mu", ln.mu), d.get("sigma", ln.sigma))
-        if abs(natural.mu - ln.mu) > 1e-12 * max(1.0, abs(ln.mu)):
-            raise ParameterError(
-                f"mu={natural.mu} inconsistent with mu_db={d['mu_db']}")
-        if abs(natural.sigma - ln.sigma) > 1e-12 * ln.sigma:
-            raise ParameterError(
-                f"sigma={natural.sigma} inconsistent with sigma_db={d['sigma_db']}")
-        return ln
-    raise ParameterError(f"unknown distribution family: {family!r}")

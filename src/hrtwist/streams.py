@@ -48,7 +48,9 @@ class RandomStream:
         offset, count = int(offset), int(count)
         if offset < 0 or count < 0:
             raise ValueError("offset and count must be nonnegative")
-        bits = np.random.Philox(key=[self.seed, self.stream_id])
+        # as a list, a seed of 2^63 or more would pass through float64
+        bits = np.random.Philox(
+            key=np.array([self.seed, self.stream_id], dtype=np.uint64))
         # Philox advances in blocks of 4 output words; burn the remainder
         blocks, rem = divmod(offset, 4)
         if blocks:

@@ -57,8 +57,7 @@ CONFIGS = {
         "components": [
             {"family": "weibull", "shape": 0.5, "scale": 1.0},
             {"family": "lognormal", "mu": 0.0, "sigma": 1.0},
-            {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0,
-             "mu": 0.0, "sigma": 1.3815510557964275}],
+            {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}],
         "thresholds_linear": [10.0, 100.0, 1000.0],
         "confidence_constant": 2.5,
         "seed": 14, **_SAMPLES},

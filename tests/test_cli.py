@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -94,6 +95,22 @@ class TestConfigParsing:
         assert all(type(v) is int for v in (cfg.samples_is, cfg.seed))
         assert cfg.problems[0][1].n == 3
 
+    def test_mixed_lognormal_spelling_names_both(self):
+        spec = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0,
+                "mu": 0.0, "sigma": 1.3815510557964275}
+        with pytest.raises(ConfigError) as info:
+            ExperimentConfig.from_dict(dict(LN_PAIR, components=[spec]))
+        message = str(info.value)
+        assert all(part in message for part in
+                   ("('mu', 'sigma')", "('mu_db', 'sigma_db')", repr(spec)))
+
+    def test_readme_example_parses(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        example, = re.findall(r"```json\n(.*?)```", readme, re.S)
+        cfg = ExperimentConfig.from_dict(json.loads(example))
+        assert [gamma_db for gamma_db, _ in cfg.problems] == [15, 20, 25, 30]
+        assert cfg.theta_grid == (0.5, 0.6, 0.7, 0.8, 0.9)
+
 
 class TestExitCodes:
     def test_missing_config_file(self, tmp_path, capsys):
@@ -130,6 +147,12 @@ class TestExitCodes:
                                   "sigma_db": 6.0, "count": 2}]}),
         ("ccdf", {"components": [{"family": "lognormal", "mu": 5.0,
                                   "sigma": 1.0, "mu_db": 0.0, "count": 2}]}),
+        ("ccdf", {"components": [{"family": "weibull", "shape": "0.5",
+                                  "scale": 1.0, "count": 2}]}),
+        ("ccdf", {"components": [{"family": "weibull", "shape": 0.5,
+                                  "scale": True, "count": 2}]}),
+        ("ccdf", {"components": [{"family": "weibull", "shape": 0.5,
+                                  "scale": "1e0", "count": 2}]}),
         ("solve", {"components": ["weibull"]}),
         ("solve", {"components": [5]}),
         ("solve", {"components": {"family": "weibull", "shape": 0.5,
@@ -168,6 +191,7 @@ class TestExitCodes:
             "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
             "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
             "lognormal-mu-inf", "lognormal-mu-db-nan", "lognormal-lone-mu-db",
+            "weibull-shape-string", "weibull-scale-true", "weibull-scale-string",
             "component-string", "component-number", "components-object",
             "count-2.7", "count-true", "samples-is-10.9", "samples-naive-true",
             "seed-1.5", "thresholds-string", "thresholds-object",
@@ -209,6 +233,31 @@ class TestExitCodes:
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--config", "CFG", "--workers", "abc"],
+        ["sovle", "--config", "CFG"],
+        ["solve", "--config", "CFG", "--seed", "5"],
+        ["solve", "--config", "CFG", "--output"],
+        ["solve"],
+    ], ids=["workers-abc", "unknown-command", "seed-flag", "output-no-value",
+            "no-config"])
+    def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
+        config = write_config(tmp_path, WB_PAIR)
+        assert main([config if arg == "CFG" else arg for arg in argv]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert "--workers" in capsys.readouterr().out
+
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        assert main(["solve", "--config", str(path)]) == 1
+        assert capsys.readouterr().err.startswith("config error: ")
+
     @pytest.mark.parametrize("workers", [0, -3])
     def test_workers_below_one_is_config_error(self, tmp_path, capsys, workers):
         code, _ = run(tmp_path, "ccdf", WB_PAIR, "--workers", str(workers))
@@ -241,16 +290,17 @@ class TestDeterminism:
             outs.append((out / "ccdf.csv").read_bytes())
         assert outs[0] == outs[1] == outs[2]
 
-    def test_seed_override_changes_output(self, tmp_path):
-        cfg = write_config(tmp_path, LN_PAIR)
-        out1, out2 = tmp_path / "s1", tmp_path / "s2"
-        main(["ccdf", "--config", cfg, "--output", str(out1)])
-        main(["ccdf", "--config", cfg, "--output", str(out2),
-              "--seed", "999"])
-        a = (out1 / "ccdf.csv").read_text()
-        b = (out2 / "ccdf.csv").read_text()
-        assert a != b
-        assert "# seed=777" in a and "# seed=999" in b
+    @pytest.mark.parametrize("seeds", [(777, 999), (-1, -5)],
+                             ids=["positive", "negative"])
+    def test_config_seed_changes_output(self, tmp_path, seeds):
+        outs = []
+        for seed in seeds:
+            (tmp_path / str(seed)).mkdir()
+            code, out = run(tmp_path / str(seed), "ccdf", dict(LN_PAIR, seed=seed))
+            assert code == 0
+            assert f"# seed={seed}\n" in (out / "ccdf.csv").read_text()
+            outs.append(data_rows(out / "ccdf.csv"))
+        assert outs[0] != outs[1]
 
     def test_header_metadata(self, tmp_path):
         code, out = run(tmp_path, "ccdf", LN_PAIR)
@@ -435,15 +485,20 @@ class TestNaiveCount:
         assert capsys.readouterr().err == ""
 
 
+# every case exits 0 but these: the 52 dB wb2 tail underflows (exit 2),
+# and validate refuses N = 3 (exit 1)
+CASE_EXIT_CODES = {"validate-wb2": 2, "validate-ln3": 1, "validate-mixed": 1}
+
+
 class TestWorkers:
-    @pytest.mark.parametrize("command, raw", [case[1:] for case in CASES],
+    @pytest.mark.parametrize("case_id, command, raw", CASES,
                              ids=[case[0] for case in CASES])
-    def test_outputs_identical_for_any_worker_count(self, tmp_path, command,
-                                                   raw):
+    def test_outputs_identical_for_any_worker_count(self, tmp_path, case_id,
+                                                   command, raw):
         runs = []
         for workers in (1, 2):
             (tmp_path / str(workers)).mkdir()
             runs.append(run_case(main, command, raw, workers,
                                  tmp_path / str(workers)))
-        assert runs[0][0] in (0, 1, 2)
+        assert runs[0][0] == CASE_EXIT_CODES.get(case_id, 0)
         assert runs[0] == runs[1]

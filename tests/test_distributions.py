@@ -4,13 +4,8 @@ import numpy as np
 import pytest
 from scipy import special
 
-from hrtwist import (
-    Lognormal,
-    ParameterError,
-    Weibull,
-    db_to_linear,
-    distribution_from_dict,
-)
+from hrtwist import Lognormal, ParameterError, Weibull, db_to_linear
+from hrtwist.cli import ConfigError, ExperimentConfig
 from hrtwist.distributions import DB_SCALE
 
 from conftest import (
@@ -25,6 +20,13 @@ from conftest import (
     quantile,
     random_component,
 )
+
+
+def component(spec):
+    """The law a config's component object describes."""
+    raw = {"components": [spec], "thresholds_db": [20.0], "samples_is": 1,
+           "samples_naive": 1, "seed": 1}
+    return ExperimentConfig.from_dict(raw).problems[0][1].components[0]
 
 
 class TestParams:
@@ -48,24 +50,13 @@ class TestParams:
         assert p.mu == 0.0
         assert p.sigma == pytest.approx(DB_SCALE * 6.0, rel=1e-15)
 
-    def test_db_consistency_enforced(self):
-        db = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}
-        for natural in ({"mu": 0.5}, {"sigma": 1.0}, {"mu": 0.5, "sigma": 1.0},
-                        {"mu": math.nan}):
-            with pytest.raises(ParameterError):
-                distribution_from_dict(dict(db, **natural))
-        # within the tolerance the dB pair is taken as given
-        sigma = DB_SCALE * 6.0
-        close = dict(db, mu=1e-13, sigma=sigma * (1 + 5e-13))
-        assert distribution_from_dict(close) == Lognormal.from_db(0.0, 6.0)
-
     def test_lone_db_key_rejected(self):
-        # either dB key asks for both, even beside a full natural pair
+        # a lone dB key is a spelling of its own, even beside a natural pair
         natural = {"family": "lognormal", "mu": 5.0, "sigma": 1.0}
         for lone in ({"mu_db": 0.0}, {"sigma_db": 6.0}):
             key = next(iter({"mu_db", "sigma_db"} - set(lone)))
-            with pytest.raises(ParameterError, match=key):
-                distribution_from_dict(dict(natural, **lone))
+            with pytest.raises(ConfigError, match=key):
+                component(dict(natural, **lone))
 
     def test_value_types(self):
         # frozen values: equal parameters give equal, hashable components
@@ -276,23 +267,24 @@ class TestConcavityOnset:
 class TestSerialization:
     def test_round_trip_weibull(self, weibull_half):
         spec = {"family": "weibull", "shape": 0.5, "scale": 1.0}
-        assert distribution_from_dict(spec) == weibull_half
+        assert component(spec) == weibull_half
 
     def test_round_trip_lognormal_db(self, lognormal_6db):
         spec = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}
-        assert distribution_from_dict(spec) == lognormal_6db
-        # both forms: dB wins, the natural form must agree with it
+        assert component(spec) == lognormal_6db
+        # one spelling per component: the natural pair beside it is an error
         both = dict(spec, mu=0.0, sigma=lognormal_6db.sigma)
-        assert distribution_from_dict(both) == lognormal_6db
+        with pytest.raises(ConfigError, match="mu_db"):
+            component(both)
 
     @pytest.mark.parametrize("spec, key", [
         ({"family": "weibull", "shape": 0.5, "scale": 1.0, "cont": 2}, "cont"),
         ({"family": "lognormal", "mu": 0.0, "sigma": 1.0, "shape": 0.5}, "shape"),
     ])
     def test_unknown_field(self, spec, key):
-        with pytest.raises(ParameterError, match=key):
-            distribution_from_dict(spec)
+        with pytest.raises(ConfigError, match=key):
+            component(spec)
 
     def test_unknown_family(self):
-        with pytest.raises(ParameterError):
-            distribution_from_dict({"family": "pareto", "alpha": 2.0})
+        with pytest.raises(ConfigError):
+            component({"family": "pareto", "alpha": 2.0})

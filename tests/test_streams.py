@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -27,6 +29,15 @@ def test_streams_are_distinct():
     c = RandomStream(2, 0).uniforms_at(0, 16)
     assert not np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_negative_seeds_are_distinct():
+    # a seed masks to 2^64 + seed, past int64: no float rounding may merge two
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        a = RandomStream(-1).words_at(0, 16)
+        b = RandomStream(-5).words_at(0, 16)
+    assert not np.array_equal(a, b)
 
 
 def test_open_interval():
