@@ -7,7 +7,6 @@ from .distributions import (
     Lognormal,
     Weibull,
     db_to_linear,
-    linear_to_db,
 )
 from .errors import OracleConvergenceError, ParameterError
 from .estimators import (
@@ -17,7 +16,6 @@ from .estimators import (
     naive_mc,
     relative_error_is,
     relative_error_naive,
-    theta_sensitivity_sweep,
 )
 from .oracles import exact_tail_single, tail_convolution_2
 from .solver import (

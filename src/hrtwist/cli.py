@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
-from .distributions import Lognormal, Weibull, linear_to_db
+from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
 from .estimators import (
     efficiency_indicator,
@@ -25,10 +25,9 @@ from .estimators import (
     naive_mc,
     relative_error_is,
     relative_error_naive,
-    theta_sensitivity_sweep,
 )
 from .oracles import exact_tail_single, tail_convolution_2
-from .solver import SumProblem, solve_pprime
+from .solver import SumProblem, second_moment_bound, solve_pprime
 
 
 class ConfigError(Exception):
@@ -56,9 +55,8 @@ def _whole(value, name: str) -> int:
     return int(value)
 
 
-_CONFIG_KEYS = {"components", "thresholds_db", "thresholds_linear", "samples_is",
-                "samples_naive", "seed", "theta_override", "theta_grid",
-                "confidence_constant"}
+_CONFIG_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
+                "seed", "theta_override", "theta_grid"}
 
 # each family's spellings: the exact field names, and the constructor they feed
 _FAMILIES = {
@@ -95,11 +93,13 @@ class ExperimentConfig:
     seed: int
     theta_override: float | None
     theta_grid: tuple
-    confidence_constant: float
     config_hash: str
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ConfigError(
+                f"config must be a JSON object, got {type(raw).__name__}")
         try:
             unknown = sorted(set(raw) - _CONFIG_KEYS)
             if unknown:
@@ -109,19 +109,10 @@ class ExperimentConfig:
                     and all(isinstance(spec, dict) for spec in specs)):
                 raise ConfigError("components must be a non-empty list of objects")
             components = [law for spec in specs for law in _component(spec)]
-            has_db = "thresholds_db" in raw
-            if has_db == ("thresholds_linear" in raw):
-                raise ConfigError(
-                    "exactly one of thresholds_db / thresholds_linear required")
-            key = "thresholds_db" if has_db else "thresholds_linear"
-            thresholds = _numbers(raw[key], key)
+            thresholds = _numbers(raw["thresholds_db"], "thresholds_db")
             if not thresholds:
                 raise ConfigError("threshold list is empty")
-            if has_db:
-                problems = [(t, SumProblem.from_db(components, t)) for t in thresholds]
-            else:
-                problems = [(float(linear_to_db(t)), SumProblem(tuple(components), t))
-                            for t in thresholds]
+            problems = [(t, SumProblem.from_db(components, t)) for t in thresholds]
             theta_override = raw.get("theta_override")
             if theta_override is not None:
                 theta_override = _number(theta_override, "theta_override")
@@ -130,10 +121,6 @@ class ExperimentConfig:
             bad = [t for t in thetas if not 0.0 <= t < 1.0]
             if bad:
                 raise ConfigError(f"theta values outside [0, 1): {bad}")
-            confidence_constant = _number(
-                raw.get("confidence_constant", 1.96), "confidence_constant")
-            if not 0.0 < confidence_constant < math.inf:
-                raise ConfigError("confidence constant must be positive and finite")
             samples_is = _whole(raw["samples_is"], "samples_is")
             samples_naive = _whole(raw["samples_naive"], "samples_naive")
             if samples_is < 1 or samples_naive < 1:
@@ -146,12 +133,10 @@ class ExperimentConfig:
         return cls(problems=tuple(problems), samples_is=samples_is,
                    samples_naive=samples_naive, seed=seed,
                    theta_override=theta_override, theta_grid=tuple(theta_grid),
-                   confidence_constant=confidence_constant, config_hash=config_hash)
+                   config_hash=config_hash)
 
 
 def _fmt(x) -> str:
-    if isinstance(x, bool):
-        return str(x).lower()
     if isinstance(x, int):
         return str(x)
     return format(float(x), ".12e")
@@ -244,9 +229,8 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             continue
         rows.append((
             gamma_db,
-            relative_error_naive(alpha, cfg.samples_naive,
-                                 cfg.confidence_constant),
-            relative_error_is(r_is, cfg.confidence_constant),
+            relative_error_naive(alpha, cfg.samples_naive),
+            relative_error_is(r_is),
             efficiency_indicator(alpha, r_is.variance_weight),
         ))
     _write_csv(out_dir / "efficiency.csv", cfg,
@@ -255,6 +239,7 @@ def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
+    """Per threshold, IS second moments against their bound over the grid."""
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
     names = {}
@@ -267,9 +252,18 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         raise ConfigError("thresholds share a sweep file: " + "; ".join(clashes))
     # with no clash, names holds one file per threshold, in threshold order
     for idx, ((gamma_db, problem), name) in enumerate(zip(cfg.problems, names)):
-        rows, solution = theta_sensitivity_sweep(
-            problem, cfg.theta_grid, cfg.samples_is,
-            _derived_seed(cfg.seed, idx), workers=workers)
+        solution = solve_pprime(problem)
+        seed = _derived_seed(cfg.seed, idx)
+        rows = []
+        # theta* joins the grid; theta number k samples on stream k of the seed
+        for k, theta in enumerate(sorted({*cfg.theta_grid, solution.theta_star})):
+            r = is_estimate(problem, theta, cfg.samples_is, seed, stream_id=k,
+                            workers=workers)
+            m2 = r.second_moment_weight
+            se = math.sqrt(max(r.fourth_moment_weight - m2 * m2, 0.0)
+                           / cfg.samples_is)
+            rows.append((theta, m2, second_moment_bound(
+                theta, solution.objective, problem.n), se))
         _write_csv(
             out_dir / name, cfg,
             ["theta", "second_moment_empirical", "second_moment_bound",

@@ -28,13 +28,6 @@ def db_to_linear(value_db):
         return 10.0 ** (np.asarray(value_db, dtype=float) / 10.0)
 
 
-def linear_to_db(value):
-    value = np.asarray(value, dtype=float)
-    if np.any(value <= 0.0):
-        raise ParameterError("linear value must be positive to express in dB")
-    return 10.0 * np.log10(value)
-
-
 # ---------------------------------------------------------------------------
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------

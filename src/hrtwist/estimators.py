@@ -20,10 +20,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .solver import MinmaxSolution, SumProblem, second_moment_bound, solve_pprime
+from .solver import SumProblem
 from .streams import RandomStream, least_word, uniforms_from_words
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
+
+# C of the relative errors: the two-sided 95 % normal quantile
+CONFIDENCE_Z = 1.96
 
 
 @dataclass(frozen=True)
@@ -166,40 +169,11 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     return _run(problem, theta, sample_count, seed, stream_id, workers)
 
 
-def theta_sensitivity_sweep(problem: SumProblem, theta_grid, sample_count: int,
-                            seed: int, workers: int = 1
-                            ) -> tuple[list[tuple], MinmaxSolution]:
-    """Empirical second moment vs the analytic bound across twisting amounts.
-
-    Each row is (theta, empirical second moment, analytic bound, SE of the
-    empirical second moment), the columns of the CLI table.  The solved
-    minmax theta* is inserted into the grid if absent.  Run i of the sweep
-    uses substream i of the base seed, so the whole table is reproducible
-    from (config, seed) alone, whatever the worker count.
-    """
-    solution = solve_pprime(problem)
-    grid = sorted(set(float(t) for t in theta_grid) | {solution.theta_star})
-    for t in grid:
-        if not (0.0 <= t < 1.0):
-            raise ParameterError(f"theta grid value {t} outside [0, 1)")
-    rows = []
-    for idx, theta in enumerate(grid):
-        res = is_estimate(problem, theta, sample_count, seed, stream_id=idx,
-                          workers=workers)
-        m2 = res.second_moment_weight
-        sweep_se = math.sqrt(
-            max(res.fourth_moment_weight - m2 * m2, 0.0) / sample_count)
-        bound = float(second_moment_bound(theta, solution.objective, problem.n))
-        rows.append((theta, m2, bound, sweep_se))
-    return rows, solution
-
-
 # ---------------------------------------------------------------------------
 # diagnostics
 # ---------------------------------------------------------------------------
 
-def relative_error_naive(alpha_hat: float, sample_count_naive: int,
-                         confidence_constant: float = 1.96) -> float:
+def relative_error_naive(alpha_hat: float, sample_count_naive: int) -> float:
     """CLT relative error a naive run of that size would achieve.
 
     Feeding the IS point estimate in place of the (noisier) naive one
@@ -208,15 +182,14 @@ def relative_error_naive(alpha_hat: float, sample_count_naive: int,
     if not (0.0 < alpha_hat < 1.0):
         raise ParameterError(
             f"relative error undefined for alpha_hat={alpha_hat}")
-    return confidence_constant * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
+    return CONFIDENCE_Z * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
         math.sqrt(sample_count_naive) * alpha_hat)
 
 
-def relative_error_is(result: EstimateResult,
-                      confidence_constant: float = 1.96) -> float:
+def relative_error_is(result: EstimateResult) -> float:
     if result.alpha_hat <= 0.0 or result.sample_count < 2:
         raise ParameterError("relative error needs alpha_hat > 0 and M >= 2")
-    return confidence_constant * math.sqrt(result.variance_weight) / (
+    return CONFIDENCE_Z * math.sqrt(result.variance_weight) / (
         math.sqrt(result.sample_count) * result.alpha_hat)
 
 

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
 from hrtwist import Lognormal, SumProblem, Weibull
+from hrtwist.cli import main
 
 LN6_SIGMA = 1.3815510557964275          # 6 dB in natural-log units
 # survival and cumulative hazard of Lognormal(0, LN6_SIGMA) at 100, from
@@ -82,3 +85,28 @@ def cdf(dist, x):
 def quantile(dist, u):
     """Inverse cdf through the log-survival inverse."""
     return dist.quantile_from_log_sf(np.log1p(-u))
+
+
+def weibull_pair_sweep(tmp_path, gamma_db, grid, samples, seed):
+    """The `theta-sweep` table of the Weibull(0.5, 1) pair at one threshold.
+
+    Returns the rows (theta, empirical second moment, bound, SE), as
+    floats, and the theta* the file's header reports.  With one threshold
+    the sweep samples on the config seed itself.
+    """
+    raw = {"components": [{"family": "weibull", "shape": 0.5, "scale": 1.0,
+                           "count": 2}],
+           "thresholds_db": [gamma_db], "theta_grid": [float(t) for t in grid],
+           "samples_is": samples, "samples_naive": 1, "seed": seed}
+    config = tmp_path / f"sweep-{gamma_db}.json"
+    config.write_text(json.dumps(raw))
+    out = tmp_path / f"sweep-{gamma_db}"
+    assert main(["theta-sweep", "--config", str(config),
+                 "--output", str(out)]) == 0
+    (path,) = out.glob("theta_sweep_*.csv")
+    lines = path.read_text().splitlines()
+    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("#"))
+    body = [line for line in lines if not line.startswith("#")]
+    assert body[0] == "theta,second_moment_empirical,second_moment_bound,std_error"
+    rows = [tuple(map(float, line.split(","))) for line in body[1:]]
+    return rows, float(header["theta_star"])

@@ -58,8 +58,7 @@ CONFIGS = {
             {"family": "weibull", "shape": 0.5, "scale": 1.0},
             {"family": "lognormal", "mu": 0.0, "sigma": 1.0},
             {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0}],
-        "thresholds_linear": [10.0, 100.0, 1000.0],
-        "confidence_constant": 2.5,
+        "thresholds_db": [10.0, 20.0, 30.0],
         "seed": 14, **_SAMPLES},
     "wb1": {
         "components": [{"family": "weibull", "shape": 0.5, "scale": 1.0}],

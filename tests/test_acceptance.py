@@ -21,11 +21,10 @@ from hrtwist import (
     relative_error_is,
     solve_pprime,
     tail_convolution_2,
-    theta_sensitivity_sweep,
 )
 from hrtwist.cli import main as cli_main
 
-from conftest import lognormal_pair, weibull_pair
+from conftest import lognormal_pair, weibull_pair, weibull_pair_sweep
 from grid_oracle import grid_oracle_pprime
 
 SEED = 1234
@@ -184,25 +183,24 @@ def test_criterion_5_per_sample_bound_certificate():
             + (f"; violations: {violations}" if violations else ""))
 
 
-def test_criterion_6_theta_sweep():
+def test_criterion_6_theta_sweep(tmp_path):
     """Weibull pair, grid step 0.02, M=1e5 per point, three thresholds."""
     start = time.perf_counter()
     grid = np.round(np.arange(0.50, 0.981, 0.02), 10)
     failures = []
     argmin_gap = None
     for gdb in (15.0, 20.0, 25.0):
-        problem = weibull_pair(gdb)
-        rows, sol = theta_sensitivity_sweep(problem, grid, 100_000,
-                                            SEED + int(gdb))
+        rows, theta_star = weibull_pair_sweep(tmp_path, gdb, grid, 100_000,
+                                              SEED + int(gdb))
         for theta, m2, bound, se in rows:
             if m2 > bound + 5 * se:
                 failures.append((gdb, theta))
         if gdb == 25.0:
             grid_rows = [r for r in rows if r[0] in grid]
             best_theta = min(grid_rows, key=lambda r: r[1])[0]
-            argmin_gap = abs(best_theta - sol.theta_star)
+            argmin_gap = abs(best_theta - theta_star)
             if argmin_gap > 2 * 0.02 + 1e-12:
-                failures.append(("argmin", best_theta, sol.theta_star))
+                failures.append(("argmin", best_theta, theta_star))
     elapsed = time.perf_counter() - start
     ok = not failures and elapsed < 300.0
     _report("criterion-6 theta sweep", ok,

@@ -59,11 +59,6 @@ class TestConfigParsing:
         assert (ExperimentConfig.from_dict(WB_PAIR).config_hash
                 == ExperimentConfig.from_dict(reordered).config_hash)
 
-    def test_both_threshold_forms_rejected(self):
-        bad = dict(WB_PAIR, thresholds_linear=[10.0])
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(bad)
-
     def test_missing_thresholds_rejected(self):
         bad = {k: v for k, v in WB_PAIR.items() if k != "thresholds_db"}
         with pytest.raises(ConfigError):
@@ -77,14 +72,6 @@ class TestConfigParsing:
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(dict(WB_PAIR, samples_is=0))
-
-    def test_linear_thresholds_problems(self):
-        raw = {k: v for k, v in LN_PAIR.items() if k != "thresholds_db"}
-        raw["thresholds_linear"] = [100.0]
-        cfg = ExperimentConfig.from_dict(raw)
-        (gamma_db, problem), = cfg.problems
-        assert gamma_db == pytest.approx(20.0)
-        assert problem.gamma == pytest.approx(100.0)
 
     def test_whole_number_floats_accepted(self):
         # JSON writers emit 1e6 and 2.0 for whole numbers
@@ -105,11 +92,26 @@ class TestConfigParsing:
                    ("('mu', 'sigma')", "('mu_db', 'sigma_db')", repr(spec)))
 
     def test_readme_example_parses(self):
-        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
-        example, = re.findall(r"```json\n(.*?)```", readme, re.S)
-        cfg = ExperimentConfig.from_dict(json.loads(example))
+        cfg = ExperimentConfig.from_dict(json.loads(readme_block("json")))
         assert [gamma_db for gamma_db, _ in cfg.problems] == [15, 20, 25, 30]
         assert cfg.theta_grid == (0.5, 0.6, 0.7, 0.8, 0.9)
+
+
+def readme_block(language):
+    """The README's one fenced code block in `language`."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+    block, = re.findall(rf"```{language}\n(.*?)```", readme, re.S)
+    return block
+
+
+def test_readme_library_example_runs(capsys):
+    names = {}
+    exec(readme_block("python"), names)
+    assert names["sol"].theta_star == pytest.approx(0.8, rel=1e-10)
+    r = names["r"]
+    assert abs(r.alpha_hat - names["oracle"]) <= 3.0 * r.std_error
+    assert capsys.readouterr().out.split() == [
+        repr(r.alpha_hat), repr(r.std_error), str(r.hit_frequency)]
 
 
 class TestExitCodes:
@@ -132,12 +134,10 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, change", [
         ("ccdf", {"theta_override": 1.0}),
         ("ccdf", {"theta_override": -0.1}),
-        ("solve", {"thresholds_db": None, "thresholds_linear": [0.0]}),
+        ("solve", {"thresholds_db": [-4000.0]}),  # gamma underflows to 0
         ("solve", {"components": [{"family": "weibull", "shape": 1.5,
                                    "scale": 1.0, "count": 2}]}),
         ("theta-sweep", {"theta_grid": [0.5, 1.2]}),
-        ("efficiency", {"confidence_constant": -1.0}),
-        ("ccdf", {"confidence_constant": -1.0}),
         ("ccdf", {"thresholds_db": [4000.0]}),
         ("solve", {"components": [{"family": "lognormal", "mu": math.nan,
                                    "sigma": 1.0, "count": 2}]}),
@@ -167,7 +167,6 @@ class TestExitCodes:
         ("ccdf", {"thresholds_db": "20"}),
         ("ccdf", {"thresholds_db": {"20": 1}}),
         ("ccdf", {"thresholds_db": [True]}),
-        ("ccdf", {"thresholds_db": None, "thresholds_linear": "23"}),
         ("theta-sweep", {"theta_grid": {"0.5": 1}}),
         ("theta-sweep", {"theta_grid": [False]}),
         ("ccdf", {"theta_override": False}),
@@ -177,36 +176,48 @@ class TestExitCodes:
         ("ccdf", {"samples_is": "1000"}),
         ("ccdf", {"samples_naive": "1000"}),
         ("ccdf", {"seed": "7"}),
-        ("efficiency", {"confidence_constant": "1.96"}),
-        ("efficiency", {"confidence_constant": math.inf}),
         ("ccdf", {"components": [{"family": "weibull", "shape": 0.5,
                                   "scale": 1.0, "cont": 2}]}),
         ("ccdf", {"theta_overide": 0.5}),
-        ("ccdf", {"thresholds_db": None, "thresholds_linear": [5e-324],
+        ("ccdf", {"thresholds_db": [-3233.0],  # gamma 5e-324, subnormal
                   "components": [{"family": "weibull", "shape": 0.5,
                                   "scale": 1.0, "count": 3}]}),
         ("solve", {"components": [{"family": "lognormal", "mu": 0.0,
                                    "sigma": 1e-4, "count": 2}]}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
-            "weibull-shape-1.5", "theta-grid-1.2", "efficiency-confidence",
-            "ccdf-confidence", "threshold-4000dB", "lognormal-mu-nan",
-            "lognormal-mu-inf", "lognormal-mu-db-nan", "lognormal-lone-mu-db",
-            "weibull-shape-string", "weibull-scale-true", "weibull-scale-string",
-            "component-string", "component-number", "components-object",
-            "count-2.7", "count-true", "samples-is-10.9", "samples-naive-true",
-            "seed-1.5", "thresholds-string", "thresholds-object",
-            "thresholds-true", "thresholds-linear-string", "theta-grid-object",
+            "weibull-shape-1.5", "theta-grid-1.2", "threshold-4000dB",
+            "lognormal-mu-nan", "lognormal-mu-inf", "lognormal-mu-db-nan",
+            "lognormal-lone-mu-db", "weibull-shape-string", "weibull-scale-true",
+            "weibull-scale-string", "component-string", "component-number",
+            "components-object", "count-2.7", "count-true", "samples-is-10.9",
+            "samples-naive-true", "seed-1.5", "thresholds-string",
+            "thresholds-object", "thresholds-true", "theta-grid-object",
             "theta-grid-false", "theta-override-false", "theta-override-string",
             "count-string", "samples-is-string", "samples-naive-string",
-            "seed-string", "confidence-string", "confidence-inf",
-            "component-unknown-key", "unknown-key", "linear-subnormal",
-            "lognormal-sigma-1e-4"])
+            "seed-string", "component-unknown-key", "unknown-key",
+            "linear-subnormal", "lognormal-sigma-1e-4"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
-        raw = {k: v for k, v in {**WB_PAIR, "samples_is": 100,
-                                 "samples_naive": 100, **change}.items()
-               if v is not None}
+        raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, **change}
         assert run(tmp_path, command, raw)[0] == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    @pytest.mark.parametrize("raw, kind", [
+        ("abc", "str"), ([], "list"), (5, "int"), (None, "NoneType"),
+    ], ids=["string", "array", "number", "null"])
+    def test_config_not_an_object_is_named(self, tmp_path, capsys, raw, kind):
+        assert run(tmp_path, "ccdf", raw)[0] == 1
+        assert capsys.readouterr().err == (
+            f"config error: config must be a JSON object, got {kind}\n")
+
+    @pytest.mark.parametrize("key, value", [
+        ("thresholds_linear", [10.0, 100.0]), ("confidence_constant", 1.96),
+    ], ids=["thresholds-linear", "confidence-constant"])
+    def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
+        # thresholds are given in dB only, and the confidence constant is 1.96
+        raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, key: value}
+        assert run(tmp_path, "efficiency", raw)[0] == 1
+        assert capsys.readouterr().err == (
+            f"config error: unknown config key(s) ['{key}']\n")
 
     @pytest.mark.parametrize("change", [
         {"thresholds_db": [-200.0],
@@ -366,16 +377,16 @@ class TestThetaSweep:
         assert len(data) == 1 + 4
 
     def test_runs_on_the_requested_workers(self, tmp_path, monkeypatch):
-        from hrtwist import estimators
+        from hrtwist import cli
 
         seen = []
-        real = estimators.is_estimate
+        real = cli.is_estimate
 
         def spy(*args, **kwargs):
             seen.append(kwargs.get("workers", 1))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(estimators, "is_estimate", spy)
+        monkeypatch.setattr(cli, "is_estimate", spy)
         raw = dict(WB_PAIR, samples_is=40_000, theta_grid=[0.5, 0.9])
         csvs = {}
         for workers in (1, 2):
@@ -397,9 +408,9 @@ class TestThetaSweep:
     ], ids=["rounds-equal", "repeated", "two-pairs"])
     def test_file_name_clash_is_config_error(self, tmp_path, capsys, monkeypatch,
                                              thresholds, clashes):
-        from hrtwist import estimators
+        from hrtwist import cli
 
-        monkeypatch.setattr(estimators, "is_estimate", None)  # nothing is sampled
+        monkeypatch.setattr(cli, "is_estimate", None)  # nothing is sampled
         raw = dict(WB_PAIR, thresholds_db=thresholds, theta_grid=[0.5])
         code, out = run(tmp_path, "theta-sweep", raw)
         assert code == 1

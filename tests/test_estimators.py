@@ -297,11 +297,12 @@ class TestRelativeErrors:
         assert v == pytest.approx(1.96 / math.sqrt(10 ** 8 * 1e-4), rel=1e-3)
 
     def test_hundred_over_alpha_heuristic(self):
-        # 10% relative accuracy at confidence 1 needs M > 100 / alpha
+        # M = 100 / alpha samples give 10% relative accuracy at confidence
+        # constant 1, so 19.6% at the fixed 1.96
         alpha = 1e-9
         m = 100.0 / alpha
-        assert relative_error_naive(alpha, int(m), 1.0) == pytest.approx(
-            0.1, rel=1e-3)
+        assert relative_error_naive(alpha, int(m)) == pytest.approx(
+            0.196, rel=1e-3)
 
     def test_naive_domain(self):
         for bad in (0.0, 1.0):

@@ -14,9 +14,9 @@ from hrtwist import (
     db_to_linear,
     exact_tail_single,
     is_estimate,
+    second_moment_bound,
     solve_pprime,
     tail_convolution_2,
-    theta_sensitivity_sweep,
 )
 from hrtwist import oracles
 
@@ -31,6 +31,7 @@ from conftest import (
     lognormal_pair,
     random_component,
     weibull_pair,
+    weibull_pair_sweep,
 )
 from grid_oracle import grid_oracle_pprime
 
@@ -184,25 +185,21 @@ class TestGridOracle:
 
 
 class TestThetaSweep:
-    def test_bound_column_and_grid(self):
+    def test_bound_column_and_grid(self, tmp_path):
         problem = weibull_pair(20.0)
-        grid = [0.5, 0.7, 0.9]
-        rows, solution = theta_sensitivity_sweep(problem, grid, 20_000, 12)
+        rows, theta_star = weibull_pair_sweep(tmp_path, 20.0, [0.5, 0.7, 0.9],
+                                              20_000, 12)
         thetas = [theta for theta, *_ in rows]
-        assert solution.theta_star in thetas  # inserted automatically
-        from hrtwist import second_moment_bound
+        assert theta_star in thetas  # inserted automatically
+        assert len(thetas) == 4
+        objective = solve_pprime(problem).objective
         for theta, _, bound, _ in rows:
             assert bound == pytest.approx(
-                float(second_moment_bound(theta, solution.objective,
-                                          problem.n)), rel=1e-12)
+                float(second_moment_bound(theta, objective, problem.n)),
+                rel=1e-12)
 
-    def test_empirical_below_bound(self):
-        problem = weibull_pair(20.0)
+    def test_empirical_below_bound(self, tmp_path):
         grid = np.arange(0.3, 0.96, 0.05)
-        rows, _ = theta_sensitivity_sweep(problem, grid, 50_000, 9)
+        rows, _ = weibull_pair_sweep(tmp_path, 20.0, grid, 50_000, 9)
         for _, m2, bound, se in rows:
             assert m2 <= bound + 5.0 * se
-
-    def test_invalid_grid(self):
-        with pytest.raises(ParameterError):
-            theta_sensitivity_sweep(weibull_pair(20.0), [0.5, 1.2], 100, 1)
