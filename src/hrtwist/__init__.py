@@ -9,15 +9,8 @@ from .distributions import (
     db_to_linear,
 )
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import (
-    EstimateResult,
-    efficiency_indicator,
-    is_estimate,
-    naive_mc,
-    relative_error_is,
-    relative_error_naive,
-)
-from .oracles import exact_tail_single, tail_convolution_2
+from .estimators import EstimateResult, is_estimate, naive_mc
+from .oracles import tail_convolution_2
 from .solver import (
     MinmaxSolution,
     SumProblem,

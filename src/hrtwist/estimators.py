@@ -25,9 +25,6 @@ from .streams import RandomStream, least_word, uniforms_from_words
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
 
-# C of the relative errors: the two-sided 95 % normal quantile
-CONFIDENCE_Z = 1.96
-
 
 @dataclass(frozen=True)
 class EstimateResult:
@@ -163,40 +160,8 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     """Importance-sampling estimate under the theta-twisted laws.
 
     Each exceedance carries the likelihood weight
-    (1-theta)^(-N) exp(-theta * sum of cumulative hazards), accumulated
-    in log space.
+    (1-theta)^(-N) exp(-theta * sum of cumulative hazards).  The core forms
+    log w, but it sums w, w^2 and w^4 in linear space, so w^2 underflows to
+    0 in deep tails well before alpha_hat does.
     """
     return _run(problem, theta, sample_count, seed, stream_id, workers)
-
-
-# ---------------------------------------------------------------------------
-# diagnostics
-# ---------------------------------------------------------------------------
-
-def relative_error_naive(alpha_hat: float, sample_count_naive: int) -> float:
-    """CLT relative error a naive run of that size would achieve.
-
-    Feeding the IS point estimate in place of the (noisier) naive one
-    gives the sharper Bernoulli-variance figure.
-    """
-    if not (0.0 < alpha_hat < 1.0):
-        raise ParameterError(
-            f"relative error undefined for alpha_hat={alpha_hat}")
-    return CONFIDENCE_Z * math.sqrt(alpha_hat * (1.0 - alpha_hat)) / (
-        math.sqrt(sample_count_naive) * alpha_hat)
-
-
-def relative_error_is(result: EstimateResult) -> float:
-    if result.alpha_hat <= 0.0 or result.sample_count < 2:
-        raise ParameterError("relative error needs alpha_hat > 0 and M >= 2")
-    return CONFIDENCE_Z * math.sqrt(result.variance_weight) / (
-        math.sqrt(result.sample_count) * result.alpha_hat)
-
-
-def efficiency_indicator(alpha_hat: float, variance_weight: float) -> float:
-    """Naive-to-IS sample-count ratio at equal relative error."""
-    if variance_weight < 0.0:
-        raise ParameterError("variance must be nonnegative")
-    if variance_weight == 0.0:
-        return math.inf
-    return alpha_hat * (1.0 - alpha_hat) / variance_weight

@@ -1,8 +1,9 @@
-"""Independent brute-force references for validating the sampling runs.
+"""Independent brute-force reference for validating the sampling runs.
 
 Nothing here shares a code path with importance sampling or naive Monte
-Carlo: tails come from closed-form survival functions or from tanh-sinh
-quadrature of the two-component convolution in log space.
+Carlo: the tail of a two-component sum comes from tanh-sinh quadrature of
+the convolution in log space.  A single component's tail is its closed-form
+survival function, `Distribution.survival`.
 """
 from __future__ import annotations
 
@@ -20,11 +21,6 @@ from .errors import OracleConvergenceError, ParameterError
 # error estimate, not the error
 _LOG_TOL = math.log(1e-10)
 _LOG_RTOL = math.log(1e-13)
-
-
-def exact_tail_single(dist: Distribution, gamma: float) -> float:
-    """Closed-form exceedance probability for one component."""
-    return float(dist.survival(gamma))
 
 
 def tail_convolution_2(dist1: Distribution, dist2: Distribution,

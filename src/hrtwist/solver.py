@@ -52,7 +52,7 @@ class SumProblem:
 
 @dataclass(frozen=True)
 class MinmaxSolution:
-    x_star: np.ndarray
+    x_star: tuple  # floats, so that solutions compare and hash as values
     objective: float
     dominant_index: int
     theta_star: float
@@ -60,7 +60,7 @@ class MinmaxSolution:
     clamped: bool
 
     def to_dict(self) -> dict:
-        return {**asdict(self), "x_star": [float(v) for v in self.x_star]}
+        return {**asdict(self), "x_star": list(self.x_star)}
 
 
 def theta_star(objective: float, n: int) -> float:
@@ -170,7 +170,7 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
     x_best, a = x_all[best], float(objectives[best])
     th = theta_star(a, n)
     return MinmaxSolution(
-        x_star=x_best,
+        x_star=tuple(map(float, x_best)),
         objective=a,
         dominant_index=int(np.argmax(x_best)),
         theta_star=th,

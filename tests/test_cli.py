@@ -7,7 +7,7 @@ import pytest
 
 from hrtwist.cli import ConfigError, ExperimentConfig, main
 
-from outputs_digest import CASES, run_case
+from outputs_digest import CASES, CONFIGS, run_case
 
 
 WB_PAIR = {
@@ -60,14 +60,21 @@ class TestConfigParsing:
                 == ExperimentConfig.from_dict(reordered).config_hash)
 
     def test_missing_thresholds_rejected(self):
-        bad = {k: v for k, v in WB_PAIR.items() if k != "thresholds_db"}
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(bad)
+        # and every other required key, each named in the message
+        for key in ("thresholds_db", "components", "samples_is",
+                    "samples_naive", "seed"):
+            bad = {k: v for k, v in WB_PAIR.items() if k != key}
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig.from_dict(bad)
+            assert str(info.value) == f"missing config key(s) ['{key}']"
 
     def test_bad_family_rejected(self):
-        bad = dict(WB_PAIR, components=[{"family": "gamma", "shape": 0.5}])
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(bad)
+        # a family that is not a string is unknown too
+        for family in ("gamma", ["weibull"]):
+            bad = dict(WB_PAIR, components=[{"family": family, "shape": 0.5}])
+            with pytest.raises(ConfigError) as info:
+                ExperimentConfig.from_dict(bad)
+            assert str(info.value) == f"unknown distribution family: {family!r}"
 
     def test_nonpositive_samples_rejected(self):
         with pytest.raises(ConfigError):
@@ -184,6 +191,9 @@ class TestExitCodes:
                                   "scale": 1.0, "count": 3}]}),
         ("solve", {"components": [{"family": "lognormal", "mu": 0.0,
                                    "sigma": 1e-4, "count": 2}]}),
+        # Philox keys on 64 bits, so these would alias seeds in range
+        ("ccdf", {"seed": 2 ** 63}),
+        ("ccdf", {"seed": -2 ** 63 - 1}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "threshold-4000dB",
             "lognormal-mu-nan", "lognormal-mu-inf", "lognormal-mu-db-nan",
@@ -195,7 +205,8 @@ class TestExitCodes:
             "theta-grid-false", "theta-override-false", "theta-override-string",
             "count-string", "samples-is-string", "samples-naive-string",
             "seed-string", "component-unknown-key", "unknown-key",
-            "linear-subnormal", "lognormal-sigma-1e-4"])
+            "linear-subnormal", "lognormal-sigma-1e-4", "seed-2^63",
+            "seed-below-2^63"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, **change}
         assert run(tmp_path, command, raw)[0] == 1
@@ -340,6 +351,28 @@ class TestEfficiency:
                  if not l.startswith("#")]
         row = lines[1].split(",")
         assert float(row[3]) > 1.0  # variance reduction at a rare threshold
+
+    def test_columns_follow_from_the_ccdf_run(self, tmp_path):
+        # the shared pass gives both tables the same alpha_is; at -30 dB
+        # theta* clamps to 0, so the IS weights are the hit indicators, and
+        # at 52 dB the squared weights underflow (se_is 0, so k is inf)
+        raw = CONFIGS["wb2"]
+        m, m_naive = raw["samples_is"], raw["samples_naive"]
+        assert run(tmp_path, "ccdf", raw)[0] == 0
+        ccdf = data_rows(tmp_path / "out" / "ccdf.csv")
+        assert run(tmp_path, "efficiency", raw)[0] == 0
+        rows = data_rows(tmp_path / "out" / "efficiency.csv")
+        assert [r[0] for r in rows] == [r[0] for r in ccdf]
+        for (_, _, alpha, _, se_is), row in zip(ccdf, rows):
+            alpha, se_is = float(alpha), float(se_is)
+            rel_naive, rel_is, k = map(float, row[1:])
+            assert rel_naive == pytest.approx(
+                1.96 * math.sqrt(alpha * (1 - alpha)) / (math.sqrt(m_naive) * alpha),
+                rel=1e-12)
+            assert rel_is == pytest.approx(1.96 * se_is / alpha, rel=1e-11)
+            assert k == (math.inf if se_is == 0.0 else pytest.approx(
+                alpha * (1 - alpha) / (m * se_is ** 2), rel=1e-11))
+        assert float(rows[0][3]) == pytest.approx((m - 1) / m, rel=1e-12)
 
     def test_skips_threshold_where_estimate_is_one(self, tmp_path, capsys):
         # at -30 dB theta* clamps to 0; with this seed all 1,000 samples

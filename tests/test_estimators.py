@@ -8,11 +8,8 @@ from hrtwist import (
     ParameterError,
     SumProblem,
     Weibull,
-    efficiency_indicator,
     is_estimate,
     naive_mc,
-    relative_error_is,
-    relative_error_naive,
     solve_pprime,
 )
 from hrtwist import RandomStream, estimators
@@ -284,59 +281,6 @@ class TestBoundCertificate:
         sol = solve_pprime(problem)
         r = is_estimate(problem, sol.theta_star, 200_000, 8)
         assert r.second_moment_weight <= sol.second_moment_bound
-
-
-class TestRelativeErrors:
-    def test_naive_formula(self):
-        # C sqrt(alpha (1-alpha)) / (sqrt(M) alpha) at alpha = 1/2
-        assert relative_error_naive(0.5, 10_000) == pytest.approx(0.0196, abs=1e-4)
-
-    def test_naive_rare_event_limit(self):
-        # for small alpha this is about C / sqrt(M alpha)
-        v = relative_error_naive(1e-4, 10 ** 8)
-        assert v == pytest.approx(1.96 / math.sqrt(10 ** 8 * 1e-4), rel=1e-3)
-
-    def test_hundred_over_alpha_heuristic(self):
-        # M = 100 / alpha samples give 10% relative accuracy at confidence
-        # constant 1, so 19.6% at the fixed 1.96
-        alpha = 1e-9
-        m = 100.0 / alpha
-        assert relative_error_naive(alpha, int(m)) == pytest.approx(
-            0.196, rel=1e-3)
-
-    def test_naive_domain(self):
-        for bad in (0.0, 1.0):
-            with pytest.raises(ParameterError):
-                relative_error_naive(bad, 100)
-
-    def test_is_zero_variance(self):
-        p = SumProblem((Weibull(0.5, 1.0),), 1e-300)
-        r = is_estimate(p, 0.0, 100, 0)
-        assert r.variance_weight == 0.0
-        assert relative_error_is(r) == 0.0
-
-    def test_is_matches_naive_at_zero_twist(self, single_weibull_gamma4):
-        r = is_estimate(single_weibull_gamma4, 0.0, 50_000, 4)
-        expect = 1.96 * math.sqrt(r.variance_weight) / (
-            math.sqrt(r.sample_count) * r.alpha_hat)
-        assert relative_error_is(r) == pytest.approx(expect, rel=1e-12)
-
-
-class TestEfficiency:
-    def test_no_gain_when_variance_is_bernoulli(self):
-        alpha = 0.01
-        assert efficiency_indicator(alpha, alpha * (1 - alpha)) == pytest.approx(
-            1.0, rel=1e-12)
-
-    def test_zero_variance_sentinel(self):
-        assert efficiency_indicator(0.5, 0.0) == math.inf
-
-    def test_gain_above_one_for_tuned_twist(self):
-        problem = lognormal_pair(25.0)
-        sol = solve_pprime(problem)
-        r = is_estimate(problem, sol.theta_star, 100_000, 6)
-        k = efficiency_indicator(r.alpha_hat, r.variance_weight)
-        assert k > 1.0
 
 
 class TestOptimalityRatio:

@@ -12,7 +12,6 @@ from hrtwist import (
     SumProblem,
     Weibull,
     db_to_linear,
-    exact_tail_single,
     is_estimate,
     second_moment_bound,
     solve_pprime,
@@ -37,16 +36,17 @@ from grid_oracle import grid_oracle_pprime
 
 
 class TestExactTailSingle:
+    # a single component's reference tail is its closed-form survival
     def test_weibull(self):
-        assert exact_tail_single(Weibull(0.5, 1.0), 100.0) == pytest.approx(
+        assert Weibull(0.5, 1.0).survival(100.0) == pytest.approx(
             math.exp(-10.0), rel=1e-12)
 
     def test_lognormal_median(self):
-        assert exact_tail_single(Lognormal(0.0, 1.0), 1.0) == pytest.approx(
+        assert Lognormal(0.0, 1.0).survival(1.0) == pytest.approx(
             0.5, rel=1e-12)
 
     def test_exponential(self):
-        assert exact_tail_single(Weibull(1.0, 1.0), math.log(4.0)) == pytest.approx(
+        assert Weibull(1.0, 1.0).survival(math.log(4.0)) == pytest.approx(
             0.25, rel=1e-12)
 
 
@@ -112,9 +112,8 @@ class TestTailConvolution:
             gamma = float(db_to_linear(rng.uniform(-10.0, 50.0)))
             value = tail_convolution_2(a, b, gamma)
             swapped = tail_convolution_2(b, a, gamma)
-            lo_a, lo_b = exact_tail_single(a, gamma), exact_tail_single(b, gamma)
-            hi_a = exact_tail_single(a, gamma / 2)
-            hi_b = exact_tail_single(b, gamma / 2)
+            lo_a, lo_b = a.survival(gamma), b.survival(gamma)
+            hi_a, hi_b = a.survival(gamma / 2), b.survival(gamma / 2)
             assert lo_a + lo_b - lo_a * lo_b <= value <= hi_a + hi_b - hi_a * hi_b
             assert swapped == pytest.approx(value, rel=1e-12)
 

@@ -183,9 +183,9 @@ class TestSolvePPrime:
     def test_feasibility(self):
         for problem in (weibull_pair(25.0), lognormal_pair(25.0)):
             sol = solve_pprime(problem)
-            assert float(np.sum(sol.x_star)) == pytest.approx(
-                problem.gamma, rel=1e-9)
-            assert np.all(sol.x_star >= 0.0)
+            x = np.asarray(sol.x_star)
+            assert float(np.sum(x)) == pytest.approx(problem.gamma, rel=1e-9)
+            assert np.all(x >= 0.0)
 
     def test_light_tailed_weibull_rejected(self):
         with pytest.raises(ParameterError):
@@ -212,9 +212,10 @@ class TestSolvePPrime:
             for problem in (weibull_pair(gdb), lognormal_pair(gdb)):
                 sol = solve_pprime(problem)
                 onsets = [c.concavity_onset() for c in problem.components]
-                big = sol.x_star > problem.gamma / 2.0
+                x = np.asarray(sol.x_star)
+                big = x > problem.gamma / 2.0
                 assert np.count_nonzero(big) == 1
-                small = sol.x_star[~big]
+                small = x[~big]
                 assert np.all(small <= max(onsets) + 1e-6 * problem.gamma)
 
     def test_matches_grid_oracle(self):
@@ -246,7 +247,7 @@ class TestSolvePPrime:
                 [random_component(rng) for _ in range(n)],
                 float(rng.uniform(5.0, 40.0)))
             sol = solve_pprime(problem)
-            x = sol.x_star
+            x = np.asarray(sol.x_star)
             assert np.all(x >= 0.0)
             assert float(np.sum(x)) == pytest.approx(problem.gamma, rel=1e-12)
             a = float(problem.hazard_sum(x)[0])
@@ -265,6 +266,13 @@ class TestSolvePPrime:
 
 
 class TestSerialization:
+    def test_solutions_are_values(self):
+        # two solves of one problem compare and hash equal
+        a, b = (solve_pprime(lognormal_pair(25.0)) for _ in range(2))
+        assert a == b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
     def test_solution_to_dict(self):
         d = solve_pprime(weibull_pair(20.0)).to_dict()
         assert d["theta_star"] == pytest.approx(0.8, rel=1e-9)
