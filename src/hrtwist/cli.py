@@ -123,6 +123,13 @@ class ExperimentConfig:
             samples_naive = _whole(raw["samples_naive"], "samples_naive")
             if samples_is < 1 or samples_naive < 1:
                 raise ConfigError("sample counts must be positive")
+            # a run draws N words per sample, indexed by 64-bit signed integers
+            for name, m in (("samples_is", samples_is),
+                            ("samples_naive", samples_naive)):
+                if len(components) * m >= 2 ** 63:
+                    raise ConfigError(
+                        f"{name} {m} with {len(components)} components "
+                        f"draws 2^63 words or more")
             seed = _whole(raw["seed"], "seed")
             # the stream keys Philox with the seed's 64 bits: a wider seed
             # would sample what some seed in this range samples
@@ -158,10 +165,6 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str],
         lines.append(",".join(_fmt(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
-
-
-def _derived_seed(seed: int, index: int) -> int:
-    return (seed + 1000003 * index) & 0xFFFFFFFFFFFFFFFF
 
 
 def _runs(cfg: ExperimentConfig, workers: int, naive: bool = True):
@@ -260,14 +263,14 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     if clashes:
         raise ConfigError("thresholds share a sweep file: " + "; ".join(clashes))
     # with no clash, names holds one file per threshold, in threshold order
+    per_threshold = len(cfg.theta_grid) + 1  # theta* joins the grid
     for idx, ((gamma_db, problem), name) in enumerate(zip(cfg.problems, names)):
         solution = solve_pprime(problem)
-        seed = _derived_seed(cfg.seed, idx)
         rows = []
-        # theta* joins the grid; theta number k samples on stream k of the seed
+        # theta number k of threshold idx samples on a stream of its own
         for k, theta in enumerate(sorted({*cfg.theta_grid, solution.theta_star})):
-            r = is_estimate(problem, theta, cfg.samples_is, seed, stream_id=k,
-                            workers=workers)
+            r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
+                            stream_id=per_threshold * idx + k, workers=workers)
             m2 = r.second_moment_weight
             se = math.sqrt(max(r.fourth_moment_weight - m2 * m2, 0.0)
                            / cfg.samples_is)

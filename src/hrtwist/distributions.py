@@ -12,9 +12,9 @@ from functools import lru_cache
 
 import numpy as np
 from scipy import special
-from scipy.optimize import brentq
 
 from .errors import ParameterError
+from .roots import find_root
 
 # decibel <-> natural-log scaling for log-normal parameters
 DB_SCALE = np.log(10.0) / 10.0
@@ -41,16 +41,18 @@ def _log_mills(z):
 # distributions
 # ---------------------------------------------------------------------------
 
+# one reduction and no np.any wrappers: the solver checks small arrays
+# often, and there the wrappers cost more than the comparisons
 def _require_positive(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x <= 0.0) or np.any(~np.isfinite(x)):
+    if not ((x > 0.0) & (x < np.inf)).all():
         raise ParameterError("x must be positive and finite")
     return x
 
 
 def _require_nonnegative(x):
     x = np.asarray(x, dtype=float)
-    if np.any(x < 0.0) or np.any(~np.isfinite(x)):
+    if not ((x >= 0.0) & (x < np.inf)).all():
         raise ParameterError("x must be nonnegative and finite")
     return x
 
@@ -144,7 +146,8 @@ def _hazard_peak_z(sigma: float) -> float:
     In z = (log x - mu) / sigma the log hazard rate is
     log_mills(z) - sigma z - mu - log(sigma).  It is strictly concave with
     slope mills(z) - z - sigma, so it rises up to the root of that slope
-    and falls after it.
+    and falls after it.  The root comes from `find_root` on a bracket where
+    the slope changes sign, to 1e-15 in z.
     """
     def slope(z):
         return np.exp(_log_mills(z)) - z - sigma
@@ -154,7 +157,7 @@ def _hazard_peak_z(sigma: float) -> float:
     lo, hi = -sigma - 1.0, 1.0 / sigma + 1.0
     if np.sign(slope(lo)) == np.sign(slope(hi)):
         raise ParameterError(f"sigma {sigma} too small to place the hazard-rate peak")
-    return brentq(slope, lo, hi, xtol=1e-15)
+    return find_root(slope, lo, hi, xtol=1e-15)
 
 
 @dataclass(frozen=True)
@@ -203,25 +206,35 @@ class Lognormal(Distribution):
     def rising_branch(self, rate):
         """x <= concavity_onset() at which the hazard rate equals rate.
 
-        Vectorised over rate.  A rate at or above the peak hazard rate maps
-        to a point just below the peak.
+        Vectorised over rate, and each element takes the Newton steps it
+        would take alone.  A rate at or above the peak hazard rate, or
+        within a relative 1e-12 of it in the log, maps to the peak.
         """
         sigma = self.sigma
         z_peak = _hazard_peak_z(sigma)
         top = _log_mills(z_peak) - sigma * z_peak
         level = np.log(np.asarray(rate, dtype=float)) + self.mu + np.log(sigma)
-        # keep the root strictly below the peak, where the slope is positive
-        level = np.minimum(level, top - 1e-12 * max(1.0, abs(top)))
+        z = np.full(level.shape, z_peak)
+        # the slope vanishes at the peak, so Newton steps crawl near it
+        todo = np.flatnonzero(level < top - 1e-12 * max(1.0, abs(top)))
+        level = level.flat[todo]
         # log_mills(z) <= log(2 phi(z)) for z <= 0, so this z is at or below
         # the root; Newton steps on a concave increasing function then rise
         # monotonically to the root
         c = level + _LOG_SQRT_2PI - np.log(2.0)
-        z = -sigma - np.sqrt(np.maximum(sigma * sigma - 2.0 * c, 0.0))
+        zt = -sigma - np.sqrt(np.maximum(sigma * sigma - 2.0 * c, 0.0))
         for _ in range(60):
-            lm = _log_mills(z)
-            step = (lm - sigma * z - level) / (np.exp(lm) - z - sigma)
-            z = z - step
-            if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(z))):
+            if not todo.size:
                 break
+            lm = _log_mills(zt)
+            step = (lm - sigma * zt - level) / (np.exp(lm) - zt - sigma)
+            zt = zt - step
+            # a point is done once its step is within tolerance or does not
+            # rise: only rounding noise makes a step fall
+            done = -step <= 1e-15 * (1.0 + np.abs(zt))
+            if done.any():
+                z.flat[todo[done]] = zt[done]
+                rest = ~done
+                todo, zt, level = todo[rest], zt[rest], level[rest]
+        z.flat[todo] = zt
         return np.exp(self.mu + sigma * z)
-

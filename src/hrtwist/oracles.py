@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import tanhsinh
 from scipy.special import logsumexp
 
 from .distributions import Distribution
@@ -37,6 +36,10 @@ def tail_convolution_2(dist1: Distribution, dist2: Distribution,
     so a density spike at 0 sits on an endpoint and thresholds far in the
     joint tail (values hundreds of decades below 1) lose no precision.
     """
+    # imported on first call: only validate integrates, and scipy.integrate
+    # loads scipy.optimize, which would slow every command's start-up
+    from scipy.integrate import tanhsinh
+
     if gamma <= 0.0:
         raise ParameterError("gamma must be positive")
     half = 0.5 * gamma

@@ -12,10 +12,10 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .distributions import Lognormal, db_to_linear
 from .errors import ParameterError
+from .roots import find_root
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,14 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
     x_j = r_j(nu) of its hazard rate.  The candidates are the N vertices
     and, for each index d, the roots in nu of
     hazard_rate_d(gamma - sum_{j != d} r_j(nu)) = nu, bracketed by a scan
-    over log nu and refined with brentq.  The candidate with the least
-    hazard sum wins, ties going to the earlier candidate.  Identical
-    components give identical candidates, so d runs over distinct
-    components only.  A Weibull-only problem reduces to the closed form
-    A = min_i Lambda_i(gamma).
+    over log nu and refined by `find_root` (Brent's method).  The scan runs
+    from nu_lo, the least rate the largest coordinate can have, up to the
+    least peak rate.  A root at nu_lo itself leaves no sign change, so when
+    the first cell brackets none, the point at nu_lo is a candidate too.
+    The candidate with the least hazard sum wins, ties going to the earlier
+    candidate.  Identical components give identical candidates, so d runs
+    over distinct components only.  A Weibull-only problem reduces to the
+    closed form A = min_i Lambda_i(gamma).
     """
     comps = problem.components
     gamma = problem.gamma
@@ -158,11 +161,16 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
 
         grid = np.linspace(np.log(nu_lo), np.log(nu_hi), _SCAN_POINTS)
         f = mismatch(grid)
-        for k in np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:])):
-            t = brentq(lambda t: mismatch(t)[0], grid[k], grid[k + 1],
-                       xtol=1e-14)
+        cells = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
+        for k in cells:
+            t = find_root(lambda t: mismatch(t)[0], grid[k], grid[k + 1],
+                          xtol=1e-14)
             candidates.append(
                 _equal_rate_points(gamma, n, d, rising, np.exp(t))[0])
+        # a root at nu_lo itself, such as the equal split x_j = gamma / n,
+        # rounds to either side of 0 there, and may leave no sign change
+        if not (cells.size and cells[0] == 0):
+            candidates.append(_equal_rate_points(gamma, n, d, rising, nu_lo)[0])
 
     x_all = np.array(candidates)
     objectives = problem.hazard_sum(x_all)

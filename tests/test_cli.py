@@ -1,12 +1,16 @@
 import json
 import math
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import hrtwist
 from hrtwist.cli import ConfigError, ExperimentConfig, main
 
+from conftest import WB_PAIR_TAIL_20DB
 from outputs_digest import CASES, CONFIGS, run_case
 
 
@@ -53,6 +57,15 @@ class TestConfigParsing:
         for _, problem in cfg.problems:
             assert problem.n == 2
             assert problem.components[0] == problem.components[1]
+
+    def test_sample_words_stay_below_2_63(self):
+        # a run draws N words per sample, and the pair has N = 2
+        cfg = ExperimentConfig.from_dict(dict(WB_PAIR, samples_is=2 ** 62 - 1))
+        assert cfg.samples_is == 2 ** 62 - 1
+        with pytest.raises(ConfigError, match=re.escape(
+                "samples_naive 4611686018427387904 with 2 components "
+                "draws 2^63 words or more")):
+            ExperimentConfig.from_dict(dict(WB_PAIR, samples_naive=2 ** 62))
 
     def test_hash_stable_under_key_order(self):
         reordered = dict(reversed(list(WB_PAIR.items())))
@@ -194,6 +207,9 @@ class TestExitCodes:
         # Philox keys on 64 bits, so these would alias seeds in range
         ("ccdf", {"seed": 2 ** 63}),
         ("ccdf", {"seed": -2 ** 63 - 1}),
+        # N M words in a run, 2^63 or more
+        ("ccdf", {"samples_is": 1e30}),
+        ("ccdf", {"samples_naive": 2 ** 62}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "threshold-4000dB",
             "lognormal-mu-nan", "lognormal-mu-inf", "lognormal-mu-db-nan",
@@ -206,7 +222,7 @@ class TestExitCodes:
             "count-string", "samples-is-string", "samples-naive-string",
             "seed-string", "component-unknown-key", "unknown-key",
             "linear-subnormal", "lognormal-sigma-1e-4", "seed-2^63",
-            "seed-below-2^63"])
+            "seed-below-2^63", "samples-is-1e30", "samples-naive-2^62"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, **change}
         assert run(tmp_path, command, raw)[0] == 1
@@ -433,6 +449,20 @@ class TestThetaSweep:
                              for p in sorted(out.glob("*.csv"))}
         assert len(csvs[1]) == 2 and csvs[1] == csvs[2]
 
+    def test_seeds_do_not_alias_across_thresholds(self, tmp_path):
+        # two configs that a per-threshold seed of seed + 1000003 i would
+        # sample alike at 20 dB
+        rows = []
+        for name, seed, thresholds in (("a", 0, [10.0, 20.0]),
+                                       ("b", 1000003, [20.0])):
+            (tmp_path / name).mkdir()
+            raw = dict(WB_PAIR, seed=seed, thresholds_db=thresholds,
+                       samples_is=2_000, theta_grid=[0.5])
+            code, out = run(tmp_path / name, "theta-sweep", raw)
+            assert code == 0
+            rows.append(data_rows(out / "theta_sweep_20dB.csv"))
+        assert rows[0] != rows[1]
+
     @pytest.mark.parametrize("thresholds, clashes", [
         ([20.0, 20.0000001], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0000001)"]),
         ([20.0, 20.0], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0)"]),
@@ -484,6 +514,40 @@ class TestValidate:
                                          "scale": 1.0, "count": 3}])
         code, _ = run(tmp_path, "validate", raw)
         assert code == 1
+
+
+class TestImports:
+    # scipy.optimize, and scipy.integrate which loads it, are a large share
+    # of the CLI's start-up; only validate's oracle needs them
+    PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import hrtwist.cli
+
+def loaded():
+    return sorted(m for m in sys.modules
+                  if m.startswith(("scipy.optimize", "scipy.integrate")))
+
+before = loaded()
+code = hrtwist.cli.main(["validate", "--config", sys.argv[2],
+                         "--output", sys.argv[3]])
+print(json.dumps({"before": before, "code": code,
+                  "integrate": "scipy.integrate" in loaded()}))
+"""
+
+    def test_cli_loads_no_solver_or_quadrature_until_validate(self, tmp_path):
+        raw = dict(WB_PAIR, thresholds_db=[20.0], samples_is=1_000,
+                   samples_naive=1_000)
+        src = Path(hrtwist.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", self.PROBE, str(src),
+             write_config(tmp_path, raw), str(tmp_path / "out")],
+            capture_output=True, text=True, timeout=120, check=True)
+        *printed, last = proc.stdout.splitlines()
+        report = json.loads(last)
+        assert report["before"] == []
+        assert report["code"] == 0 and report["integrate"]
+        assert f"oracle={WB_PAIR_TAIL_20DB:.6e}" in printed[0]
 
 
 class TestSharedPass:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from hrtwist import (
     Lognormal,
@@ -12,6 +13,8 @@ from hrtwist import (
     solve_pprime,
     theta_star,
 )
+from hrtwist import distributions
+from hrtwist.roots import find_root
 
 from conftest import (
     LN_PAIR_A_20DB,
@@ -180,6 +183,11 @@ class TestSolvePPrime:
         assert mixed.objective == one.objective
         assert np.array_equal(mixed.x_star, one.x_star)
 
+    def test_interior_candidate_near_minus_8db(self):
+        # the interior root, below the vertex's 0.10340276987075846
+        sol = solve_pprime(lognormal_pair(-7.75))
+        assert sol.objective == pytest.approx(0.07427388934091872, rel=1e-12)
+
     def test_feasibility(self):
         for problem in (weibull_pair(25.0), lognormal_pair(25.0)):
             sol = solve_pprime(problem)
@@ -226,6 +234,12 @@ class TestSolvePPrime:
             cases.append(lognormal_pair(gdb))
             cases.append(SumProblem.from_db(
                 (Weibull(0.4, 1.0), Weibull(0.8, 1.0), Weibull(0.6, 2.0)), gdb))
+        # below 0 dB the minimum is the equal split x_j = gamma / n, whose
+        # root sits on the scan's first point, with no sign change around it
+        ln = Lognormal.from_db(0.0, 6.0)
+        for gdb in (-20.0, -8.0, -5.0):
+            cases.append(SumProblem.from_db([ln] * 2, gdb))
+            cases.append(SumProblem.from_db([ln] * 3, gdb))
         # a mixed triple on which multi-start descent stopped 7e-4 above
         # the minimum
         cases.append(SumProblem.from_db(
@@ -263,6 +277,82 @@ class TestSolvePPrime:
             if n <= 3:
                 _, oracle = grid_oracle_pprime(problem, 2001 if n == 2 else 601)
                 assert a <= oracle + 1e-6 * abs(oracle)
+
+
+class TestScan:
+    """Lognormal.rising_branch on the solver's own grid of 128 log rates."""
+
+    @staticmethod
+    def scan_rates(problem, monkeypatch):
+        rates = []
+        real = Lognormal.rising_branch
+        with monkeypatch.context() as m:
+            m.setattr(Lognormal, "rising_branch",
+                      lambda self, rate: rates.append(rate) or real(self, rate))
+            solve_pprime(problem)
+        return rates[0]  # the scan comes before any refinement
+
+    @pytest.mark.parametrize("n, gamma_db", [
+        (3, 10.0), (3, 30.0), (3, 48.0), (2, -8.0), (3, -5.0)])
+    def test_each_point_converges_on_its_own(self, monkeypatch, n, gamma_db):
+        ln = Lognormal.from_db(0.0, 6.0)
+        rates = self.scan_rates(SumProblem.from_db([ln] * n, gamma_db),
+                                monkeypatch)
+        # the scan ends at the peak rate, where the slope of the Newton
+        # equation vanishes
+        peak = float(ln.hazard_rate(ln.concavity_onset()))
+        assert rates.size == 128
+        assert rates[-1] == pytest.approx(peak, rel=1e-14)
+
+        calls = []
+        real = distributions._log_mills
+        with monkeypatch.context() as m:
+            m.setattr(distributions, "_log_mills",
+                      lambda z: calls.append(1) or real(z))
+            x = ln.rising_branch(rates)
+        # one call places the peak, and each Newton step makes one: the
+        # slowest point of these scans takes 7 to 11 steps, and the loop
+        # allows 60
+        assert len(calls) <= 1 + 12
+        assert np.all(x <= ln.concavity_onset())
+        np.testing.assert_allclose(ln.hazard_rate(x), rates, rtol=1e-12, atol=0)
+        # the scan and the refinement of its cells see the same values
+        alone = [ln.rising_branch(np.array([r]))[0] for r in rates]
+        assert np.array_equal(x, alone)
+
+
+class TestFindRoot:
+    """The solver's bracketed root finder against scipy's Brent routine."""
+
+    FUNCTIONS = [
+        (lambda x: x ** 3 - 2.0 * x - 5.0, -1.0, 4.0),
+        (lambda x: math.exp(x) - 3.0, -2.0, 5.0),
+        (lambda x: math.atan(x - 0.7), -3.0, 1.0),
+        (lambda x: (x - 1.0) ** 3 + 0.1 * (x - 1.0), 0.2, 4.5),
+        (lambda x: math.log(x) + x - 2.0, 0.01, 3.0),
+        (lambda x: 1e-300 * (x - 0.5), 0.0, 1.0),
+    ]
+
+    @pytest.mark.parametrize("xtol", [1e-15, 1e-14, 2e-12, 1e-6])
+    def test_same_root_and_evaluations_as_scipy(self, xtol):
+        for f, lo, hi in self.FUNCTIONS:
+            ours, theirs = [], []
+            root = find_root(lambda x: ours.append(x) or f(x), lo, hi, xtol)
+            ref = brentq(lambda x: theirs.append(x) or f(x), lo, hi, xtol=xtol)
+            assert root == ref
+            assert ours == theirs
+
+    def test_endpoint_root(self):
+        assert find_root(lambda x: x - 2.0, 2.0, 3.0, 1e-12) == 2.0
+        assert find_root(lambda x: x - 3.0, 2.0, 3.0, 1e-12) == 3.0
+
+    @pytest.mark.parametrize("f, match", [
+        (lambda x: x * x + 1.0, "no sign change"),
+        (lambda x: math.nan if x > 0.5 else x - 0.7, "NaN"),
+    ], ids=["no-sign-change", "nan"])
+    def test_failures_raise(self, f, match):
+        with pytest.raises(ParameterError, match=match):
+            find_root(f, 0.0, 1.0, 1e-12)
 
 
 class TestSerialization:
