@@ -52,6 +52,8 @@ def _whole(value, name: str) -> int:
 _REQUIRED_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
                   "seed"}
 _CONFIG_KEYS = _REQUIRED_KEYS | {"theta_override", "theta_grid"}
+# one chunk of a run holds 2^15 words per component: 256 MiB at this bound
+MAX_COMPONENTS = 1024
 
 # each family's spellings: the exact field names, and the constructor they feed
 _FAMILIES = {
@@ -61,8 +63,9 @@ _FAMILIES = {
 }
 
 
-def _component(spec: dict) -> list:
-    """The `count` copies of the law one component object describes."""
+def _component(spec: dict, room: int) -> list:
+    """The `count` copies of the law one component object describes, if they
+    fit in `room`."""
     family = spec.get("family")
     if not isinstance(family, str) or family not in _FAMILIES:
         raise ConfigError(f"unknown distribution family: {family!r}")
@@ -75,6 +78,9 @@ def _component(spec: dict) -> list:
     count = _whole(spec.get("count", 1), "component count")
     if count < 1:
         raise ConfigError(f"component count must be >= 1: {spec}")
+    if count > room:
+        raise ConfigError(f"a config takes at most {MAX_COMPONENTS} components, "
+                          f"and count {count} of {spec} goes past it")
     law = spellings[names](*(_number(spec[n], f"{family} {n}") for n in names))
     law.concavity_onset()  # shape >= 1 or tiny sigma raises
     return [law] * count
@@ -106,7 +112,9 @@ class ExperimentConfig:
             if not (specs and isinstance(specs, list)
                     and all(isinstance(spec, dict) for spec in specs)):
                 raise ConfigError("components must be a non-empty list of objects")
-            components = [law for spec in specs for law in _component(spec)]
+            components = []
+            for spec in specs:
+                components += _component(spec, MAX_COMPONENTS - len(components))
             thresholds = _numbers(raw["thresholds_db"], "thresholds_db")
             if not thresholds:
                 raise ConfigError("threshold list is empty")
@@ -121,8 +129,9 @@ class ExperimentConfig:
                 raise ConfigError(f"theta values outside [0, 1): {bad}")
             samples_is = _whole(raw["samples_is"], "samples_is")
             samples_naive = _whole(raw["samples_naive"], "samples_naive")
-            if samples_is < 1 or samples_naive < 1:
-                raise ConfigError("sample counts must be positive")
+            if samples_is < 2 or samples_naive < 1:  # one IS sample has SE 0
+                raise ConfigError("samples_is must be at least 2 and "
+                                  "samples_naive at least 1")
             # a run draws N words per sample, indexed by 64-bit signed integers
             for name, m in (("samples_is", samples_is),
                             ("samples_naive", samples_naive)):
@@ -151,7 +160,7 @@ def _fmt(x) -> str:
     return format(float(x), ".12e")
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str],
+def _write_csv(path: Path, cfg: ExperimentConfig, header: str,
                rows: list[tuple], extra_meta: dict | None = None):
     lines = [
         f"# tool=hrtwist {__version__}",
@@ -160,30 +169,35 @@ def _write_csv(path: Path, cfg: ExperimentConfig, columns: list[str],
     ]
     for k, v in (extra_meta or {}).items():
         lines.append(f"# {k}={v}")
-    lines.append(",".join(columns))
+    lines.append(header)
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text("\n".join(lines) + "\n")
 
 
-def _runs(cfg: ExperimentConfig, workers: int, naive: bool = True):
-    """The estimation pass behind every sampling table, one threshold at a time.
+def _runs(cfg: ExperimentConfig, workers: int):
+    """The estimation pass behind `ccdf` and `validate`, one threshold at a time.
 
     Threshold idx is solved, then sampled by IS at theta_override (theta*
-    if unset) on stream 2*idx and, when `naive`, by naive MC on stream
-    2*idx + 1.  Yields (gamma_db, problem, r_is, r_mc), with r_mc None
-    when not `naive`.
+    if unset) on stream 2*idx and by naive MC on stream 2*idx + 1.  Yields
+    (gamma_db, problem, r_is, r_mc).  An IS run whose every hit weighs 0
+    would report a tail of 0 with SE 0: once the caller has used it (so
+    validate prints its line), it raises ParameterError.
     """
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
         theta_star = solve_pprime(problem).theta_star
         theta = theta_star if cfg.theta_override is None else cfg.theta_override
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                            stream_id=2 * idx, workers=workers)
-        r_mc = (naive_mc(problem, cfg.samples_naive, cfg.seed,
-                         stream_id=2 * idx + 1, workers=workers)
-                if naive else None)
+        r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
+                        stream_id=2 * idx + 1, workers=workers)
         yield gamma_db, problem, r_is, r_mc
+        if r_is.hit_frequency > 0 and r_is.alpha_hat == 0.0:
+            raise ParameterError(
+                f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "
+                f"{r_is.hit_frequency} IS hits underflow to 0 "
+                f"(max_log_weight_hit={r_is.max_log_weight_hit:.6g})")
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
@@ -204,49 +218,37 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    rows = [(gamma_db, r_mc.alpha_hat, r_is.alpha_hat, r_mc.std_error, r_is.std_error)
-            for gamma_db, _, r_is, r_mc in _runs(cfg, workers)]
-    _write_csv(out_dir / "ccdf.csv", cfg,
-               ["gamma_db", "alpha_naive", "alpha_is", "se_naive", "se_is"],
-               rows)
-    return 0
-
-
-def cmd_freq_table(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    rows = [(gamma_db, r_is.alpha_hat, r_is.hit_frequency, r_mc.hit_frequency)
-            for gamma_db, _, r_is, r_mc in _runs(cfg, workers)]
-    _write_csv(out_dir / "freq_table.csv", cfg,
-               ["gamma_db", "alpha_is", "freq_is", "freq_naive"], rows)
-    return 0
-
-
-def cmd_efficiency(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    """Per threshold, the naive and IS relative errors at 95 % confidence
-    (C = 1.96), and k, the naive-to-IS sample-count ratio at equal error.
+    """Per threshold, from one pass: the tail estimates and their SEs
+    (ccdf.csv), the hit counts (freq_table.csv), and the naive and IS
+    relative errors at 95 % confidence (C = 1.96) with k, the naive-to-IS
+    sample-count ratio at equal error (efficiency.csv).
 
     The naive error is the one a naive run of samples_naive would reach on
     the IS estimate alpha: C sqrt(alpha (1 - alpha) / M_naive) / alpha.
     """
-    if cfg.samples_is < 2:
-        raise ConfigError("efficiency needs samples_is >= 2 for the IS relative error")
-    rows = []
-    for gamma_db, _, r_is, _ in _runs(cfg, workers, naive=False):
+    ccdf, freq, efficiency = [], [], []
+    for gamma_db, _, r_is, r_mc in _runs(cfg, workers):
         alpha, var = r_is.alpha_hat, r_is.variance_weight
+        ccdf.append((gamma_db, r_mc.alpha_hat, alpha, r_mc.std_error, r_is.std_error))
+        freq.append((gamma_db, alpha, r_is.hit_frequency, r_mc.hit_frequency))
         if not 0.0 < alpha < 1.0:
             # the relative errors are undefined outside (0, 1)
             why = "zero" if alpha <= 0.0 else "at least 1"
             print(f"skipping gamma_db={gamma_db:g}: estimate is {why}",
                   file=sys.stderr)
             continue
-        rows.append((
+        efficiency.append((
             gamma_db,
             1.96 * math.sqrt(alpha * (1.0 - alpha)) / (
                 math.sqrt(cfg.samples_naive) * alpha),
             1.96 * math.sqrt(var) / (math.sqrt(cfg.samples_is) * alpha),
             math.inf if var == 0.0 else alpha * (1.0 - alpha) / var,
         ))
-    _write_csv(out_dir / "efficiency.csv", cfg,
-               ["gamma_db", "rel_err_naive", "rel_err_is", "k"], rows)
+    for name, header, rows in (
+            ("ccdf.csv", "gamma_db,alpha_naive,alpha_is,se_naive,se_is", ccdf),
+            ("freq_table.csv", "gamma_db,alpha_is,freq_is,freq_naive", freq),
+            ("efficiency.csv", "gamma_db,rel_err_naive,rel_err_is,k", efficiency)):
+        _write_csv(out_dir / name, cfg, header, rows)
     return 0
 
 
@@ -278,8 +280,7 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
                 theta, solution.objective, problem.n), se))
         _write_csv(
             out_dir / name, cfg,
-            ["theta", "second_moment_empirical", "second_moment_bound",
-             "std_error"], rows,
+            "theta,second_moment_empirical,second_moment_bound,std_error", rows,
             extra_meta={"gamma_db": format(gamma_db, "g"),
                         "theta_star": format(solution.theta_star, ".12e")})
     return 0
@@ -322,8 +323,6 @@ def cmd_validate(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 COMMANDS = {
     "solve": cmd_solve,
     "ccdf": cmd_ccdf,
-    "freq-table": cmd_freq_table,
-    "efficiency": cmd_efficiency,
     "theta-sweep": cmd_theta_sweep,
     "validate": cmd_validate,
 }

@@ -30,8 +30,7 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
-COMMANDS = ["solve", "ccdf", "freq-table", "efficiency", "theta-sweep",
-            "validate"]
+COMMANDS = ["solve", "ccdf", "theta-sweep", "validate"]
 
 _SAMPLES = {"samples_is": 40_000, "samples_naive": 40_000,
             "theta_grid": [0.5, 0.9]}

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import hrtwist
-from hrtwist.cli import ConfigError, ExperimentConfig, main
+from hrtwist.cli import COMMANDS, MAX_COMPONENTS, ConfigError, ExperimentConfig, main
 
 from conftest import WB_PAIR_TAIL_20DB
 from outputs_digest import CASES, CONFIGS, run_case
@@ -101,6 +101,14 @@ class TestConfigParsing:
         assert (cfg.samples_is, cfg.samples_naive, cfg.seed) == (10**6, 2, 7)
         assert all(type(v) is int for v in (cfg.samples_is, cfg.seed))
         assert cfg.problems[0][1].n == 3
+
+    def test_max_components_accepted(self):
+        # the bound counts every component, whatever its family
+        spec = dict(WB_PAIR["components"][0], count=MAX_COMPONENTS - 1)
+        cfg = ExperimentConfig.from_dict(dict(
+            WB_PAIR, components=[spec, {"family": "lognormal", "mu": 0.0,
+                                        "sigma": 1.0}]))
+        assert cfg.problems[0][1].n == MAX_COMPONENTS
 
     def test_mixed_lognormal_spelling_names_both(self):
         spec = {"family": "lognormal", "mu_db": 0.0, "sigma_db": 6.0,
@@ -210,6 +218,11 @@ class TestExitCodes:
         # N M words in a run, 2^63 or more
         ("ccdf", {"samples_is": 1e30}),
         ("ccdf", {"samples_naive": 2 ** 62}),
+        # the bound is on the running total of the counts
+        ("solve", {"components": [{"family": "weibull", "shape": 0.5,
+                                   "scale": 1.0, "count": 1000},
+                                  {"family": "lognormal", "mu": 0.0,
+                                   "sigma": 1.0, "count": 25}]}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "threshold-4000dB",
             "lognormal-mu-nan", "lognormal-mu-inf", "lognormal-mu-db-nan",
@@ -222,7 +235,8 @@ class TestExitCodes:
             "count-string", "samples-is-string", "samples-naive-string",
             "seed-string", "component-unknown-key", "unknown-key",
             "linear-subnormal", "lognormal-sigma-1e-4", "seed-2^63",
-            "seed-below-2^63", "samples-is-1e30", "samples-naive-2^62"])
+            "seed-below-2^63", "samples-is-1e30", "samples-naive-2^62",
+            "components-past-1024"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, **change}
         assert run(tmp_path, command, raw)[0] == 1
@@ -242,9 +256,20 @@ class TestExitCodes:
     def test_removed_key_is_unknown(self, tmp_path, capsys, key, value):
         # thresholds are given in dB only, and the confidence constant is 1.96
         raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, key: value}
-        assert run(tmp_path, "efficiency", raw)[0] == 1
+        assert run(tmp_path, "ccdf", raw)[0] == 1
         assert capsys.readouterr().err == (
             f"config error: unknown config key(s) ['{key}']\n")
+
+    def test_component_count_is_bounded_before_the_laws_are_built(
+            self, tmp_path, capsys):
+        # the shape is invalid too: code that built this law, and so perhaps
+        # its 10^9 copies, before bounding the count fails on the shape
+        spec = {"family": "weibull", "shape": 1.5, "scale": 1.0, "count": 1e9}
+        assert run(tmp_path, "solve", dict(WB_PAIR, components=[spec]))[0] == 1
+        assert capsys.readouterr().err == (
+            f"config error: a config takes at most {MAX_COMPONENTS} "
+            f"components, and count 1000000000 of {spec} goes past it\n")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("change", [
         {"thresholds_db": [-200.0],
@@ -274,11 +299,14 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["solve", "--config", "CFG", "--workers", "abc"],
         ["sovle", "--config", "CFG"],
+        # ccdf writes their tables
+        ["freq-table", "--config", "CFG"],
+        ["efficiency", "--config", "CFG"],
         ["solve", "--config", "CFG", "--seed", "5"],
         ["solve", "--config", "CFG", "--output"],
         ["solve"],
-    ], ids=["workers-abc", "unknown-command", "seed-flag", "output-no-value",
-            "no-config"])
+    ], ids=["workers-abc", "unknown-command", "freq-table-command",
+            "efficiency-command", "seed-flag", "output-no-value", "no-config"])
     def test_usage_error_is_config_error(self, tmp_path, capsys, argv):
         config = write_config(tmp_path, WB_PAIR)
         assert main([config if arg == "CFG" else arg for arg in argv]) == 1
@@ -349,7 +377,7 @@ class TestDeterminism:
 
 class TestFreqTable:
     def test_columns_and_consistency(self, tmp_path):
-        code, out = run(tmp_path, "freq-table", LN_PAIR)
+        code, out = run(tmp_path, "ccdf", LN_PAIR)
         assert code == 0
         lines = [l for l in (out / "freq_table.csv").read_text().splitlines()
                  if not l.startswith("#")]
@@ -361,7 +389,7 @@ class TestFreqTable:
 
 class TestEfficiency:
     def test_k_column_positive(self, tmp_path):
-        code, out = run(tmp_path, "efficiency", LN_PAIR)
+        code, out = run(tmp_path, "ccdf", LN_PAIR)
         assert code == 0
         lines = [l for l in (out / "efficiency.csv").read_text().splitlines()
                  if not l.startswith("#")]
@@ -369,14 +397,13 @@ class TestEfficiency:
         assert float(row[3]) > 1.0  # variance reduction at a rare threshold
 
     def test_columns_follow_from_the_ccdf_run(self, tmp_path):
-        # the shared pass gives both tables the same alpha_is; at -30 dB
+        # one ccdf run writes both tables from the same alpha_is; at -30 dB
         # theta* clamps to 0, so the IS weights are the hit indicators, and
         # at 52 dB the squared weights underflow (se_is 0, so k is inf)
         raw = CONFIGS["wb2"]
         m, m_naive = raw["samples_is"], raw["samples_naive"]
         assert run(tmp_path, "ccdf", raw)[0] == 0
         ccdf = data_rows(tmp_path / "out" / "ccdf.csv")
-        assert run(tmp_path, "efficiency", raw)[0] == 0
         rows = data_rows(tmp_path / "out" / "efficiency.csv")
         assert [r[0] for r in rows] == [r[0] for r in ccdf]
         for (_, _, alpha, _, se_is), row in zip(ccdf, rows):
@@ -394,23 +421,28 @@ class TestEfficiency:
         # at -30 dB theta* clamps to 0; with this seed all 1,000 samples
         # exceed gamma, so alpha_is = 1
         raw = dict(WB_PAIR, thresholds_db=[-30.0, 20.0], samples_is=1_000)
-        code, out = run(tmp_path, "efficiency", raw)
+        code, out = run(tmp_path, "ccdf", raw)
         assert code == 0
         assert "skipping gamma_db=-30: estimate is at least 1" in capsys.readouterr().err
         assert [float(r[0]) for r in data_rows(out / "efficiency.csv")] == [20.0]
+        # the other two tables keep the threshold
+        for name in ("ccdf.csv", "freq_table.csv"):
+            assert [float(r[0]) for r in data_rows(out / name)] == [-30.0, 20.0]
 
     def test_one_is_sample_is_config_error(self, tmp_path, capsys, monkeypatch):
-        # with this seed the single IS sample hits (alpha_is about 0.49), so
-        # only the IS relative error, which needs two samples, is undefined
+        # a parse rule on every command: the standard error of one IS
+        # sample is 0, and the IS relative error is undefined
         from hrtwist import cli
 
         monkeypatch.setattr(cli, "is_estimate", None)  # nothing is sampled
-        raw = dict(WB_PAIR, thresholds_db=[10.0], samples_is=1, seed=3)
-        code, out = run(tmp_path, "efficiency", raw)
-        assert code == 1
-        assert capsys.readouterr().err.startswith(
-            "config error: efficiency needs samples_is >= 2 ")
-        assert not out.exists()
+        raw = dict(WB_PAIR, samples_is=1, theta_grid=[0.5])
+        for command in COMMANDS:
+            code, out = run(tmp_path, command, raw)
+            assert code == 1
+            assert capsys.readouterr().err == (
+                "config error: samples_is must be at least 2 and "
+                "samples_naive at least 1\n")
+            assert not out.exists()
 
 
 class TestThetaSweep:
@@ -516,6 +548,33 @@ class TestValidate:
         assert code == 1
 
 
+@pytest.mark.parametrize("command", ["ccdf", "validate"])
+def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
+                                                       command):
+    # theta this close to 1 twists the samples so far past gamma that every
+    # weight underflows: a tail of 0 with SE 0 would look exact
+    theta = 1.0 - 1e-12
+    raw = dict(WB_PAIR, thresholds_db=[20.0], theta_override=theta,
+               samples_is=1_000, samples_naive=1_000, seed=1)
+    code, out = run(tmp_path, command, raw)
+    assert code == 2
+    printed, err = capsys.readouterr()
+    *notes, last = err.splitlines()
+    assert re.fullmatch(
+        rf"numerical failure: gamma_db=20, theta={re.escape(repr(theta))}: "
+        r"the weights of all 1000 IS hits underflow to 0 "
+        r"\(max_log_weight_hit=-4\.6\d*e\+10\)", last)
+    # the failure is raised once the threshold's run has been used: ccdf
+    # notes the estimate but writes no table, validate prints its line
+    if command == "ccdf":
+        assert notes == ["skipping gamma_db=20: estimate is zero"]
+        assert printed == "" and not out.exists()
+    else:
+        assert notes == []
+        assert printed.startswith("FAIL gamma_db=20 oracle=1.046964e-04 "
+                                  "is=0.000000e+00 (se=0.00e+00) ")
+
+
 class TestImports:
     # scipy.optimize, and scipy.integrate which loads it, are a large share
     # of the CLI's start-up; only validate's oracle needs them
@@ -559,7 +618,6 @@ class TestSharedPass:
                 raw["theta_override"] = override
             _, out = run(tmp_path, "ccdf", raw)
             ccdf = [r[2] for r in data_rows(out / "ccdf.csv")]
-            _, out = run(tmp_path, "freq-table", raw)
             freq = [r[1] for r in data_rows(out / "freq_table.csv")]
             capsys.readouterr()
             run(tmp_path, "validate", raw)
@@ -572,7 +630,7 @@ class TestSharedPass:
 
 
 class TestNaiveCount:
-    @pytest.mark.parametrize("command", ["ccdf", "freq-table", "validate"])
+    @pytest.mark.parametrize("command", ["ccdf", "validate"])
     def test_runs_the_configured_count(self, tmp_path, capsys, monkeypatch,
                                        command):
         from hrtwist import cli

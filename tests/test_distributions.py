@@ -24,7 +24,7 @@ from conftest import (
 
 def component(spec):
     """The law a config's component object describes."""
-    raw = {"components": [spec], "thresholds_db": [20.0], "samples_is": 1,
+    raw = {"components": [spec], "thresholds_db": [20.0], "samples_is": 2,
            "samples_naive": 1, "seed": 1}
     return ExperimentConfig.from_dict(raw).problems[0][1].components[0]
 
