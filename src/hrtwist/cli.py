@@ -54,6 +54,8 @@ _REQUIRED_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
 _CONFIG_KEYS = _REQUIRED_KEYS | {"theta_override", "theta_grid"}
 # one chunk of a run holds 2^15 words per component: 256 MiB at this bound
 MAX_COMPONENTS = 1024
+# a run starts up to this many threads, one per chunk it hands out
+MAX_WORKERS = 64
 
 # each family's spellings: the exact field names, and the constructor they feed
 _FAMILIES = {
@@ -351,8 +353,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.workers < 1:
-            raise ConfigError(f"--workers must be at least 1, got {args.workers}")
+        if not 1 <= args.workers <= MAX_WORKERS:
+            raise ConfigError(f"--workers must lie in [1, {MAX_WORKERS}], "
+                              f"got {args.workers}")
         cfg = ExperimentConfig.from_dict(
             json.loads(Path(args.config).read_text(encoding="utf-8")))
         return COMMANDS[args.command](cfg, Path(args.output), args.workers)

@@ -3,8 +3,22 @@
 Both estimators share one sampling core: component i of sample j uses
 word j*N + i of the run's Philox stream, and samples are generated by
 exact inversion of the (possibly twisted) CDF.  Only rows with a word at
-or past its component's survival cut (`_word_cuts`) are converted to
-uniforms and inverted; the rest are misses.
+or past its component's survival cut (`_word_cuts`) are kept; the rest
+are misses.
+
+A hit needs the quantiles only to compare their sum with gamma, and the
+weight needs only the hazard sum, which takes no quantile.  So once per
+run each distinct lognormal law gets a table (`_quantile_tables`) of its
+quantile at the least and greatest word of 2^B buckets over the word's
+top B bits, B = floor(log2 M) - 6 clamped to [4, 12] for M samples.  The
+table ends bracket a kept row's sum, and only rows whose bracket reaches
+within a relative 1e-9 of gamma are inverted exactly: 0.10-0.15 % of the
+kept rows of a lognormal pair at theta* and M = 10^6 (10-46 dB).  Weights
+are formed on hits only.  Weibull laws get no table: their quantile is
+one power, about as cheap as a bucket's shift, two gathers and two adds,
+and tabling them made the sampling of the Weibull(0.5, 1) pair about 7 %
+slower.  So sums of Weibull laws alone are inverted in full.
+
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
@@ -48,39 +62,109 @@ class EstimateResult:
     min_hazard_sum_hit: float
 
 
-def _chunk_stats(problem: SumProblem, theta: float, cut: list,
+def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
+    """Twisted log survival of words: log1p(-u) / (1 - theta), u their uniforms."""
+    return np.log1p(-uniforms_from_words(words)) / (1.0 - theta)
+
+
+def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
                  stream: RandomStream, start: int, stop: int):
     """Hit moments of samples [start, stop), keeping rows past the word cut.
 
-    `cut` is `_word_cuts(problem, theta)`.  A row's sum is added up column
-    by column, left to right.  numpy's row sum adds fewer than 8 terms in
-    that order too, so for N <= 7 every hit is the one a full inversion
-    finds; from N = 8 on numpy sums pairwise, and a sum within rounding of
-    gamma could in principle fall the other way.
+    `cut` is (`_word_cuts(problem, theta)`, shift, tables), the last two
+    from `_quantile_tables`.  With no table (Weibull components only) every
+    kept row is inverted and its hazard sum taken.  Otherwise each kept
+    row's sum is bracketed first: a tabled column adds the quantiles at
+    the least and greatest word of its bucket (word >> shift) to lo and
+    hi, any other column its exact quantile to both.  lo > gamma (1 + 1e-9)
+    is a sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in
+    between are inverted.  The margins dwarf the rounding of an N-term sum
+    and any float step against the quantile's monotony, so the hits are
+    those of exact inversion.  The hazard sums are then taken on the hits
+    alone, column by column, so each weight keeps its bits.
+
+    An exact sum is added up column by column, left to right.  numpy's row
+    sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
+    is the one a full inversion finds; from N = 8 on numpy sums pairwise,
+    and a sum within rounding of gamma could in principle fall the other
+    way.
     """
     n = problem.n
+    cuts, shift, tables = cut
+    (i, w), *rest = cuts
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
     # column by column: far cheaper than a 2-D compare and any(axis=1)
-    (i, w), *rest = cut
     keep = raw[:, i] >= w
     for i, w in rest:
         keep |= raw[:, i] >= w
     raw = np.compress(keep, raw, axis=0)
-    total = np.zeros(raw.shape[0])
-    hazard_sum = np.zeros(raw.shape[0])
-    for i, comp in enumerate(problem.components):
-        log_sf = np.log1p(-uniforms_from_words(raw[:, i])) / (1.0 - theta)
-        total += comp.quantile_from_log_sf(log_sf)
-        hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-    hits = total > problem.gamma
-    n_hits = int(np.count_nonzero(hits))
+    gamma = problem.gamma
+    if tables:
+        lo = np.zeros(raw.shape[0])
+        hi = np.zeros(raw.shape[0])
+        for i, comp in enumerate(problem.components):
+            table = tables.get(comp)
+            if table is None:
+                x = comp.quantile_from_log_sf(_log_sf(raw[:, i], theta))
+                lo += x
+                hi += x
+            else:
+                # np.take on intp indexes: far cheaper than indexing by uint64
+                bucket = (raw[:, i] >> shift).astype(np.intp)
+                lo += np.take(table[0], bucket)
+                hi += np.take(table[1], bucket)
+        hits = lo > gamma * (1.0 + 1e-9)
+        near = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
+        total = np.zeros(near.size)
+        for i, comp in enumerate(problem.components):
+            total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
+        hits[near] = total > gamma
+        raw = np.compress(hits, raw, axis=0)
+        hazard_sum = np.zeros(raw.shape[0])
+        for i in range(n):
+            hazard_sum -= _log_sf(raw[:, i], theta)
+    else:
+        total = np.zeros(raw.shape[0])
+        hazard_sum = np.zeros(raw.shape[0])
+        for i, comp in enumerate(problem.components):
+            log_sf = _log_sf(raw[:, i], theta)
+            total += comp.quantile_from_log_sf(log_sf)
+            hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
+        hazard_sum = hazard_sum[total > gamma]
+    n_hits = hazard_sum.size
     if n_hits == 0:
         return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
-    log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
+    log_w = -n * math.log1p(-theta) - theta * hazard_sum
     w = np.exp(log_w)
     return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
-            n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
+            n_hits, float(np.max(log_w)), float(np.min(hazard_sum)))
+
+
+def _bucket_bits(sample_count: int) -> int:
+    """Top word bits B a quantile table buckets on: floor(log2 M) - 6, in [4, 12].
+
+    A law's 2^(B+1) table values are then at most M / 32 from M = 1024 on,
+    and the cap keeps a table within 64 KiB.
+    """
+    return min(max(sample_count.bit_length() - 7, 4), 12)
+
+
+def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
+    """(shift, tables): each distinct lognormal law's quantiles at the least
+    (row 0) and greatest (row 1) word of each bucket, word >> shift.
+
+    The values come from the core's own expression, so they bracket the
+    quantile of every word in the bucket.
+    """
+    bits = _bucket_bits(sample_count)
+    shift = np.uint64(64 - bits)
+    least = np.arange(1 << bits, dtype=np.uint64) << shift
+    ends = np.concatenate([least, least | ((np.uint64(1) << shift) - np.uint64(1))])
+    log_sf = _log_sf(ends, theta)
+    return shift, {comp: comp.quantile_from_log_sf(log_sf).reshape(2, -1)
+                   for comp in dict.fromkeys(problem.components)
+                   if comp.family == "lognormal"}
 
 
 def _word_cuts(problem: SumProblem, theta: float) -> list:
@@ -111,9 +195,13 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    cut = _word_cuts(problem, theta)
+    cuts = _word_cuts(problem, theta)
     # no word can reach the cut: every row is a miss, so draw none
-    bounds = list(range(0, sample_count, CHUNK_SIZE)) if cut else []
+    if cuts:
+        cut = (cuts, *_quantile_tables(problem, theta, sample_count))
+        bounds = list(range(0, sample_count, CHUNK_SIZE))
+    else:
+        cut, bounds = None, []
     bounds.append(sample_count)
     jobs = list(zip(bounds[:-1], bounds[1:]))
 

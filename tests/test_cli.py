@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 import hrtwist
-from hrtwist.cli import COMMANDS, MAX_COMPONENTS, ConfigError, ExperimentConfig, main
+from hrtwist import estimators
+from hrtwist.cli import (COMMANDS, MAX_COMPONENTS, MAX_WORKERS, ConfigError,
+                         ExperimentConfig, main)
 
 from conftest import WB_PAIR_TAIL_20DB
 from outputs_digest import CASES, CONFIGS, run_case
@@ -329,6 +331,35 @@ class TestExitCodes:
         code, _ = run(tmp_path, "ccdf", WB_PAIR, "--workers", str(workers))
         assert code == 1
         assert capsys.readouterr().err.startswith("config error: ")
+
+    # a run starts a thread per chunk up to --workers, so these tests stop
+    # at parse or at the sampling entry and never start a pool
+    @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 5000])
+    def test_workers_past_the_bound_is_config_error(self, tmp_path, capsys,
+                                                    monkeypatch, workers):
+        def no_sampling(*args):
+            raise AssertionError("a run sampled")
+
+        monkeypatch.setattr(estimators, "_run", no_sampling)
+        raw = dict(WB_PAIR, samples_is=10 ** 8)
+        code, out = run(tmp_path, "ccdf", raw, "--workers", str(workers))
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"config error: --workers must lie in [1, {MAX_WORKERS}], "
+            f"got {workers}\n")
+        assert not out.exists()
+
+    def test_workers_at_the_bound_reach_sampling(self, tmp_path, monkeypatch):
+        class Sampled(Exception):
+            pass
+
+        def spy(problem, theta, sample_count, seed, stream_id, workers):
+            raise Sampled(workers)
+
+        monkeypatch.setattr(estimators, "_run", spy)
+        with pytest.raises(Sampled) as info:
+            run(tmp_path, "ccdf", WB_PAIR, "--workers", str(MAX_WORKERS))
+        assert info.value.args == (MAX_WORKERS,)
 
 
 class TestSolveCommand:

@@ -266,6 +266,113 @@ class TestWordCut:
                 min_hazard_sum_hit=math.inf)
 
 
+def _core_and_full_inversion(monkeypatch, cases):
+    """IS and naive results of (problem, theta, m, workers) cases, from the
+    core and from inverting every row."""
+    def run_all():
+        out = []
+        for k, (problem, theta, m, workers) in enumerate(cases):
+            out.append(is_estimate(problem, theta, m, k, workers=workers))
+            out.append(naive_mc(problem, m, k, stream_id=1, workers=workers))
+        return out
+
+    core = run_all()
+    with monkeypatch.context() as patch:
+        patch.setattr(estimators, "_chunk_stats", _full_inversion_chunk_stats)
+        return core, run_all()
+
+
+def _kept_rows(problem, theta, m, seed):
+    """Rows of stream 0 of seed that pass the run's word cut."""
+    words = RandomStream(seed).words_at(0, problem.n * m).reshape(-1, problem.n)
+    keep = np.zeros(m, dtype=bool)
+    for i, w in estimators._word_cuts(problem, theta):
+        keep |= words[:, i] >= w
+    return int(np.count_nonzero(keep))
+
+
+def _count_quantile_values(monkeypatch, cls):
+    """Sizes of the arrays passed to cls.quantile_from_log_sf, call by call."""
+    sizes = []
+    inner = cls.quantile_from_log_sf
+
+    def spy(self, log_sf):
+        sizes.append(np.size(log_sf))
+        return inner(self, log_sf)
+
+    monkeypatch.setattr(cls, "quantile_from_log_sf", spy)
+    return sizes
+
+
+LN6 = Lognormal.from_db(0.0, 6.0)
+
+
+class TestQuantileTable:
+    def test_tiny_table_equals_full_inversion(self, monkeypatch):
+        # 4 buckets: at 20 dB nearly every kept lognormal row is left near
+        # gamma and inverted exactly; at -5 dB most are sure hits
+        monkeypatch.setattr(estimators, "_bucket_bits", lambda m: 2)
+        problems = [
+            lognormal_pair(20.0), lognormal_pair(-5.0),
+            SumProblem.from_db([Weibull(0.5, 1.0), LN6, Lognormal(0.5, 1.2)], 15.0),
+            SumProblem.from_db([LN6, Weibull(0.4, 2.0)], 30.0),
+            weibull_pair(20.0),
+        ]
+        cases = []
+        for k, problem in enumerate(problems):
+            theta = solve_pprime(problem).theta_star
+            m = estimators.CHUNK_SIZE + 1000 * k + 7  # a ragged last chunk
+            cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
+        core, reference = _core_and_full_inversion(monkeypatch, cases)
+        assert core == reference
+        assert all(r.hit_frequency for r in core[::2])
+
+    def test_lognormal_pair_inverts_few_rows(self, monkeypatch):
+        problem = lognormal_pair(30.0)
+        theta = solve_pprime(problem).theta_star
+        m = 4 * estimators.CHUNK_SIZE
+        table = 2 << estimators._bucket_bits(m)
+        sizes = _count_quantile_values(monkeypatch, Lognormal)
+        is_estimate(problem, theta, m, 5)
+        assert sizes[0] == table
+        assert sum(sizes[1:]) <= 0.02 * _kept_rows(problem, theta, m, 5)
+
+    def test_identical_laws_share_one_table(self, monkeypatch):
+        problem = SumProblem.from_db([LN6] * 64, 40.0)
+        m = 2 * estimators.CHUNK_SIZE + 5
+        sizes = _count_quantile_values(monkeypatch, Lognormal)
+        r = is_estimate(problem, 0.9, m, 2)  # theta* is 0 here
+        assert r.hit_frequency > 0
+        # one table, then one exact call per column and chunk
+        assert sizes[0] == 2 << estimators._bucket_bits(m)
+        assert len(sizes) == 1 + 64 * 3
+
+    def test_weibull_pair_builds_no_table(self, monkeypatch):
+        problem = weibull_pair(20.0)
+        theta = solve_pprime(problem).theta_star
+        m = 4 * estimators.CHUNK_SIZE + 11
+        sizes = _count_quantile_values(monkeypatch, Weibull)
+        lognormal = _count_quantile_values(monkeypatch, Lognormal)
+        is_estimate(problem, theta, m, 5)
+        assert lognormal == []
+        # each kept row inverted once per column, as by the table-free core
+        assert sum(sizes) == 2 * _kept_rows(problem, theta, m, 5)
+        assert len(sizes) == 2 * 5
+
+    def test_table_ends_at_inf(self, monkeypatch):
+        # at the strongest twist the greatest words' quantiles overflow
+        theta, m = 1 - 1e-12, estimators.CHUNK_SIZE + 9
+        cases = []
+        for problem in (lognormal_pair(20.0),
+                        SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)):
+            _, tables = estimators._quantile_tables(problem, theta, m)
+            assert np.isinf(tables[LN6][1]).any()
+            assert not np.isinf(tables[LN6][0]).all()
+            cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
+        core, reference = _core_and_full_inversion(monkeypatch, cases)
+        assert core == reference
+
+
 class TestBoundCertificate:
     def test_worst_hit_weight_below_certificate(self):
         for problem in (weibull_pair(20.0), lognormal_pair(20.0)):
