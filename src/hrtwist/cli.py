@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import is_estimate, naive_mc
+from .estimators import MAX_WORKERS, is_estimate, naive_mc
 from .oracles import tail_convolution_2
 from .solver import SumProblem, second_moment_bound, solve_pprime
 
@@ -54,8 +54,6 @@ _REQUIRED_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
 _CONFIG_KEYS = _REQUIRED_KEYS | {"theta_override", "theta_grid"}
 # one chunk of a run holds 2^15 words per component: 256 MiB at this bound
 MAX_COMPONENTS = 1024
-# a run starts up to this many threads, one per chunk it hands out
-MAX_WORKERS = 64
 
 # each family's spellings: the exact field names, and the constructor they feed
 _FAMILIES = {

@@ -7,17 +7,10 @@ or past its component's survival cut (`_word_cuts`) are kept; the rest
 are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
-weight needs only the hazard sum, which takes no quantile.  So once per
-run each distinct lognormal law gets a table (`_quantile_tables`) of its
-quantile at the least and greatest word of 2^B buckets over the word's
-top B bits, B = floor(log2 M) - 6 clamped to [4, 12] for M samples.  The
-table ends bracket a kept row's sum, and only rows whose bracket reaches
-within a relative 1e-9 of gamma are inverted exactly: 0.10-0.15 % of the
-kept rows of a lognormal pair at theta* and M = 10^6 (10-46 dB).  Weights
-are formed on hits only.  Weibull laws get no table: their quantile is
-one power, about as cheap as a bucket's shift, two gathers and two adds,
-and tabling them made the sampling of the Weibull(0.5, 1) pair about 7 %
-slower.  So sums of Weibull laws alone are inverted in full.
+weight needs only the hazard sum, which takes no quantile.  So most kept
+rows are decided from a per-run table of lognormal quantiles, and only
+those near gamma are inverted exactly; `_chunk_stats` says how, and why
+sums of Weibull laws alone are inverted in full.
 
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
@@ -38,6 +31,10 @@ from .solver import SumProblem
 from .streams import RandomStream, least_word, uniforms_from_words
 
 CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
+# a run starts up to this many threads, one per chunk it hands out
+MAX_WORKERS = 64
+# the moments and extremes of a chunk without hits
+_NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 
 
 @dataclass(frozen=True)
@@ -72,16 +69,25 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     """Hit moments of samples [start, stop), keeping rows past the word cut.
 
     `cut` is (`_word_cuts(problem, theta)`, shift, tables), the last two
-    from `_quantile_tables`.  With no table (Weibull components only) every
-    kept row is inverted and its hazard sum taken.  Otherwise each kept
-    row's sum is bracketed first: a tabled column adds the quantiles at
-    the least and greatest word of its bucket (word >> shift) to lo and
-    hi, any other column its exact quantile to both.  lo > gamma (1 + 1e-9)
-    is a sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in
-    between are inverted.  The margins dwarf the rounding of an N-term sum
-    and any float step against the quantile's monotony, so the hits are
-    those of exact inversion.  The hazard sums are then taken on the hits
+    from `_quantile_tables`.  A chunk that keeps no row returns at once.
+
+    Each distinct lognormal law has a table of its quantile at the 2^B + 1
+    edges of 2^B buckets over the word's top B bits (`_bucket_bits`).  Each
+    kept row's sum is bracketed first: a tabled column adds the values at
+    its bucket's two edges (bucket word >> shift) to lo and hi, any other
+    column its exact quantile to both.  lo > gamma (1 + 1e-9) is a sure
+    hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in between
+    are inverted: 0.10-0.15 % of the kept rows of a lognormal pair at
+    theta* and M = 10^6 (10-46 dB).  The margins dwarf the rounding of an
+    N-term sum and any float step against the quantile's monotony, so the
+    hits are those of exact inversion.  The hazard sums are then taken on the hits
     alone, column by column, so each weight keeps its bits.
+
+    Weibull laws get no table: their quantile is one power, about as cheap
+    as a bucket's shift, two gathers and two adds, and tabling them made
+    the sampling of the Weibull(0.5, 1) pair about 7 % slower.  So with no
+    table (Weibull components only) every kept row is inverted and its
+    hazard sum taken.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -98,6 +104,8 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     for i, w in rest:
         keep |= raw[:, i] >= w
     raw = np.compress(keep, raw, axis=0)
+    if raw.shape[0] == 0:
+        return _NO_HITS
     gamma = problem.gamma
     if tables:
         lo = np.zeros(raw.shape[0])
@@ -111,8 +119,8 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
             else:
                 # np.take on intp indexes: far cheaper than indexing by uint64
                 bucket = (raw[:, i] >> shift).astype(np.intp)
-                lo += np.take(table[0], bucket)
-                hi += np.take(table[1], bucket)
+                lo += np.take(table[:-1], bucket)
+                hi += np.take(table[1:], bucket)
         hits = lo > gamma * (1.0 + 1e-9)
         near = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
         total = np.zeros(near.size)
@@ -133,36 +141,40 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
         hazard_sum = hazard_sum[total > gamma]
     n_hits = hazard_sum.size
     if n_hits == 0:
-        return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
+        return _NO_HITS
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
     w = np.exp(log_w)
-    return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
+    w2 = w * w
+    return (float(np.sum(w)), float(np.sum(w2)), float(np.sum(w2 * w2)),
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum)))
 
 
 def _bucket_bits(sample_count: int) -> int:
     """Top word bits B a quantile table buckets on: floor(log2 M) - 6, in [4, 12].
 
-    A law's 2^(B+1) table values are then at most M / 32 from M = 1024 on,
-    and the cap keeps a table within 64 KiB.
+    A law's 2^B + 1 table values are then at most M / 64 + 1 from M = 1024
+    on, and the cap keeps a table within 33 KiB.
     """
     return min(max(sample_count.bit_length() - 7, 4), 12)
 
 
 def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
-    """(shift, tables): each distinct lognormal law's quantiles at the least
-    (row 0) and greatest (row 1) word of each bucket, word >> shift.
+    """(shift, tables): each distinct lognormal law's quantiles at the 2^B + 1
+    bucket edges, the least word of each bucket (word >> shift) and the
+    greatest word, 2^64 - 1.  Bucket b lies between values b and b + 1.
 
-    The values come from the core's own expression, so they bracket the
-    quantile of every word in the bucket.
+    The values come from the core's own expression.  That expression is
+    not monotone to the last bit, so they bracket the quantile of every
+    word in the bucket only to a few ulps; the core's 1e-9 margins are what
+    make its hits exact.
     """
     bits = _bucket_bits(sample_count)
     shift = np.uint64(64 - bits)
-    least = np.arange(1 << bits, dtype=np.uint64) << shift
-    ends = np.concatenate([least, least | ((np.uint64(1) << shift) - np.uint64(1))])
-    log_sf = _log_sf(ends, theta)
-    return shift, {comp: comp.quantile_from_log_sf(log_sf).reshape(2, -1)
+    edges = np.append(np.arange(1 << bits, dtype=np.uint64) << shift,
+                      np.uint64(2 ** 64 - 1))
+    log_sf = _log_sf(edges, theta)
+    return shift, {comp: comp.quantile_from_log_sf(log_sf)
                    for comp in dict.fromkeys(problem.components)
                    if comp.family == "lognormal"}
 
@@ -174,15 +186,13 @@ def _word_cuts(problem: SumProblem, theta: float) -> list:
     and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
     S_i(edge)^(1 - theta).  The least kept word is the least whose uniform
     is at least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding
-    of the core's log1p(-u) / (1 - theta), so every row that can hit is
-    kept, and the extra rows lie under the edge and miss.  Components whose
-    largest word fails the core's float test are left out.
+    of the core's `_log_sf`, so every row that can hit is kept, and the
+    extra rows lie under the edge and miss.  Components whose largest word
+    fails the core's float test are left out.
     """
     edge = problem.gamma * (1.0 - 1e-9) / problem.n
     cut = np.array([c.log_survival(edge) for c in problem.components])
-    # numpy's log1p, as in the core (math.log1p can differ in the last bit)
-    top = uniforms_from_words(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64))
-    reachable = np.log1p(-top) / (1.0 - theta) < cut
+    reachable = _log_sf(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < cut
     least = least_word(
         1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
     return [(i, w) for i, w in enumerate(least) if reachable[i]]
@@ -192,6 +202,8 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
          stream_id: int, workers: int) -> EstimateResult:
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ParameterError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)

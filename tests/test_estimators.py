@@ -114,6 +114,24 @@ class TestISEstimate:
         with pytest.raises(ParameterError):
             is_estimate(single_weibull_gamma4, 0.5, 0, 0)
 
+    # a run starts a thread per chunk up to `workers`, so these must fail
+    # before any pool is built; never start such a pool, even here
+    @pytest.mark.parametrize("workers", [0, -3, estimators.MAX_WORKERS + 1, 5000])
+    def test_invalid_workers(self, monkeypatch, single_weibull_gamma4, workers):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        def no_draw(self, offset, count):
+            raise AssertionError("words were drawn")
+
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(RandomStream, "words_at", no_draw)
+        m = 100 * estimators.CHUNK_SIZE
+        with pytest.raises(ParameterError, match="workers"):
+            is_estimate(single_weibull_gamma4, 0.5, m, 0, workers=workers)
+        with pytest.raises(ParameterError, match="workers"):
+            naive_mc(single_weibull_gamma4, m, 0, workers=workers)
+
 
 class TestDeterminism:
     def test_bit_identical_repeats(self):
@@ -199,6 +217,34 @@ class TestSurvivalCut:
 def _float_cut(theta, cut, words):
     """The survival test on floats that the word cut stands for."""
     return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
+
+
+class _ZeroStream:
+    """A stream whose every word is 0, below every word cut."""
+
+    def words_at(self, offset, count):
+        return np.zeros(count, dtype=np.uint64)
+
+
+class TestEmptyChunk:
+    @pytest.mark.parametrize("problem", [lognormal_pair(30.0), weibull_pair(20.0)],
+                             ids=["lognormal", "weibull"])
+    def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
+        theta = solve_pprime(problem).theta_star
+        m = 2 * estimators.CHUNK_SIZE
+        cuts = estimators._word_cuts(problem, theta)
+        assert cuts and all(w > 0 for _, w in cuts)
+        cut = (cuts, *estimators._quantile_tables(problem, theta, m))
+
+        def no_call(*args):
+            raise AssertionError("an empty chunk did work")
+
+        monkeypatch.setattr(estimators, "_log_sf", no_call)
+        monkeypatch.setattr(Lognormal, "quantile_from_log_sf", no_call)
+        monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
+        stats = estimators._chunk_stats(problem, theta, cut, _ZeroStream(), 0,
+                                        estimators.CHUNK_SIZE)
+        assert stats == (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 
 
 class TestWordCut:
@@ -331,7 +377,7 @@ class TestQuantileTable:
         problem = lognormal_pair(30.0)
         theta = solve_pprime(problem).theta_star
         m = 4 * estimators.CHUNK_SIZE
-        table = 2 << estimators._bucket_bits(m)
+        table = (1 << estimators._bucket_bits(m)) + 1
         sizes = _count_quantile_values(monkeypatch, Lognormal)
         is_estimate(problem, theta, m, 5)
         assert sizes[0] == table
@@ -344,7 +390,7 @@ class TestQuantileTable:
         r = is_estimate(problem, 0.9, m, 2)  # theta* is 0 here
         assert r.hit_frequency > 0
         # one table, then one exact call per column and chunk
-        assert sizes[0] == 2 << estimators._bucket_bits(m)
+        assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
         assert len(sizes) == 1 + 64 * 3
 
     def test_weibull_pair_builds_no_table(self, monkeypatch):
@@ -366,11 +412,41 @@ class TestQuantileTable:
         for problem in (lognormal_pair(20.0),
                         SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)):
             _, tables = estimators._quantile_tables(problem, theta, m)
-            assert np.isinf(tables[LN6][1]).any()
-            assert not np.isinf(tables[LN6][0]).all()
+            assert np.isinf(tables[LN6]).any()
+            assert not np.isinf(tables[LN6][:-1]).all()
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
         core, reference = _core_and_full_inversion(monkeypatch, cases)
         assert core == reference
+
+
+class TestBucketEdges:
+    # the computed quantile is not monotone to the last bit: a word's
+    # quantile can pass its bucket's edge values by a few ulps, which the
+    # core's 1e-9 margins cover; 1e-12 is the slack allowed here
+    SLACK = 1.0 + 1e-12
+
+    @pytest.mark.parametrize("bits", [2, 4, 8, 12])
+    def test_edges_bracket_the_core_quantile(self, monkeypatch, bits):
+        rng = np.random.default_rng(bits)
+        laws = [Lognormal.from_db(rng.uniform(-10.0, 10.0), sigma_db)
+                for sigma_db in np.linspace(1.0, 12.0, 20)]
+        problem = SumProblem(laws, 1.0)
+        monkeypatch.setattr(estimators, "_bucket_bits", lambda m: bits)
+        least = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
+        words = np.concatenate([
+            least, least + np.uint64((1 << (64 - bits)) - 1),
+            rng.integers(0, 2 ** 64 - 1, 5000, dtype=np.uint64, endpoint=True)])
+        for theta in (0.0, float(rng.uniform(0.0, 0.99)), 1 - 1e-12):
+            shift, tables = estimators._quantile_tables(problem, theta, 1)
+            assert int(shift) == 64 - bits and set(tables) == set(laws)
+            log_sf = estimators._log_sf(words, theta)
+            b = (words >> shift).astype(np.intp)
+            for law in laws:
+                table = tables[law]
+                assert table.shape == ((1 << bits) + 1,)
+                q = law.quantile_from_log_sf(log_sf)
+                assert np.all(table[b] <= q * self.SLACK), (law, theta)
+                assert np.all(q <= table[b + 1] * self.SLACK), (law, theta)
 
 
 class TestBoundCertificate:
