@@ -52,7 +52,8 @@ def _whole(value, name: str) -> int:
 _REQUIRED_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
                   "seed"}
 _CONFIG_KEYS = _REQUIRED_KEYS | {"theta_override", "theta_grid"}
-# one chunk of a run holds 2^15 words per component: 256 MiB at this bound
+# one chunk of a run holds 2^15 words per component: 256 MiB at this bound,
+# and a run holds up to `--workers` chunks at once (16 GiB at 64 workers)
 MAX_COMPONENTS = 1024
 
 # each family's spellings: the exact field names, and the constructor they feed

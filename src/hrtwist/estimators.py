@@ -7,10 +7,11 @@ or past its component's survival cut (`_word_cuts`) are kept; the rest
 are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
-weight needs only the hazard sum, which takes no quantile.  So most kept
-rows are decided from a per-run table of lognormal quantiles, and only
-those near gamma are inverted exactly; `_chunk_stats` says how, and why
-sums of Weibull laws alone are inverted in full.
+weight needs only the hazard sum, which takes no quantile.  So a sum with
+a lognormal law brackets every kept row from a per-run table of each
+law's quantiles, and only rows near gamma are inverted exactly; a sum of
+Weibull laws alone gets no table and inverts every kept row.
+`_quantile_tables` makes that choice, and `_chunk_stats` says why.
 
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
@@ -21,8 +22,10 @@ bit-identical regardless of how many workers process the chunks.
 from __future__ import annotations
 
 import math
+import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -71,23 +74,22 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     `cut` is (`_word_cuts(problem, theta)`, shift, tables), the last two
     from `_quantile_tables`.  A chunk that keeps no row returns at once.
 
-    Each distinct lognormal law has a table of its quantile at the 2^B + 1
-    edges of 2^B buckets over the word's top B bits (`_bucket_bits`).  Each
-    kept row's sum is bracketed first: a tabled column adds the values at
-    its bucket's two edges (bucket word >> shift) to lo and hi, any other
-    column its exact quantile to both.  lo > gamma (1 + 1e-9) is a sure
-    hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in between
-    are inverted: 0.10-0.15 % of the kept rows of a lognormal pair at
-    theta* and M = 10^6 (10-46 dB).  The margins dwarf the rounding of an
-    N-term sum and any float step against the quantile's monotony, so the
-    hits are those of exact inversion.  The hazard sums are then taken on the hits
-    alone, column by column, so each weight keeps its bits.
+    A sum with a lognormal law has a table for each distinct law, Weibull
+    laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
+    the word's top B bits (`_bucket_bits`).  Each kept row's sum is
+    bracketed first: every column adds the values at its bucket's two
+    edges (bucket word >> shift) to lo and hi.  lo > gamma (1 + 1e-9) is a
+    sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in
+    between are inverted: 0.10-0.15 % of the kept rows of a lognormal pair
+    at theta* and M = 10^6 (10-46 dB).  The margins dwarf the rounding of
+    an N-term sum and any float step against the quantile's monotony, so
+    the hits are those of exact inversion.  The hazard sums are then taken
+    on the hits alone, column by column, so each weight keeps its bits.
 
-    Weibull laws get no table: their quantile is one power, about as cheap
-    as a bucket's shift, two gathers and two adds, and tabling them made
-    the sampling of the Weibull(0.5, 1) pair about 7 % slower.  So with no
-    table (Weibull components only) every kept row is inverted and its
-    hazard sum taken.
+    A sum of Weibull laws alone has no table: their quantile is one power,
+    about as cheap as a bucket's shift, two gathers and two adds, and
+    tabling the Weibull(0.5, 1) pair made its runs slower end to end.  So
+    there every kept row is inverted and its hazard sum taken.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -111,16 +113,11 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
         lo = np.zeros(raw.shape[0])
         hi = np.zeros(raw.shape[0])
         for i, comp in enumerate(problem.components):
-            table = tables.get(comp)
-            if table is None:
-                x = comp.quantile_from_log_sf(_log_sf(raw[:, i], theta))
-                lo += x
-                hi += x
-            else:
-                # np.take on intp indexes: far cheaper than indexing by uint64
-                bucket = (raw[:, i] >> shift).astype(np.intp)
-                lo += np.take(table[:-1], bucket)
-                hi += np.take(table[1:], bucket)
+            table = tables[comp]
+            # np.take on intp indexes: far cheaper than indexing by uint64
+            bucket = (raw[:, i] >> shift).astype(np.intp)
+            lo += np.take(table[:-1], bucket)
+            hi += np.take(table[1:], bucket)
         hits = lo > gamma * (1.0 + 1e-9)
         near = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
         total = np.zeros(near.size)
@@ -160,23 +157,28 @@ def _bucket_bits(sample_count: int) -> int:
 
 
 def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
-    """(shift, tables): each distinct lognormal law's quantiles at the 2^B + 1
-    bucket edges, the least word of each bucket (word >> shift) and the
-    greatest word, 2^64 - 1.  Bucket b lies between values b and b + 1.
+    """(shift, tables): the one rule for which columns the core brackets.
+
+    A sum with at least one lognormal law tables every distinct law, Weibull
+    laws included: its quantiles at the 2^B + 1 bucket edges, the least word
+    of each bucket (word >> shift) and the greatest word, 2^64 - 1.  Bucket
+    b lies between values b and b + 1.  A sum of Weibull laws alone gets no
+    table and evaluates no edge value; `_chunk_stats` says why.
 
     The values come from the core's own expression.  That expression is
-    not monotone to the last bit, so they bracket the quantile of every
-    word in the bucket only to a few ulps; the core's 1e-9 margins are what
-    make its hits exact.
+    not monotone to the last bit, so the lognormal values bracket the
+    quantile of every word in the bucket only to a few ulps; the core's
+    1e-9 margins are what make its hits exact.
     """
     bits = _bucket_bits(sample_count)
     shift = np.uint64(64 - bits)
+    laws = dict.fromkeys(problem.components)
+    if not any(law.family == "lognormal" for law in laws):
+        return shift, {}
     edges = np.append(np.arange(1 << bits, dtype=np.uint64) << shift,
                       np.uint64(2 ** 64 - 1))
     log_sf = _log_sf(edges, theta)
-    return shift, {comp: comp.quantile_from_log_sf(log_sf)
-                   for comp in dict.fromkeys(problem.components)
-                   if comp.family == "lognormal"}
+    return shift, {law: law.quantile_from_log_sf(log_sf) for law in laws}
 
 
 def _word_cuts(problem: SumProblem, theta: float) -> list:
@@ -200,6 +202,12 @@ def _word_cuts(problem: SumProblem, theta: float) -> list:
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
          stream_id: int, workers: int) -> EstimateResult:
+    try:
+        sample_count, workers = operator.index(sample_count), operator.index(workers)
+    except TypeError:
+        raise ParameterError(
+            f"sample_count and workers must be integers, got {sample_count!r} "
+            f"and {workers!r}") from None
     if sample_count < 1:
         raise ParameterError("sample_count must be >= 1")
     if not 1 <= workers <= MAX_WORKERS:
@@ -208,23 +216,19 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
     cuts = _word_cuts(problem, theta)
-    # no word can reach the cut: every row is a miss, so draw none
+    jobs = []
+    # with no cut no word can reach gamma: every row is a miss, so draw none
     if cuts:
         cut = (cuts, *_quantile_tables(problem, theta, sample_count))
-        bounds = list(range(0, sample_count, CHUNK_SIZE))
-    else:
-        cut, bounds = None, []
-    bounds.append(sample_count)
-    jobs = list(zip(bounds[:-1], bounds[1:]))
-
-    def work(job):
-        return _chunk_stats(problem, theta, cut, stream, *job)
+        jobs = [partial(_chunk_stats, problem, theta, cut, stream, start,
+                        min(start + CHUNK_SIZE, sample_count))
+                for start in range(0, sample_count, CHUNK_SIZE)]
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, jobs))
+            results = list(pool.map(lambda job: job(), jobs))
     else:
-        results = [work(j) for j in jobs]
+        results = [job() for job in jobs]
 
     # merge in chunk order; fsum keeps the merge associative in practice
     sum_w, sum_w2, sum_w4 = (math.fsum(r[k] for r in results) for k in range(3))

@@ -18,7 +18,11 @@ sample j in an N-component problem is word j*N + i of the run's stream.
 """
 from __future__ import annotations
 
+import operator
+
 import numpy as np
+
+from .errors import ParameterError
 
 _MANTISSA_SHIFT = np.uint64(11)  # a word keeps its top 53 bits as a uniform
 _ULP = 2.0 ** -53                # also substituted for an exact 0.0 draw
@@ -40,8 +44,19 @@ class RandomStream:
     """Deterministic stream of 64-bit words over a Philox counter."""
 
     def __init__(self, seed: int, stream_id: int = 0):
-        self.seed = int(seed) & 0xFFFFFFFFFFFFFFFF
-        self.stream_id = int(stream_id) & 0xFFFFFFFFFFFFFFFF
+        try:
+            seed, stream_id = operator.index(seed), operator.index(stream_id)
+        except TypeError:
+            raise ParameterError(f"seed and stream id must be integers, got "
+                                 f"{seed!r} and {stream_id!r}") from None
+        # Philox takes 64 key bits each: a wider value would draw the words
+        # of some value in these ranges
+        if not -2 ** 63 <= seed < 2 ** 63:
+            raise ParameterError(f"seed must lie in [-2^63, 2^63), got {seed}")
+        if not 0 <= stream_id < 2 ** 64:
+            raise ParameterError(f"stream id must lie in [0, 2^64), got {stream_id}")
+        self.seed = seed & 0xFFFFFFFFFFFFFFFF
+        self.stream_id = stream_id
 
     def words_at(self, offset: int, count: int) -> np.ndarray:
         """Raw words [offset, offset+count) of this stream, as uint64."""

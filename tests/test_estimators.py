@@ -133,6 +133,31 @@ class TestISEstimate:
             naive_mc(single_weibull_gamma4, m, 0, workers=workers)
 
 
+class TestRunArguments:
+    def test_integer_types_agree(self):
+        problem = weibull_pair(20.0)
+        ref = is_estimate(problem, 0.8, 40_000, 3, workers=2)
+        assert is_estimate(problem, 0.8, np.int64(40_000), np.int64(3),
+                           stream_id=np.uint64(0), workers=np.int64(2)) == ref
+
+    @pytest.mark.parametrize("kwargs", [
+        {"sample_count": 1e4}, {"sample_count": 10_000.5},
+        {"workers": 2.0}, {"seed": 2 ** 63}, {"seed": -2 ** 63 - 1},
+        {"seed": 2 ** 64 + 7}, {"seed": 1.5}, {"stream_id": -1},
+        {"stream_id": 2 ** 64}])
+    def test_bad_arguments_raise(self, kwargs):
+        args = {"sample_count": 10_000, "seed": 7, **kwargs}
+        with pytest.raises(ParameterError):
+            is_estimate(weibull_pair(20.0), 0.8, **args)
+        with pytest.raises(ParameterError):
+            naive_mc(weibull_pair(0.0), **args)
+
+    @pytest.mark.parametrize("seed", [-2 ** 63, 2 ** 63 - 1])
+    def test_extreme_seeds_run(self, seed):
+        r = is_estimate(weibull_pair(20.0), 0.8, 10_000, seed)
+        assert r.hit_frequency > 0
+
+
 class TestDeterminism:
     def test_bit_identical_repeats(self):
         problem = lognormal_pair(25.0)
@@ -405,6 +430,35 @@ class TestQuantileTable:
         assert sum(sizes) == 2 * _kept_rows(problem, theta, m, 5)
         assert len(sizes) == 2 * 5
 
+    def test_mixed_pair_brackets_its_weibull_column(self, monkeypatch):
+        problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)
+        theta = solve_pprime(problem).theta_star
+        m = 4 * estimators.CHUNK_SIZE + 11
+        sizes = _count_quantile_values(monkeypatch, Weibull)
+        is_estimate(problem, theta, m, 5)
+        kept = _kept_rows(problem, theta, m, 5)
+        # the table's edges, then one near-row array per chunk
+        assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
+        assert len(sizes) == 1 + 5
+        assert sum(sizes[1:]) <= 0.02 * kept
+        # inverting every kept row's Weibull column took `kept` values
+        assert sum(sizes) <= 0.1 * kept
+
+    @pytest.mark.parametrize("problem", [
+        weibull_pair(20.0),
+        SumProblem.from_db([Weibull(0.5, 1.0), Weibull(0.4, 2.0)], 20.0)],
+        ids=["pair", "distinct"])
+    def test_weibull_sum_evaluates_no_edge(self, monkeypatch, problem):
+        def no_call(*args):
+            raise AssertionError("a Weibull-only sum evaluated a table value")
+
+        monkeypatch.setattr(estimators, "_log_sf", no_call)
+        monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
+        m = 4 * estimators.CHUNK_SIZE + 11
+        shift, tables = estimators._quantile_tables(problem, 0.8, m)
+        assert tables == {}
+        assert int(shift) == 64 - estimators._bucket_bits(m)
+
     def test_table_ends_at_inf(self, monkeypatch):
         # at the strongest twist the greatest words' quantiles overflow
         theta, m = 1 - 1e-12, estimators.CHUNK_SIZE + 9
@@ -430,6 +484,10 @@ class TestBucketEdges:
         rng = np.random.default_rng(bits)
         laws = [Lognormal.from_db(rng.uniform(-10.0, 10.0), sigma_db)
                 for sigma_db in np.linspace(1.0, 12.0, 20)]
+        # a sum with a lognormal law tables its Weibull laws too
+        laws += [Weibull(shape, scale) for shape, scale in zip(
+            np.geomspace(1e-9, 0.99, 12),
+            rng.permutation(np.geomspace(1e-3, 37.0, 12)))]
         problem = SumProblem(laws, 1.0)
         monkeypatch.setattr(estimators, "_bucket_bits", lambda m: bits)
         least = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)

@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from hrtwist import RandomStream
+from hrtwist import ParameterError, RandomStream
 from hrtwist.streams import uniforms_from_words
 
 
@@ -38,6 +38,23 @@ def test_negative_seeds_are_distinct():
         a = RandomStream(-1).words_at(0, 16)
         b = RandomStream(-5).words_at(0, 16)
     assert not np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("seed, stream_id", [(-1, 3), (2 ** 63 - 1, 2 ** 64 - 1),
+                                             (-2 ** 63, 0)])
+def test_keys_are_the_64_bit_values(seed, stream_id):
+    key = np.array([seed % 2 ** 64, stream_id], dtype=np.uint64)
+    assert np.array_equal(RandomStream(seed, stream_id).words_at(0, 8),
+                          np.random.Philox(key=key).random_raw(8))
+
+
+# a wider value would key Philox as some value in range does
+@pytest.mark.parametrize("seed, stream_id", [
+    (2 ** 64 + 7, 0), (2 ** 63, 0), (-2 ** 63 - 1, 0), (1.5, 0), ("7", 0),
+    (7, -1), (7, 2 ** 64), (7, 1.0)])
+def test_wide_or_fractional_keys_raise(seed, stream_id):
+    with pytest.raises(ParameterError):
+        RandomStream(seed, stream_id)
 
 
 def test_open_interval():
