@@ -71,7 +71,12 @@ def theta_star(objective: float, n: int) -> float:
         raise ParameterError("n must be >= 1")
     if objective <= n:
         return 0.0
-    return 1.0 - n / objective
+    theta = 1.0 - n / objective
+    if theta == 1.0:
+        raise ParameterError(
+            f"theta* = 1 - N/A rounds to 1.0 (A = {objective:.6e}, N = {n}): "
+            "the twisted law cannot be sampled")
+    return theta
 
 
 def second_moment_bound(theta: float, objective: float, n: int) -> float:
@@ -93,11 +98,13 @@ def _equal_rate_points(gamma: float, n: int, d: int, rising, nu) -> np.ndarray:
     """Points with x_j = r_j(nu) for the listed j, x_d = the rest, 0 elsewhere.
 
     One row per rate in nu; rising holds (Log-normal component, indices).
+    The rest is clamped at 0: where the r_j(nu) add up to gamma, it can
+    round below it.
     """
     x = np.zeros((np.size(nu), n))
     for comp, idx in rising:
         x[:, idx] = comp.rising_branch(np.atleast_1d(nu))[:, None]
-    x[:, d] = gamma - x.sum(axis=1)
+    x[:, d] = np.maximum(gamma - x.sum(axis=1), 0.0)
     return x
 
 
@@ -157,7 +164,8 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
             nu = np.exp(t)
             x_d = _equal_rate_points(gamma, n, d, rising, nu)[:, d]
             rate = comps[d].hazard_rate(np.maximum(x_d, np.finfo(float).tiny))
-            return rate / nu - 1.0
+            with np.errstate(over="ignore"):  # an inf ratio keeps its sign
+                return rate / nu - 1.0
 
         grid = np.linspace(np.log(nu_lo), np.log(nu_hi), _SCAN_POINTS)
         f = mismatch(grid)

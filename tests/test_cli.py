@@ -608,7 +608,7 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
 
 class TestImports:
     # scipy.optimize, and scipy.integrate which loads it, are a large share
-    # of the CLI's start-up; only validate's oracle needs them
+    # of the CLI's start-up; no command needs either, validate included
     PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -621,11 +621,10 @@ def loaded():
 before = loaded()
 code = hrtwist.cli.main(["validate", "--config", sys.argv[2],
                          "--output", sys.argv[3]])
-print(json.dumps({"before": before, "code": code,
-                  "integrate": "scipy.integrate" in loaded()}))
+print(json.dumps({"before": before, "code": code, "after": loaded()}))
 """
 
-    def test_cli_loads_no_solver_or_quadrature_until_validate(self, tmp_path):
+    def test_cli_loads_no_scipy_integrate_or_optimize(self, tmp_path):
         raw = dict(WB_PAIR, thresholds_db=[20.0], samples_is=1_000,
                    samples_naive=1_000)
         src = Path(hrtwist.__file__).resolve().parents[1]
@@ -635,8 +634,8 @@ print(json.dumps({"before": before, "code": code,
             capture_output=True, text=True, timeout=120, check=True)
         *printed, last = proc.stdout.splitlines()
         report = json.loads(last)
-        assert report["before"] == []
-        assert report["code"] == 0 and report["integrate"]
+        assert report["before"] == [] and report["after"] == []
+        assert report["code"] == 0
         assert f"oracle={WB_PAIR_TAIL_20DB:.6e}" in printed[0]
 
 

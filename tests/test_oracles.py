@@ -1,10 +1,10 @@
-import functools
+import itertools
 import math
 
 import numpy as np
 import pytest
-import scipy.integrate
 from scipy.integrate import tanhsinh
+from scipy.special import logsumexp
 
 from hrtwist import (
     Lognormal,
@@ -18,6 +18,7 @@ from hrtwist import (
     solve_pprime,
     tail_convolution_2,
 )
+from hrtwist import oracles
 
 from conftest import (
     LN_PAIR_TAIL_20DB,
@@ -33,6 +34,42 @@ from conftest import (
     weibull_pair_sweep,
 )
 from grid_oracle import grid_oracle_pprime
+
+
+def tanhsinh_tail(dist1, dist2, gamma):
+    """The convolution tail by scipy's generic tanh-sinh: the reference.
+
+    The same split and log integrands as `tail_convolution_2`, with both
+    integrals in one vectorised `tanhsinh` call to 1e-13 relative.
+    Raises `OracleConvergenceError` where a half does not converge or
+    the error estimate misses 1e-10 relative.
+    """
+    half = 0.5 * gamma
+
+    def log_integrand(x, first):
+        x, first = np.broadcast_arrays(np.maximum(x, np.finfo(float).tiny), first)
+        out = np.empty(x.shape)
+        a, b = x[first], x[~first]
+        out[first] = dist1.log_pdf(a) + dist2.log_survival(gamma - a)
+        out[~first] = dist2.log_pdf(b) + dist1.log_survival(gamma - b)
+        return out
+
+    res = tanhsinh(log_integrand, 0.0, half, args=(np.array([True, False]),),
+                   log=True, rtol=math.log(1e-13))
+    if np.any(res.status != 0):
+        raise OracleConvergenceError(f"status {res.status.tolist()}")
+    corner = float(dist1.log_survival(half) + dist2.log_survival(half))
+    log_result = float(logsumexp(np.append(res.integral, corner)))
+    if float(logsumexp(res.error)) > math.log(1e-10) + log_result:
+        raise OracleConvergenceError("error estimate above 1e-10")
+    return math.exp(log_result)
+
+
+def max_bounds(dist1, dist2, gamma):
+    """P(max > gamma) <= P(X1 + X2 > gamma) <= P(max > gamma / 2)."""
+    lo_1, lo_2 = dist1.survival(gamma), dist2.survival(gamma)
+    hi_1, hi_2 = dist1.survival(gamma / 2), dist2.survival(gamma / 2)
+    return lo_1 + lo_2 - lo_1 * lo_2, hi_1 + hi_2 - hi_1 * hi_2
 
 
 class TestExactTailSingle:
@@ -104,39 +141,52 @@ class TestTailConvolution:
         assert all(b < a for a, b in zip(values[:-1], values[1:]))
 
     def test_random_mixes(self):
-        # P(max > gamma) <= P(X1 + X2 > gamma) <= P(max > gamma / 2), and
-        # the tail is symmetric in its two arguments
+        # the tail lies between the bounds by the max, is symmetric in its
+        # two arguments, and matches scipy's tanh-sinh
         rng = np.random.default_rng(2024)
         for _ in range(40):
             a, b = random_component(rng), random_component(rng)
             gamma = float(db_to_linear(rng.uniform(-10.0, 50.0)))
             value = tail_convolution_2(a, b, gamma)
             swapped = tail_convolution_2(b, a, gamma)
-            lo_a, lo_b = a.survival(gamma), b.survival(gamma)
-            hi_a, hi_b = a.survival(gamma / 2), b.survival(gamma / 2)
-            assert lo_a + lo_b - lo_a * lo_b <= value <= hi_a + hi_b - hi_a * hi_b
+            lo, hi = max_bounds(a, b, gamma)
+            assert lo <= value <= hi
             assert swapped == pytest.approx(value, rel=1e-12)
+            assert value == pytest.approx(tanhsinh_tail(a, b, gamma), rel=1e-11)
+
+    @pytest.mark.parametrize("law, lo_db, hi_db", [
+        (Weibull(0.5, 1.0), 15.0, 60.0),
+        (Lognormal.from_db(0.0, 6.0), 10.0, 49.0),
+    ], ids=["wb2-deep", "ln2"])
+    def test_ladder_prints_reference_digits(self, law, lo_db, hi_db):
+        # the benchmark's pair ladders, 0.5 dB apart: validate prints 7 digits
+        for gamma_db in np.arange(lo_db, hi_db, 0.5):
+            gamma = float(db_to_linear(gamma_db))
+            assert (f"{tail_convolution_2(law, law, gamma):.6e}"
+                    == f"{tanhsinh_tail(law, law, gamma):.6e}")
 
     def test_unreachable_tolerance_raises(self, monkeypatch):
-        # a converged run that reports each half's error as large as the
-        # half itself misses the 1e-10 relative tolerance
-        def inflated(*args, **kwargs):
-            res = tanhsinh(*args, **kwargs)
-            res.error = res.integral.copy()  # both in log space
-            return res
-
-        # the oracle imports tanhsinh when called, so patch it at its source
-        monkeypatch.setattr(scipy.integrate, "tanhsinh", inflated)
-        d = Weibull(0.5, 1.0)
+        # a stopping rule that takes any change ends the run at level 3,
+        # whose change from level 2 is far above the 1e-10 promise
+        monkeypatch.setattr(oracles, "_STOP_RTOL", math.inf)
+        d = Lognormal.from_db(0.0, 6.0)
         with pytest.raises(OracleConvergenceError, match="exceeds tolerance"):
             tail_convolution_2(d, d, 100.0)
 
-    def test_unconverged_status_raises(self, monkeypatch):
-        # one refinement level cannot reach the stopping rule
-        monkeypatch.setattr(scipy.integrate, "tanhsinh",
-                            functools.partial(tanhsinh, maxlevel=1))
+    def test_mass_below_least_normal_float_raises(self):
+        # Weibull(0.03, 1) has about tiny^0.03 = 6e-10 of its mass below
+        # the least normal float, where no node can look; the tail computed
+        # without that share is off by 6.1e-10 relative from mpmath's
+        # 0.25357955620063804 at 100 dB
+        d = Weibull(0.03, 1.0)
+        with pytest.raises(OracleConvergenceError, match="exceeds tolerance"):
+            tail_convolution_2(d, d, 1e10)
+
+    def test_level_cap_raises(self, monkeypatch):
+        # levels 0 and 1 alone never reach the stopping rule's level 3
+        monkeypatch.setattr(oracles, "_LEVELS", 2)
         d = Weibull(0.5, 1.0)
-        with pytest.raises(OracleConvergenceError):
+        with pytest.raises(OracleConvergenceError, match="did not converge"):
             tail_convolution_2(d, d, 100.0)
 
     def test_matches_is_estimate(self):
@@ -150,6 +200,40 @@ class TestTailConvolution:
         d = Weibull(0.5, 1.0)
         with pytest.raises(ParameterError):
             tail_convolution_2(d, d, 0.0)
+
+
+# the domain probe's grid: 7 laws, their 28 pairs (ids index the laws)
+DOMAIN_LAWS = (Weibull(0.05, 1.0), Weibull(0.3, 1.0), Weibull(0.95, 1.0),
+               Lognormal.from_db(0.0, 0.5), Lognormal.from_db(0.0, 6.0),
+               Lognormal.from_db(3.0, 20.0), Lognormal(0.0, 1.0))
+DOMAIN_PAIRS = list(itertools.combinations_with_replacement(DOMAIN_LAWS, 2))
+DOMAIN_IDS = [f"{i}-{j}" for i, j in itertools.combinations_with_replacement(
+    range(len(DOMAIN_LAWS)), 2)]
+
+
+class TestDomainGrid:
+    @pytest.mark.parametrize("first, second", DOMAIN_PAIRS, ids=DOMAIN_IDS)
+    def test_matches_tanhsinh_or_stays_bounded(self, first, second):
+        # where tanhsinh answers, so does the oracle, to 1e-11; where it
+        # raises, the oracle raises or lies between the bounds by the max,
+        # up to its 1e-10 promise (a tail near P(max > gamma) can round
+        # just below it)
+        for gamma_db in (-20.0, -5.0, 0.0, 10.0, 20.0, 35.0, 50.0, 100.0, 200.0):
+            gamma = float(db_to_linear(gamma_db))
+            try:
+                reference = tanhsinh_tail(first, second, gamma)
+            except OracleConvergenceError:
+                reference = None
+            if reference is not None:
+                assert tail_convolution_2(first, second, gamma) == pytest.approx(
+                    reference, rel=1e-11)
+                continue
+            try:
+                value = tail_convolution_2(first, second, gamma)
+            except OracleConvergenceError:
+                continue
+            lo, hi = max_bounds(first, second, gamma)
+            assert lo * (1.0 - 1e-10) <= value <= hi * (1.0 + 1e-10)
 
 
 class TestGridOracle:

@@ -64,6 +64,14 @@ class TestThetaStar:
         with pytest.raises(ParameterError):
             theta_star(-1.0, 2)
 
+    def test_rounding_to_one_rejected(self):
+        # N / A below half an ulp of 1: the message names A and N
+        with pytest.raises(ParameterError, match=r"A = 1\.000000e\+19, N = 2"):
+            theta_star(1e19, 2)
+        # the Weibull(0.95, 1) pair at 200 dB: A = (10^20)^0.95 = 10^19
+        with pytest.raises(ParameterError, match="rounds to 1.0"):
+            solve_pprime(SumProblem.from_db((Weibull(0.95, 1.0),) * 2, 200.0))
+
 
 class TestSecondMomentBound:
     def test_no_twist(self):
@@ -187,6 +195,30 @@ class TestSolvePPrime:
         # the interior root, below the vertex's 0.10340276987075846
         sol = solve_pprime(lognormal_pair(-7.75))
         assert sol.objective == pytest.approx(0.07427388934091872, rel=1e-12)
+
+    @pytest.mark.parametrize("comps, gamma_db, objective", [
+        ((Lognormal.from_db(0.0, 6.0), Lognormal.from_db(3.0, 20.0)), -20.0,
+         4.291524059190425e-4),
+        ((Lognormal.from_db(3.0, 20.0), Lognormal(0.0, 1.0)), -5.0,
+         0.13330964720141023),
+    ], ids=["6dB-20dB-at-minus-20dB", "20dB-1nat-at-minus-5dB"])
+    def test_rest_coordinate_rounding_below_zero(self, comps, gamma_db,
+                                                 objective):
+        # gamma minus the rising-branch points rounds to about -3.5e-18;
+        # clamped at 0, the minimum is the vertex a fine grid finds too
+        problem = SumProblem.from_db(comps, gamma_db)
+        sol = solve_pprime(problem)
+        assert sol.objective == pytest.approx(objective, rel=1e-12)
+        _, oracle = grid_oracle_pprime(problem, 20_001)
+        assert sol.objective <= oracle
+        assert min(sol.x_star) >= 0.0
+
+    def test_mismatch_overflow_is_silent(self):
+        # rate / nu overflows in the scan; warnings are errors here
+        problem = SumProblem.from_db(
+            (Weibull(0.05, 1.0), Lognormal.from_db(0.0, 0.5)), -5.0)
+        assert solve_pprime(problem).objective == pytest.approx(
+            7.619853024160583e-24, rel=1e-12)
 
     def test_feasibility(self):
         for problem in (weibull_pair(25.0), lognormal_pair(25.0)):
