@@ -19,7 +19,7 @@ from pathlib import Path
 from . import __version__
 from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import MAX_WORKERS, is_estimate, naive_mc
+from .estimators import MAX_COMPONENTS, MAX_WORKERS, is_estimate, naive_mc
 from .oracles import tail_convolution_2
 from .solver import SumProblem, second_moment_bound, solve_pprime
 
@@ -52,9 +52,6 @@ def _whole(value, name: str) -> int:
 _REQUIRED_KEYS = {"components", "thresholds_db", "samples_is", "samples_naive",
                   "seed"}
 _CONFIG_KEYS = _REQUIRED_KEYS | {"theta_override", "theta_grid"}
-# one chunk of a run holds 2^15 words per component: 256 MiB at this bound,
-# and a run holds up to `--workers` chunks at once (16 GiB at 64 workers)
-MAX_COMPONENTS = 1024
 
 # each family's spellings: the exact field names, and the constructor they feed
 _FAMILIES = {
@@ -344,7 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="out",
                         help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads per estimation run "
+                        help="worker threads per estimation run, at most min("
+                             f"WORKERS, its chunks, {MAX_COMPONENTS} // N) "
                              "(results are identical for any count)")
     return parser
 

@@ -16,8 +16,10 @@ Weibull laws alone gets no table and inverts every kept row.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
-Accumulation is chunked with a fixed chunk size so results are
-bit-identical regardless of how many workers process the chunks.
+Samples are drawn in chunks of CHUNK_SIZE rows and merged in chunk order,
+so results are bit-identical for any worker count.  A run starts at most
+min(workers, its chunks, MAX_COMPONENTS // N) threads, one chunk each, so up
+to N = MAX_COMPONENTS the words it draws at once stay within 256 MiB.
 """
 from __future__ import annotations
 
@@ -33,9 +35,11 @@ from .errors import ParameterError
 from .solver import SumProblem
 from .streams import RandomStream, least_word, uniforms_from_words
 
-CHUNK_SIZE = 1 << 15  # fixed; never derived from the worker count
-# a run starts up to this many threads, one per chunk it hands out
-MAX_WORKERS = 64
+CHUNK_SIZE = 1 << 15  # rows; fixed, never derived from the worker count
+# the most components a config may have; a chunk draws CHUNK_SIZE * N words,
+# and a run holds at most MAX_COMPONENTS // N chunks (one at this N) at once
+MAX_COMPONENTS = 1024
+MAX_WORKERS = 64  # the most threads a run may be asked for
 # the moments and extremes of a chunk without hits
 _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 
@@ -216,19 +220,17 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
     cuts = _word_cuts(problem, theta)
-    jobs = []
     # with no cut no word can reach gamma: every row is a miss, so draw none
-    if cuts:
-        cut = (cuts, *_quantile_tables(problem, theta, sample_count))
-        jobs = [partial(_chunk_stats, problem, theta, cut, stream, start,
-                        min(start + CHUNK_SIZE, sample_count))
-                for start in range(0, sample_count, CHUNK_SIZE)]
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: job(), jobs))
+    starts = range(0, sample_count if cuts else 0, CHUNK_SIZE)
+    stops = [min(start + CHUNK_SIZE, sample_count) for start in starts]
+    cut = (cuts, *_quantile_tables(problem, theta, sample_count)) if cuts else None
+    chunk = partial(_chunk_stats, problem, theta, cut, stream)
+    threads = min(workers, len(starts), max(1, MAX_COMPONENTS // problem.n))
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(chunk, starts, stops))
     else:
-        results = [job() for job in jobs]
+        results = list(map(chunk, starts, stops))
 
     # merge in chunk order; fsum keeps the merge associative in practice
     sum_w, sum_w2, sum_w4 = (math.fsum(r[k] for r in results) for k in range(3))

@@ -1,4 +1,6 @@
 import math
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -177,6 +179,54 @@ class TestDeterminism:
         a = is_estimate(problem, 0.8, 10_000, 1)
         b = is_estimate(problem, 0.8, 10_000, 2)
         assert a.alpha_hat != b.alpha_hat
+
+
+def _chunks_in_flight(monkeypatch):
+    """Spy on `_chunk_stats`: the returned list holds the most calls live at once."""
+    chunk_stats, lock, live, most = estimators._chunk_stats, threading.Lock(), [0], [0]
+
+    def spy(*args):
+        with lock:
+            live[0] += 1
+            most[0] = max(most[0], live[0])
+        try:
+            time.sleep(0.01)  # long enough for free threads to overlap
+            return chunk_stats(*args)
+        finally:
+            with lock:
+                live[0] -= 1
+
+    monkeypatch.setattr(estimators, "_chunk_stats", spy)
+    return most
+
+
+class TestThreads:
+    # 16 chunks of 64 rows at workers=8: only the word bound limits the pool
+    @pytest.mark.parametrize("n, cap", [(600, 1), (256, 4), (2, 8)])
+    def test_chunks_in_flight_bounded_by_words(self, monkeypatch, n, cap):
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+        problem = SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * n,
+                                     10.0 * math.log10(3.0 * n))
+        serial = is_estimate(problem, 0.5, 16 * 64, 9, workers=1)
+        assert serial.hit_frequency > 0
+        most = _chunks_in_flight(monkeypatch)
+        assert is_estimate(problem, 0.5, 16 * 64, 9, workers=8) == serial
+        assert 1 <= most[0] <= cap
+        if cap > 1:
+            assert most[0] > 1  # the pool does run chunks side by side
+
+    @pytest.mark.parametrize("problem, m", [
+        (weibull_pair(20.0), 1000),  # one chunk
+        (weibull_pair(40.0), 3 * estimators.CHUNK_SIZE + 5)],  # no word cut
+        ids=["one-chunk", "no-cut"])
+    def test_no_pool_without_chunks_to_share(self, monkeypatch, problem, m):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a thread pool was built")
+
+        serial = is_estimate(problem, 0.3, m, 4, workers=1)
+        monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
+        assert is_estimate(problem, 0.3, m, 4, workers=4) == serial
+        assert naive_mc(problem, m, 4, workers=4) == naive_mc(problem, m, 4)
 
 
 def _full_inversion_chunk_stats(problem, theta, cut, stream, start, stop):
