@@ -4,6 +4,15 @@ Weibull (shape < 1) and Log-normal components expose log density, log
 survival, its inverse, hazard rate and cumulative hazard, all usable deep
 in the far tail: survival-related quantities are computed in log space so
 that no intermediate ever forms ``1 - F(x)`` directly.
+
+Only the log-normal family needs special functions, scipy's ``log_ndtr``
+and ``ndtri_exp``.  Loading ``scipy.special`` takes about 0.25 s, half of
+the CLI's start-up, so it is bound on the first log-normal evaluation, not
+at import, and a run whose laws are all Weibull never loads scipy.  A
+config with a log-normal law loads it while it is parsed, where the law's
+concavity onset is checked.  The first call of the stubs `_log_ndtr` or
+`_ndtri_exp` makes `_bind_special` put scipy's ufuncs in their place, so
+the hot loops call the ufuncs directly from then on.
 """
 from __future__ import annotations
 
@@ -11,7 +20,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy import special
 
 from .errors import ParameterError
 from .roots import find_root
@@ -32,9 +40,29 @@ def db_to_linear(value_db):
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------
 
+def _bind_special():
+    """Bind the module's `_log_ndtr` and `_ndtri_exp` to scipy's ufuncs."""
+    global _log_ndtr, _ndtri_exp
+    from scipy import special
+
+    _log_ndtr, _ndtri_exp = special.log_ndtr, special.ndtri_exp
+
+
+def _log_ndtr(x):
+    """log Phi(x); the first call binds scipy's ufunc in place of this stub."""
+    _bind_special()
+    return _log_ndtr(x)
+
+
+def _ndtri_exp(y):
+    """z with log Phi(z) = y; the first call binds scipy's ufunc in its place."""
+    _bind_special()
+    return _ndtri_exp(y)
+
+
 def _log_mills(z):
     """log of phi(z) / (1 - Phi(z)), the standard-normal hazard rate."""
-    return -0.5 * z * z - _LOG_SQRT_2PI - special.log_ndtr(-z)
+    return -0.5 * z * z - _LOG_SQRT_2PI - _log_ndtr(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -191,13 +219,13 @@ class Lognormal(Distribution):
 
     def log_survival(self, x):
         x = _require_positive(x)
-        return special.log_ndtr(-self._z(x))
+        return _log_ndtr(-self._z(x))
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)
         # ndtri_exp(log_sf) is minus the normal score whose survival is exp(log_sf)
         with np.errstate(over="ignore"):  # x past the float range is inf
-            return np.exp(self.mu - self.sigma * special.ndtri_exp(log_sf))
+            return np.exp(self.mu - self.sigma * _ndtri_exp(log_sf))
 
     def concavity_onset(self) -> float:
         # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak

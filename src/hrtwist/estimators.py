@@ -109,7 +109,10 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     keep = raw[:, i] >= w
     for i, w in rest:
         keep |= raw[:, i] >= w
-    raw = np.compress(keep, raw, axis=0)
+    # a copy of the kept rows while the block is alive would double the
+    # chunk's memory, so a block whose rows are all kept is used as it is
+    if not keep.all():
+        raw = np.compress(keep, raw, axis=0)
     if raw.shape[0] == 0:
         return _NO_HITS
     gamma = problem.gamma
@@ -128,7 +131,8 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
         for i, comp in enumerate(problem.components):
             total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
         hits[near] = total > gamma
-        raw = np.compress(hits, raw, axis=0)
+        if not hits.all():
+            raw = np.compress(hits, raw, axis=0)
         hazard_sum = np.zeros(raw.shape[0])
         for i in range(n):
             hazard_sum -= _log_sf(raw[:, i], theta)

@@ -607,36 +607,75 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
 
 
 class TestImports:
-    # scipy.optimize, and scipy.integrate which loads it, are a large share
-    # of the CLI's start-up; no command needs either, validate included
+    # scipy.special and what it loads are about half of the CLI's start-up,
+    # and only lognormal laws use it; scipy.optimize, and scipy.integrate
+    # which loads it, are no command's, validate included
     PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 import hrtwist.cli
 
 def loaded():
-    return sorted(m for m in sys.modules
-                  if m.startswith(("scipy.optimize", "scipy.integrate")))
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
 
 before = loaded()
-code = hrtwist.cli.main(["validate", "--config", sys.argv[2],
-                         "--output", sys.argv[3]])
+code = hrtwist.cli.main([sys.argv[2], "--config", sys.argv[3],
+                         "--output", sys.argv[4]])
 print(json.dumps({"before": before, "code": code, "after": loaded()}))
 """
+    PARSE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hrtwist.cli import ExperimentConfig
+
+before = "scipy.special" in sys.modules
+ExperimentConfig.from_dict(json.loads(sys.argv[2]))
+print(json.dumps([before, "scipy.special" in sys.modules]))
+"""
+
+    @staticmethod
+    def fresh(script, *argv):
+        """Last stdout line of `script` in a fresh interpreter, as JSON, and
+        the lines before it."""
+        src = Path(hrtwist.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", script, str(src), *argv],
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        *printed, last = proc.stdout.splitlines()
+        return json.loads(last), printed
+
+    def probe(self, tmp_path, command, raw):
+        return self.fresh(self.PROBE, command, write_config(tmp_path, raw),
+                          str(tmp_path / "out"))
+
+    @pytest.mark.parametrize("command", ["solve", "ccdf", "theta-sweep",
+                                         "validate"])
+    def test_weibull_run_loads_no_scipy(self, tmp_path, command):
+        raw = dict(WB_PAIR, thresholds_db=[20.0], samples_is=1_000,
+                   samples_naive=1_000, theta_grid=[0.5, 0.9])
+        report, printed = self.probe(tmp_path, command, raw)
+        assert report == {"before": [], "code": 0, "after": []}
+        if command == "validate":
+            assert f"oracle={WB_PAIR_TAIL_20DB:.6e}" in printed[0]
 
     def test_cli_loads_no_scipy_integrate_or_optimize(self, tmp_path):
-        raw = dict(WB_PAIR, thresholds_db=[20.0], samples_is=1_000,
-                   samples_naive=1_000)
-        src = Path(hrtwist.__file__).resolve().parents[1]
-        proc = subprocess.run(
-            [sys.executable, "-c", self.PROBE, str(src),
-             write_config(tmp_path, raw), str(tmp_path / "out")],
-            capture_output=True, text=True, timeout=120, check=True)
-        *printed, last = proc.stdout.splitlines()
-        report = json.loads(last)
-        assert report["before"] == [] and report["after"] == []
-        assert report["code"] == 0
-        assert f"oracle={WB_PAIR_TAIL_20DB:.6e}" in printed[0]
+        # a lognormal run, which does load scipy.special
+        raw = dict(LN_PAIR, samples_is=1_000, samples_naive=1_000)
+        report, _ = self.probe(tmp_path, "validate", raw)
+        assert report["before"] == [] and report["code"] == 0
+        assert "scipy.special" in report["after"]
+        assert not [m for m in report["after"]
+                    if m.startswith(("scipy.optimize", "scipy.integrate"))]
+
+    def test_lognormal_config_loads_special_at_parse(self):
+        assert self.fresh(self.PARSE, json.dumps(LN_PAIR))[0] == [False, True]
+        assert self.fresh(self.PARSE, json.dumps(WB_PAIR))[0] == [False, False]
+
+    def test_lognormal_sigma_too_small_is_config_error(self, tmp_path):
+        raw = dict(WB_PAIR, components=[{"family": "lognormal", "mu": 0.0,
+                                         "sigma": 1e-4, "count": 2}])
+        report, _ = self.probe(tmp_path, "solve", raw)
+        assert report["before"] == [] and report["code"] == 1
 
 
 class TestSharedPass:

@@ -1,9 +1,14 @@
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import special
 
+import hrtwist
 from hrtwist import Lognormal, ParameterError, Weibull, db_to_linear
 from hrtwist.cli import ConfigError, ExperimentConfig
 from hrtwist.distributions import DB_SCALE
@@ -193,6 +198,45 @@ class TestQuantile:
     def test_round_trip(self, u, weibull_half, lognormal_6db):
         for dist in (weibull_half, lognormal_6db):
             assert abs(float(cdf(dist, quantile(dist, u))) - u) <= 1e-9
+
+
+class TestSpecialBinding:
+    # scipy.special is bound on the first lognormal evaluation, and in a
+    # run that may be a sampling thread's; two threads make it at once here
+    PROBE = """
+import json, sys, threading
+sys.path.insert(0, sys.argv[1])
+import numpy as np
+from hrtwist import Lognormal
+
+ln = Lognormal.from_db(0.0, 6.0)
+log_sf = np.linspace(-700.0, -1e-12, 1001)
+unloaded = "scipy" not in sys.modules
+start = threading.Barrier(2)
+out = [None, None]
+
+def first(k):
+    start.wait()
+    out[k] = ln.quantile_from_log_sf(log_sf).tolist()
+
+threads = [threading.Thread(target=first, args=(k,)) for k in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps({"unloaded": unloaded, "values": out}))
+"""
+
+    def test_first_call_from_worker_threads(self):
+        src = Path(hrtwist.__file__).resolve().parents[1]
+        proc = subprocess.run([sys.executable, "-c", self.PROBE, str(src)],
+                              capture_output=True, text=True, timeout=120,
+                              check=True)
+        report = json.loads(proc.stdout)
+        assert report["unloaded"]
+        log_sf = np.linspace(-700.0, -1e-12, 1001)
+        here = Lognormal.from_db(0.0, 6.0).quantile_from_log_sf(log_sf).tolist()
+        assert report["values"] == [here, here]
 
 
 class TestIdentities:

@@ -1,6 +1,7 @@
 import math
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -227,6 +228,37 @@ class TestThreads:
         monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
         assert is_estimate(problem, 0.3, m, 4, workers=4) == serial
         assert naive_mc(problem, m, 4, workers=4) == naive_mc(problem, m, 4)
+
+
+class TestChunkMemory:
+    # 64 laws at 10 dB and theta 0.5: every row passes the word cut and
+    # every row hits, so the weights depend on the words alone and both
+    # families give this result (regression constants of the sampling core)
+    ALL_HITS = EstimateResult(
+        alpha_hat=0.024273908109737178, sample_count=4096, hit_frequency=4096,
+        second_moment_weight=0.6170263418893601,
+        fourth_moment_weight=745.177779449046,
+        variance_weight=0.616587653369501, std_error=0.012269233678633452,
+        theta_used=0.5, max_log_weight_hit=3.5648507182873956,
+        min_hazard_sum_hit=81.5931376750982)
+
+    @pytest.mark.parametrize("law", [Lognormal.from_db(0.0, 6.0),
+                                     Weibull(0.5, 1.0)],
+                             ids=["table", "no-table"])
+    def test_chunk_keeping_every_row_holds_one_copy(self, law):
+        n, m = 64, 4096
+        problem = SumProblem.from_db([law] * n, 10.0)
+        # the first run loads scipy for the lognormal law, outside the trace
+        assert is_estimate(problem, 0.5, m, 3) == self.ALL_HITS
+        tracemalloc.start()
+        try:
+            result = is_estimate(problem, 0.5, m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == self.ALL_HITS
+        # a copy of the kept rows beside the drawn block would make it 2x
+        assert peak < 1.5 * m * n * 8
 
 
 def _full_inversion_chunk_stats(problem, theta, cut, stream, start, stop):
