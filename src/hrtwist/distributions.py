@@ -7,17 +7,17 @@ that no intermediate ever forms ``1 - F(x)`` directly.
 
 Only the log-normal family needs special functions, scipy's ``log_ndtr``
 and ``ndtri_exp``.  Loading ``scipy.special`` takes about 0.25 s, half of
-the CLI's start-up, so it is bound on the first log-normal evaluation, not
-at import, and a run whose laws are all Weibull never loads scipy.  A
-config with a log-normal law loads it while it is parsed, where the law's
-concavity onset is checked.  The first call of the stubs `_log_ndtr` or
-`_ndtri_exp` makes `_bind_special` put scipy's ufuncs in their place, so
-the hot loops call the ufuncs directly from then on.
+the CLI's start-up, so `_special` imports it on the first log-normal
+evaluation, not at import, and a run whose laws are all Weibull never
+loads scipy.  A config with a log-normal law loads it while it is parsed,
+where the law's concavity onset is checked.  Each lazy value here, the
+module and each sigma's hazard-rate peak, is made once under
+`functools.cache` and kept for the life of the process.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 
 import numpy as np
 
@@ -40,29 +40,17 @@ def db_to_linear(value_db):
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------
 
-def _bind_special():
-    """Bind the module's `_log_ndtr` and `_ndtri_exp` to scipy's ufuncs."""
-    global _log_ndtr, _ndtri_exp
+@cache
+def _special():
+    """The `scipy.special` module, imported on the first log-normal use."""
     from scipy import special
 
-    _log_ndtr, _ndtri_exp = special.log_ndtr, special.ndtri_exp
-
-
-def _log_ndtr(x):
-    """log Phi(x); the first call binds scipy's ufunc in place of this stub."""
-    _bind_special()
-    return _log_ndtr(x)
-
-
-def _ndtri_exp(y):
-    """z with log Phi(z) = y; the first call binds scipy's ufunc in its place."""
-    _bind_special()
-    return _ndtri_exp(y)
+    return special
 
 
 def _log_mills(z):
     """log of phi(z) / (1 - Phi(z)), the standard-normal hazard rate."""
-    return -0.5 * z * z - _LOG_SQRT_2PI - _log_ndtr(-z)
+    return -0.5 * z * z - _LOG_SQRT_2PI - _special().log_ndtr(-z)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +155,7 @@ class Weibull(Distribution):
         return 0.0
 
 
-@lru_cache  # a root solve that depends on sigma only; the solver asks often
+@cache  # a root solve that depends on sigma only; the solver asks often
 def _hazard_peak_z(sigma: float) -> float:
     """Standard score z at which the Lognormal(mu, sigma) hazard rate peaks.
 
@@ -219,13 +207,13 @@ class Lognormal(Distribution):
 
     def log_survival(self, x):
         x = _require_positive(x)
-        return _log_ndtr(-self._z(x))
+        return _special().log_ndtr(-self._z(x))
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)
         # ndtri_exp(log_sf) is minus the normal score whose survival is exp(log_sf)
         with np.errstate(over="ignore"):  # x past the float range is inf
-            return np.exp(self.mu - self.sigma * _ndtri_exp(log_sf))
+            return np.exp(self.mu - self.sigma * _special().ndtri_exp(log_sf))
 
     def concavity_onset(self) -> float:
         # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak

@@ -60,9 +60,14 @@ class RandomStream:
 
     def words_at(self, offset: int, count: int) -> np.ndarray:
         """Raw words [offset, offset+count) of this stream, as uint64."""
-        offset, count = int(offset), int(count)
+        try:
+            offset, count = operator.index(offset), operator.index(count)
+        except TypeError:
+            raise ParameterError(f"offset and count must be integers, got "
+                                 f"{offset!r} and {count!r}") from None
         if offset < 0 or count < 0:
-            raise ValueError("offset and count must be nonnegative")
+            raise ParameterError(f"offset and count must be nonnegative, got "
+                                 f"{offset} and {count}")
         # as a list, a seed of 2^63 or more would pass through float64
         bits = np.random.Philox(
             key=np.array([self.seed, self.stream_id], dtype=np.uint64))

@@ -11,7 +11,7 @@ from scipy import special
 import hrtwist
 from hrtwist import Lognormal, ParameterError, Weibull, db_to_linear
 from hrtwist.cli import ConfigError, ExperimentConfig
-from hrtwist.distributions import DB_SCALE
+from hrtwist.distributions import DB_SCALE, _hazard_peak_z
 
 from conftest import (
     LN1_ONSET,
@@ -292,6 +292,17 @@ class TestConcavityOnset:
         with pytest.raises(ParameterError, match="sigma 0.0001"):
             Lognormal(0.0, 1e-4).concavity_onset()
         assert 0.0 < Lognormal(0.0, 1e-3).concavity_onset() < math.inf
+
+    def test_each_sigma_peak_is_solved_once(self):
+        # more distinct sigmas than a default lru_cache holds: a bounded
+        # cache evicts each one before the second pass asks for it again
+        laws = [Lognormal.from_db(0.0, 4.0 + 0.01 * i) for i in range(130)]
+        _hazard_peak_z.cache_clear()
+        first = [law.concavity_onset() for law in laws]
+        second = [law.concavity_onset() for law in laws]
+        assert second == first
+        info = _hazard_peak_z.cache_info()
+        assert (info.misses, info.hits) == (130, 130)
 
     def test_scaling_with_mu(self):
         base = Lognormal(0.0, 1.0).concavity_onset()

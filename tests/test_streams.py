@@ -69,8 +69,29 @@ def test_determinism_across_instances():
 
 
 def test_negative_offset_rejected():
-    with pytest.raises(ValueError):
-        RandomStream(0).uniforms_at(-1, 4)
+    stream = RandomStream(0)
+    for offset, count in ((-1, 4), (0, -1), (np.int64(-4), 4)):
+        with pytest.raises(ParameterError):
+            stream.words_at(offset, count)
+    with pytest.raises(ParameterError):
+        stream.uniforms_at(-1, 4)
+
+
+# int() would truncate these and draw the words of a whole value
+@pytest.mark.parametrize("offset, count", [
+    (0.5, 3), (1.9, 2.7), (0, 3.0), (np.float64(2.0), 4), ("1", 4), (None, 4)])
+def test_fractional_ranges_raise(offset, count):
+    with pytest.raises(ParameterError):
+        RandomStream(0).words_at(offset, count)
+
+
+@pytest.mark.parametrize("offset, count", [
+    (np.int64(5), np.int64(3)), (np.uint64(5), np.uint64(3)),
+    (np.int32(5), 3)])
+def test_numpy_integer_ranges_accepted(offset, count):
+    full = RandomStream(7).words_at(0, 16)
+    words = RandomStream(7).words_at(offset, count)
+    assert np.array_equal(words, full[int(offset):int(offset) + int(count)])
 
 
 def test_words_partition_independence():
