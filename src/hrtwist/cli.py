@@ -9,6 +9,7 @@ Exit codes: 0 success, 1 config error, 2 numerical or validation failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import math
@@ -331,7 +332,10 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: each add_argument
+    makes a help formatter, which costs more than parsing."""
     parser = _Parser(
         prog="hrtwist",
         description="Tail probabilities of heavy-tailed sums via "

@@ -13,6 +13,15 @@ law's quantiles, and only rows near gamma are inverted exactly; a sum of
 Weibull laws alone gets no table and inverts every kept row.
 `_quantile_tables` makes that choice, and `_chunk_stats` says why.
 
+Each pass over a chunk's rows earns its keep.  A chunk whose largest word
+lies below every cut word returns after one contiguous max, before any
+column is compared: at deep thresholds most naive-MC chunks are such.
+Rows are selected with `ndarray.compress`, several times faster in numpy
+than indexing by a boolean mask.  A column's log survival is formed once,
+in one buffer, and feeds both its quantile and the hazard sum.  Log
+weights at or below -760 are not exponentiated: exp is exactly 0.0 there,
+and numpy's exp takes a slow path on every input that underflows.
+
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
@@ -23,11 +32,11 @@ to N = MAX_COMPONENTS the words it draws at once stay within 256 MiB.
 """
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -42,6 +51,8 @@ MAX_COMPONENTS = 1024
 MAX_WORKERS = 64  # the most threads a run may be asked for
 # the moments and extremes of a chunk without hits
 _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
+# exp is exactly 0.0 below -745.14; the margin keeps well clear of it
+_EXP_FLOOR = -760.0
 
 
 @dataclass(frozen=True)
@@ -67,8 +78,21 @@ class EstimateResult:
 
 
 def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
-    """Twisted log survival of words: log1p(-u) / (1 - theta), u their uniforms."""
-    return np.log1p(-uniforms_from_words(words)) / (1.0 - theta)
+    """Twisted log survival of words: log1p(-u) / (1 - theta), u their
+    uniforms, formed in the uniforms' buffer."""
+    log_sf = uniforms_from_words(words)
+    np.negative(log_sf, out=log_sf)
+    np.log1p(log_sf, out=log_sf)
+    log_sf /= 1.0 - theta
+    return log_sf
+
+
+def _weights(log_w: np.ndarray) -> np.ndarray:
+    """exp of a non-empty array, bit for bit, without exponentiating the
+    log weights at or below _EXP_FLOOR."""
+    if log_w.min() > _EXP_FLOOR:
+        return np.exp(log_w)
+    return np.exp(log_w, out=np.zeros_like(log_w), where=log_w > _EXP_FLOOR)
 
 
 def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
@@ -76,7 +100,11 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     """Hit moments of samples [start, stop), keeping rows past the word cut.
 
     `cut` is (`_word_cuts(problem, theta)`, shift, tables), the last two
-    from `_quantile_tables`.  A chunk that keeps no row returns at once.
+    from `_quantile_tables`.  One contiguous max over the drawn block comes
+    first: a chunk whose largest word lies below every cut word keeps no
+    row and returns before any column is compared.  That is most naive-MC
+    chunks of a deep threshold, whose cut words lie near 2^64.  A chunk
+    that keeps no row after the compares returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -93,7 +121,15 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     A sum of Weibull laws alone has no table: their quantile is one power,
     about as cheap as a bucket's shift, two gathers and two adds, and
     tabling the Weibull(0.5, 1) pair made its runs slower end to end.  So
-    there every kept row is inverted and its hazard sum taken.
+    there every kept row is inverted, and each column's log survival,
+    formed once, feeds both its quantile and the hazard sum.
+
+    Rows are selected with `ndarray.compress`, not a boolean mask: with
+    numpy 2.4 on a 2-core Xeon, 14,000 rows take about 100 us by mask and
+    25 us by compress.  Log weights at or below -760 are not exponentiated
+    (`_weights`): exp is exactly 0.0 below -745.14 anyway, and numpy's exp
+    takes a slow path on each input that underflows, about 20 ns a value
+    against 1 ns, so a deep threshold's chunk would pay it on most hits.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -103,16 +139,22 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     """
     n = problem.n
     cuts, shift, tables = cut
-    (i, w), *rest = cuts
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    # column by column: far cheaper than a 2-D compare and any(axis=1)
-    keep = raw[:, i] >= w
-    for i, w in rest:
-        keep |= raw[:, i] >= w
+    columns = {}  # the columns of each cut word, identical laws sharing one
+    for i, w in cuts:
+        columns.setdefault(w, []).append(i)
+    if raw.max() < min(columns):
+        return _NO_HITS
+    keep = np.zeros(raw.shape[0], dtype=bool)
+    # column by column, far cheaper than a 2-D compare and any(axis=1); a
+    # cut word is compared once, with its columns' max, since numpy takes
+    # the max of two strided columns faster than it compares one
+    for w, cols in columns.items():
+        keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
     # a copy of the kept rows while the block is alive would double the
     # chunk's memory, so a block whose rows are all kept is used as it is
     if not keep.all():
-        raw = np.compress(keep, raw, axis=0)
+        raw = raw.compress(keep, axis=0)
     if raw.shape[0] == 0:
         return _NO_HITS
     gamma = problem.gamma
@@ -132,7 +174,7 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
             total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
         hits[near] = total > gamma
         if not hits.all():
-            raw = np.compress(hits, raw, axis=0)
+            raw = raw.compress(hits, axis=0)
         hazard_sum = np.zeros(raw.shape[0])
         for i in range(n):
             hazard_sum -= _log_sf(raw[:, i], theta)
@@ -143,13 +185,13 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
             log_sf = _log_sf(raw[:, i], theta)
             total += comp.quantile_from_log_sf(log_sf)
             hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-        hazard_sum = hazard_sum[total > gamma]
+        hazard_sum = hazard_sum.compress(total > gamma)
     n_hits = hazard_sum.size
     if n_hits == 0:
         return _NO_HITS
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
-    w = np.exp(log_w)
+    w = _weights(log_w)
     w2 = w * w
     return (float(np.sum(w)), float(np.sum(w2)), float(np.sum(w2 * w2)),
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum)))
@@ -228,7 +270,7 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     starts = range(0, sample_count if cuts else 0, CHUNK_SIZE)
     stops = [min(start + CHUNK_SIZE, sample_count) for start in starts]
     cut = (cuts, *_quantile_tables(problem, theta, sample_count)) if cuts else None
-    chunk = partial(_chunk_stats, problem, theta, cut, stream)
+    chunk = functools.partial(_chunk_stats, problem, theta, cut, stream)
     threads = min(workers, len(starts), max(1, MAX_COMPONENTS // problem.n))
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:

@@ -17,21 +17,23 @@ _RTOL = 4.0 * 2.0 ** -52
 _MAXITER = 100
 
 
-def find_root(f, lo: float, hi: float, xtol: float) -> float:
+def find_root(f, lo: float, hi: float, xtol: float,
+              f_lo: float | None = None, f_hi: float | None = None) -> float:
     """A root of f in [lo, hi], where f(lo) and f(hi) differ in sign.
 
-    Returns once the bracket around the root is narrower than
-    xtol + 4 eps |x|.  Raises ParameterError when f is NaN, the signs do
-    not differ, or 100 steps do not converge.
+    A caller that already holds f(lo) or f(hi) passes it as f_lo or f_hi,
+    and f is not evaluated there again.  Returns once the bracket around
+    the root is narrower than xtol + 4 eps |x|.  Raises ParameterError
+    when f is NaN, the signs do not differ, or 100 steps do not converge.
     """
-    def value(x):
-        fx = float(f(x))
+    def value(x, fx=None):
+        fx = float(f(x) if fx is None else fx)
         if math.isnan(fx):
             raise ParameterError(f"root finding met NaN at x={x}")
         return fx
 
     xpre, xcur = float(lo), float(hi)
-    fpre, fcur = value(xpre), value(xcur)
+    fpre, fcur = value(xpre, f_lo), value(xcur, f_hi)
     if fpre == 0.0:
         return xpre
     if fcur == 0.0:

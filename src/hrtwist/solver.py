@@ -171,8 +171,9 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
         f = mismatch(grid)
         cells = np.flatnonzero(np.sign(f[:-1]) != np.sign(f[1:]))
         for k in cells:
+            # the scan's values at the bracket's ends are the refinement's
             t = find_root(lambda t: mismatch(t)[0], grid[k], grid[k + 1],
-                          xtol=1e-14)
+                          xtol=1e-14, f_lo=f[k], f_hi=f[k + 1])
             candidates.append(
                 _equal_rate_points(gamma, n, d, rising, np.exp(t))[0])
         # a root at nu_lo itself, such as the equal split x_j = gamma / n,

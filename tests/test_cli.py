@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import re
@@ -319,6 +320,19 @@ class TestExitCodes:
             main(["--help"])
         assert info.value.code == 0
         assert "--workers" in capsys.readouterr().out
+
+    def test_parser_is_built_once(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, WB_PAIR)
+        argv = ["solve", "--config", config, "--output", str(tmp_path / "out")]
+        assert main(argv) == 0
+
+        def no_build(*args, **kwargs):
+            raise AssertionError("main built its parser again")
+
+        monkeypatch.setattr(argparse.ArgumentParser, "add_argument", no_build)
+        assert main(argv) == 0
+        assert main(["solve", "--config", config, "--workers", "abc"]) == 1
+        assert "invalid int value" in capsys.readouterr().err
 
     def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "cfg.json"

@@ -304,21 +304,39 @@ class TestSurvivalCut:
             cases.append((problem, 1 - 1e-12, estimators.CHUNK_SIZE + 7, k + 1))
         # untwisted, only the top few uniforms of each component reach gamma / N
         cases.append((weibull_pair(34.0), 0.0, 2 * estimators.CHUNK_SIZE, 2))
+        deep = len(cases)
+        wb = Weibull(0.5, 1.0)
+        for k, problem in enumerate([
+                weibull_pair(55.0), weibull_pair(62.0),  # weights below e^-760
+                SumProblem.from_db([Weibull(0.5, 3.0)] * 2, 30.0),
+                # distinct cut words: of naive MC's five chunks here, two
+                # return at the max and one passes it and keeps no row
+                SumProblem.from_db([wb, Weibull(0.5, 3.0)], 28.0),
+                SumProblem.from_db([wb], 20.0),  # N = 1
+                SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0)]):
+            cases.append((problem, solve_pprime(problem).theta_star,
+                          (k + 1) * estimators.CHUNK_SIZE + 7 * k, k % 2 + 1))
+        # the least and largest log weight of each chunk the core weighs
+        spans, weights = [], estimators._weights
 
-        def run_all():
-            out = []
-            for k, (problem, theta, m, workers) in enumerate(cases):
-                out.append(is_estimate(problem, theta, m, k, workers=workers))
-                out.append(naive_mc(problem, m, k, stream_id=1,
-                                    workers=workers))
-            return out
+        def spy(log_w):
+            spans.append((log_w.min(), log_w.max()))
+            return weights(log_w)
 
-        with_cut = run_all()
-        monkeypatch.setattr(estimators, "_chunk_stats",
-                            _full_inversion_chunk_stats)
-        assert run_all() == with_cut
+        monkeypatch.setattr(estimators, "_weights", spy)
+        core, reference = _core_and_full_inversion(monkeypatch, cases)
+        assert core == reference
         assert any(c[2] % estimators.CHUNK_SIZE for c in cases)
         assert {c[1] > 0.0 for c in cases} == {True, False}
+        # chunks whose weights all underflow, some and none
+        floor = estimators._EXP_FLOOR
+        assert any(hi < floor for lo, hi in spans)
+        assert any(lo < floor < hi for lo, hi in spans)
+        assert any(lo > floor for lo, hi in spans)
+        # IS at 62 dB: every hit weighs 0; naive MC at 30 dB: no chunk hits
+        is_62, naive_30 = core[2 * deep + 2], core[2 * deep + 5]
+        assert is_62.hit_frequency > 0 and is_62.alpha_hat == 0.0
+        assert naive_30.hit_frequency == 0
 
 
 def _float_cut(theta, cut, words):
@@ -326,22 +344,56 @@ def _float_cut(theta, cut, words):
     return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
 
 
-class _ZeroStream:
-    """A stream whose every word is 0, below every word cut."""
+class _NoCompare(np.ndarray):
+    """Words on which any ufunc but a max over the whole array, and
+    `compress`, fail the test."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc, method) != (np.maximum, "reduce"):
+            raise AssertionError(f"{ufunc.__name__}.{method} on the words")
+        inputs = [x.view(np.ndarray) if isinstance(x, _NoCompare) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def compress(self, *args, **kwargs):
+        raise AssertionError("compress on the words")
+
+
+class _Words:
+    """A stream of given words."""
+
+    def __init__(self, words):
+        self.words = np.asarray(words, dtype=np.uint64)
 
     def words_at(self, offset, count):
-        return np.zeros(count, dtype=np.uint64)
+        return self.words[offset:offset + count].copy()
+
+    def uniforms_at(self, offset, count):
+        return uniforms_from_words(self.words_at(offset, count))
+
+
+# distinct laws, so distinct cut words
+DISTINCT_PAIR = SumProblem.from_db([Weibull(0.5, 1.0), Weibull(0.5, 3.0)], 28.0)
 
 
 class TestEmptyChunk:
-    @pytest.mark.parametrize("problem", [lognormal_pair(30.0), weibull_pair(20.0)],
-                             ids=["lognormal", "weibull"])
+    @pytest.mark.parametrize("problem", [lognormal_pair(30.0), weibull_pair(20.0),
+                                         DISTINCT_PAIR],
+                             ids=["lognormal", "weibull", "distinct"])
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
         theta = solve_pprime(problem).theta_star
         m = 2 * estimators.CHUNK_SIZE
         cuts = estimators._word_cuts(problem, theta)
         assert cuts and all(w > 0 for _, w in cuts)
         cut = (cuts, *estimators._quantile_tables(problem, theta, m))
+        below = min(w for _, w in cuts) - 1
+
+        class Stream:
+            """Every word just below the least cut word, and open to no
+            test but the chunk's max."""
+
+            def words_at(self, offset, count):
+                return np.full(count, below, dtype=np.uint64).view(_NoCompare)
 
         def no_call(*args):
             raise AssertionError("an empty chunk did work")
@@ -349,9 +401,42 @@ class TestEmptyChunk:
         monkeypatch.setattr(estimators, "_log_sf", no_call)
         monkeypatch.setattr(Lognormal, "quantile_from_log_sf", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        stats = estimators._chunk_stats(problem, theta, cut, _ZeroStream(), 0,
+        stats = estimators._chunk_stats(problem, theta, cut, Stream(), 0,
                                         estimators.CHUNK_SIZE)
         assert stats == (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
+
+    @pytest.mark.parametrize("theta", [0.0, 0.9])
+    def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
+        cut = (estimators._word_cuts(DISTINCT_PAIR, theta),
+               *estimators._quantile_tables(DISTINCT_PAIR, theta, 64))
+        (i, lo), (j, hi) = sorted(cut[0], key=lambda c: c[1])
+        assert lo < hi
+        rows = np.zeros((64, 2), dtype=np.uint64)
+        rows[:, j] = lo  # past the max, short of its own column's cut
+        chunks = [rows.copy()]
+        rows[5, j], rows[9, i] = hi, 2 ** 64 - 1  # two rows kept
+        chunks.append(rows.copy())
+        rows[:] = lo - 1  # every word below every cut
+        chunks.append(rows)
+        for rows in chunks:
+            stream = _Words(rows.ravel())
+            assert (estimators._chunk_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64)
+                    == _full_inversion_chunk_stats(DISTINCT_PAIR, theta, cut,
+                                                   stream, 0, 64))
+
+
+class TestWeights:
+    def test_equal_exp_bit_for_bit(self):
+        floor = estimators._EXP_FLOOR
+        x = np.linspace(-2000.0, 0.0, 2_000_001)
+        # each side of the floor, of exp's last nonzero value and of its
+        # least normal one
+        edges = np.array([floor, -745.1332191019412, -708.3964185322641])
+        near = np.concatenate([np.nextafter(edges, -np.inf),
+                               edges, np.nextafter(edges, np.inf)])
+        for log_w in (x, near, x[x > -700.0], x[x < floor]):
+            assert np.array_equal(estimators._weights(log_w).view(np.int64),
+                                  np.exp(log_w).view(np.int64))
 
 
 class TestWordCut:

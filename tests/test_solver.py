@@ -13,7 +13,7 @@ from hrtwist import (
     solve_pprime,
     theta_star,
 )
-from hrtwist import distributions
+from hrtwist import distributions, solver
 from hrtwist.roots import find_root
 
 from conftest import (
@@ -378,6 +378,19 @@ class TestFindRoot:
         assert find_root(lambda x: x - 2.0, 2.0, 3.0, 1e-12) == 2.0
         assert find_root(lambda x: x - 3.0, 2.0, 3.0, 1e-12) == 3.0
 
+    @pytest.mark.parametrize("xtol", [1e-14, 1e-6])
+    def test_given_end_values_are_not_evaluated_again(self, xtol):
+        for f, lo, hi in self.FUNCTIONS:
+            every, inner = [], []
+            root = find_root(lambda x: every.append(x) or f(x), lo, hi, xtol)
+            assert find_root(lambda x: inner.append(x) or f(x), lo, hi, xtol,
+                             f_lo=f(lo), f_hi=f(hi)) == root
+            assert every == [lo, hi] + inner
+
+    def test_given_nan_end_raises(self):
+        with pytest.raises(ParameterError, match="NaN"):
+            find_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12, f_lo=math.nan)
+
     @pytest.mark.parametrize("f, match", [
         (lambda x: x * x + 1.0, "no sign change"),
         (lambda x: math.nan if x > 0.5 else x - 0.7, "NaN"),
@@ -385,6 +398,43 @@ class TestFindRoot:
     def test_failures_raise(self, f, match):
         with pytest.raises(ParameterError, match=match):
             find_root(f, 0.0, 1.0, 1e-12)
+
+
+class TestRefinementReusesScan:
+    # the lognormal triple over the 10-48.5 dB ladder of ccdf curves
+    LADDER = [SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * 3, 10.0 + 0.5 * k)
+              for k in range(78)]
+
+    def test_refinement_evaluates_inside_its_bracket(self, monkeypatch):
+        brackets = []
+
+        def spy(f, lo, hi, xtol, **ends):
+            points = []
+            brackets.append((lo, hi, points))
+            return find_root(lambda t: points.append(t) or f(t), lo, hi, xtol,
+                             **ends)
+
+        monkeypatch.setattr(solver, "find_root", spy)
+        for problem in self.LADDER:
+            solve_pprime(problem)
+        assert len(brackets) >= len(self.LADDER)
+        # the scan holds the mismatch at both ends of each bracket
+        assert all(lo < t < hi for lo, hi, points in brackets for t in points)
+
+    def test_rising_branch_calls_per_solve(self, monkeypatch):
+        calls = [0]
+        rising_branch = Lognormal.rising_branch
+
+        def spy(self, nu):
+            calls[0] += 1
+            return rising_branch(self, nu)
+
+        monkeypatch.setattr(Lognormal, "rising_branch", spy)
+        for problem in self.LADDER:
+            solve_pprime(problem)
+        # the scan, the refinement's steps inside the bracket and the
+        # candidates: 7 a solve when the refinement evaluated both ends again
+        assert calls[0] == 5 * len(self.LADDER)
 
 
 class TestSerialization:
