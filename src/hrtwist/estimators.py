@@ -11,11 +11,11 @@ weight needs only the hazard sum, which takes no quantile.  So a sum with
 a lognormal law brackets every kept row from a per-run table of each
 law's quantiles, and only rows near gamma are inverted exactly; a sum of
 Weibull laws alone gets no table and inverts every kept row.
-`_quantile_tables` makes that choice, and `_chunk_stats` says why.
+`_quantile_tables` makes that choice, and `_pass_stats` says why.
 
-Each pass over a chunk's rows earns its keep.  A chunk whose largest word
+Each step over a pass's rows earns its keep.  A pass whose largest word
 lies below every cut word returns after one contiguous max, before any
-column is compared: at deep thresholds most naive-MC chunks are such.
+column is compared: at deep thresholds most naive-MC passes are such.
 Rows are selected with `ndarray.compress`, several times faster in numpy
 than indexing by a boolean mask.  A column's log survival is formed once,
 in one buffer, and feeds both its quantile and the hazard sum.  Log
@@ -25,14 +25,26 @@ and numpy's exp takes a slow path on every input that underflows.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
-Samples are drawn in chunks of CHUNK_SIZE rows and merged in chunk order,
-so results are bit-identical for any worker count.  A run starts at most
-min(workers, its chunks, MAX_COMPONENTS // N) threads, one chunk each, so up
-to N = MAX_COMPONENTS the words it draws at once stay within 256 MiB.
+A chunk is CHUNK_SIZE consecutive rows, fixed and never derived from the
+worker count: it is the unit of the merge.  Each chunk has its own sums,
+and the run merges them in chunk order, so results are bit-identical for
+any worker count.  A pass is one call of `_pass_stats`: one draw, one
+compare and compress, and one inversion, hazard and weight step over a
+block of consecutive chunks, with each chunk's sums taken on its own slice.
+Every numpy call releases and retakes the GIL, and a chunk takes about 80
+of them, so threads hand the GIL over once a call: a pass of two chunks
+halves those hand-offs.  Passes hold two chunks only on a pool whose
+threads have more than two chunks each; one thread hands nothing over, and
+there a Weibull pass of four chunks outgrew a core's 2 MiB L2 cache and ran
+36 % slower.  A run starts at most min(workers, its chunks,
+MAX_COMPONENTS // N) threads and pairs chunks only while twice its threads
+stay within MAX_COMPONENTS // N, so up to N = MAX_COMPONENTS the words it
+draws at once stay within MAX_COMPONENTS * CHUNK_SIZE, 256 MiB.
 """
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from concurrent.futures import ThreadPoolExecutor
@@ -95,16 +107,25 @@ def _weights(log_w: np.ndarray) -> np.ndarray:
     return np.exp(log_w, out=np.zeros_like(log_w), where=log_w > _EXP_FLOOR)
 
 
-def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
-                 stream: RandomStream, start: int, stop: int):
-    """Hit moments of samples [start, stop), keeping rows past the word cut.
+def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
+                stream: RandomStream, start: int, stop: int) -> list:
+    """Hit moments of each chunk of samples [start, stop), in one pass.
 
-    `cut` is (`_word_cuts(problem, theta)`, shift, tables), the last two
-    from `_quantile_tables`.  One contiguous max over the drawn block comes
-    first: a chunk whose largest word lies below every cut word keeps no
-    row and returns before any column is compared.  That is most naive-MC
-    chunks of a deep threshold, whose cut words lie near 2^64.  A chunk
-    that keeps no row after the compares returns too.
+    The pass draws the block once, compares and compresses it once, and
+    brackets, inverts, sums hazards and weighs its rows once; only the
+    final sums are taken per chunk.  Chunks start at `start` and every
+    CHUNK_SIZE rows after it.  A chunk's kept rows and then its hits are a
+    contiguous slice of the pass's, and `count_nonzero` of the keep and hit
+    masks over its rows gives each slice's length.  So each chunk's tuple
+    (sum of w, w^2 and w^4, hit count, max log w, min hazard sum) is the
+    one a pass over that chunk alone returns, bit for bit.
+
+    `cut` is `_run_constants`: each cut word with its columns, and the
+    shift and tables of `_quantile_tables`.  One contiguous max over the drawn block comes
+    first: a pass whose largest word lies below every cut word keeps no row
+    and returns before any column is compared.  That is most naive-MC
+    passes of a deep threshold, whose cut words lie near 2^64.  A pass that
+    keeps no row after the compares returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -129,7 +150,7 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     25 us by compress.  Log weights at or below -760 are not exponentiated
     (`_weights`): exp is exactly 0.0 below -745.14 anyway, and numpy's exp
     takes a slow path on each input that underflows, about 20 ns a value
-    against 1 ns, so a deep threshold's chunk would pay it on most hits.
+    against 1 ns, so a deep threshold's pass would pay it on most hits.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -138,25 +159,24 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
     way.
     """
     n = problem.n
-    cuts, shift, tables = cut
+    columns, shift, tables = cut
+    bounds = [*range(0, stop - start, CHUNK_SIZE), stop - start]
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    columns = {}  # the columns of each cut word, identical laws sharing one
-    for i, w in cuts:
-        columns.setdefault(w, []).append(i)
     if raw.max() < min(columns):
-        return _NO_HITS
+        return [_NO_HITS] * (len(bounds) - 1)
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
     # cut word is compared once, with its columns' max, since numpy takes
     # the max of two strided columns faster than it compares one
     for w, cols in columns.items():
         keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
+    bounds = _slice_bounds(keep, bounds)
     # a copy of the kept rows while the block is alive would double the
-    # chunk's memory, so a block whose rows are all kept is used as it is
-    if not keep.all():
+    # pass's memory, so a block whose rows are all kept is used as it is
+    if bounds[-1] < raw.shape[0]:
         raw = raw.compress(keep, axis=0)
     if raw.shape[0] == 0:
-        return _NO_HITS
+        return [_NO_HITS] * (len(bounds) - 1)
     gamma = problem.gamma
     if tables:
         lo = np.zeros(raw.shape[0])
@@ -173,7 +193,8 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
         for i, comp in enumerate(problem.components):
             total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
         hits[near] = total > gamma
-        if not hits.all():
+        bounds = _slice_bounds(hits, bounds)
+        if bounds[-1] < raw.shape[0]:
             raw = raw.compress(hits, axis=0)
         hazard_sum = np.zeros(raw.shape[0])
         for i in range(n):
@@ -185,16 +206,27 @@ def _chunk_stats(problem: SumProblem, theta: float, cut: tuple,
             log_sf = _log_sf(raw[:, i], theta)
             total += comp.quantile_from_log_sf(log_sf)
             hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-        hazard_sum = hazard_sum.compress(total > gamma)
-    n_hits = hazard_sum.size
-    if n_hits == 0:
-        return _NO_HITS
+        hits = total > gamma
+        bounds = _slice_bounds(hits, bounds)
+        hazard_sum = hazard_sum.compress(hits)
+    if hazard_sum.size == 0:
+        return [_NO_HITS] * (len(bounds) - 1)
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
     w = _weights(log_w)
     w2 = w * w
-    return (float(np.sum(w)), float(np.sum(w2)), float(np.sum(w2 * w2)),
-            n_hits, float(np.max(log_w)), float(np.min(hazard_sum)))
+    w4 = w2 * w2
+    return [(float(np.sum(w[a:b])), float(np.sum(w2[a:b])), float(np.sum(w4[a:b])),
+             b - a, float(np.max(log_w[a:b])), float(np.min(hazard_sum[a:b])))
+            if b > a else _NO_HITS for a, b in itertools.pairwise(bounds)]
+
+
+def _slice_bounds(mask: np.ndarray, bounds: list) -> list:
+    """Where each slice of `mask` between `bounds` starts and stops among
+    its true entries: the bounds of each chunk's rows once `mask`'s rows
+    are selected."""
+    ends = [int(np.count_nonzero(mask[a:b])) for a, b in itertools.pairwise(bounds)]
+    return [0, *itertools.accumulate(ends)]
 
 
 def _bucket_bits(sample_count: int) -> int:
@@ -213,7 +245,7 @@ def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
     laws included: its quantiles at the 2^B + 1 bucket edges, the least word
     of each bucket (word >> shift) and the greatest word, 2^64 - 1.  Bucket
     b lies between values b and b + 1.  A sum of Weibull laws alone gets no
-    table and evaluates no edge value; `_chunk_stats` says why.
+    table and evaluates no edge value; `_pass_stats` says why.
 
     The values come from the core's own expression.  That expression is
     not monotone to the last bit, so the lognormal values bracket the
@@ -240,14 +272,31 @@ def _word_cuts(problem: SumProblem, theta: float) -> list:
     is at least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding
     of the core's `_log_sf`, so every row that can hit is kept, and the
     extra rows lie under the edge and miss.  Components whose largest word
-    fails the core's float test are left out.
+    fails the core's float test are left out.  S_i(edge) is evaluated once
+    per distinct law.
     """
     edge = problem.gamma * (1.0 - 1e-9) / problem.n
-    cut = np.array([c.log_survival(edge) for c in problem.components])
+    laws = {law: law.log_survival(edge) for law in dict.fromkeys(problem.components)}
+    cut = np.array([laws[c] for c in problem.components])
     reachable = _log_sf(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < cut
     least = least_word(
         1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
     return [(i, w) for i, w in enumerate(least) if reachable[i]]
+
+
+def _run_constants(problem: SumProblem, theta: float, sample_count: int):
+    """What every pass of a run shares: (cut word -> its columns, shift,
+    tables), or None when no word can reach gamma.
+
+    Columns of identical laws share a cut word, and the pass compares it
+    once on their elementwise max.
+    """
+    columns = {}
+    for i, w in _word_cuts(problem, theta):
+        columns.setdefault(w, []).append(i)
+    if not columns:
+        return None
+    return (columns, *_quantile_tables(problem, theta, sample_count))
 
 
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
@@ -265,18 +314,26 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    cuts = _word_cuts(problem, theta)
+    cut = _run_constants(problem, theta, sample_count)
     # with no cut no word can reach gamma: every row is a miss, so draw none
-    starts = range(0, sample_count if cuts else 0, CHUNK_SIZE)
-    stops = [min(start + CHUNK_SIZE, sample_count) for start in starts]
-    cut = (cuts, *_quantile_tables(problem, theta, sample_count)) if cuts else None
-    chunk = functools.partial(_chunk_stats, problem, theta, cut, stream)
-    threads = min(workers, len(starts), max(1, MAX_COMPONENTS // problem.n))
+    chunks = -(-sample_count // CHUNK_SIZE) if cut else 0
+    in_flight = max(1, MAX_COMPONENTS // problem.n)  # chunks a run may hold
+    threads = min(workers, chunks, in_flight)
+    # a pool pairs chunks when each thread has more than two to run and the
+    # pairs stay within the word bound; one thread keeps one chunk a pass,
+    # which a Weibull pass needs to stay within a core's L2 cache
+    size = CHUNK_SIZE
+    if 1 < threads and 2 * threads < chunks and 2 * threads <= in_flight:
+        size *= 2
+    starts = range(0, sample_count if cut else 0, size)
+    stops = [min(start + size, sample_count) for start in starts]
+    pass_stats = functools.partial(_pass_stats, problem, theta, cut, stream)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(chunk, starts, stops))
+            passes = list(pool.map(pass_stats, starts, stops))
     else:
-        results = list(map(chunk, starts, stops))
+        passes = list(map(pass_stats, starts, stops))
+    results = [chunk for stats in passes for chunk in stats]
 
     # merge in chunk order; fsum keeps the merge associative in practice
     sum_w, sum_w2, sum_w4 = (math.fsum(r[k] for r in results) for k in range(3))

@@ -1,3 +1,4 @@
+import itertools
 import math
 import threading
 import time
@@ -169,11 +170,22 @@ class TestDeterminism:
         assert a == b
 
     @pytest.mark.parametrize("workers", [2, 3, 8])
-    def test_worker_count_irrelevant(self, workers):
+    def test_worker_count_irrelevant(self, monkeypatch, workers):
         problem = weibull_pair(20.0)
         serial = is_estimate(problem, 0.8, 100_000, 55, workers=1)
         parallel = is_estimate(problem, 0.8, 100_000, 55, workers=workers)
         assert serial == parallel
+        # more than two chunks a thread and a ragged tail: the pool pairs
+        # chunks, on the table-free sum and on a tabled one
+        m = 2 * workers * estimators.CHUNK_SIZE + 3 * estimators.CHUNK_SIZE // 2
+        for problem, theta in ((problem, 0.8), (lognormal_pair(20.0), 0.74)):
+            serial = (is_estimate(problem, theta, m, 55, workers=1),
+                      naive_mc(problem, m, 55, stream_id=1))
+            with monkeypatch.context() as patch:
+                sizes = _pass_sizes(patch)
+                assert (is_estimate(problem, theta, m, 55, workers=workers),
+                        naive_mc(problem, m, 55, stream_id=1, workers=workers)) == serial
+            assert 2 * estimators.CHUNK_SIZE in sizes
 
     def test_seed_changes_result(self):
         problem = weibull_pair(20.0)
@@ -183,22 +195,37 @@ class TestDeterminism:
 
 
 def _chunks_in_flight(monkeypatch):
-    """Spy on `_chunk_stats`: the returned list holds the most calls live at once."""
-    chunk_stats, lock, live, most = estimators._chunk_stats, threading.Lock(), [0], [0]
+    """Spy on `_pass_stats`: the returned list holds the most chunks that
+    live passes held at once, and the most one pass held."""
+    pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0], [0, 0]
 
-    def spy(*args):
+    def spy(problem, theta, cut, stream, start, stop):
+        chunks = -(-(stop - start) // estimators.CHUNK_SIZE)
         with lock:
-            live[0] += 1
+            live[0] += chunks
             most[0] = max(most[0], live[0])
+            most[1] = max(most[1], chunks)
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
-            return chunk_stats(*args)
+            return pass_stats(problem, theta, cut, stream, start, stop)
         finally:
             with lock:
-                live[0] -= 1
+                live[0] -= chunks
 
-    monkeypatch.setattr(estimators, "_chunk_stats", spy)
+    monkeypatch.setattr(estimators, "_pass_stats", spy)
     return most
+
+
+def _pass_sizes(monkeypatch):
+    """Spy on `_pass_stats`: the returned list holds each pass's row count."""
+    pass_stats, sizes = estimators._pass_stats, []
+
+    def spy(problem, theta, cut, stream, start, stop):
+        sizes.append(stop - start)
+        return pass_stats(problem, theta, cut, stream, start, stop)
+
+    monkeypatch.setattr(estimators, "_pass_stats", spy)
+    return sizes
 
 
 class TestThreads:
@@ -215,6 +242,29 @@ class TestThreads:
         assert 1 <= most[0] <= cap
         if cap > 1:
             assert most[0] > 1  # the pool does run chunks side by side
+
+    # 16 chunks of 64 rows: a pool with more than two chunks a thread pairs
+    # them while the pairs stay within the word bound, and one thread never
+    @pytest.mark.parametrize("n, workers, cap, per_pass", [
+        (2, 2, 4, 2), (256, 2, 4, 2), (256, 3, 3, 1), (2, 1, 1, 1),
+        (600, 2, 1, 1)])
+    def test_pool_pairs_chunks_within_the_bound(self, monkeypatch, n, workers,
+                                                cap, per_pass):
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+        problem = SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * n,
+                                     10.0 * math.log10(3.0 * n))
+        serial = is_estimate(problem, 0.5, 16 * 64 - 5, 9, workers=1)
+        with monkeypatch.context() as patch:
+            most = _chunks_in_flight(patch)
+            assert is_estimate(problem, 0.5, 16 * 64 - 5, 9, workers=workers) == serial
+        assert most[1] == per_pass
+        assert 1 <= most[0] <= cap
+        assert cap <= max(1, estimators.MAX_COMPONENTS // n)
+        # two threads with eight chunks each pair them; with exactly two
+        # each, they keep one chunk a pass
+        sizes = _pass_sizes(monkeypatch)
+        is_estimate(problem, 0.5, 2 * workers * 64, 9, workers=workers)
+        assert max(sizes) == 64
 
     @pytest.mark.parametrize("problem, m", [
         (weibull_pair(20.0), 1000),  # one chunk
@@ -261,7 +311,7 @@ class TestChunkMemory:
         assert peak < 1.5 * m * n * 8
 
 
-def _full_inversion_chunk_stats(problem, theta, cut, stream, start, stop):
+def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     """The sampling core without the survival cut: every row is inverted."""
     n = problem.n
     u = stream.uniforms_at(start * n, (stop - start) * n).reshape(-1, n)
@@ -282,6 +332,13 @@ def _full_inversion_chunk_stats(problem, theta, cut, stream, start, stop):
     w = np.exp(log_w)
     return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
+
+
+def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
+    """`_pass_stats` without the survival cut, chunk by chunk."""
+    size = estimators.CHUNK_SIZE
+    return [_full_inversion_chunk_stats(problem, theta, stream, a, min(a + size, stop))
+            for a in range(start, stop, size)]
 
 
 class TestSurvivalCut:
@@ -385,12 +442,12 @@ class TestEmptyChunk:
         m = 2 * estimators.CHUNK_SIZE
         cuts = estimators._word_cuts(problem, theta)
         assert cuts and all(w > 0 for _, w in cuts)
-        cut = (cuts, *estimators._quantile_tables(problem, theta, m))
+        cut = estimators._run_constants(problem, theta, m)
         below = min(w for _, w in cuts) - 1
 
         class Stream:
             """Every word just below the least cut word, and open to no
-            test but the chunk's max."""
+            test but the pass's max."""
 
             def words_at(self, offset, count):
                 return np.full(count, below, dtype=np.uint64).view(_NoCompare)
@@ -401,15 +458,16 @@ class TestEmptyChunk:
         monkeypatch.setattr(estimators, "_log_sf", no_call)
         monkeypatch.setattr(Lognormal, "quantile_from_log_sf", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        stats = estimators._chunk_stats(problem, theta, cut, Stream(), 0,
-                                        estimators.CHUNK_SIZE)
-        assert stats == (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
+        # one chunk, and a pass of two with a ragged second
+        for stop in (estimators.CHUNK_SIZE, m - 3):
+            stats = estimators._pass_stats(problem, theta, cut, Stream(), 0, stop)
+            assert stats == [(0.0, 0.0, 0.0, 0, -math.inf, math.inf)] * (
+                -(-stop // estimators.CHUNK_SIZE))
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
-        cut = (estimators._word_cuts(DISTINCT_PAIR, theta),
-               *estimators._quantile_tables(DISTINCT_PAIR, theta, 64))
-        (i, lo), (j, hi) = sorted(cut[0], key=lambda c: c[1])
+        cut = estimators._run_constants(DISTINCT_PAIR, theta, 64)
+        (lo, (i,)), (hi, (j,)) = sorted(cut[0].items())
         assert lo < hi
         rows = np.zeros((64, 2), dtype=np.uint64)
         rows[:, j] = lo  # past the max, short of its own column's cut
@@ -420,9 +478,8 @@ class TestEmptyChunk:
         chunks.append(rows)
         for rows in chunks:
             stream = _Words(rows.ravel())
-            assert (estimators._chunk_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64)
-                    == _full_inversion_chunk_stats(DISTINCT_PAIR, theta, cut,
-                                                   stream, 0, 64))
+            assert (estimators._pass_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64)
+                    == [_full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64)])
 
 
 class TestWeights:
@@ -479,6 +536,30 @@ class TestWordCut:
             assert 0 < len(least) < len(cuts)
             assert least[0] == 0
 
+    def test_one_survival_per_distinct_law(self, monkeypatch):
+        other = Lognormal.from_db(1.0, 6.0)
+        problem = SumProblem.from_db([LN6, other, LN6, LN6], 30.0)
+        edge = problem.gamma * (1.0 - 1e-9) / problem.n
+        # each component's own S(edge), as the cut took it before
+        cut = np.array([c.log_survival(edge) for c in problem.components])
+        reachable = estimators._log_sf(
+            np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), 0.5) < cut
+        least = estimators.least_word(
+            1.0 - (1.0 + 1e-12) * np.exp(0.5 * cut) - 2.0 ** -53)
+        calls, inner = [], Lognormal.log_survival
+
+        def spy(self, x):
+            calls.append(self)
+            return inner(self, x)
+
+        monkeypatch.setattr(Lognormal, "log_survival", spy)
+        cuts = estimators._word_cuts(problem, 0.5)
+        assert calls == [LN6, other]
+        assert all(reachable)
+        assert [(i, int(w)) for i, w in cuts] == [(i, int(w)) for i, w in enumerate(least)]
+        assert estimators._run_constants(problem, 0.5, 100)[0] == {
+            least[0]: [0, 2, 3], least[1]: [1]}
+
     def test_unreachable_run_draws_nothing(self, monkeypatch):
         # Weibull(0.5, 1) pair at 40 dB: each component must pass 5,000,
         # survival exp(-70.7), beyond any uniform's reach unless the twist
@@ -488,7 +569,7 @@ class TestWordCut:
         for theta in (0.0, 0.3):
             # inverting every row agrees: nothing reaches gamma
             ref = _full_inversion_chunk_stats(
-                problem, theta, None, RandomStream(3, 1), 0, m)
+                problem, theta, RandomStream(3, 1), 0, m)
             assert ref[3] == 0
 
         def no_draw(self, offset, count):
@@ -516,7 +597,7 @@ def _core_and_full_inversion(monkeypatch, cases):
 
     core = run_all()
     with monkeypatch.context() as patch:
-        patch.setattr(estimators, "_chunk_stats", _full_inversion_chunk_stats)
+        patch.setattr(estimators, "_pass_stats", _full_inversion_pass_stats)
         return core, run_all()
 
 
@@ -717,3 +798,85 @@ class TestResultRecord:
         # a pure value: a rerun is equal, a different stream is not
         assert r == naive_mc(single_weibull_gamma4, 100, 0, stream_id=3)
         assert r != naive_mc(single_weibull_gamma4, 100, 0, stream_id=4)
+
+
+def _kept_of_rows(problem, cut, stream, start, stop):
+    """How many rows of [start, stop) pass the word cut, and of how many."""
+    words = stream.words_at(start * problem.n, (stop - start) * problem.n)
+    words = words.reshape(-1, problem.n)
+    keep = np.zeros(words.shape[0], dtype=bool)
+    for w, cols in cut[0].items():
+        for i in cols:
+            keep |= words[:, i] >= w
+    return int(np.count_nonzero(keep)), words.shape[0]
+
+
+class TestTwoChunkPass:
+    SIZE = 64  # rows a chunk, so that blocks can be written word by word
+
+    @pytest.mark.parametrize("problem", [
+        weibull_pair(20.0), lognormal_pair(20.0),
+        SumProblem.from_db([Weibull(0.5, 1.0)], 20.0),
+        SumProblem.from_db([LN6], 20.0),
+        SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)],
+        ids=["weibull-pair", "lognormal-pair", "weibull", "lognormal", "mixed"])
+    def test_each_chunk_as_if_alone(self, monkeypatch, problem):
+        size, n = self.SIZE, problem.n
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
+        seen = set()
+        for theta in (0.0, solve_pprime(problem).theta_star):
+            cut = estimators._run_constants(problem, theta, 2 * size)
+            least = np.zeros(n, dtype=np.uint64)
+            for w, cols in cut[0].items():
+                least[cols] = w
+            assert least.min() > 0
+            random = RandomStream(11).words_at(0, 3 * size * n).reshape(-1, n)
+            at_cut = np.zeros((size, n), dtype=np.uint64)
+            at_cut[np.arange(size), np.arange(size) % n] = least[np.arange(size) % n]
+            none = np.full((size, n), least.min() - 1, dtype=np.uint64)
+            blocks = {
+                "none": none,
+                "random": random[:size],
+                "at-cut": at_cut,  # each row one column at its cut word
+                "half-at-cut": np.where(np.arange(size)[:, None] % 2, none, at_cut),
+                "all": np.full((size, n), 2 ** 64 - 1, dtype=np.uint64),
+            }
+            seconds = {**blocks, "random-2": random[size:2 * size],
+                       "ragged": random[2 * size:2 * size + 37]}
+            for (a, first), (b, second) in itertools.product(blocks.items(),
+                                                             seconds.items()):
+                stream = _Words(np.concatenate([first, second]).ravel())
+                stop = size + second.shape[0]
+                two = estimators._pass_stats(problem, theta, cut, stream, 0, stop)
+                alone = [estimators._pass_stats(problem, theta, cut, _Words(block.ravel()),
+                                                0, block.shape[0])[0]
+                         for block in (first, second)]
+                assert two == alone, (a, b, theta)
+                assert two == _full_inversion_pass_stats(problem, theta, cut, stream,
+                                                         0, stop), (a, b, theta)
+                for chunk, (lo, hi) in zip(two, [(0, size), (size, stop)]):
+                    kept, rows = _kept_of_rows(problem, cut, stream, lo, hi)
+                    seen.add(("kept", kept == 0, kept == rows, chunk[3] == 0))
+                seen.add(("ragged", stop % size > 0))
+                seen.add(("theta", theta > 0.0))
+        # chunks that keep no row, keep some and keep all, with and without
+        # hits, beside one another, at a ragged end and at theta 0 and theta*
+        assert {("kept", True, False, True), ("kept", False, False, True),
+                ("kept", False, False, False), ("kept", False, True, True),
+                ("kept", False, True, False), ("ragged", True),
+                ("theta", False), ("theta", True)} <= seen
+
+
+class TestHitLaw:
+    # for N = 1, A = Lambda(gamma) and theta* = 1 - 1 / A, so the twisted
+    # law puts P(X > gamma) = exp(-(1 - theta*) A) = 1/e at every threshold
+    @pytest.mark.parametrize("law", [Weibull(0.5, 1.0), LN6],
+                             ids=["weibull", "lognormal"])
+    @pytest.mark.parametrize("gamma_db", [20.0, 40.0, 60.0])
+    def test_single_law_hits_one_in_e(self, law, gamma_db):
+        problem = SumProblem.from_db([law], gamma_db)
+        sol = solve_pprime(problem)
+        assert sol.objective > 1.0 and sol.theta_star > 0.0
+        m, p = 100_000, math.exp(-1.0)
+        r = is_estimate(problem, sol.theta_star, m, 7)
+        assert abs(r.hit_frequency - m * p) <= 5.0 * math.sqrt(m * p * (1.0 - p))
