@@ -34,12 +34,12 @@ block of consecutive chunks, with each chunk's sums taken on its own slice.
 Every numpy call releases and retakes the GIL, and a chunk takes about 80
 of them, so threads hand the GIL over once a call: a pass of two chunks
 halves those hand-offs.  Passes hold two chunks only on a pool whose
-threads have more than two chunks each; one thread hands nothing over, and
-there a Weibull pass of four chunks outgrew a core's 2 MiB L2 cache and ran
-36 % slower.  A run starts at most min(workers, its chunks,
-MAX_COMPONENTS // N) threads and pairs chunks only while twice its threads
-stay within MAX_COMPONENTS // N, so up to N = MAX_COMPONENTS the words it
-draws at once stay within MAX_COMPONENTS * CHUNK_SIZE, 256 MiB.
+threads have more than two chunks each.  One thread hands nothing over,
+so it keeps one chunk a pass and the memory of one chunk.  A run starts at
+most min(workers, its chunks, MAX_COMPONENTS // N) threads and pairs
+chunks only while twice its threads stay within MAX_COMPONENTS // N, so up
+to N = MAX_COMPONENTS the words it draws at once stay within
+MAX_COMPONENTS * CHUNK_SIZE, 256 MiB.
 """
 from __future__ import annotations
 
@@ -121,11 +121,11 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     one a pass over that chunk alone returns, bit for bit.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
-    shift and tables of `_quantile_tables`.  One contiguous max over the drawn block comes
-    first: a pass whose largest word lies below every cut word keeps no row
-    and returns before any column is compared.  That is most naive-MC
-    passes of a deep threshold, whose cut words lie near 2^64.  A pass that
-    keeps no row after the compares returns too.
+    shift and tables of `_quantile_tables`.  One contiguous max over the
+    drawn block comes first: a pass whose largest word lies below every cut
+    word keeps no row and returns before any column is compared.  That is
+    most naive-MC passes of a deep threshold, whose cut words lie near
+    2^64.  A pass that keeps no row after the compares returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -160,10 +160,12 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     """
     n = problem.n
     columns, shift, tables = cut
+    # each chunk's rows; then, as rows are selected, its slice of them
     bounds = [*range(0, stop - start, CHUNK_SIZE), stop - start]
+    empty = [_NO_HITS] * (len(bounds) - 1)
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
     if raw.max() < min(columns):
-        return [_NO_HITS] * (len(bounds) - 1)
+        return empty
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
     # cut word is compared once, with its columns' max, since numpy takes
@@ -176,7 +178,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     if bounds[-1] < raw.shape[0]:
         raw = raw.compress(keep, axis=0)
     if raw.shape[0] == 0:
-        return [_NO_HITS] * (len(bounds) - 1)
+        return empty
     gamma = problem.gamma
     if tables:
         lo = np.zeros(raw.shape[0])
@@ -210,7 +212,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         bounds = _slice_bounds(hits, bounds)
         hazard_sum = hazard_sum.compress(hits)
     if hazard_sum.size == 0:
-        return [_NO_HITS] * (len(bounds) - 1)
+        return empty
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
     w = _weights(log_w)
@@ -320,10 +322,9 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     in_flight = max(1, MAX_COMPONENTS // problem.n)  # chunks a run may hold
     threads = min(workers, chunks, in_flight)
     # a pool pairs chunks when each thread has more than two to run and the
-    # pairs stay within the word bound; one thread keeps one chunk a pass,
-    # which a Weibull pass needs to stay within a core's L2 cache
+    # pairs stay within the word bound; one thread hands no GIL over
     size = CHUNK_SIZE
-    if 1 < threads and 2 * threads < chunks and 2 * threads <= in_flight:
+    if threads > 1 and 2 * threads < chunks and 2 * threads <= in_flight:
         size *= 2
     starts = range(0, sample_count if cut else 0, size)
     stops = [min(start + size, sample_count) for start in starts]
