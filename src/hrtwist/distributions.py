@@ -203,7 +203,14 @@ class Lognormal(Distribution):
     def log_pdf(self, x):
         x = _require_positive(x)
         z = self._z(x)
-        return -np.log(x * self.sigma * np.sqrt(2.0 * np.pi)) - 0.5 * z * z
+        # the product overflows past x = 1.8e308 / (sigma sqrt(2 pi)); there
+        # only, its log is taken as the sum of its factors' logs
+        with np.errstate(over="ignore"):
+            log_scaled = np.log(x * self.sigma * np.sqrt(2.0 * np.pi))
+        if not (log_scaled < np.inf).all():
+            log_scaled = np.where(log_scaled < np.inf, log_scaled,
+                                  np.log(x) + np.log(self.sigma) + _LOG_SQRT_2PI)
+        return -log_scaled - 0.5 * z * z
 
     def log_survival(self, x):
         x = _require_positive(x)

@@ -3,7 +3,7 @@
 Both estimators share one sampling core: component i of sample j uses
 word j*N + i of the run's Philox stream, and samples are generated by
 exact inversion of the (possibly twisted) CDF.  Only rows with a word at
-or past its component's survival cut (`_word_cuts`) are kept; the rest
+or past its component's survival cut (`_run_constants`) are kept; the rest
 are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
@@ -11,16 +11,8 @@ weight needs only the hazard sum, which takes no quantile.  So a sum with
 a lognormal law brackets every kept row from a per-run table of each
 law's quantiles, and only rows near gamma are inverted exactly; a sum of
 Weibull laws alone gets no table and inverts every kept row.
-`_quantile_tables` makes that choice, and `_pass_stats` says why.
-
-Each step over a pass's rows earns its keep.  A pass whose largest word
-lies below every cut word returns after one contiguous max, before any
-column is compared: at deep thresholds most naive-MC passes are such.
-Rows are selected with `ndarray.compress`, several times faster in numpy
-than indexing by a boolean mask.  A column's log survival is formed once,
-in one buffer, and feeds both its quantile and the hazard sum.  Log
-weights at or below -760 are not exponentiated: exp is exactly 0.0 there,
-and numpy's exp takes a slow path on every input that underflows.
+`_quantile_tables` makes that choice; `_pass_stats` says why, and why
+each of its steps over a pass's rows earns its keep.
 
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
@@ -33,13 +25,13 @@ compare and compress, and one inversion, hazard and weight step over a
 block of consecutive chunks, with each chunk's sums taken on its own slice.
 Every numpy call releases and retakes the GIL, and a chunk takes about 80
 of them, so threads hand the GIL over once a call: a pass of two chunks
-halves those hand-offs.  Passes hold two chunks only on a pool whose
-threads have more than two chunks each.  One thread hands nothing over,
-so it keeps one chunk a pass and the memory of one chunk.  A run starts at
-most min(workers, its chunks, MAX_COMPONENTS // N) threads and pairs
-chunks only while twice its threads stay within MAX_COMPONENTS // N, so up
-to N = MAX_COMPONENTS the words it draws at once stay within
-MAX_COMPONENTS * CHUNK_SIZE, 256 MiB.
+halves those hand-offs, and on one thread it halves the calls.
+The pass rule, at any thread count: a run starts at most min(workers, its
+chunks, MAX_COMPONENTS // N) threads, and its passes hold two chunks while
+each thread has more than two chunks to run and twice its threads stay
+within MAX_COMPONENTS // N, one chunk otherwise.  So up to N =
+MAX_COMPONENTS the words it draws at once stay within MAX_COMPONENTS *
+CHUNK_SIZE, 256 MiB.
 """
 from __future__ import annotations
 
@@ -256,7 +248,7 @@ def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
     """
     bits = _bucket_bits(sample_count)
     shift = np.uint64(64 - bits)
-    laws = dict.fromkeys(problem.components)
+    laws = problem.laws
     if not any(law.family == "lognormal" for law in laws):
         return shift, {}
     edges = np.append(np.arange(1 << bits, dtype=np.uint64) << shift,
@@ -265,37 +257,30 @@ def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
     return shift, {law: law.quantile_from_log_sf(log_sf) for law in laws}
 
 
-def _word_cuts(problem: SumProblem, theta: float) -> list:
-    """(i, least kept word) for each component i that can pass the survival cut.
-
-    A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
-    and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
-    S_i(edge)^(1 - theta).  The least kept word is the least whose uniform
-    is at least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding
-    of the core's `_log_sf`, so every row that can hit is kept, and the
-    extra rows lie under the edge and miss.  Components whose largest word
-    fails the core's float test are left out.  S_i(edge) is evaluated once
-    per distinct law.
-    """
-    edge = problem.gamma * (1.0 - 1e-9) / problem.n
-    laws = {law: law.log_survival(edge) for law in dict.fromkeys(problem.components)}
-    cut = np.array([laws[c] for c in problem.components])
-    reachable = _log_sf(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < cut
-    least = least_word(
-        1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
-    return [(i, w) for i, w in enumerate(least) if reachable[i]]
-
-
 def _run_constants(problem: SumProblem, theta: float, sample_count: int):
     """What every pass of a run shares: (cut word -> its columns, shift,
     tables), or None when no word can reach gamma.
 
-    Columns of identical laws share a cut word, and the pass compares it
-    once on their elementwise max.
+    A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
+    and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
+    S_i(edge)^(1 - theta).  Its cut word is the least whose uniform is at
+    least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding of
+    the core's `_log_sf`, so every row that can hit is kept, and the extra
+    rows lie under the edge and miss.  A law whose largest word fails the
+    core's float test gets no cut word.  S_i(edge) is evaluated once per
+    distinct law, and columns that share a cut word, identical laws' at
+    least, are compared once on their elementwise max.
     """
+    laws = problem.laws
+    edge = problem.gamma * (1.0 - 1e-9) / problem.n
+    cut = np.array([law.log_survival(edge) for law in laws])
+    reachable = _log_sf(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < cut
+    least = least_word(
+        1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
     columns = {}
-    for i, w in _word_cuts(problem, theta):
-        columns.setdefault(w, []).append(i)
+    for idx, w, ok in zip(laws.values(), least, reachable):
+        if ok:
+            columns.setdefault(w, []).extend(idx)
     if not columns:
         return None
     return (columns, *_quantile_tables(problem, theta, sample_count))
@@ -321,10 +306,8 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     chunks = -(-sample_count // CHUNK_SIZE) if cut else 0
     in_flight = max(1, MAX_COMPONENTS // problem.n)  # chunks a run may hold
     threads = min(workers, chunks, in_flight)
-    # a pool pairs chunks when each thread has more than two to run and the
-    # pairs stay within the word bound; one thread hands no GIL over
-    size = CHUNK_SIZE
-    if threads > 1 and 2 * threads < chunks and 2 * threads <= in_flight:
+    size = CHUNK_SIZE  # or two chunks, by the module docstring's pass rule
+    if 2 * threads < chunks and 2 * threads <= in_flight:
         size *= 2
     starts = range(0, sample_count if cut else 0, size)
     stops = [min(start + size, sample_count) for start in starts]

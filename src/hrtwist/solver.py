@@ -41,6 +41,15 @@ class SumProblem:
     def n(self) -> int:
         return len(self.components)
 
+    @property
+    def laws(self) -> dict:
+        """Each distinct law -> the list of its column indices, in order of
+        first appearance: the one grouping of identical components."""
+        laws: dict = {}
+        for i, comp in enumerate(self.components):
+            laws.setdefault(comp, []).append(i)
+        return laws
+
     def hazard_sum(self, x) -> np.ndarray:
         """Sum of component cumulative hazards at coordinate vector(s) x."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
@@ -132,10 +141,8 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
     gamma = problem.gamma
     n = problem.n
 
-    groups: dict = {}
-    for i, comp in enumerate(comps):
-        groups.setdefault(comp, []).append(i)
-    heads = [idx[0] for idx in groups.values()]
+    laws = problem.laws
+    heads = [idx[0] for idx in laws.values()]
 
     candidates = []
     for d in heads:
@@ -145,9 +152,8 @@ def solve_pprime(problem: SumProblem) -> MinmaxSolution:
         candidates.append(vertex)
 
     for d in heads:
-        rising = [(comps[idx[0]], [j for j in idx if j != d])
-                  for idx in groups.values()
-                  if isinstance(comps[idx[0]], Lognormal) and idx != [d]]
+        rising = [(law, [j for j in idx if j != d]) for law, idx in laws.items()
+                  if isinstance(law, Lognormal) and idx != [d]]
         if not rising:
             continue
         nu_hi = min(float(c.hazard_rate(c.concavity_onset())) for c, _ in rising)

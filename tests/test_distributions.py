@@ -107,6 +107,18 @@ class TestPdf:
         assert np.exp(weibull_half.log_pdf(4.0)) == pytest.approx(
             0.25 * math.exp(-2.0), rel=1e-12)
 
+    def test_lognormal_past_the_product_overflow(self, lognormal_6db):
+        # x sigma sqrt(2 pi) overflows from about 5.2e307 at 6 dB; warnings
+        # are errors here, so an overflow warning fails the test
+        x = np.array([1e307, 1e308, np.finfo(float).max])
+        log_pdf = lognormal_6db.log_pdf(x)
+        assert np.isfinite(log_pdf).all()
+        z = np.log(x) / lognormal_6db.sigma
+        expect = (-np.log(x) - np.log(lognormal_6db.sigma)
+                  - 0.5 * np.log(2.0 * np.pi) - 0.5 * z * z)
+        assert log_pdf == pytest.approx(expect, rel=1e-14)
+        assert math.isfinite(float(lognormal_6db.log_pdf(1e308)))
+
     def test_domain(self, weibull_half, lognormal_std):
         for dist in (weibull_half, lognormal_std):
             with pytest.raises(ParameterError):

@@ -243,11 +243,12 @@ class TestThreads:
         if cap > 1:
             assert most[0] > 1  # the pool does run chunks side by side
 
-    # 16 chunks of 64 rows: a pool with more than two chunks a thread pairs
-    # them while the pairs stay within the word bound, and one thread never
+    # 16 chunks of 64 rows: with more than two chunks a thread, one thread
+    # or a pool pairs them while the pairs stay within the word bound; 512
+    # laws at workers=4 start two threads, each taking one chunk a pass
     @pytest.mark.parametrize("n, workers, cap, per_pass", [
-        (2, 2, 4, 2), (256, 2, 4, 2), (256, 3, 3, 1), (2, 1, 1, 1),
-        (600, 2, 1, 1)])
+        (2, 2, 4, 2), (256, 2, 4, 2), (256, 3, 3, 1), (2, 1, 2, 2),
+        (600, 2, 1, 1), (512, 4, 2, 1)])
     def test_pool_pairs_chunks_within_the_bound(self, monkeypatch, n, workers,
                                                 cap, per_pass):
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
@@ -259,6 +260,8 @@ class TestThreads:
             assert is_estimate(problem, 0.5, 16 * 64 - 5, 9, workers=workers) == serial
         assert most[1] == per_pass
         assert 1 <= most[0] <= cap
+        if cap > per_pass:
+            assert most[0] > per_pass  # the pool does run passes side by side
         assert cap <= max(1, estimators.MAX_COMPONENTS // n)
         # two threads with eight chunks each pair them; with exactly two
         # each, they keep one chunk a pass
@@ -309,6 +312,29 @@ class TestChunkMemory:
         assert result == self.ALL_HITS
         # a copy of the kept rows beside the drawn block would make it 2x
         assert peak < 1.5 * m * n * 8
+
+    @pytest.mark.parametrize("law", [Lognormal.from_db(0.0, 6.0),
+                                     Weibull(0.5, 1.0)],
+                             ids=["table", "no-table"])
+    def test_two_chunk_pass_holds_one_copy(self, monkeypatch, law):
+        n, m = 64, 4096
+        # four chunks on one thread: two passes of two chunks each
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", m // 4)
+        problem = SumProblem.from_db([law] * n, 10.0)
+        first = is_estimate(problem, 0.5, m, 3)
+        sizes = _pass_sizes(monkeypatch)
+        tracemalloc.start()
+        try:
+            result = is_estimate(problem, 0.5, m, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result == first and sizes == [m // 2, m // 2]
+        # the same rows and hits as one chunk, summed in other groupings
+        assert result.hit_frequency == m
+        assert result.alpha_hat == pytest.approx(self.ALL_HITS.alpha_hat, rel=1e-12)
+        # a copy of the kept rows beside the drawn block would make it 2x
+        assert peak < 1.5 * (m // 2) * n * 8
 
 
 def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
@@ -440,10 +466,9 @@ class TestEmptyChunk:
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
         theta = solve_pprime(problem).theta_star
         m = 2 * estimators.CHUNK_SIZE
-        cuts = estimators._word_cuts(problem, theta)
-        assert cuts and all(w > 0 for _, w in cuts)
         cut = estimators._run_constants(problem, theta, m)
-        below = min(w for _, w in cuts) - 1
+        assert cut and all(w > 0 for w in cut[0])
+        below = min(cut[0]) - 1
 
         class Stream:
             """Every word just below the least cut word, and open to no
@@ -506,7 +531,9 @@ class TestWordCut:
         edge = gamma * (1.0 - 1e-9) / target.size
         problem = SumProblem([Weibull(1.0, edge / -c) for c in target], gamma)
         cuts = [float(c.log_survival(edge)) for c in problem.components]
-        least = dict(estimators._word_cuts(problem, theta))
+        # each column that can pass the word cut -> its cut word
+        columns = estimators._run_constants(problem, theta, 1)[0]
+        least = {i: w for w, cols in columns.items() for i in cols}
         top = (1 << 53) - 1
         largest = np.array([2 ** 64 - 1], dtype=np.uint64)
         for i, cut in enumerate(cuts):
@@ -553,12 +580,11 @@ class TestWordCut:
             return inner(self, x)
 
         monkeypatch.setattr(Lognormal, "log_survival", spy)
-        cuts = estimators._word_cuts(problem, 0.5)
+        columns = estimators._run_constants(problem, 0.5, 100)[0]
         assert calls == [LN6, other]
-        assert all(reachable)
-        assert [(i, int(w)) for i, w in cuts] == [(i, int(w)) for i, w in enumerate(least)]
-        assert estimators._run_constants(problem, 0.5, 100)[0] == {
-            least[0]: [0, 2, 3], least[1]: [1]}
+        assert all(reachable) and least[0] != least[1]
+        assert least[0] == least[2] == least[3]
+        assert columns == {least[0]: [0, 2, 3], least[1]: [1]}
 
     def test_unreachable_run_draws_nothing(self, monkeypatch):
         # Weibull(0.5, 1) pair at 40 dB: each component must pass 5,000,
@@ -605,8 +631,9 @@ def _kept_rows(problem, theta, m, seed):
     """Rows of stream 0 of seed that pass the run's word cut."""
     words = RandomStream(seed).words_at(0, problem.n * m).reshape(-1, problem.n)
     keep = np.zeros(m, dtype=bool)
-    for i, w in estimators._word_cuts(problem, theta):
-        keep |= words[:, i] >= w
+    for w, cols in estimators._run_constants(problem, theta, m)[0].items():
+        for i in cols:
+            keep |= words[:, i] >= w
     return int(np.count_nonzero(keep))
 
 
@@ -662,9 +689,10 @@ class TestQuantileTable:
         sizes = _count_quantile_values(monkeypatch, Lognormal)
         r = is_estimate(problem, 0.9, m, 2)  # theta* is 0 here
         assert r.hit_frequency > 0
-        # one table, then one exact call per column and chunk
+        # one table, then one exact call per column and pass: three chunks,
+        # one pass of two and one of the ragged third
         assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
-        assert len(sizes) == 1 + 64 * 3
+        assert len(sizes) == 1 + 64 * 2
 
     def test_weibull_pair_builds_no_table(self, monkeypatch):
         problem = weibull_pair(20.0)
@@ -674,20 +702,22 @@ class TestQuantileTable:
         lognormal = _count_quantile_values(monkeypatch, Lognormal)
         is_estimate(problem, theta, m, 5)
         assert lognormal == []
-        # each kept row inverted once per column, as by the table-free core
+        # each kept row inverted once per column, as by the table-free core,
+        # in three passes: two of two chunks, then the ragged fifth
         assert sum(sizes) == 2 * _kept_rows(problem, theta, m, 5)
-        assert len(sizes) == 2 * 5
+        assert len(sizes) == 2 * 3
 
     def test_mixed_pair_brackets_its_weibull_column(self, monkeypatch):
         problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)
         theta = solve_pprime(problem).theta_star
         m = 4 * estimators.CHUNK_SIZE + 11
+        kept = _kept_rows(problem, theta, m, 5)
         sizes = _count_quantile_values(monkeypatch, Weibull)
         is_estimate(problem, theta, m, 5)
-        kept = _kept_rows(problem, theta, m, 5)
-        # the table's edges, then one near-row array per chunk
+        # the table's edges, then one near-row array per pass of two chunks
+        # and one for the ragged fifth
         assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
-        assert len(sizes) == 1 + 5
+        assert len(sizes) == 1 + 3
         assert sum(sizes[1:]) <= 0.02 * kept
         # inverting every kept row's Weibull column took `kept` values
         assert sum(sizes) <= 0.1 * kept
@@ -880,3 +910,19 @@ class TestHitLaw:
         m, p = 100_000, math.exp(-1.0)
         r = is_estimate(problem, sol.theta_star, m, 7)
         assert abs(r.hit_frequency - m * p) <= 5.0 * math.sqrt(m * p * (1.0 - p))
+
+    # every {X_i > gamma} lies in {S > gamma}, so IS at theta hits with
+    # probability at least p_lo = 1 - prod_i (1 - exp(-(1 - theta) Lambda_i(gamma)))
+    @pytest.mark.parametrize("law, gamma_db", [(Weibull(0.5, 1.0), 30.0), (LN6, 40.0)],
+                             ids=["weibull", "lognormal"])
+    @pytest.mark.parametrize("n", [2, 4, 8, 12])
+    def test_identical_laws_hit_at_least_the_floor(self, law, gamma_db, n):
+        problem = SumProblem.from_db([law] * n, gamma_db)
+        theta = solve_pprime(problem).theta_star
+        assert theta > 0.0
+        hazards = [float(c.hazard_function(problem.gamma)) for c in problem.components]
+        p_lo = -math.expm1(math.fsum(math.log1p(-math.exp(-(1.0 - theta) * h))
+                                     for h in hazards))
+        m = math.ceil(200.0 / p_lo)  # about 200 hits at the floor
+        r = is_estimate(problem, theta, m, 7)
+        assert r.hit_frequency >= m * p_lo - 5.0 * math.sqrt(m * p_lo * (1.0 - p_lo))

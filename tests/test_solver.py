@@ -238,6 +238,14 @@ class TestSolvePPrime:
         with pytest.raises(ParameterError, match="underflow"):
             solve_pprime(SumProblem.from_db(comps, gamma_db))
 
+    def test_largest_thresholds_solve(self):
+        # gamma near the largest float: the hazard rates at gamma stay finite
+        # and positive, so no false underflow is reported
+        for gamma_db in (3077.0, 3080.0, 3082.5):
+            sol = solve_pprime(SumProblem.from_db((Lognormal.from_db(0.0, 6.0),) * 2,
+                                                  gamma_db))
+            assert 0.0 < sol.theta_star < 1.0
+
     def test_small_gamma_clamps(self):
         sol = solve_pprime(SumProblem(
             (Weibull(0.5, 1.0), Weibull(0.5, 1.0)), 1e-10))
