@@ -17,6 +17,16 @@ each of its steps over a pass's rows earns its keep.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
+A chunk's weights are summed in linear space (`_weight_sums`), and no exp
+there has a subnormal result: numpy takes about 147 ns for each of those
+against about 1 ns for a normal one, and at theta* on the Weibull(0.5, 1)
+pair from about 45 dB up 3-8 % of a pass's hits would pay it.  Log
+weights between -760 and -700 are exponentiated at -699, which bounds
+each weight from above, and zeroed, which bounds it from below (at or
+below -760 exp is 0 anyway).  Rounded addition is monotone, so where a
+chunk's sums over the two bounds agree they are its exact sum; a chunk
+whose largest weight lies near underflow adds its exact weights instead.
+
 A chunk is CHUNK_SIZE consecutive rows, fixed and never derived from the
 worker count: it is the unit of the merge.  Each chunk has its own sums,
 and the run merges them in chunk order, so results are bit-identical for
@@ -57,6 +67,10 @@ MAX_WORKERS = 64  # the most threads a run may be asked for
 _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 # exp is exactly 0.0 below -745.14; the margin keeps well clear of it
 _EXP_FLOOR = -760.0
+# exp is a normal float at or above -708.40; the margin keeps clear of it
+_EXP_CLAMP = -700.0
+# a pass that expects fewer kept rows than this first tests its largest word
+_SCAN_BELOW = 1.0
 
 
 @dataclass(frozen=True)
@@ -91,16 +105,8 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
     return log_sf
 
 
-def _weights(log_w: np.ndarray) -> np.ndarray:
-    """exp of a non-empty array, bit for bit, without exponentiating the
-    log weights at or below _EXP_FLOOR."""
-    if log_w.min() > _EXP_FLOOR:
-        return np.exp(log_w)
-    return np.exp(log_w, out=np.zeros_like(log_w), where=log_w > _EXP_FLOOR)
-
-
 def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
-                stream: RandomStream, start: int, stop: int) -> list:
+                stream: RandomStream, start: int, stop: int, scan: bool = True) -> list:
     """Hit moments of each chunk of samples [start, stop), in one pass.
 
     The pass draws the block once, compares and compresses it once, and
@@ -113,11 +119,15 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     one a pass over that chunk alone returns, bit for bit.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
-    shift and tables of `_quantile_tables`.  One contiguous max over the
-    drawn block comes first: a pass whose largest word lies below every cut
-    word keeps no row and returns before any column is compared.  That is
-    most naive-MC passes of a deep threshold, whose cut words lie near
-    2^64.  A pass that keeps no row after the compares returns too.
+    shift and tables of `_quantile_tables`.  With `scan`, one contiguous
+    max over the drawn block comes first: a pass whose largest word lies
+    below every cut word keeps no row and returns before any column is
+    compared.  That is most naive-MC passes of a deep threshold, whose cut
+    words lie near 2^64.  The max costs about 11 us a chunk, a fifth of the
+    compares it can spare, so `_run` asks for it only where a pass expects
+    fewer than _SCAN_BELOW kept rows (`_expected_kept`) and so keeps none
+    with probability above 1/e; an IS pass keeps rows and never takes it.
+    A pass that keeps no row after the compares returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -139,10 +149,8 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
 
     Rows are selected with `ndarray.compress`, not a boolean mask: with
     numpy 2.4 on a 2-core Xeon, 14,000 rows take about 100 us by mask and
-    25 us by compress.  Log weights at or below -760 are not exponentiated
-    (`_weights`): exp is exactly 0.0 below -745.14 anyway, and numpy's exp
-    takes a slow path on each input that underflows, about 20 ns a value
-    against 1 ns, so a deep threshold's pass would pay it on most hits.
+    25 us by compress.  The weights and their chunk sums are
+    `_weight_sums`'s, which takes no exp with a subnormal result.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -156,7 +164,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     bounds = [*range(0, stop - start, CHUNK_SIZE), stop - start]
     empty = [_NO_HITS] * (len(bounds) - 1)
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    if raw.max() < min(columns):
+    if scan and raw.max() < min(columns):
         return empty
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
@@ -207,12 +215,67 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         return empty
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
-    w = _weights(log_w)
-    w2 = w * w
-    w4 = w2 * w2
-    return [(float(np.sum(w[a:b])), float(np.sum(w2[a:b])), float(np.sum(w4[a:b])),
-             b - a, float(np.max(log_w[a:b])), float(np.min(hazard_sum[a:b])))
-            if b > a else _NO_HITS for a, b in itertools.pairwise(bounds)]
+    chunks = list(itertools.pairwise(bounds))
+    top = [float(np.max(log_w[a:b])) if b > a else -math.inf for a, b in chunks]
+    return [(*sums, b - a, t, float(np.min(hazard_sum[a:b]))) if b > a else _NO_HITS
+            for (a, b), t, sums in zip(chunks, top, _weight_sums(log_w, chunks, top))]
+
+
+def _weight_sums(log_w: np.ndarray, chunks: list, top: list) -> list:
+    """(sum of w, w^2, w^4) of each chunk's slice of log_w, w = exp(log w).
+
+    Each sum is np.sum's of the slice of exp(log_w), of its square and of
+    its fourth power, bit for bit; `top` holds each slice's largest log
+    weight.  No exp here has a subnormal result (see the module docstring).
+
+    With C = _EXP_CLAMP, log weights at or above C are exponentiated as
+    they are, those at or below _EXP_FLOOR give exact zeros, and those in
+    the band between at C + 1: e^(C + 1) is an upper bound on every band
+    weight with no need for exp to be monotone next to C.  So the band's
+    stand-ins give an upper bound on each chunk's weights, and zeroing
+    them a lower one.  IEEE round-to-nearest addition is monotone in each
+    term, and np.sum adds a slice of a given length in a fixed pairwise
+    order, so the slice's exact sum lies between its sums over the two
+    bounds; where they are equal it is that value.  Otherwise `_exact_sum`
+    adds the slice's exact weights.  That takes stand-ins that outweigh
+    half an ulp of the sum: a largest weight under about e^-651 at 2^15
+    hits, seen from 56.5 dB up on the Weibull(0.5, 1) pair at theta*.
+    A band weight squares to 0, and so does e^(C + 1), so the squares and
+    fourth powers of the lower bound are exact as they are.
+    """
+    if max(top) <= _EXP_FLOOR:  # every weight is 0
+        return [(0.0, 0.0, 0.0)] * len(chunks)
+    low = log_w.min()
+    if low >= _EXP_CLAMP:
+        w = np.exp(log_w)
+        sum_w = _slice_sums(w, chunks)
+    else:
+        band = log_w < _EXP_CLAMP
+        # C + 1 across the band, by a max and an add: faster than np.where
+        w = np.maximum(log_w, _EXP_CLAMP)
+        w += band
+        np.exp(w, out=w)
+        if low <= _EXP_FLOOR:
+            w *= log_w > _EXP_FLOOR
+        upper = _slice_sums(w, chunks)
+        w *= np.logical_not(band, out=band)
+        sum_w = [s if s == u else _exact_sum(log_w[a:b])
+                 for s, u, (a, b) in zip(_slice_sums(w, chunks), upper, chunks)]
+    # squared in place: each temporary a pass keeps alive costs page faults
+    w *= w
+    sum_w2 = _slice_sums(w, chunks)
+    w *= w
+    return list(zip(sum_w, sum_w2, _slice_sums(w, chunks)))
+
+
+def _slice_sums(w: np.ndarray, chunks: list) -> list:
+    return [float(np.sum(w[a:b])) for a, b in chunks]
+
+
+def _exact_sum(log_w: np.ndarray) -> float:
+    """np.sum of exp(log_w), log weights at or below _EXP_FLOOR taken as 0."""
+    return float(np.sum(np.exp(log_w, out=np.zeros_like(log_w),
+                               where=log_w > _EXP_FLOOR)))
 
 
 def _slice_bounds(mask: np.ndarray, bounds: list) -> list:
@@ -286,6 +349,12 @@ def _run_constants(problem: SumProblem, theta: float, sample_count: int):
     return (columns, *_quantile_tables(problem, theta, sample_count))
 
 
+def _expected_kept(columns: dict, rows: int) -> float:
+    """A bound on the kept rows of `rows` rows: a column passes its cut word
+    w with probability (2^64 - w) / 2^64, and a row is kept if any does."""
+    return rows * sum(len(cols) * (2 ** 64 - int(w)) for w, cols in columns.items()) / 2 ** 64
+
+
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
          stream_id: int, workers: int) -> EstimateResult:
     try:
@@ -311,7 +380,9 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         size *= 2
     starts = range(0, sample_count if cut else 0, size)
     stops = [min(start + size, sample_count) for start in starts]
-    pass_stats = functools.partial(_pass_stats, problem, theta, cut, stream)
+    pass_stats = functools.partial(
+        _pass_stats, problem, theta, cut, stream,
+        scan=bool(cut) and _expected_kept(cut[0], size) < _SCAN_BELOW)
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             passes = list(pool.map(pass_stats, starts, stops))

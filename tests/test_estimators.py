@@ -199,7 +199,7 @@ def _chunks_in_flight(monkeypatch):
     live passes held at once, and the most one pass held."""
     pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0], [0, 0]
 
-    def spy(problem, theta, cut, stream, start, stop):
+    def spy(problem, theta, cut, stream, start, stop, **scan):
         chunks = -(-(stop - start) // estimators.CHUNK_SIZE)
         with lock:
             live[0] += chunks
@@ -207,7 +207,7 @@ def _chunks_in_flight(monkeypatch):
             most[1] = max(most[1], chunks)
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
-            return pass_stats(problem, theta, cut, stream, start, stop)
+            return pass_stats(problem, theta, cut, stream, start, stop, **scan)
         finally:
             with lock:
                 live[0] -= chunks
@@ -220,9 +220,9 @@ def _pass_sizes(monkeypatch):
     """Spy on `_pass_stats`: the returned list holds each pass's row count."""
     pass_stats, sizes = estimators._pass_stats, []
 
-    def spy(problem, theta, cut, stream, start, stop):
+    def spy(problem, theta, cut, stream, start, stop, **scan):
         sizes.append(stop - start)
-        return pass_stats(problem, theta, cut, stream, start, stop)
+        return pass_stats(problem, theta, cut, stream, start, stop, **scan)
 
     monkeypatch.setattr(estimators, "_pass_stats", spy)
     return sizes
@@ -360,7 +360,7 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
             n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
 
 
-def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
+def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop, scan=True):
     """`_pass_stats` without the survival cut, chunk by chunk."""
     size = estimators.CHUNK_SIZE
     return [_full_inversion_chunk_stats(problem, theta, stream, a, min(a + size, stop))
@@ -396,26 +396,34 @@ class TestSurvivalCut:
                 # return at the max and one passes it and keeps no row
                 SumProblem.from_db([wb, Weibull(0.5, 3.0)], 28.0),
                 SumProblem.from_db([wb], 20.0),  # N = 1
-                SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0)]):
+                SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0),
+                weibull_pair(57.0)]):  # weights the bounds cannot decide
             cases.append((problem, solve_pprime(problem).theta_star,
                           (k + 1) * estimators.CHUNK_SIZE + 7 * k, k % 2 + 1))
-        # the least and largest log weight of each chunk the core weighs
-        spans, weights = [], estimators._weights
+        # the least and largest log weight of each chunk the core weighs,
+        # and the largest of each chunk whose sum of w takes the exact path
+        spans, weight_sums = [], estimators._weight_sums
 
-        def spy(log_w):
-            spans.append((log_w.min(), log_w.max()))
-            return weights(log_w)
+        def spy(log_w, chunks, top):
+            spans.extend((log_w[a:b].min(), t) for (a, b), t in zip(chunks, top) if b > a)
+            return weight_sums(log_w, chunks, top)
 
-        monkeypatch.setattr(estimators, "_weights", spy)
+        monkeypatch.setattr(estimators, "_weight_sums", spy)
+        exact = _exact_calls(monkeypatch)
         core, reference = _core_and_full_inversion(monkeypatch, cases)
         assert core == reference
         assert any(c[2] % estimators.CHUNK_SIZE for c in cases)
         assert {c[1] > 0.0 for c in cases} == {True, False}
-        # chunks whose weights all underflow, some and none
-        floor = estimators._EXP_FLOOR
-        assert any(hi < floor for lo, hi in spans)
-        assert any(lo < floor < hi for lo, hi in spans)
-        assert any(lo > floor for lo, hi in spans)
+        # chunks whose weights lie all above the clamp, across it and all
+        # below it, and all at or below the floor, where every weight is 0
+        clamp, floor = estimators._EXP_CLAMP, estimators._EXP_FLOOR
+        assert any(hi < clamp for lo, hi in spans)
+        assert any(lo < clamp <= hi for lo, hi in spans)
+        assert any(lo >= clamp for lo, hi in spans)
+        assert any(hi <= floor for lo, hi in spans)
+        # the 57 dB pair: a chunk whose largest weight lies near e^-700
+        # leaves its bounds apart
+        assert exact and max(exact) < -650.0
         # IS at 62 dB: every hit weighs 0; naive MC at 30 dB: no chunk hits
         is_62, naive_30 = core[2 * deep + 2], core[2 * deep + 5]
         assert is_62.hit_frequency > 0 and is_62.alpha_hat == 0.0
@@ -489,6 +497,36 @@ class TestEmptyChunk:
             assert stats == [(0.0, 0.0, 0.0, 0, -math.inf, math.inf)] * (
                 -(-stop // estimators.CHUNK_SIZE))
 
+    def test_max_first_only_where_a_pass_likely_keeps_none(self, monkeypatch):
+        scans, pass_stats = [], estimators._pass_stats
+
+        def spy(*args, scan):
+            scans.append(scan)
+            return pass_stats(*args, scan=scan)
+
+        monkeypatch.setattr(estimators, "_pass_stats", spy)
+        # two passes of two chunks: IS keeps rows in every pass, while each
+        # column of naive MC passes the edge 500 with probability e^-22.4
+        problem, m = weibull_pair(30.0), 4 * estimators.CHUNK_SIZE
+        is_estimate(problem, solve_pprime(problem).theta_star, m, 1)
+        assert scans == [False, False]
+        scans.clear()
+        assert naive_mc(problem, m, 1).hit_frequency == 0
+        assert scans == [True, True]
+
+    @pytest.mark.parametrize("problem", [
+        SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 20.0), weibull_pair(20.0),
+        DISTINCT_PAIR], ids=["one", "identical", "distinct"])
+    def test_expected_kept_bounds_the_kept_rows(self, problem):
+        m = estimators.CHUNK_SIZE
+        for theta in (0.0, solve_pprime(problem).theta_star):
+            expected = estimators._expected_kept(
+                estimators._run_constants(problem, theta, m)[0], m)
+            kept = _kept_rows(problem, theta, m, 5)
+            assert kept <= expected + 5.0 * math.sqrt(expected) + 1.0
+            if problem.n == 1:  # no union to bound: the mean itself
+                assert kept >= expected - 5.0 * math.sqrt(expected) - 1.0
+
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
         cut = estimators._run_constants(DISTINCT_PAIR, theta, 64)
@@ -507,18 +545,125 @@ class TestEmptyChunk:
                     == [_full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64)])
 
 
+def _weigh(log_w, chunks):
+    """`_weight_sums` of chunks of log_w, with each chunk's largest log weight."""
+    top = [float(np.max(log_w[a:b])) if b > a else -math.inf for a, b in chunks]
+    return estimators._weight_sums(log_w, chunks, top)
+
+
+def _exact_weighs(log_w, chunks):
+    """Each chunk's np.sum of exp(log w), its square and fourth power."""
+    w = np.exp(log_w)
+    w2 = w * w
+    w4 = w2 * w2
+    return [(np.sum(w[a:b]), np.sum(w2[a:b]), np.sum(w4[a:b])) for a, b in chunks]
+
+
+def _bits(sums):
+    return np.array(sums, dtype=np.float64).view(np.int64).tolist()
+
+
+def _exact_calls(monkeypatch):
+    """Spy on `_exact_sum`: the returned list holds the largest log weight
+    of each chunk whose sum of w takes the exact path."""
+    calls, exact_sum = [], estimators._exact_sum
+
+    def spy(log_w):
+        calls.append(float(log_w.max()))
+        return exact_sum(log_w)
+
+    monkeypatch.setattr(estimators, "_exact_sum", spy)
+    return calls
+
+
 class TestWeights:
+    CLAMP, FLOOR = estimators._EXP_CLAMP, estimators._EXP_FLOOR
+    # the floor, exp's last nonzero value, its least normal one, the clamp
+    # and the band's stand-in
+    EDGES = np.array([FLOOR, -745.1332191019412, -708.3964185322641, CLAMP, CLAMP + 1.0])
+
     def test_equal_exp_bit_for_bit(self):
-        floor = estimators._EXP_FLOOR
-        x = np.linspace(-2000.0, 0.0, 2_000_001)
-        # each side of the floor, of exp's last nonzero value and of its
-        # least normal one
-        edges = np.array([floor, -745.1332191019412, -708.3964185322641])
-        near = np.concatenate([np.nextafter(edges, -np.inf),
-                               edges, np.nextafter(edges, np.inf)])
-        for log_w in (x, near, x[x > -700.0], x[x < floor]):
-            assert np.array_equal(estimators._weights(log_w).view(np.int64),
-                                  np.exp(log_w).view(np.int64))
+        rng = np.random.default_rng(29)
+        x = rng.uniform(-4000.0, 0.0, 300_000)
+        near = np.concatenate([np.nextafter(self.EDGES, -np.inf), self.EDGES,
+                               np.nextafter(self.EDGES, np.inf)])
+        # each edge beside a large weight, which decides its chunk's bounds
+        beside = np.concatenate([[v, e] for v in (-690.0, -300.0, 0.0) for e in near])
+        arrays = [x, near, beside, x[x >= self.CLAMP], x[x < self.CLAMP], x[x <= self.FLOOR],
+                  np.concatenate([x[:1000], near, x[1000:2000]])]
+        for log_w in arrays:
+            cuts = np.sort(rng.integers(0, log_w.size + 1, 5))
+            for chunks in ([(0, log_w.size)],
+                           list(itertools.pairwise([0, *cuts, log_w.size]))):
+                assert (_bits(_weigh(log_w, chunks))
+                        == _bits(_exact_weighs(log_w, chunks)))
+
+    def test_undecided_chunk_takes_exact_path(self, monkeypatch):
+        calls = _exact_calls(monkeypatch)
+        # the first chunk's largest weight, e^-699.5, cannot absorb the
+        # stand-in e^-699 of its band weight, so its bounds differ; the
+        # second's largest, e^-10, makes the band weight vanish from both
+        log_w = np.array([-699.5, -705.0, -10.0, -705.0])
+        chunks = [(0, 2), (2, 4)]
+        assert _bits(_weigh(log_w, chunks)) == _bits(_exact_weighs(log_w, chunks))
+        assert calls == [-699.5]
+
+    def test_clamped_exp_equals_exp_above_the_clamp(self):
+        # the bounds rest on this: exp of an entry at or above the clamp
+        # does not depend on the stand-ins beside it
+        rng = np.random.default_rng(7)
+        x = np.concatenate([rng.uniform(-4000.0, 0.0, 200_000), self.EDGES,
+                            np.nextafter(self.EDGES, -np.inf),
+                            np.nextafter(self.EDGES, np.inf)])
+        rng.shuffle(x)
+        clamped = np.maximum(x, self.CLAMP) + (x < self.CLAMP)
+        above = x >= self.CLAMP
+        assert np.all(clamped[~above] == self.CLAMP + 1.0)
+        assert np.array_equal(np.exp(clamped)[above].view(np.int64),
+                              np.exp(x[above]).view(np.int64))
+
+    def test_stand_in_bounds_every_band_weight(self, monkeypatch):
+        # chunks [u, b, V], added left to right: V's half ulp is 2^h, and
+        # u = 2^h - e^b (1 - 2^-20) lies at or above the clamp.  So u + e^b
+        # passes 2^h and the exact sum rounds up from V, while u + e^s for
+        # any e^s <= e^b (1 - 2^-20) rounds to V: a stand-in smaller than
+        # the band weight e^b would make both bounds V.  A chunk [b] alone
+        # sums to a subnormal, against 0 for a stand-in that underflows
+        calls = _exact_calls(monkeypatch)
+        h = math.ceil(1.0 + self.CLAMP / math.log(2.0))  # 2^h in [2 e^C, 4 e^C)
+        band = [np.nextafter(self.CLAMP, -np.inf), self.CLAMP - 0.5, self.CLAMP - 4.0,
+                -708.0, -710.0]
+        parts = [[math.log(2.0 ** h - math.exp(b) * (1.0 - 2.0 ** -20)), b,
+                  (h + 53.5) * math.log(2.0)] for b in band]
+        parts += [[b] for b in (-745.0, -720.0, band[0])]
+        log_w = np.concatenate(parts)
+        chunks = list(itertools.pairwise(np.cumsum([0] + [len(q) for q in parts]).tolist()))
+        exact = _exact_weighs(log_w, chunks)
+        for (a, b), (s, _, _), q in zip(chunks, exact, parts):
+            assert q[0] >= self.CLAMP or len(q) == 1
+            assert s != np.sum(np.exp(np.delete(log_w[a:b], len(q) // 2)))
+        assert _bits(_weigh(log_w, chunks)) == _bits(exact)
+        assert len(calls) == len(parts)
+
+    def test_exact_path_only_near_underflow(self, monkeypatch):
+        # the Weibull(0.5, 1) pair at theta*, where up to 8 % of a pass's
+        # weights would be subnormal: every chunk is decided by its bounds
+        # up to 56 dB.  From 56.5 dB on, a chunk's largest weight lies near
+        # e^-660, and its thousands of band stand-ins at e^-699 outweigh
+        # half its ulp
+        calls = _exact_calls(monkeypatch)
+        m = 500_000
+        for gamma_db in np.arange(45.0, 56.5, 0.5):
+            problem = weibull_pair(float(gamma_db))
+            theta = solve_pprime(problem).theta_star
+            for seed in (1, 2, 3):
+                is_estimate(problem, theta, m, seed)
+        assert calls == []
+        for gamma_db in (56.5, 57.0):
+            problem = weibull_pair(gamma_db)
+            is_estimate(problem, solve_pprime(problem).theta_star, m, 1)
+            assert calls and max(calls) < -650.0
+            calls.clear()
 
 
 class TestWordCut:
