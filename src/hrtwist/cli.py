@@ -196,7 +196,8 @@ def _runs(cfg: ExperimentConfig, workers: int):
             raise ParameterError(
                 f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "
                 f"{r_is.hit_frequency} IS hits underflow to 0 "
-                f"(max_log_weight_hit={r_is.max_log_weight_hit:.6g})")
+                f"(max_log_weight_hit={r_is.max_log_weight_hit:.6g}, "
+                f"log10_alpha_is={r_is.log_alpha_hat / math.log(10.0):.6g})")
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
@@ -224,11 +225,13 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
     The naive error is the one a naive run of samples_naive would reach on
     the IS estimate alpha: C sqrt(alpha (1 - alpha) / M_naive) / alpha.
+    The IS columns are formed from se_is alone, never from its square,
+    which underflows in deep tails while se_is is still normal.
     """
     ccdf, freq, efficiency = [], [], []
     for gamma_db, _, r_is, r_mc in _runs(cfg, workers):
-        alpha, var = r_is.alpha_hat, r_is.variance_weight
-        ccdf.append((gamma_db, r_mc.alpha_hat, alpha, r_mc.std_error, r_is.std_error))
+        alpha, se = r_is.alpha_hat, r_is.std_error
+        ccdf.append((gamma_db, r_mc.alpha_hat, alpha, r_mc.std_error, se))
         freq.append((gamma_db, alpha, r_is.hit_frequency, r_mc.hit_frequency))
         if not 0.0 < alpha < 1.0:
             # the relative errors are undefined outside (0, 1)
@@ -240,8 +243,8 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             gamma_db,
             1.96 * math.sqrt(alpha * (1.0 - alpha)) / (
                 math.sqrt(cfg.samples_naive) * alpha),
-            1.96 * math.sqrt(var) / (math.sqrt(cfg.samples_is) * alpha),
-            math.inf if var == 0.0 else alpha * (1.0 - alpha) / var,
+            1.96 * se / alpha,
+            math.inf if se == 0.0 else (alpha / se) * ((1.0 - alpha) / se) / cfg.samples_is,
         ))
     for name, header, rows in (
             ("ccdf.csv", "gamma_db,alpha_naive,alpha_is,se_naive,se_is", ccdf),
@@ -272,11 +275,8 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         for k, theta in enumerate(sorted({*cfg.theta_grid, solution.theta_star})):
             r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                             stream_id=per_threshold * idx + k, workers=workers)
-            m2 = r.second_moment_weight
-            se = math.sqrt(max(r.fourth_moment_weight - m2 * m2, 0.0)
-                           / cfg.samples_is)
-            rows.append((theta, m2, second_moment_bound(
-                theta, solution.objective, problem.n), se))
+            rows.append((theta, r.second_moment_weight, second_moment_bound(
+                theta, solution.objective, problem.n), r.second_moment_std_error))
         _write_csv(
             out_dir / name, cfg,
             "theta,second_moment_empirical,second_moment_bound,std_error", rows,

@@ -17,15 +17,12 @@ each of its steps over a pass's rows earns its keep.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
-A chunk's weights are summed in linear space (`_weight_sums`), and no exp
-there has a subnormal result: numpy takes about 147 ns for each of those
-against about 1 ns for a normal one, and at theta* on the Weibull(0.5, 1)
-pair from about 45 dB up 3-8 % of a pass's hits would pay it.  Log
-weights between -760 and -700 are exponentiated at -699, which bounds
-each weight from above, and zeroed, which bounds it from below (at or
-below -760 exp is 0 anyway).  Rounded addition is monotone, so where a
-chunk's sums over the two bounds agree they are its exact sum; a chunk
-whose largest weight lies near underflow adds its exact weights instead.
+A chunk's weights are summed shifted by its top t, the largest log weight
+of its hits (`_weight_sums`): s_k = sum of exp(k (log w - t)) for k = 1, 2
+and 4, the scaled log-sum-exp.  The run merges them against its own top T
+and forms each linear output as exp(T) or exp(2T) times a value built from
+the merged sums (`_run`), so the standard error underflows only about
+where alpha_hat does, not where w^2 and w^4 do, far sooner.
 
 A chunk is CHUNK_SIZE consecutive rows, fixed and never derived from the
 worker count: it is the unit of the merge.  Each chunk has its own sums,
@@ -65,10 +62,8 @@ MAX_COMPONENTS = 1024
 MAX_WORKERS = 64  # the most threads a run may be asked for
 # the moments and extremes of a chunk without hits
 _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
-# exp is exactly 0.0 below -745.14; the margin keeps well clear of it
-_EXP_FLOOR = -760.0
-# exp is a normal float at or above -708.40; the margin keeps clear of it
-_EXP_CLAMP = -700.0
+# a shifted log weight below this is raised to it: e^(4 F) is still normal
+_SHIFT_FLOOR = -170.0
 # a pass that expects fewer kept rows than this first tests its largest word
 _SCAN_BELOW = 1.0
 
@@ -79,17 +74,22 @@ class EstimateResult:
 
     `alpha_hat` and the moments describe the weighted exceedance
     indicator: for naive MC (theta 0) the weight is the indicator itself.
+    `std_error` is the standard error of `alpha_hat`, and
+    `second_moment_std_error` that of `second_moment_weight`.  Each
+    underflows only about where the value it describes does;
+    `log_alpha_hat` is finite wherever the run has a hit, also where
+    `alpha_hat` underflows.
     The two hit extremes (`max_log_weight_hit`, `min_hazard_sum_hit`)
     support the per-sample worst-case-weight certificate.
     """
 
     alpha_hat: float
+    log_alpha_hat: float
     sample_count: int
     hit_frequency: int
     second_moment_weight: float
-    fourth_moment_weight: float
-    variance_weight: float
     std_error: float
+    second_moment_std_error: float
     theta_used: float
     max_log_weight_hit: float
     min_hazard_sum_hit: float
@@ -115,8 +115,9 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     CHUNK_SIZE rows after it.  A chunk's kept rows and then its hits are a
     contiguous slice of the pass's, and `count_nonzero` of the keep and hit
     masks over its rows gives each slice's length.  So each chunk's tuple
-    (sum of w, w^2 and w^4, hit count, max log w, min hazard sum) is the
-    one a pass over that chunk alone returns, bit for bit.
+    (s_1, s_2, s_4, hit count, max log w t, min hazard sum), s_k the sum of
+    w^k / e^(k t) (`_weight_sums`), is the one a pass over that chunk alone
+    returns, bit for bit.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
     shift and tables of `_quantile_tables`.  With `scan`, one contiguous
@@ -149,8 +150,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
 
     Rows are selected with `ndarray.compress`, not a boolean mask: with
     numpy 2.4 on a 2-core Xeon, 14,000 rows take about 100 us by mask and
-    25 us by compress.  The weights and their chunk sums are
-    `_weight_sums`'s, which takes no exp with a subnormal result.
+    25 us by compress.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -215,67 +215,38 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         return empty
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
-    chunks = list(itertools.pairwise(bounds))
-    top = [float(np.max(log_w[a:b])) if b > a else -math.inf for a, b in chunks]
     return [(*sums, b - a, t, float(np.min(hazard_sum[a:b]))) if b > a else _NO_HITS
-            for (a, b), t, sums in zip(chunks, top, _weight_sums(log_w, chunks, top))]
+            for (a, b), (t, *sums) in zip(itertools.pairwise(bounds),
+                                          _weight_sums(log_w, bounds))]
 
 
-def _weight_sums(log_w: np.ndarray, chunks: list, top: list) -> list:
-    """(sum of w, w^2, w^4) of each chunk's slice of log_w, w = exp(log w).
+def _weight_sums(log_w: np.ndarray, bounds: list) -> list:
+    """(t, s_1, s_2, s_4) of each chunk's slice of log_w between `bounds`:
+    its top t = max log w and s_k = sum of exp(k (log w - t)).
 
-    Each sum is np.sum's of the slice of exp(log_w), of its square and of
-    its fourth power, bit for bit; `top` holds each slice's largest log
-    weight.  No exp here has a subnormal result (see the module docstring).
-
-    With C = _EXP_CLAMP, log weights at or above C are exponentiated as
-    they are, those at or below _EXP_FLOOR give exact zeros, and those in
-    the band between at C + 1: e^(C + 1) is an upper bound on every band
-    weight with no need for exp to be monotone next to C.  So the band's
-    stand-ins give an upper bound on each chunk's weights, and zeroing
-    them a lower one.  IEEE round-to-nearest addition is monotone in each
-    term, and np.sum adds a slice of a given length in a fixed pairwise
-    order, so the slice's exact sum lies between its sums over the two
-    bounds; where they are equal it is that value.  Otherwise `_exact_sum`
-    adds the slice's exact weights.  That takes stand-ins that outweigh
-    half an ulp of the sum: a largest weight under about e^-651 at 2^15
-    hits, seen from 56.5 dB up on the Weibull(0.5, 1) pair at theta*.
-    A band weight squares to 0, and so does e^(C + 1), so the squares and
-    fourth powers of the lower bound are exact as they are.
+    Works in place on log_w: each temporary a pass keeps alive costs page
+    faults.  No exp or product here has a subnormal result, which numpy
+    takes about 147 ns for against about 1 ns for a normal one: where a
+    pass has a shifted log weight below F = _SHIFT_FLOOR, every such one is
+    raised to F.  The stand-ins e^F add under 2^16 e^-170, about 1e-69, to
+    an s_1 of at least 1, and e^(4 F) is normal.
     """
-    if max(top) <= _EXP_FLOOR:  # every weight is 0
-        return [(0.0, 0.0, 0.0)] * len(chunks)
-    low = log_w.min()
-    if low >= _EXP_CLAMP:
-        w = np.exp(log_w)
-        sum_w = _slice_sums(w, chunks)
-    else:
-        band = log_w < _EXP_CLAMP
-        # C + 1 across the band, by a max and an add: faster than np.where
-        w = np.maximum(log_w, _EXP_CLAMP)
-        w += band
-        np.exp(w, out=w)
-        if low <= _EXP_FLOOR:
-            w *= log_w > _EXP_FLOOR
-        upper = _slice_sums(w, chunks)
-        w *= np.logical_not(band, out=band)
-        sum_w = [s if s == u else _exact_sum(log_w[a:b])
-                 for s, u, (a, b) in zip(_slice_sums(w, chunks), upper, chunks)]
-    # squared in place: each temporary a pass keeps alive costs page faults
-    w *= w
-    sum_w2 = _slice_sums(w, chunks)
-    w *= w
-    return list(zip(sum_w, sum_w2, _slice_sums(w, chunks)))
+    chunks = list(itertools.pairwise(bounds))
+    top = [float(log_w[a:b].max()) if b > a else -math.inf for a, b in chunks]
+    for (a, b), t in zip(chunks, top):
+        log_w[a:b] -= t
+    if log_w.min() < _SHIFT_FLOOR:
+        np.maximum(log_w, _SHIFT_FLOOR, out=log_w)
+    w = np.exp(log_w, out=log_w)
+    sums = [_slice_sums(w, chunks)]
+    for _ in range(2):
+        w *= w
+        sums.append(_slice_sums(w, chunks))
+    return list(zip(top, *sums))
 
 
 def _slice_sums(w: np.ndarray, chunks: list) -> list:
     return [float(np.sum(w[a:b])) for a, b in chunks]
-
-
-def _exact_sum(log_w: np.ndarray) -> float:
-    """np.sum of exp(log_w), log weights at or below _EXP_FLOOR taken as 0."""
-    return float(np.sum(np.exp(log_w, out=np.zeros_like(log_w),
-                               where=log_w > _EXP_FLOOR)))
 
 
 def _slice_bounds(mask: np.ndarray, bounds: list) -> list:
@@ -388,27 +359,33 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
             passes = list(pool.map(pass_stats, starts, stops))
     else:
         passes = list(map(pass_stats, starts, stops))
-    results = [chunk for stats in passes for chunk in stats]
+    results = [chunk for stats in passes for chunk in stats if chunk[3]]
 
-    # merge in chunk order; fsum keeps the merge associative in practice
-    sum_w, sum_w2, sum_w4 = (math.fsum(r[k] for r in results) for k in range(3))
     hits = sum(r[3] for r in results)
-    max_log_w = max((r[4] for r in results), default=-math.inf)
+    top = max((r[4] for r in results), default=-math.inf)
     min_hs = min((r[5] for r in results), default=math.inf)
+    # merge in chunk order, each chunk's sums of w^k scaled to the run's top;
+    # fsum keeps the merge associative in practice
+    sum_w, sum_w2, sum_w4 = (math.fsum(math.exp(k * (r[4] - top)) * r[i] for r in results)
+                             for i, k in enumerate((1, 2, 4)))
 
     m = sample_count
     mean_w, second, fourth = sum_w / m, sum_w2 / m, sum_w4 / m
     variance = max((m / (m - 1.0)) * (second - mean_w * mean_w), 0.0) if m >= 2 else 0.0
+    # every linear output is exp(top) or exp(2 top), one rounding of an exact
+    # float, times a value of order 1: never exp of a rounded log
+    with np.errstate(over="ignore"):  # past the float range a weight is inf
+        scale, scale2 = np.exp([top, 2.0 * top]).tolist()
     return EstimateResult(
-        alpha_hat=mean_w,
+        alpha_hat=scale * mean_w,
+        log_alpha_hat=top + math.log(mean_w) if hits else -math.inf,
         sample_count=m,
         hit_frequency=hits,
-        second_moment_weight=second,
-        fourth_moment_weight=fourth,
-        variance_weight=variance,
-        std_error=math.sqrt(variance / m),
+        second_moment_weight=scale2 * second,
+        std_error=scale * math.sqrt(variance / m),
+        second_moment_std_error=scale2 * math.sqrt(max(fourth - second * second, 0.0) / m),
         theta_used=theta,
-        max_log_weight_hit=max_log_w,
+        max_log_weight_hit=top,
         min_hazard_sum_hit=min_hs,
     )
 
@@ -424,8 +401,9 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     """Importance-sampling estimate under the theta-twisted laws.
 
     Each exceedance carries the likelihood weight
-    (1-theta)^(-N) exp(-theta * sum of cumulative hazards).  The core forms
-    log w, but it sums w, w^2 and w^4 in linear space, so w^2 underflows to
-    0 in deep tails well before alpha_hat does.
+    (1-theta)^(-N) exp(-theta * sum of cumulative hazards).  The core sums
+    w, w^2 and w^4 shifted by their largest log weight, so `std_error`
+    underflows only about where alpha_hat does, though w^2 underflows far
+    sooner; `log_alpha_hat` stays finite where alpha_hat underflows.
     """
     return _run(problem, theta, sample_count, seed, stream_id, workers)

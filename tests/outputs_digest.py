@@ -17,6 +17,14 @@ the same total as its parent:
     python tests/outputs_digest.py ../parent/src
     python tests/outputs_digest.py src
 
+A change meant to move some numbers and no others shows which moved in
+the values mode, which runs every case with `--workers 1` on two source
+trees and prints each number that differs, with its case, output and
+column, then the largest relative difference over the changed numbers
+that are normal floats on both sides:
+
+    python tests/outputs_digest.py --values ../parent/src src
+
 `tests/test_cli.py` reads `CASES` and `run_case` from here.  The file
 name does not start with `test_`, so pytest does not collect it.
 """
@@ -25,6 +33,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -103,26 +113,110 @@ def _digest(result) -> str:
     return hashlib.sha256(json.dumps(record).encode()).hexdigest()[:16]
 
 
-def main(argv) -> int:
-    if len(argv) != 1:
-        print(__doc__, file=sys.stderr)
-        return 1
-    sys.path.insert(0, str(Path(argv[0]).resolve()))
-    import hrtwist
-    from hrtwist.cli import main as cli_main
-
+def _load_main(src: str):
+    """hrtwist's CLI `main` from the source tree `src`, imported afresh."""
+    for name in [name for name in sys.modules if name.split(".")[0] == "hrtwist"]:
+        del sys.modules[name]
+    sys.path.insert(0, str(Path(src).resolve()))
+    try:
+        import hrtwist
+        from hrtwist.cli import main as cli_main
+    finally:
+        del sys.path[0]
     print(f"hrtwist from {Path(hrtwist.__file__).parent}", file=sys.stderr)
-    total = hashlib.sha256()
+    return cli_main
+
+
+def _results(cli_main, workers_list):
+    """(case id, workers, result) of every case, in `CASES` order."""
     for case_id, command, raw in CASES:
-        for workers in (1, 2):
+        for workers in workers_list:
             with tempfile.TemporaryDirectory() as work_dir:
                 try:
                     result = run_case(cli_main, command, raw, workers, work_dir)
                 except Exception as exc:  # a traceback is an output too
                     result = (f"raised {type(exc).__name__}: {exc}", "", "", {})
-            digest = _digest(result)
-            total.update(digest.encode())
-            print(f"{digest}  {case_id} --workers {workers}")
+            yield case_id, workers, result
+
+
+_NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
+
+
+def _numbers(name: str, text: str) -> tuple:
+    """(skeleton, {label: number}) of one output: the text with each number
+    replaced by #, and each number labelled by its line and column.  A CSV
+    column is named by its header and its row by its first value; any other
+    number by the text just before it."""
+    values, header = {}, None
+    for i, line in enumerate(text.splitlines(), 1):
+        if name.endswith(".csv") and not line.startswith("#"):
+            cells = line.split(",")
+            if header is None:
+                header = cells
+                continue
+            for column, cell in zip(header, cells):
+                values[f"{name} {header[0]}={cells[0]} {column}"] = cell
+            continue
+        for k, match in enumerate(_NUMBER.finditer(line)):
+            before = line[:match.start()].rstrip(' "=:')
+            key = re.split(r'[\s"{,(]', before)[-1] if before else ""
+            values[f"{name} line {i} #{k} {key}"] = match.group()
+    skeleton = _NUMBER.sub("#", text)
+    return skeleton, values
+
+
+def _outputs(result) -> dict:
+    """Each output of a run's result by name: exit code, stdout, stderr and
+    every written file."""
+    code, out, err, files = result
+    return {"exit": str(code), "stdout": out, "stderr": err,
+            **{name: data.decode("utf-8", "replace") for name, data in files.items()}}
+
+
+def _compare_values(a_src: str, b_src: str) -> int:
+    """Print every number that differs between the two trees' outputs."""
+    a_runs = list(_results(_load_main(a_src), (1,)))
+    b_runs = list(_results(_load_main(b_src), (1,)))
+    changed, worst = 0, (0.0, "")
+    for (case_id, _, a), (_, _, b) in zip(a_runs, b_runs):
+        a_out, b_out = _outputs(a), _outputs(b)
+        for name in sorted(a_out.keys() | b_out.keys()):
+            a_skel, a_vals = _numbers(name, a_out.get(name, ""))
+            b_skel, b_vals = _numbers(name, b_out.get(name, ""))
+            if a_skel != b_skel:
+                changed += 1
+                print(f"{case_id}: {name}: text differs")
+            for label in sorted(a_vals.keys() | b_vals.keys()):
+                x, y = a_vals.get(label), b_vals.get(label)
+                if x == y:
+                    continue
+                changed += 1
+                print(f"{case_id}: {label}: {x} -> {y}")
+                try:
+                    x, y = float(x), float(y)
+                except (TypeError, ValueError):
+                    continue
+                normal = [math.isfinite(v) and abs(v) >= sys.float_info.min for v in (x, y)]
+                if all(normal):
+                    rel = abs(x - y) / max(abs(x), abs(y))
+                    worst = max(worst, (rel, f"{case_id}: {label}"))
+    print(f"{changed} numbers or texts differ; largest relative difference "
+          f"on normal values {worst[0]:.3g} {worst[1]}".rstrip())
+    return 0
+
+
+def main(argv) -> int:
+    if len(argv) == 3 and argv[0] == "--values":
+        return _compare_values(argv[1], argv[2])
+    if len(argv) != 1:
+        print(__doc__, file=sys.stderr)
+        return 1
+    cli_main = _load_main(argv[0])
+    total = hashlib.sha256()
+    for case_id, workers, result in _results(cli_main, (1, 2)):
+        digest = _digest(result)
+        total.update(digest.encode())
+        print(f"{digest}  {case_id} --workers {workers}")
     print(f"total {total.hexdigest()[:16]}")
     return 0
 

@@ -215,9 +215,9 @@ def test_criterion_7_efficiency_growth():
         problem = lognormal_pair(gdb)
         sol = solve_pprime(problem)
         r = is_estimate(problem, sol.theta_star, m_is, SEED, stream_id=idx)
-        alpha, var = r.alpha_hat, r.variance_weight
-        ks.append(alpha * (1.0 - alpha) / var)
-        eps.append(1.96 * math.sqrt(var) / (math.sqrt(m_is) * alpha))
+        alpha, se = r.alpha_hat, r.std_error
+        ks.append((alpha / se) * ((1.0 - alpha) / se) / m_is)
+        eps.append(1.96 * se / alpha)
     increasing = all(b > a for a, b in zip(ks[:-1], ks[1:]))
     above_one = all(k > 1.0 for k in ks)
     spread = max(eps) / min(eps)

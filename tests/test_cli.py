@@ -444,7 +444,7 @@ class TestEfficiency:
     def test_columns_follow_from_the_ccdf_run(self, tmp_path):
         # one ccdf run writes both tables from the same alpha_is; at -30 dB
         # theta* clamps to 0, so the IS weights are the hit indicators, and
-        # at 52 dB the squared weights underflow (se_is 0, so k is inf)
+        # at 52 dB se_is is about 3e-174, whose square underflows
         raw = CONFIGS["wb2"]
         m, m_naive = raw["samples_is"], raw["samples_naive"]
         assert run(tmp_path, "ccdf", raw)[0] == 0
@@ -458,8 +458,9 @@ class TestEfficiency:
                 1.96 * math.sqrt(alpha * (1 - alpha)) / (math.sqrt(m_naive) * alpha),
                 rel=1e-12)
             assert rel_is == pytest.approx(1.96 * se_is / alpha, rel=1e-11)
-            assert k == (math.inf if se_is == 0.0 else pytest.approx(
-                alpha * (1 - alpha) / (m * se_is ** 2), rel=1e-11))
+            assert se_is > 0.0
+            assert k == pytest.approx(
+                (alpha / se_is) * ((1 - alpha) / se_is) / m, rel=1e-11)
         assert float(rows[0][3]) == pytest.approx((m - 1) / m, rel=1e-12)
 
     def test_skips_threshold_where_estimate_is_one(self, tmp_path, capsys):
@@ -586,6 +587,17 @@ class TestValidate:
         out = capsys.readouterr().out
         assert out.startswith("FAIL") and "oracle=0.000000e+00" in out
 
+    def test_underflow_names_the_log_tail(self, tmp_path, capsys):
+        # at 58 dB every IS weight underflows, and the error names log10 of
+        # the tail, near the one-big-jump asymptote log10(2 e^-sqrt(gamma))
+        raw = dict(WB_PAIR, thresholds_db=[58.0], samples_is=500_000)
+        code, _ = run(tmp_path, "ccdf", raw)
+        assert code == 2
+        err = capsys.readouterr().err
+        log10_alpha = float(re.search(r"log10_alpha_is=(\S+)\)", err).group(1))
+        asymptote = math.log10(2.0) - math.sqrt(10.0 ** 5.8) / math.log(10.0)
+        assert math.isfinite(log10_alpha) and abs(log10_alpha - asymptote) <= 1.0
+
     def test_rejects_three_components(self, tmp_path, capsys):
         raw = dict(WB_PAIR, components=[{"family": "weibull", "shape": 0.5,
                                          "scale": 1.0, "count": 3}])
@@ -608,7 +620,7 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
     assert re.fullmatch(
         rf"numerical failure: gamma_db=20, theta={re.escape(repr(theta))}: "
         r"the weights of all 1000 IS hits underflow to 0 "
-        r"\(max_log_weight_hit=-4\.6\d*e\+10\)", last)
+        r"\(max_log_weight_hit=-4\.6\d*e\+10, log10_alpha_is=-2\.0\d*e\+10\)", last)
     # the failure is raised once the threshold's run has been used: ccdf
     # notes the estimate but writes no table, validate prints its line
     if command == "ccdf":
@@ -734,8 +746,8 @@ class TestNaiveCount:
         assert capsys.readouterr().err == ""
 
 
-# every case exits 0 but these: the 52 dB wb2 tail underflows (exit 2),
-# and validate refuses N = 3 (exit 1)
+# every case exits 0 but these: the 52 dB wb2 IS run reads more than 3 SE
+# under the oracle (exit 2), and validate refuses N = 3 (exit 1)
 CASE_EXIT_CODES = {"validate-wb2": 2, "validate-ln3": 1, "validate-mixed": 1}
 
 

@@ -20,7 +20,7 @@ from hrtwist import RandomStream, estimators
 from hrtwist.estimators import EstimateResult
 from hrtwist.streams import uniforms_from_words
 
-from conftest import lognormal_pair, random_component, weibull_pair
+from conftest import WB_PAIR_TAIL_55DB, lognormal_pair, random_component, weibull_pair
 
 
 @pytest.fixture
@@ -102,7 +102,7 @@ class TestISEstimate:
         m = r.sample_count
         expect = (m / (m - 1.0)) * (
             r.second_moment_weight - r.alpha_hat ** 2)
-        assert r.variance_weight == pytest.approx(expect, rel=1e-12)
+        assert m * r.std_error ** 2 == pytest.approx(expect, rel=1e-12)
 
     def test_deep_threshold_no_overflow(self):
         # gamma_db = 50 on both families: weights stay finite, alpha > 0
@@ -288,10 +288,10 @@ class TestChunkMemory:
     # every row hits, so the weights depend on the words alone and both
     # families give this result (regression constants of the sampling core)
     ALL_HITS = EstimateResult(
-        alpha_hat=0.024273908109737178, sample_count=4096, hit_frequency=4096,
-        second_moment_weight=0.6170263418893601,
-        fourth_moment_weight=745.177779449046,
-        variance_weight=0.616587653369501, std_error=0.012269233678633452,
+        alpha_hat=0.024273908109737178, log_alpha_hat=-3.718353245847805,
+        sample_count=4096, hit_frequency=4096,
+        second_moment_weight=0.6170263418893602, std_error=0.01226923367863345,
+        second_moment_std_error=0.4264214103726894,
         theta_used=0.5, max_log_weight_hit=3.5648507182873956,
         min_hazard_sum_hit=81.5931376750982)
 
@@ -351,13 +351,9 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
         return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
-    if theta == 0.0:
-        return (float(n_hits), float(n_hits), float(n_hits), n_hits, 0.0,
-                float(np.min(hazard_sum[hits])))
     log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
-    w = np.exp(log_w)
-    return (float(np.sum(w)), float(np.sum(w * w)), float(np.sum((w * w) ** 2)),
-            n_hits, float(np.max(log_w)), float(np.min(hazard_sum[hits])))
+    t, *sums = _fsum_weighs(log_w)
+    return (*sums, n_hits, t, float(np.min(hazard_sum[hits])))
 
 
 def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop, scan=True):
@@ -367,8 +363,38 @@ def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop, scan=Tr
             for a in range(start, stop, size)]
 
 
+def _fsum_weighs(log_w):
+    """(t, s_1, s_2, s_4) of one chunk: t = max log w, and math.fsum of the
+    shifted exps e = exp(log w - t), of their squares and of their fourth
+    powers, each power formed as the core forms it."""
+    t = float(np.max(log_w))
+    e = np.exp(log_w - t)
+    e2 = e * e
+    return t, math.fsum(e), math.fsum(e2), math.fsum(e2 * e2)
+
+
+# np.sum adds a chunk's at most 2^15 terms pairwise: blocks of 128 in eight
+# running sums of 16, joined in 3 steps, then 8 halvings.  So each term is
+# rounded at most 27 times, each by half an ulp of a partial sum at most
+# the total, and fsum rounds once.  The core's stand-ins for shifted log
+# weights below -170 add under 1e-69 of the sum.
+SUM_ULPS = 28
+
+
+def _assert_chunks_match(core, reference):
+    """Chunk tuples (s_1, s_2, s_4, hits, t, min hazard sum): all but the
+    sums equal, and each sum within SUM_ULPS of the reference's."""
+    assert len(core) == len(reference)
+    for c, r in zip(core, reference):
+        assert c[3:] == r[3:], (c, r)
+        for x, y in zip(c[:3], r[:3]):
+            assert abs(x - y) <= SUM_ULPS * math.ulp(y), (c, r)
+
+
 class TestSurvivalCut:
     def test_bit_identical_to_full_inversion(self, monkeypatch):
+        # the hits, each chunk's top and least hazard sum keep their bits;
+        # the shifted sums lie within SUM_ULPS of fsum's
         # gamma from below the median (nearly every row kept) to deep tails
         rng = np.random.default_rng(2026)
         # N >= 8 too, where numpy's row sum is pairwise, not left to right
@@ -397,36 +423,33 @@ class TestSurvivalCut:
                 SumProblem.from_db([wb, Weibull(0.5, 3.0)], 28.0),
                 SumProblem.from_db([wb], 20.0),  # N = 1
                 SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0),
-                weibull_pair(57.0)]):  # weights the bounds cannot decide
+                weibull_pair(57.0)]):  # weights near e^-700
             cases.append((problem, solve_pprime(problem).theta_star,
                           (k + 1) * estimators.CHUNK_SIZE + 7 * k, k % 2 + 1))
-        # the least and largest log weight of each chunk the core weighs,
-        # and the largest of each chunk whose sum of w takes the exact path
+        # the least and largest log weight of each chunk the core weighs
         spans, weight_sums = [], estimators._weight_sums
 
-        def spy(log_w, chunks, top):
-            spans.extend((log_w[a:b].min(), t) for (a, b), t in zip(chunks, top) if b > a)
-            return weight_sums(log_w, chunks, top)
+        def spy(log_w, bounds):
+            spans.extend((log_w[a:b].min(), log_w[a:b].max())
+                         for a, b in itertools.pairwise(bounds) if b > a)
+            return weight_sums(log_w, bounds)
 
         monkeypatch.setattr(estimators, "_weight_sums", spy)
-        exact = _exact_calls(monkeypatch)
-        core, reference = _core_and_full_inversion(monkeypatch, cases)
-        assert core == reference
+        core = _equal_to_full_inversion(monkeypatch, cases)
         assert any(c[2] % estimators.CHUNK_SIZE for c in cases)
         assert {c[1] > 0.0 for c in cases} == {True, False}
-        # chunks whose weights lie all above the clamp, across it and all
-        # below it, and all at or below the floor, where every weight is 0
-        clamp, floor = estimators._EXP_CLAMP, estimators._EXP_FLOOR
-        assert any(hi < clamp for lo, hi in spans)
-        assert any(lo < clamp <= hi for lo, hi in spans)
-        assert any(lo >= clamp for lo, hi in spans)
-        assert any(hi <= floor for lo, hi in spans)
-        # the 57 dB pair: a chunk whose largest weight lies near e^-700
-        # leaves its bounds apart
-        assert exact and max(exact) < -650.0
-        # IS at 62 dB: every hit weighs 0; naive MC at 30 dB: no chunk hits
+        # chunks whose rows all lie within 170 of their top and chunks with
+        # rows raised to that floor; chunks whose top weight is normal, and
+        # chunks whose every weight would underflow to 0
+        assert any(hi - lo <= 170.0 for lo, hi in spans)
+        assert any(hi - lo > 170.0 for lo, hi in spans)
+        assert any(hi > -700.0 for lo, hi in spans)
+        assert any(hi < -760.0 for lo, hi in spans)
+        # IS at 62 dB: every hit weighs 0, though its log tail is finite;
+        # naive MC at 30 dB: no chunk hits
         is_62, naive_30 = core[2 * deep + 2], core[2 * deep + 5]
         assert is_62.hit_frequency > 0 and is_62.alpha_hat == 0.0
+        assert is_62.log_alpha_hat > -math.inf
         assert naive_30.hit_frequency == 0
 
 
@@ -541,129 +564,116 @@ class TestEmptyChunk:
         chunks.append(rows)
         for rows in chunks:
             stream = _Words(rows.ravel())
-            assert (estimators._pass_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64)
-                    == [_full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64)])
+            _assert_chunks_match(
+                estimators._pass_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64),
+                [_full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64)])
+
+
+def _subnormal(x):
+    return (x != 0.0) & (np.abs(x) < np.finfo(float).tiny)
+
+
+class _NormalOnly(np.ndarray):
+    """Log weights on which every exp or product with a subnormal result
+    fails the test."""
+
+    def __array_ufunc__(self, ufunc, method, *inputs, out=None, **kwargs):
+        def base(x):
+            return x.view(np.ndarray) if isinstance(x, _NormalOnly) else x
+
+        if out is not None:
+            kwargs["out"] = tuple(base(x) for x in out)
+        result = getattr(ufunc, method)(*map(base, inputs), **kwargs)
+        if ufunc in (np.exp, np.multiply):
+            assert not _subnormal(np.asarray(result)).any(), ufunc.__name__
+        return out[0] if out is not None else result
 
 
 def _weigh(log_w, chunks):
-    """`_weight_sums` of chunks of log_w, with each chunk's largest log weight."""
-    top = [float(np.max(log_w[a:b])) if b > a else -math.inf for a, b in chunks]
-    return estimators._weight_sums(log_w, chunks, top)
-
-
-def _exact_weighs(log_w, chunks):
-    """Each chunk's np.sum of exp(log w), its square and fourth power."""
-    w = np.exp(log_w)
-    w2 = w * w
-    w4 = w2 * w2
-    return [(np.sum(w[a:b]), np.sum(w2[a:b]), np.sum(w4[a:b])) for a, b in chunks]
-
-
-def _bits(sums):
-    return np.array(sums, dtype=np.float64).view(np.int64).tolist()
-
-
-def _exact_calls(monkeypatch):
-    """Spy on `_exact_sum`: the returned list holds the largest log weight
-    of each chunk whose sum of w takes the exact path."""
-    calls, exact_sum = [], estimators._exact_sum
-
-    def spy(log_w):
-        calls.append(float(log_w.max()))
-        return exact_sum(log_w)
-
-    monkeypatch.setattr(estimators, "_exact_sum", spy)
-    return calls
+    """`_weight_sums` of log_w, on a copy, cut into chunks (a, b) that run
+    from 0 to its end."""
+    return estimators._weight_sums(log_w.copy(), [0, *(b for _, b in chunks)])
 
 
 class TestWeights:
-    CLAMP, FLOOR = estimators._EXP_CLAMP, estimators._EXP_FLOOR
-    # the floor, exp's last nonzero value, its least normal one, the clamp
-    # and the band's stand-in
-    EDGES = np.array([FLOOR, -745.1332191019412, -708.3964185322641, CLAMP, CLAMP + 1.0])
-
-    def test_equal_exp_bit_for_bit(self):
+    def test_shifted_sums_match_fsum(self):
         rng = np.random.default_rng(29)
         x = rng.uniform(-4000.0, 0.0, 300_000)
-        near = np.concatenate([np.nextafter(self.EDGES, -np.inf), self.EDGES,
-                               np.nextafter(self.EDGES, np.inf)])
-        # each edge beside a large weight, which decides its chunk's bounds
-        beside = np.concatenate([[v, e] for v in (-690.0, -300.0, 0.0) for e in near])
-        arrays = [x, near, beside, x[x >= self.CLAMP], x[x < self.CLAMP], x[x <= self.FLOOR],
-                  np.concatenate([x[:1000], near, x[1000:2000]])]
+        # rows at the floor, 170 below a top, and just beside it
+        edge = np.array([-170.0, np.nextafter(-170.0, -np.inf), np.nextafter(-170.0, np.inf)])
+        beside = np.concatenate([[top, *(top + edge)] for top in (-700.0, -300.0, 0.0, 3.5)])
+        arrays = [x, beside, x[x > -170.0], x[x < -760.0],
+                  np.concatenate([x[:1000], beside, x[1000:2000]])]
         for log_w in arrays:
             cuts = np.sort(rng.integers(0, log_w.size + 1, 5))
             for chunks in ([(0, log_w.size)],
                            list(itertools.pairwise([0, *cuts, log_w.size]))):
-                assert (_bits(_weigh(log_w, chunks))
-                        == _bits(_exact_weighs(log_w, chunks)))
+                for (a, b), (t, *sums) in zip(chunks, _weigh(log_w, chunks)):
+                    if b == a:  # a chunk without hits
+                        assert (t, *sums) == (-math.inf, 0.0, 0.0, 0.0)
+                        continue
+                    ref_t, *ref = _fsum_weighs(log_w[a:b])
+                    assert t == ref_t
+                    for got, want in zip(sums, ref):
+                        assert abs(got - want) <= SUM_ULPS * math.ulp(want)
 
-    def test_undecided_chunk_takes_exact_path(self, monkeypatch):
-        calls = _exact_calls(monkeypatch)
-        # the first chunk's largest weight, e^-699.5, cannot absorb the
-        # stand-in e^-699 of its band weight, so its bounds differ; the
-        # second's largest, e^-10, makes the band weight vanish from both
+    def test_each_chunk_shifted_by_its_own_top(self):
+        # a top near e^-700 and one at e^-10 each scale their own chunk; in
+        # the second the row 695 below its top adds less than half an ulp
         log_w = np.array([-699.5, -705.0, -10.0, -705.0])
-        chunks = [(0, 2), (2, 4)]
-        assert _bits(_weigh(log_w, chunks)) == _bits(_exact_weighs(log_w, chunks))
-        assert calls == [-699.5]
+        first, second = _weigh(log_w, [(0, 2), (2, 4)])
+        e = float(np.exp(np.array([0.0, -5.5]))[1])  # numpy's exp, as the core's
+        assert first == (-699.5, 1.0 + e, 1.0 + e * e, 1.0 + (e * e) ** 2)
+        assert second == (-10.0, 1.0, 1.0, 1.0)
 
-    def test_clamped_exp_equals_exp_above_the_clamp(self):
-        # the bounds rest on this: exp of an entry at or above the clamp
-        # does not depend on the stand-ins beside it
-        rng = np.random.default_rng(7)
-        x = np.concatenate([rng.uniform(-4000.0, 0.0, 200_000), self.EDGES,
-                            np.nextafter(self.EDGES, -np.inf),
-                            np.nextafter(self.EDGES, np.inf)])
-        rng.shuffle(x)
-        clamped = np.maximum(x, self.CLAMP) + (x < self.CLAMP)
-        above = x >= self.CLAMP
-        assert np.all(clamped[~above] == self.CLAMP + 1.0)
-        assert np.array_equal(np.exp(clamped)[above].view(np.int64),
-                              np.exp(x[above]).view(np.int64))
+    def test_no_exp_or_product_is_subnormal(self, monkeypatch):
+        # the Weibull(0.5, 1) pair at 55 dB, theta*: shifted log weights run
+        # past -4000, and their exps, squares and fourth powers would span
+        # the subnormal range, which numpy computes about 100 times slower
+        problem = weibull_pair(55.0)
+        theta = solve_pprime(problem).theta_star
+        cut = estimators._run_constants(problem, theta, 2 * estimators.CHUNK_SIZE)
+        seen, weight_sums = [], estimators._weight_sums
 
-    def test_stand_in_bounds_every_band_weight(self, monkeypatch):
-        # chunks [u, b, V], added left to right: V's half ulp is 2^h, and
-        # u = 2^h - e^b (1 - 2^-20) lies at or above the clamp.  So u + e^b
-        # passes 2^h and the exact sum rounds up from V, while u + e^s for
-        # any e^s <= e^b (1 - 2^-20) rounds to V: a stand-in smaller than
-        # the band weight e^b would make both bounds V.  A chunk [b] alone
-        # sums to a subnormal, against 0 for a stand-in that underflows
-        calls = _exact_calls(monkeypatch)
-        h = math.ceil(1.0 + self.CLAMP / math.log(2.0))  # 2^h in [2 e^C, 4 e^C)
-        band = [np.nextafter(self.CLAMP, -np.inf), self.CLAMP - 0.5, self.CLAMP - 4.0,
-                -708.0, -710.0]
-        parts = [[math.log(2.0 ** h - math.exp(b) * (1.0 - 2.0 ** -20)), b,
-                  (h + 53.5) * math.log(2.0)] for b in band]
-        parts += [[b] for b in (-745.0, -720.0, band[0])]
-        log_w = np.concatenate(parts)
-        chunks = list(itertools.pairwise(np.cumsum([0] + [len(q) for q in parts]).tolist()))
-        exact = _exact_weighs(log_w, chunks)
-        for (a, b), (s, _, _), q in zip(chunks, exact, parts):
-            assert q[0] >= self.CLAMP or len(q) == 1
-            assert s != np.sum(np.exp(np.delete(log_w[a:b], len(q) // 2)))
-        assert _bits(_weigh(log_w, chunks)) == _bits(exact)
-        assert len(calls) == len(parts)
+        def capture(log_w, bounds):
+            seen.append((log_w.copy(), bounds))
+            return weight_sums(log_w, bounds)
 
-    def test_exact_path_only_near_underflow(self, monkeypatch):
-        # the Weibull(0.5, 1) pair at theta*, where up to 8 % of a pass's
-        # weights would be subnormal: every chunk is decided by its bounds
-        # up to 56 dB.  From 56.5 dB on, a chunk's largest weight lies near
-        # e^-660, and its thousands of band stand-ins at e^-699 outweigh
-        # half its ulp
-        calls = _exact_calls(monkeypatch)
-        m = 500_000
-        for gamma_db in np.arange(45.0, 56.5, 0.5):
-            problem = weibull_pair(float(gamma_db))
-            theta = solve_pprime(problem).theta_star
-            for seed in (1, 2, 3):
-                is_estimate(problem, theta, m, seed)
-        assert calls == []
-        for gamma_db in (56.5, 57.0):
-            problem = weibull_pair(gamma_db)
-            is_estimate(problem, solve_pprime(problem).theta_star, m, 1)
-            assert calls and max(calls) < -650.0
-            calls.clear()
+        monkeypatch.setattr(estimators, "_weight_sums", capture)
+        estimators._pass_stats(problem, theta, cut, RandomStream(1), 0,
+                               2 * estimators.CHUNK_SIZE)
+        (log_w, bounds), = seen
+        assert len(bounds) == 3
+        shifted = np.concatenate([log_w[a:b] - log_w[a:b].max()
+                                  for a, b in itertools.pairwise(bounds)])
+        for k in (1, 2, 4):
+            assert _subnormal(np.exp(k * shifted)).any()
+        sums = weight_sums(log_w.copy().view(_NormalOnly), bounds)
+        assert sums == weight_sums(log_w, bounds)
+
+    def test_deep_tail_std_error_is_positive(self):
+        # the Weibull(0.5, 1) pair at theta*: w^2 underflows from 51.5 dB
+        # on, but the shifted sums keep the standard error with alpha_hat
+        problem = weibull_pair(55.0)
+        r = is_estimate(problem, solve_pprime(problem).theta_star, 500_000, 1)
+        assert r.std_error > 0.0 and r.second_moment_weight == 0.0
+        assert abs(r.alpha_hat - WB_PAIR_TAIL_55DB) <= 5.0 * r.std_error
+
+    @pytest.mark.parametrize("problem", [
+        *(weibull_pair(db) for db in np.arange(45.0, 52.5, 0.5).tolist()),
+        lognormal_pair(30.0)],
+        ids=[*(f"weibull-{db:g}dB" for db in np.arange(45.0, 52.5, 0.5)), "lognormal-30dB"])
+    def test_log_alpha_hat_matches_alpha_hat(self, problem):
+        # 4 ulps of the log: floats near -400 are 5.7e-14 apart, so exp of
+        # the float nearest log alpha_hat can miss it by a few hundred ulps
+        for theta in (0.0, solve_pprime(problem).theta_star):
+            r = is_estimate(problem, theta, 100_000, 1)
+            if r.hit_frequency == 0:
+                assert (r.alpha_hat, r.log_alpha_hat) == (0.0, -math.inf)
+                continue
+            assert r.alpha_hat >= np.finfo(float).tiny
+            assert (abs(r.log_alpha_hat - math.log(r.alpha_hat))
+                    <= 4 * math.ulp(r.log_alpha_hat))
 
 
 class TestWordCut:
@@ -750,26 +760,39 @@ class TestWordCut:
         for theta in (0.0, 0.3):
             r = is_estimate(problem, theta, m, 3, stream_id=1, workers=2)
             assert r == EstimateResult(
-                alpha_hat=0.0, sample_count=m, hit_frequency=0,
-                second_moment_weight=0.0, fourth_moment_weight=0.0,
-                variance_weight=0.0, std_error=0.0, theta_used=theta, max_log_weight_hit=-math.inf,
-                min_hazard_sum_hit=math.inf)
+                alpha_hat=0.0, log_alpha_hat=-math.inf, sample_count=m, hit_frequency=0,
+                second_moment_weight=0.0, std_error=0.0, second_moment_std_error=0.0,
+                theta_used=theta, max_log_weight_hit=-math.inf, min_hazard_sum_hit=math.inf)
 
 
-def _core_and_full_inversion(monkeypatch, cases):
-    """IS and naive results of (problem, theta, m, workers) cases, from the
-    core and from inverting every row."""
-    def run_all():
-        out = []
-        for k, (problem, theta, m, workers) in enumerate(cases):
-            out.append(is_estimate(problem, theta, m, k, workers=workers))
-            out.append(naive_mc(problem, m, k, stream_id=1, workers=workers))
-        return out
+def _equal_to_full_inversion(monkeypatch, cases):
+    """Assert that the core's chunk tuples on (problem, theta, m, workers)
+    cases, IS then naive, match those of inverting every row; return the
+    core's results."""
+    def run_all(pass_stats):
+        out, chunks = [], {}
 
-    core = run_all()
-    with monkeypatch.context() as patch:
-        patch.setattr(estimators, "_pass_stats", _full_inversion_pass_stats)
-        return core, run_all()
+        def spy(problem, theta, cut, stream, start, stop, **scan):
+            stats = pass_stats(problem, theta, cut, stream, start, stop, **scan)
+            chunks[len(out), start] = stats
+            return stats
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_pass_stats", spy)
+            for k, (problem, theta, m, workers) in enumerate(cases):
+                out.append(is_estimate(problem, theta, m, k, workers=workers))
+                out.append(naive_mc(problem, m, k, stream_id=1, workers=workers))
+        return out, chunks
+
+    core, core_chunks = run_all(estimators._pass_stats)
+    reference, reference_chunks = run_all(_full_inversion_pass_stats)
+    assert core_chunks.keys() == reference_chunks.keys()
+    for key, stats in core_chunks.items():
+        _assert_chunks_match(stats, reference_chunks[key])
+    for c, r in zip(core, reference, strict=True):
+        assert (c.hit_frequency, c.max_log_weight_hit, c.min_hazard_sum_hit) == (
+            r.hit_frequency, r.max_log_weight_hit, r.min_hazard_sum_hit)
+    return core
 
 
 def _kept_rows(problem, theta, m, seed):
@@ -814,8 +837,7 @@ class TestQuantileTable:
             theta = solve_pprime(problem).theta_star
             m = estimators.CHUNK_SIZE + 1000 * k + 7  # a ragged last chunk
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
-        core, reference = _core_and_full_inversion(monkeypatch, cases)
-        assert core == reference
+        core = _equal_to_full_inversion(monkeypatch, cases)
         assert all(r.hit_frequency for r in core[::2])
 
     def test_lognormal_pair_inverts_few_rows(self, monkeypatch):
@@ -892,8 +914,7 @@ class TestQuantileTable:
             assert np.isinf(tables[LN6]).any()
             assert not np.isinf(tables[LN6][:-1]).all()
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
-        core, reference = _core_and_full_inversion(monkeypatch, cases)
-        assert core == reference
+        _equal_to_full_inversion(monkeypatch, cases)
 
 
 class TestBucketEdges:
@@ -1027,8 +1048,8 @@ class TestTwoChunkPass:
                                                 0, block.shape[0])[0]
                          for block in (first, second)]
                 assert two == alone, (a, b, theta)
-                assert two == _full_inversion_pass_stats(problem, theta, cut, stream,
-                                                         0, stop), (a, b, theta)
+                _assert_chunks_match(two, _full_inversion_pass_stats(
+                    problem, theta, cut, stream, 0, stop))
                 for chunk, (lo, hi) in zip(two, [(0, size), (size, stop)]):
                     kept, rows = _kept_of_rows(problem, cut, stream, lo, hi)
                     seen.add(("kept", kept == 0, kept == rows, chunk[3] == 0))
