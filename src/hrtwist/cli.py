@@ -20,7 +20,7 @@ from pathlib import Path
 from . import __version__
 from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import MAX_COMPONENTS, MAX_WORKERS, is_estimate, naive_mc
+from .estimators import MAX_COMPONENTS, MAX_WORKERS, is_estimate, log_big_jump, naive_mc
 from .oracles import tail_convolution_2
 from .solver import SumProblem, second_moment_bound, solve_pprime
 
@@ -180,9 +180,11 @@ def _runs(cfg: ExperimentConfig, workers: int):
 
     Threshold idx is solved, then sampled by IS at theta_override (theta*
     if unset) on stream 2*idx and by naive MC on stream 2*idx + 1.  Yields
-    (gamma_db, problem, r_is, r_mc).  An IS run whose every hit weighs 0
-    would report a tail of 0 with SE 0: once the caller has used it (so
-    validate prints its line), it raises ParameterError.
+    (gamma_db, problem, r_is, r_mc).  An IS run with no hit, or whose
+    every hit weighs 0, would report a tail of 0 with SE 0 as if it were
+    exact: once the caller has used it (so validate prints its line), it
+    raises ParameterError.  A run with no hit names M * p_lo, the hits
+    expected at the floor p_lo of the IS hit probability (`log_big_jump`).
     """
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
         theta_star = solve_pprime(problem).theta_star
@@ -192,6 +194,15 @@ def _runs(cfg: ExperimentConfig, workers: int):
         r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
                         stream_id=2 * idx + 1, workers=workers)
         yield gamma_db, problem, r_is, r_mc
+        if r_is.hit_frequency == 0:
+            log_p_lo = log_big_jump(problem, theta)
+            raise ParameterError(
+                f"gamma_db={gamma_db:g}, theta={theta!r}: IS drew no hit in "
+                f"M={cfg.samples_is} samples of N={problem.n} components, where "
+                f"M*p_lo={cfg.samples_is * math.exp(log_p_lo):.3g} are expected "
+                f"at the floor p_lo = 1 - prod_i (1 - S_i(gamma)^(1 - theta)) "
+                f"(log10_p_lo={log_p_lo / math.log(10.0):.6g}); about 100 hits "
+                f"take M near 100 / p_lo")
         if r_is.hit_frequency > 0 and r_is.alpha_hat == 0.0:
             raise ParameterError(
                 f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "

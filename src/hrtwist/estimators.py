@@ -33,12 +33,24 @@ block of consecutive chunks, with each chunk's sums taken on its own slice.
 Every numpy call releases and retakes the GIL, and a chunk takes about 80
 of them, so threads hand the GIL over once a call: a pass of two chunks
 halves those hand-offs, and on one thread it halves the calls.
-The pass rule, at any thread count: a run starts at most min(workers, its
+The pass rule, at any thread count: a run uses at most min(workers, its
 chunks, MAX_COMPONENTS // N) threads, and its passes hold two chunks while
 each thread has more than two chunks to run and twice its threads stay
 within MAX_COMPONENTS // N, one chunk otherwise.  So up to N =
 MAX_COMPONENTS the words it draws at once stay within MAX_COMPONENTS *
 CHUNK_SIZE, 256 MiB.
+
+A run of one thread runs its passes in the caller's thread.  A run of T
+threads runs them in the caller's thread and T - 1 threads of the process's
+one worker pool (`_map_on_pool`), built by the first such run and kept, so
+no run starts or joins a thread of its own; each thread takes the next pass
+until none is left.  The caller takes passes rather than wait on them: on
+a lognormal pair at M = 10^6 and two threads, that made a run 5-9 % faster
+than a fresh pool per run, against 1-4 % for a kept pool of T threads
+(IS and naive runs interleaved in one process, shared 2-core Xeon).
+The pool has the size the last run asked for, and a run asking for another
+replaces it once the work queued on it is done.  Its idle threads exit at
+interpreter shutdown.
 """
 from __future__ import annotations
 
@@ -46,7 +58,9 @@ import functools
 import itertools
 import math
 import operator
-from concurrent.futures import ThreadPoolExecutor
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +80,16 @@ _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 _SHIFT_FLOOR = -170.0
 # a pass that expects fewer kept rows than this first tests its largest word
 _SCAN_BELOW = 1.0
+# log 2^-53: below it log(1 - e^x) = -e^x, and its logs, to double precision
+_LOG_EPS = -53.0 * math.log(2.0)
+# the process's worker pool, (pid, its thread count, executor), and the lock
+# every run takes to replace it or queue its work on it
+_pool = None
+_pool_lock = threading.Lock()
+if hasattr(os, "register_at_fork"):  # a forked child gets the lock free
+    os.register_at_fork(before=_pool_lock.acquire,
+                        after_in_parent=_pool_lock.release,
+                        after_in_child=_pool_lock.release)
 
 
 @dataclass(frozen=True)
@@ -326,6 +350,54 @@ def _expected_kept(columns: dict, rows: int) -> float:
     return rows * sum(len(cols) * (2 ** 64 - int(w)) for w, cols in columns.items()) / 2 ** 64
 
 
+def _map_on_pool(fn, starts, stops, threads: int) -> list:
+    """fn over starts and stops, in order, on `threads` threads: the caller
+    and the process's pool of threads - 1.
+
+    Each thread takes the next pass until none is left, and a thread whose
+    pass fails takes the rest away, so the others stop after their current
+    one; the caller waits for the pool's before it returns or raises.  A
+    pool of another count is shut down, its queued work run and its threads
+    joined, before its successor starts a thread, so no more pool threads
+    are alive than a run has asked for.  A pool built in another process,
+    the parent of a forked child, has no threads here and is dropped.
+    """
+    global _pool
+    jobs, lock, out = iter(enumerate(zip(starts, stops))), threading.Lock(), [None] * len(starts)
+
+    def work():
+        try:
+            while True:
+                with lock:
+                    k, job = next(jobs, (None, None))
+                if job is None:
+                    return
+                out[k] = fn(*job)
+        except BaseException:
+            with lock:
+                for _ in jobs:
+                    pass
+            raise
+
+    with _pool_lock:
+        pid = os.getpid()
+        if _pool is None or _pool[:2] != (pid, threads - 1):
+            if _pool is not None and _pool[0] == pid:
+                _pool[2].shutdown()
+            _pool = (pid, threads - 1, ThreadPoolExecutor(max_workers=threads - 1))
+        helpers = [_pool[2].submit(work) for _ in range(threads - 1)]
+    try:
+        work()
+    finally:
+        for f in helpers:
+            f.cancel()  # a helper not yet started has no pass left to take
+        wait(helpers)
+    for f in helpers:
+        if not f.cancelled():
+            f.result()
+    return out
+
+
 def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
          stream_id: int, workers: int) -> EstimateResult:
     try:
@@ -355,8 +427,7 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         _pass_stats, problem, theta, cut, stream,
         scan=bool(cut) and _expected_kept(cut[0], size) < _SCAN_BELOW)
     if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            passes = list(pool.map(pass_stats, starts, stops))
+        passes = _map_on_pool(pass_stats, starts, stops, threads)
     else:
         passes = list(map(pass_stats, starts, stops))
     results = [chunk for stats in passes for chunk in stats if chunk[3]]
@@ -388,6 +459,36 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         max_log_weight_hit=top,
         min_hazard_sum_hit=min_hs,
     )
+
+
+def log_big_jump(problem: SumProblem, theta: float) -> float:
+    """log P(max_i X_i > gamma) under the theta-twisted laws: log p_lo, p_lo
+    = 1 - prod_i (1 - q_i), q_i = S_i(gamma)^(1 - theta).
+
+    Every {X_i > gamma} lies in {S > gamma}, so IS at theta hits with at
+    least this probability.  One log survival per distinct law.  cloglog(p)
+    = log(-log(1 - p)) turns the product into a sum, cloglog(p_lo) = log sum
+    of exp(cloglog(q_i)), which is taken as a log-sum-exp; below 2^-53 both
+    cloglog and its inverse are the identity on log p to double precision,
+    so a q_i that underflows keeps its log.
+    """
+    terms = [math.log(len(cols))
+             + _cloglog((1.0 - theta) * float(law.log_survival(problem.gamma)))
+             for law, cols in problem.laws.items()]
+    g = float(np.logaddexp.reduce(terms))
+    return g if g < _LOG_EPS else _log1mexp(-math.exp(min(g, 709.0)))
+
+
+def _cloglog(x: float) -> float:
+    """log(-log(1 - e^x)) for x <= 0."""
+    return x if x < _LOG_EPS else math.log(-_log1mexp(x))
+
+
+def _log1mexp(x: float) -> float:
+    """log(1 - e^x) for x <= 0, by expm1 near 0 and log1p below -log 2."""
+    if x == 0.0:
+        return -math.inf
+    return math.log(-math.expm1(x)) if x > -math.log(2.0) else math.log1p(-math.exp(x))
 
 
 def naive_mc(problem: SumProblem, sample_count: int, seed: int,

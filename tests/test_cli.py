@@ -632,6 +632,39 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
                                   "is=0.000000e+00 (se=0.00e+00) ")
 
 
+
+@pytest.mark.parametrize("command", ["ccdf", "validate"])
+def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command):
+    # an IS run that draws no hit would report a tail of 0 with SE 0; the
+    # failure names M, N, theta and M p_lo, the hits expected at the floor
+    # p_lo = 1 - prod_i (1 - S_i(gamma)^(1 - theta)).  At a vertex theta*,
+    # 16 laws hit with p_lo of about 16 e^-16: 0.18 hits in 10^5 samples
+    if command == "ccdf":
+        raw = dict(LN_PAIR, components=[dict(LN_PAIR["components"][0], count=16)],
+                   thresholds_db=[60.0], samples_is=100_000, samples_naive=100_000,
+                   seed=1)
+        theta, n, m_p_lo = r"0\.699\d*", 16, r"0\.18"
+    else:  # naive MC at 30 dB on the Weibull pair, where max(X_1, X_2) > gamma
+        # with p_lo = 3.69e-14, below the tail 3.82e-14
+        raw = dict(WB_PAIR, thresholds_db=[30.0], theta_override=0.0,
+                   samples_is=1_000, samples_naive=1_000, seed=1)
+        theta, n, m_p_lo = r"0\.0", 2, r"3\.69e-11"
+    code, out = run(tmp_path, command, raw)
+    assert code == 2
+    printed, err = capsys.readouterr()
+    *notes, last = err.splitlines()
+    assert re.fullmatch(
+        rf"numerical failure: gamma_db={raw['thresholds_db'][0]:g}, theta={theta}: "
+        rf"IS drew no hit in M={raw['samples_is']} samples of N={n} components, "
+        rf"where M\*p_lo={m_p_lo} are expected at the floor .*", last)
+    if command == "ccdf":
+        assert notes == ["skipping gamma_db=60: estimate is zero"]
+        assert printed == "" and not out.exists()
+    else:
+        assert notes == []
+        assert printed.startswith("FAIL gamma_db=30 oracle=3.824360e-14 "
+                                  "is=0.000000e+00 (se=0.00e+00) ")
+
 class TestImports:
     # scipy.special and what it loads are about half of the CLI's start-up,
     # and only lognormal laws use it; scipy.optimize, and scipy.integrate

@@ -1,8 +1,12 @@
 import itertools
 import math
+import multiprocessing
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -274,13 +278,139 @@ class TestThreads:
         (weibull_pair(40.0), 3 * estimators.CHUNK_SIZE + 5)],  # no word cut
         ids=["one-chunk", "no-cut"])
     def test_no_pool_without_chunks_to_share(self, monkeypatch, problem, m):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
+        # a run of one thread runs every pass in the caller's thread; a run
+        # without a cut runs no pass at all
+        serial = (is_estimate(problem, 0.3, m, 4, workers=1), naive_mc(problem, m, 4))
+        pass_stats, idents = estimators._pass_stats, set()
 
-        serial = is_estimate(problem, 0.3, m, 4, workers=1)
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
-        assert is_estimate(problem, 0.3, m, 4, workers=4) == serial
-        assert naive_mc(problem, m, 4, workers=4) == naive_mc(problem, m, 4)
+        def spy(*args, **kwargs):
+            idents.add(threading.get_ident())
+            return pass_stats(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_pass_stats", spy)
+        assert (is_estimate(problem, 0.3, m, 4, workers=4),
+                naive_mc(problem, m, 4, workers=4)) == serial
+        assert idents <= {threading.get_ident()}
+
+    def test_kept_pool_starts_no_thread(self, monkeypatch):
+        problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
+        first = is_estimate(problem, 0.74, m, 3, workers=2)
+        start, started = threading.Thread.start, []
+
+        def spy(thread):
+            started.append(thread.name)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", spy)
+        assert is_estimate(problem, 0.74, m, 3, workers=2) == first
+        assert naive_mc(problem, m, 3, workers=2) == naive_mc(problem, m, 3)
+        assert started == []
+
+    def test_pool_resizes_to_each_count(self, monkeypatch):
+        # eight chunks of 64 rows: two and three threads pair them, four
+        # take one a pass.  A pool kept from two-thread runs counts their
+        # work as idle threads, so a four-thread run must not inherit it.
+        # The caller is one of a run's T threads, so at most T - 1 pool
+        # threads are alive during the run
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+        problem, m = lognormal_pair(20.0), 8 * 64
+        serial = is_estimate(problem, 0.74, m, 9, workers=1)
+        pass_stats, lock, live, most, alive = (
+            estimators._pass_stats, threading.Lock(), [0], [0], [])
+
+        def spy(*args, **kwargs):
+            with lock:
+                live[0] += 1
+                most[0] = max(most[0], live[0])
+                alive.append(sum(t.name.startswith("ThreadPoolExecutor")
+                                 for t in threading.enumerate()))
+            try:
+                time.sleep(0.01)  # long enough for free threads to overlap
+                return pass_stats(*args, **kwargs)
+            finally:
+                with lock:
+                    live[0] -= 1
+
+        monkeypatch.setattr(estimators, "_pass_stats", spy)
+        for workers in (2, 2, 3, 2, 4, 2):
+            most[0] = 0
+            alive.clear()
+            assert is_estimate(problem, 0.74, m, 9, workers=workers) == serial
+            assert 2 <= most[0] <= workers
+            if workers > 2:
+                assert most[0] > 2
+            assert max(alive) <= workers - 1
+
+    def test_concurrent_callers_share_the_pool(self, monkeypatch):
+        # two user threads, each asking for its own thread count, so each
+        # replaces the pool the other uses; with more threads than cores,
+        # many small passes and a short switch interval, a pass lost or run
+        # twice would change a result
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+        cases = [(lognormal_pair(20.0), 0.74, 8), (weibull_pair(20.0), 0.8, 3)]
+        m = 40 * 64 + 11
+        serial = [is_estimate(problem, theta, m, 5) for problem, theta, _ in cases]
+        barrier, results = threading.Barrier(len(cases)), [[] for _ in cases]
+
+        def caller(k):
+            problem, theta, workers = cases[k]
+            barrier.wait()
+            for _ in range(20):
+                results[k].append(is_estimate(problem, theta, m, 5, workers=workers))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in range(len(cases))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [[r] * 20 for r in serial]
+
+    # from Python 3.12, os.fork warns in a process with threads besides the
+    # main one, as a kept pool is
+    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
+    @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                        reason="no fork on this platform")
+    def test_forked_child_builds_its_own_pool(self):
+        problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
+        parent = is_estimate(problem, 0.74, m, 6, workers=2)  # the pool is up
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=_estimate_into, args=(send, problem, 0.74, m, 6, 2))
+        child.start()
+        send.close()
+        try:
+            assert receive.poll(120), "the forked child's estimate hung"
+            assert receive.recv() == parent
+        finally:
+            child.join(timeout=30)
+            if child.is_alive():
+                child.kill()
+                child.join()
+            receive.close()
+            child.close()
+
+    def test_process_exits_with_its_pool_idle(self):
+        # the kept pool's idle threads exit at interpreter shutdown
+        src = str(Path(estimators.__file__).resolve().parents[1])
+        script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                  "from hrtwist import Lognormal, SumProblem, is_estimate\n"
+                  "p = SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * 2, 20.0)\n"
+                  "print(is_estimate(p, 0.74, 200_000, 1, workers=2).hit_frequency)\n")
+        proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
+
+
+def _estimate_into(conn, problem, theta, m, seed, workers):
+    """A fork child's body: one IS estimate, sent down `conn`."""
+    conn.send(is_estimate(problem, theta, m, seed, workers=workers))
+    conn.close()
 
 
 class TestChunkMemory:
@@ -1089,6 +1219,21 @@ class TestHitLaw:
         hazards = [float(c.hazard_function(problem.gamma)) for c in problem.components]
         p_lo = -math.expm1(math.fsum(math.log1p(-math.exp(-(1.0 - theta) * h))
                                      for h in hazards))
+        assert math.exp(estimators.log_big_jump(problem, theta)) == pytest.approx(
+            p_lo, rel=1e-14)
         m = math.ceil(200.0 / p_lo)  # about 200 hits at the floor
         r = is_estimate(problem, theta, m, 7)
         assert r.hit_frequency >= m * p_lo - 5.0 * math.sqrt(m * p_lo * (1.0 - p_lo))
+
+    # where every q_i = S_i(gamma)^(1 - theta) is below 2^-53, p_lo is their
+    # sum to double precision, also where a q_i underflows in linear space
+    @pytest.mark.parametrize("laws, gamma_db, theta", [
+        ([Weibull(0.5, 1.0), LN6, LN6], 60.0, 0.2),
+        ([Weibull(0.5, 1.0)] * 2, 70.0, 0.0)], ids=["mixed", "underflow"])
+    def test_big_jump_floor_in_log_space(self, laws, gamma_db, theta):
+        problem = SumProblem.from_db(laws, gamma_db)
+        log_q = [(1.0 - theta) * float(c.log_survival(problem.gamma)) for c in laws]
+        assert min(log_q) < -745.0  # exp(log q) is 0
+        top = max(log_q)
+        expected = top + math.log(math.fsum(math.exp(x - top) for x in log_q))
+        assert estimators.log_big_jump(problem, theta) == pytest.approx(expected, rel=1e-14)
