@@ -245,10 +245,12 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         ccdf.append((gamma_db, r_mc.alpha_hat, alpha, r_mc.std_error, se))
         freq.append((gamma_db, alpha, r_is.hit_frequency, r_mc.hit_frequency))
         if not 0.0 < alpha < 1.0:
-            # the relative errors are undefined outside (0, 1)
-            why = "zero" if alpha <= 0.0 else "at least 1"
-            print(f"skipping gamma_db={gamma_db:g}: estimate is {why}",
-                  file=sys.stderr)
+            # the relative errors are undefined outside (0, 1); a zero
+            # estimate fails in `_runs` once this row is done, and no table
+            # is written, so only an estimate of at least 1 gets a note
+            if alpha >= 1.0:
+                print(f"skipping gamma_db={gamma_db:g}: estimate is at least 1",
+                      file=sys.stderr)
             continue
         efficiency.append((
             gamma_db,

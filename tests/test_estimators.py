@@ -123,7 +123,7 @@ class TestISEstimate:
             is_estimate(single_weibull_gamma4, 0.5, 0, 0)
 
     # a run starts a thread per chunk up to `workers`, so these must fail
-    # before any pool is built; never start such a pool, even here
+    # before any thread is started; never start that many, even here
     @pytest.mark.parametrize("workers", [0, -3, estimators.MAX_WORKERS + 1, 5000])
     def test_invalid_workers(self, monkeypatch, single_weibull_gamma4, workers):
         def no_pool(*args, **kwargs):
@@ -292,26 +292,20 @@ class TestThreads:
                 naive_mc(problem, m, 4, workers=4)) == serial
         assert idents <= {threading.get_ident()}
 
-    def test_kept_pool_starts_no_thread(self, monkeypatch):
+    def test_runs_leave_no_thread_behind(self):
+        # a run joins its helper threads before it returns
         problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
-        first = is_estimate(problem, 0.74, m, 3, workers=2)
-        start, started = threading.Thread.start, []
+        before = threading.enumerate()
+        serial = (is_estimate(problem, 0.74, m, 3), naive_mc(problem, m, 3))
+        assert (is_estimate(problem, 0.74, m, 3, workers=2),
+                naive_mc(problem, m, 3, workers=2)) == serial
+        assert threading.enumerate() == before
 
-        def spy(thread):
-            started.append(thread.name)
-            start(thread)
-
-        monkeypatch.setattr(threading.Thread, "start", spy)
-        assert is_estimate(problem, 0.74, m, 3, workers=2) == first
-        assert naive_mc(problem, m, 3, workers=2) == naive_mc(problem, m, 3)
-        assert started == []
-
-    def test_pool_resizes_to_each_count(self, monkeypatch):
+    def test_helpers_stay_within_each_count(self, monkeypatch):
         # eight chunks of 64 rows: two and three threads pair them, four
-        # take one a pass.  A pool kept from two-thread runs counts their
-        # work as idle threads, so a four-thread run must not inherit it.
-        # The caller is one of a run's T threads, so at most T - 1 pool
-        # threads are alive during the run
+        # take one a pass.  The caller is one of a run's T threads, so at
+        # most T - 1 helper threads are alive during the run, whatever
+        # count the run before it asked for
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
         problem, m = lognormal_pair(20.0), 8 * 64
         serial = is_estimate(problem, 0.74, m, 9, workers=1)
@@ -341,11 +335,10 @@ class TestThreads:
                 assert most[0] > 2
             assert max(alive) <= workers - 1
 
-    def test_concurrent_callers_share_the_pool(self, monkeypatch):
-        # two user threads, each asking for its own thread count, so each
-        # replaces the pool the other uses; with more threads than cores,
-        # many small passes and a short switch interval, a pass lost or run
-        # twice would change a result
+    def test_concurrent_callers_equal_serial(self, monkeypatch):
+        # two user threads, each asking for its own thread count; with more
+        # threads than cores, many small passes and a short switch interval,
+        # a pass lost or run twice would change a result
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
         cases = [(lognormal_pair(20.0), 0.74, 8), (weibull_pair(20.0), 0.8, 3)]
         m = 40 * 64 + 11
@@ -371,14 +364,13 @@ class TestThreads:
         assert not any(t.is_alive() for t in threads)
         assert results == [[r] * 20 for r in serial]
 
-    # from Python 3.12, os.fork warns in a process with threads besides the
-    # main one, as a kept pool is
-    @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_builds_its_own_pool(self):
         problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
-        parent = is_estimate(problem, 0.74, m, 6, workers=2)  # the pool is up
+        # from Python 3.12, os.fork warns, an error here, in a process
+        # with threads besides the main one: a run must leave none
+        parent = is_estimate(problem, 0.74, m, 6, workers=2)
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
         child = ctx.Process(target=_estimate_into, args=(send, problem, 0.74, m, 6, 2))
@@ -396,7 +388,7 @@ class TestThreads:
             child.close()
 
     def test_process_exits_with_its_pool_idle(self):
-        # the kept pool's idle threads exit at interpreter shutdown
+        # a process whose run used helper threads exits cleanly
         src = str(Path(estimators.__file__).resolve().parents[1])
         script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
                   "from hrtwist import Lognormal, SumProblem, is_estimate\n"
@@ -405,6 +397,36 @@ class TestThreads:
         proc = subprocess.run([sys.executable, "-c", script, src], capture_output=True,
                               text=True, timeout=120)
         assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
+
+    def test_failing_pass_reaches_the_caller(self, monkeypatch):
+        # 40 chunks of 64 rows on three threads, two a pass: a helper's
+        # first pass raises, takes the passes left away, and the error
+        # reaches the caller once the other threads end their current pass
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+        problem, m, threads = lognormal_pair(20.0), 40 * 64, 3
+        pass_stats, lock, caller = estimators._pass_stats, threading.Lock(), threading.get_ident()
+        started, failed_at = [], []
+
+        class PassFailed(Exception):
+            pass
+
+        def spy(*args, **kwargs):
+            with lock:
+                started.append(threading.get_ident())
+                fail = not failed_at and started[-1] != caller
+                if fail:
+                    failed_at.append(len(started))
+            if fail:
+                raise PassFailed
+            time.sleep(0.01)  # long enough for the failure to drain the rest
+            return pass_stats(*args, **kwargs)
+
+        monkeypatch.setattr(estimators, "_pass_stats", spy)
+        before = threading.enumerate()
+        with pytest.raises(PassFailed):
+            is_estimate(problem, 0.74, m, 9, workers=threads)
+        assert failed_at and len(started) - failed_at[0] <= threads - 1
+        assert threading.enumerate() == before
 
 
 def _estimate_into(conn, problem, theta, m, seed, workers):
