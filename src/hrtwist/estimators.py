@@ -40,16 +40,17 @@ within MAX_COMPONENTS // N, one chunk otherwise.  So up to N =
 MAX_COMPONENTS the words it draws at once stay within MAX_COMPONENTS *
 CHUNK_SIZE, 256 MiB.
 
-A run of one thread runs its passes in the caller's thread.  A run of T
-threads runs them in the caller's thread and T - 1 helper threads that it
-starts and joins itself (`_map_on_threads`), so no thread outlives a run;
-each thread takes the next pass until none is left.  The caller takes
-passes rather than wait on them: over 78 thresholds of a lognormal pair,
-IS and naive at M = 10^6 on two threads, that took a median 2.71 s
-against 2.98 s for T threads and a waiting caller.  A pool of helpers kept
-across runs saves about 0.5 ms of a 22 ms run at 30 dB, 2-3 %, and needs
-a fork hook and a resize protocol, so runs keep none (runs interleaved in
-one process, shared 2-core Xeon).
+Every run takes its passes through `_map_on_threads`, at any thread
+count: the caller and T - 1 helper threads that the call starts and
+joins, so a run of one thread starts none and no thread outlives a run.
+Each thread takes the next pass from one shared iterator until none is
+left.  The caller takes passes rather than wait on them: over 78
+thresholds of a lognormal pair, IS and naive at M = 10^6 on two threads,
+that took a median 2.71 s against 2.98 s for T threads and a waiting
+caller.  The iterator is shared, not split up front with thread k taking
+passes k, k + T, and so on: in a later measurement on the same ladder
+that split took a median 2.72 s against 2.10 s, slower in 12 of 12 rounds
+(runs interleaved in one process, shared 2-core Xeon).
 """
 from __future__ import annotations
 
@@ -58,7 +59,6 @@ import itertools
 import math
 import operator
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -120,7 +120,7 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
-                stream: RandomStream, start: int, stop: int, scan: bool = True) -> list:
+                stream: RandomStream, start: int, stop: int) -> list:
     """Hit moments of each chunk of samples [start, stop), in one pass.
 
     The pass draws the block once, compares and compresses it once, and
@@ -134,15 +134,16 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     returns, bit for bit.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
-    shift and tables of `_quantile_tables`.  With `scan`, one contiguous
-    max over the drawn block comes first: a pass whose largest word lies
-    below every cut word keeps no row and returns before any column is
-    compared.  That is most naive-MC passes of a deep threshold, whose cut
-    words lie near 2^64.  The max costs about 11 us a chunk, a fifth of the
-    compares it can spare, so `_run` asks for it only where a pass expects
-    fewer than _SCAN_BELOW kept rows (`_expected_kept`) and so keeps none
-    with probability above 1/e; an IS pass keeps rows and never takes it.
-    A pass that keeps no row after the compares returns too.
+    shift and tables of `_quantile_tables`.  A pass that expects fewer
+    than _SCAN_BELOW kept rows of its own (`_expected_kept` of its cut
+    words and row count), and so keeps none with probability above 1/e,
+    first takes one contiguous max over the drawn block: if its largest
+    word lies below every cut word, the pass keeps no row and returns
+    before any column is compared.  That is most naive-MC passes of a deep
+    threshold, whose cut words lie near 2^64.  The max costs about 11 us a
+    chunk, a fifth of the compares it can spare; an IS pass at theta* keeps
+    rows and never takes it.  A pass that keeps no row after the compares
+    returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -178,7 +179,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     bounds = [*range(0, stop - start, CHUNK_SIZE), stop - start]
     empty = [_NO_HITS] * (len(bounds) - 1)
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    if scan and raw.max() < min(columns):
+    if _expected_kept(columns, stop - start) < _SCAN_BELOW and raw.max() < min(columns):
         return empty
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
@@ -342,34 +343,35 @@ def _expected_kept(columns: dict, rows: int) -> float:
 
 def _map_on_threads(fn, starts, stops, threads: int) -> list:
     """fn over starts and stops, in order, on `threads` threads: the caller
-    and threads - 1 helpers started for this call and joined before it
-    returns or raises.
+    and threads - 1 helper threads started for this call and joined before
+    it returns or raises, so one thread starts none.
 
-    Each thread takes the next pass until none is left, and a thread whose
-    pass fails takes the rest away, so the others stop after their current
-    one.
+    Every thread takes the next pass from one shared iterator until none is
+    left.  Once a pass fails, every thread stops after its current pass,
+    and the caller raises the first failure.
     """
-    jobs, lock, out = iter(enumerate(zip(starts, stops))), threading.Lock(), [None] * len(starts)
+    jobs, lock = iter(enumerate(zip(starts, stops))), threading.Lock()
+    out, failures = [None] * len(starts), []
 
     def work():
-        try:
-            while True:
-                with lock:
-                    k, job = next(jobs, (None, None))
-                if job is None:
-                    return
-                out[k] = fn(*job)
-        except BaseException:
+        while True:
             with lock:
-                for _ in jobs:
-                    pass
-            raise
+                k, job = (None, None) if failures else next(jobs, (None, None))
+            if job is None:
+                return
+            try:
+                out[k] = fn(*job)
+            except BaseException as exc:
+                failures.append(exc)
 
-    with ThreadPoolExecutor(max_workers=threads - 1) as pool:
-        helpers = [pool.submit(work) for _ in range(threads - 1)]
-        work()
-    for f in helpers:
-        f.result()
+    helpers = [threading.Thread(target=work) for _ in range(threads - 1)]
+    for helper in helpers:
+        helper.start()
+    work()
+    for helper in helpers:
+        helper.join()
+    if failures:
+        raise failures[0]
     return out
 
 
@@ -398,13 +400,8 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         size *= 2
     starts = range(0, sample_count if cut else 0, size)
     stops = [min(start + size, sample_count) for start in starts]
-    pass_stats = functools.partial(
-        _pass_stats, problem, theta, cut, stream,
-        scan=bool(cut) and _expected_kept(cut[0], size) < _SCAN_BELOW)
-    if threads > 1:
-        passes = _map_on_threads(pass_stats, starts, stops, threads)
-    else:
-        passes = list(map(pass_stats, starts, stops))
+    passes = _map_on_threads(functools.partial(_pass_stats, problem, theta, cut, stream),
+                             starts, stops, threads)
     results = [chunk for stats in passes for chunk in stats if chunk[3]]
 
     hits = sum(r[3] for r in results)

@@ -89,10 +89,24 @@ def theta_star(objective: float, n: int) -> float:
 
 
 def second_moment_bound(theta: float, objective: float, n: int) -> float:
-    """Upper bound on the second moment of the weighted indicator."""
+    """Upper bound (1 - theta)^(-2N) exp(-2 theta A) on the second moment of
+    the weighted indicator.
+
+    Formed as that product wherever the power is finite and the product
+    positive.  Elsewhere the power overflows or the exponential underflows,
+    and the bound is exp(-2N log1p(-theta) - 2 theta A): inf above the
+    float range and 0 below it, never an overflow error or a false 0.
+    """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
-    return (1.0 - theta) ** (-2 * n) * np.exp(-2.0 * theta * objective)
+    with np.errstate(over="ignore", under="ignore"):
+        try:
+            bound = (1.0 - theta) ** (-2 * n) * np.exp(-2.0 * theta * objective)
+        except OverflowError:
+            bound = 0.0
+        if bound == 0.0:
+            bound = np.exp(-2.0 * n * np.log1p(-theta) - 2.0 * theta * objective)
+    return bound
 
 
 # ---------------------------------------------------------------------------

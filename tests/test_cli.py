@@ -347,7 +347,7 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("config error: ")
 
     # a run starts a thread per chunk up to --workers, so these tests stop
-    # at parse or at the sampling entry and never start a pool
+    # at parse or at the sampling entry and never start a thread
     @pytest.mark.parametrize("workers", [MAX_WORKERS + 1, 5000])
     def test_workers_past_the_bound_is_config_error(self, tmp_path, capsys,
                                                     monkeypatch, workers):
@@ -665,6 +665,42 @@ def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command
         assert printed.startswith("FAIL gamma_db=30 oracle=3.824360e-14 "
                                   "is=0.000000e+00 (se=0.00e+00) ")
 
+
+@pytest.mark.parametrize("command, law, n, gamma_db, code", [
+    ("solve", "weibull", 64, 100.0, 0),
+    ("ccdf", "weibull", 64, 100.0, 2),  # IS at theta* draws no hit
+    ("solve", "weibull", 1024, 300.0, 0),
+    ("theta-sweep", "lognormal", 256, 40.0, 0),
+    ("theta-sweep", "weibull", 300, 56.9, 0)])
+def test_large_n_bound_never_fails(tmp_path, capsys, command, law, n, gamma_db, code):
+    # (1 - theta)^(-2N) past the float range, or exp(-2 theta A) below it:
+    # the second-moment bound is inf or 0 past the float range, and the
+    # normal value of its log form inside it
+    spec = ({"family": "weibull", "shape": 0.5, "scale": 1.0} if law == "weibull"
+            else LN_PAIR["components"][0])
+    raw = dict(WB_PAIR, components=[dict(spec, count=n)], thresholds_db=[gamma_db],
+               samples_is=1_000, samples_naive=1_000, seed=1, theta_grid=[0.6, 0.8])
+    assert run(tmp_path, command, raw)[0] == code
+    printed, err = capsys.readouterr()
+    if code:
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1
+        assert "M*p_lo=" in err
+        return
+    assert err == ""
+    if command == "solve":
+        (sol,) = json.loads((tmp_path / "out" / "solve.json").read_text())["solutions"]
+        assert sol["second_moment_bound"] == 0.0
+        assert "bound=0.000000e+00" in printed
+    else:
+        tag = format(gamma_db, "g").replace(".", "p")
+        bounds = {float(row[0]): float(row[2])
+                  for row in data_rows(tmp_path / "out" / f"theta_sweep_{tag}dB.csv")}
+        if law == "lognormal":  # A <= N: theta* is 0
+            assert bounds[0.0] == 1.0 and bounds[0.8] == math.inf
+        else:
+            assert bounds[0.6] == pytest.approx(1.093917881989e-126, rel=1e-11)
+
+
 class TestImports:
     # scipy.special and what it loads are about half of the CLI's start-up,
     # and only lognormal laws use it; scipy.optimize, and scipy.integrate
@@ -716,6 +752,23 @@ print(json.dumps([before, "scipy.special" in sys.modules]))
         assert report == {"before": [], "code": 0, "after": []}
         if command == "validate":
             assert f"oracle={WB_PAIR_TAIL_20DB:.6e}" in printed[0]
+
+    def test_threaded_run_loads_no_executor(self, tmp_path):
+        # three chunks a run on two threads: the caller and one plain helper
+        # thread, which take no concurrent.futures
+        script = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hrtwist.cli import main
+
+code = main(["ccdf", "--config", sys.argv[2], "--output", sys.argv[3],
+             "--workers", "2"])
+print(json.dumps([code, "concurrent.futures" in sys.modules]))
+"""
+        raw = dict(WB_PAIR, samples_is=3 * estimators.CHUNK_SIZE,
+                   samples_naive=3 * estimators.CHUNK_SIZE)
+        report, _ = self.fresh(script, write_config(tmp_path, raw), str(tmp_path / "out"))
+        assert report == [0, False]
 
     def test_cli_loads_no_scipy_integrate_or_optimize(self, tmp_path):
         # a lognormal run, which does load scipy.special

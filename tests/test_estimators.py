@@ -126,15 +126,22 @@ class TestISEstimate:
     # before any thread is started; never start that many, even here
     @pytest.mark.parametrize("workers", [0, -3, estimators.MAX_WORKERS + 1, 5000])
     def test_invalid_workers(self, monkeypatch, single_weibull_gamma4, workers):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a thread pool was built")
+        class NoThread(Exception):
+            pass
+
+        def no_thread(*args, **kwargs):
+            raise NoThread
 
         def no_draw(self, offset, count):
             raise AssertionError("words were drawn")
 
-        monkeypatch.setattr(estimators, "ThreadPoolExecutor", no_pool)
+        monkeypatch.setattr(estimators.threading, "Thread", no_thread)
         monkeypatch.setattr(RandomStream, "words_at", no_draw)
         m = 100 * estimators.CHUNK_SIZE
+        # the runner builds its helpers from this factory: a valid run on
+        # two threads reaches it before any word is drawn
+        with pytest.raises(NoThread):
+            is_estimate(single_weibull_gamma4, 0.5, m, 0, workers=2)
         with pytest.raises(ParameterError, match="workers"):
             is_estimate(single_weibull_gamma4, 0.5, m, 0, workers=workers)
         with pytest.raises(ParameterError, match="workers"):
@@ -179,7 +186,7 @@ class TestDeterminism:
         serial = is_estimate(problem, 0.8, 100_000, 55, workers=1)
         parallel = is_estimate(problem, 0.8, 100_000, 55, workers=workers)
         assert serial == parallel
-        # more than two chunks a thread and a ragged tail: the pool pairs
+        # more than two chunks a thread and a ragged tail: the threads pair
         # chunks, on the table-free sum and on a tabled one
         m = 2 * workers * estimators.CHUNK_SIZE + 3 * estimators.CHUNK_SIZE // 2
         for problem, theta in ((problem, 0.8), (lognormal_pair(20.0), 0.74)):
@@ -203,7 +210,7 @@ def _chunks_in_flight(monkeypatch):
     live passes held at once, and the most one pass held."""
     pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0], [0, 0]
 
-    def spy(problem, theta, cut, stream, start, stop, **scan):
+    def spy(problem, theta, cut, stream, start, stop):
         chunks = -(-(stop - start) // estimators.CHUNK_SIZE)
         with lock:
             live[0] += chunks
@@ -211,7 +218,7 @@ def _chunks_in_flight(monkeypatch):
             most[1] = max(most[1], chunks)
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
-            return pass_stats(problem, theta, cut, stream, start, stop, **scan)
+            return pass_stats(problem, theta, cut, stream, start, stop)
         finally:
             with lock:
                 live[0] -= chunks
@@ -224,16 +231,16 @@ def _pass_sizes(monkeypatch):
     """Spy on `_pass_stats`: the returned list holds each pass's row count."""
     pass_stats, sizes = estimators._pass_stats, []
 
-    def spy(problem, theta, cut, stream, start, stop, **scan):
+    def spy(problem, theta, cut, stream, start, stop):
         sizes.append(stop - start)
-        return pass_stats(problem, theta, cut, stream, start, stop, **scan)
+        return pass_stats(problem, theta, cut, stream, start, stop)
 
     monkeypatch.setattr(estimators, "_pass_stats", spy)
     return sizes
 
 
 class TestThreads:
-    # 16 chunks of 64 rows at workers=8: only the word bound limits the pool
+    # 16 chunks of 64 rows at workers=8: only the word bound limits the threads
     @pytest.mark.parametrize("n, cap", [(600, 1), (256, 4), (2, 8)])
     def test_chunks_in_flight_bounded_by_words(self, monkeypatch, n, cap):
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
@@ -245,10 +252,10 @@ class TestThreads:
         assert is_estimate(problem, 0.5, 16 * 64, 9, workers=8) == serial
         assert 1 <= most[0] <= cap
         if cap > 1:
-            assert most[0] > 1  # the pool does run chunks side by side
+            assert most[0] > 1  # the threads do run chunks side by side
 
     # 16 chunks of 64 rows: with more than two chunks a thread, one thread
-    # or a pool pairs them while the pairs stay within the word bound; 512
+    # or several pair them while the pairs stay within the word bound; 512
     # laws at workers=4 start two threads, each taking one chunk a pass
     @pytest.mark.parametrize("n, workers, cap, per_pass", [
         (2, 2, 4, 2), (256, 2, 4, 2), (256, 3, 3, 1), (2, 1, 2, 2),
@@ -265,7 +272,7 @@ class TestThreads:
         assert most[1] == per_pass
         assert 1 <= most[0] <= cap
         if cap > per_pass:
-            assert most[0] > per_pass  # the pool does run passes side by side
+            assert most[0] > per_pass  # the threads do run passes side by side
         assert cap <= max(1, estimators.MAX_COMPONENTS // n)
         # two threads with eight chunks each pair them; with exactly two
         # each, they keep one chunk a pass
@@ -277,7 +284,7 @@ class TestThreads:
         (weibull_pair(20.0), 1000),  # one chunk
         (weibull_pair(40.0), 3 * estimators.CHUNK_SIZE + 5)],  # no word cut
         ids=["one-chunk", "no-cut"])
-    def test_no_pool_without_chunks_to_share(self, monkeypatch, problem, m):
+    def test_no_helper_without_chunks_to_share(self, monkeypatch, problem, m):
         # a run of one thread runs every pass in the caller's thread; a run
         # without a cut runs no pass at all
         serial = (is_estimate(problem, 0.3, m, 4, workers=1), naive_mc(problem, m, 4))
@@ -311,13 +318,14 @@ class TestThreads:
         serial = is_estimate(problem, 0.74, m, 9, workers=1)
         pass_stats, lock, live, most, alive = (
             estimators._pass_stats, threading.Lock(), [0], [0], [])
+        before = set(threading.enumerate())
 
         def spy(*args, **kwargs):
             with lock:
                 live[0] += 1
                 most[0] = max(most[0], live[0])
-                alive.append(sum(t.name.startswith("ThreadPoolExecutor")
-                                 for t in threading.enumerate()))
+                # every thread alive now and not before the runs is a helper
+                alive.append(len(set(threading.enumerate()) - before))
             try:
                 time.sleep(0.01)  # long enough for free threads to overlap
                 return pass_stats(*args, **kwargs)
@@ -333,7 +341,7 @@ class TestThreads:
             assert 2 <= most[0] <= workers
             if workers > 2:
                 assert most[0] > 2
-            assert max(alive) <= workers - 1
+            assert 1 <= max(alive) <= workers - 1
 
     def test_concurrent_callers_equal_serial(self, monkeypatch):
         # two user threads, each asking for its own thread count; with more
@@ -366,7 +374,7 @@ class TestThreads:
 
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
-    def test_forked_child_builds_its_own_pool(self):
+    def test_forked_child_starts_its_own_helpers(self):
         problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
         # from Python 3.12, os.fork warns, an error here, in a process
         # with threads besides the main one: a run must leave none
@@ -387,7 +395,7 @@ class TestThreads:
             receive.close()
             child.close()
 
-    def test_process_exits_with_its_pool_idle(self):
+    def test_process_exits_after_a_threaded_run(self):
         # a process whose run used helper threads exits cleanly
         src = str(Path(estimators.__file__).resolve().parents[1])
         script = ("import sys; sys.path.insert(0, sys.argv[1])\n"
@@ -508,7 +516,7 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     return (*sums, n_hits, t, float(np.min(hazard_sum[hits])))
 
 
-def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop, scan=True):
+def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
     """`_pass_stats` without the survival cut, chunk by chunk."""
     size = estimators.CHUNK_SIZE
     return [_full_inversion_chunk_stats(problem, theta, stream, a, min(a + size, stop))
@@ -642,15 +650,45 @@ class _Words:
 DISTINCT_PAIR = SumProblem.from_db([Weibull(0.5, 1.0), Weibull(0.5, 3.0)], 28.0)
 
 
+class _BlockMaxes(np.ndarray):
+    """Words that record, in `taken`, the rows of every block whose max over
+    all its words is taken."""
+
+    taken: list = []
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        if (ufunc, method) == (np.maximum, "reduce") and kwargs.get("axis") is None:
+            self.taken.append(inputs[0].shape[0])
+        inputs = [x.view(np.ndarray) if isinstance(x, _BlockMaxes) else x
+                  for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
+
+
+def _block_maxes(monkeypatch):
+    """Have every run's words record their block maxes; return the list of
+    the rows of each block whose max is taken."""
+    words_at, taken = RandomStream.words_at, []
+
+    def spy(self, offset, count):
+        return words_at(self, offset, count).view(_BlockMaxes)
+
+    monkeypatch.setattr(RandomStream, "words_at", spy)
+    monkeypatch.setattr(_BlockMaxes, "taken", taken)
+    return taken
+
+
 class TestEmptyChunk:
-    @pytest.mark.parametrize("problem", [lognormal_pair(30.0), weibull_pair(20.0),
-                                         DISTINCT_PAIR],
-                             ids=["lognormal", "weibull", "distinct"])
+    # naive MC of a deep threshold: a pass of two chunks expects 0.45,
+    # 2.5e-5 and 8.5e-5 kept rows, so each takes the max first
+    @pytest.mark.parametrize("problem", [
+        lognormal_pair(30.0), weibull_pair(30.0),
+        SumProblem.from_db(DISTINCT_PAIR.components, 34.0)],
+        ids=["lognormal", "weibull", "distinct"])
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
-        theta = solve_pprime(problem).theta_star
         m = 2 * estimators.CHUNK_SIZE
-        cut = estimators._run_constants(problem, theta, m)
+        cut = estimators._run_constants(problem, 0.0, m)
         assert cut and all(w > 0 for w in cut[0])
+        assert estimators._expected_kept(cut[0], m) < estimators._SCAN_BELOW
         below = min(cut[0]) - 1
 
         class Stream:
@@ -668,26 +706,28 @@ class TestEmptyChunk:
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
         # one chunk, and a pass of two with a ragged second
         for stop in (estimators.CHUNK_SIZE, m - 3):
-            stats = estimators._pass_stats(problem, theta, cut, Stream(), 0, stop)
+            stats = estimators._pass_stats(problem, 0.0, cut, Stream(), 0, stop)
             assert stats == [(0.0, 0.0, 0.0, 0, -math.inf, math.inf)] * (
                 -(-stop // estimators.CHUNK_SIZE))
 
     def test_max_first_only_where_a_pass_likely_keeps_none(self, monkeypatch):
-        scans, pass_stats = [], estimators._pass_stats
-
-        def spy(*args, scan):
-            scans.append(scan)
-            return pass_stats(*args, scan=scan)
-
-        monkeypatch.setattr(estimators, "_pass_stats", spy)
-        # two passes of two chunks: IS keeps rows in every pass, while each
-        # column of naive MC passes the edge 500 with probability e^-22.4
-        problem, m = weibull_pair(30.0), 4 * estimators.CHUNK_SIZE
-        is_estimate(problem, solve_pprime(problem).theta_star, m, 1)
-        assert scans == [False, False]
-        scans.clear()
-        assert naive_mc(problem, m, 1).hit_frequency == 0
-        assert scans == [True, True]
+        size = estimators.CHUNK_SIZE
+        taken = _block_maxes(monkeypatch)
+        # IS at theta* keeps rows in every pass and never takes the max
+        for problem in (weibull_pair(30.0), lognormal_pair(30.0), DISTINCT_PAIR,
+                        SumProblem.from_db(DISTINCT_PAIR.components, 34.0)):
+            r = is_estimate(problem, solve_pprime(problem).theta_star, 4 * size + 5, 1)
+            assert r.hit_frequency > 0 and taken == []
+        # two passes of two chunks: each column of naive MC passes the edge
+        # 500 with probability e^-22.4, so both take the max
+        assert naive_mc(weibull_pair(30.0), 4 * size, 1).hit_frequency == 0
+        assert taken == [2 * size, 2 * size]
+        taken.clear()
+        # naive MC of DISTINCT_PAIR expects 2.3 kept rows in a pass of two
+        # chunks, and 0.29 in its ragged last pass of a quarter chunk: only
+        # that pass takes the max
+        naive_mc(DISTINCT_PAIR, 2 * size + size // 4, 1)
+        assert taken == [size // 4]
 
     @pytest.mark.parametrize("problem", [
         SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 20.0), weibull_pair(20.0),
@@ -924,8 +964,8 @@ def _equal_to_full_inversion(monkeypatch, cases):
     def run_all(pass_stats):
         out, chunks = [], {}
 
-        def spy(problem, theta, cut, stream, start, stop, **scan):
-            stats = pass_stats(problem, theta, cut, stream, start, stop, **scan)
+        def spy(problem, theta, cut, stream, start, stop):
+            stats = pass_stats(problem, theta, cut, stream, start, stop)
             chunks[len(out), start] = stats
             return stats
 
@@ -1118,6 +1158,23 @@ class TestBoundCertificate:
         sol = solve_pprime(problem)
         r = is_estimate(problem, sol.theta_star, 200_000, 8)
         assert r.second_moment_weight <= sol.second_moment_bound
+
+    @pytest.mark.parametrize("problem", [
+        weibull_pair(20.0), lognormal_pair(20.0),
+        SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0),
+        SumProblem.from_db([LN6] * 3, 15.0)],
+        ids=["weibull", "lognormal", "mixed", "lognormal-3"])
+    def test_hit_extremes_are_one_statistic(self, problem):
+        # a log weight is -N log1p(-theta) - theta * its hazard sum, rounded
+        # monotonely, so the largest log weight of a run's hits is that of
+        # its least hazard sum, bit for bit
+        m = 3 * estimators.CHUNK_SIZE + 5
+        for theta in (0.0, 0.5, solve_pprime(problem).theta_star, 0.9):
+            for workers in (1, 2):
+                r = is_estimate(problem, theta, m, 12, workers=workers)
+                assert r.hit_frequency > 0
+                assert r.max_log_weight_hit == (
+                    -problem.n * math.log1p(-theta) - theta * r.min_hazard_sum_hit)
 
 
 class TestOptimalityRatio:

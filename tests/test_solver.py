@@ -96,6 +96,35 @@ class TestSecondMomentBound:
         with pytest.raises(ParameterError):
             second_moment_bound(1.0, 5.0, 1)
 
+    def test_power_past_the_float_range_is_inf(self):
+        # 0.7^-2048 is e^730, and the bound e^724.5: past the largest float
+        assert second_moment_bound(0.3, 10.0, 1024) == math.inf
+
+    # where (1 - theta)^(-2N) overflows, or exp(-2 theta A) underflows while
+    # the bound is normal (300 laws at 56.9 dB: 2.68e-127 at theta*)
+    @pytest.mark.parametrize("law, n, gamma_db, thetas", [
+        (Weibull(0.5, 1.0), 64, 100.0, ()),
+        (Weibull(0.5, 1.0), 1024, 300.0, ()),
+        (Lognormal.from_db(0.0, 6.0), 256, 40.0, (0.5, 0.8)),
+        (Weibull(0.5, 1.0), 300, 56.9, (0.6,))],
+        ids=["weibull-64", "weibull-1024", "lognormal-256", "weibull-300"])
+    def test_large_n_bound_is_its_log_form(self, law, n, gamma_db, thetas):
+        problem = SumProblem.from_db([law] * n, gamma_db)
+        sol = solve_pprime(problem)
+        assert sol.second_moment_bound == second_moment_bound(
+            sol.theta_star, sol.objective, n)
+        for theta in (sol.theta_star, *thetas):
+            bound = second_moment_bound(theta, sol.objective, n)
+            with np.errstate(over="ignore", under="ignore"):
+                want = float(np.exp(-2.0 * n * math.log1p(-theta)
+                                    - 2.0 * theta * sol.objective))
+            if 0.0 < want < math.inf:
+                assert abs(bound - want) <= 1e-12 * want, theta
+            else:
+                assert bound == want, theta
+        if n == 300:
+            assert sol.second_moment_bound == pytest.approx(2.684739634352e-127, rel=1e-12)
+
 
 class TestIidReference:
     # the single-hazard reference twisting amount 1 - N / Lambda(gamma)
