@@ -1,6 +1,7 @@
 import argparse
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -388,6 +389,38 @@ class TestSolveCommand:
         # the problem's gamma and N, which the solution no longer carries
         assert (sols[1]["gamma"], sols[1]["n"]) == (pytest.approx(100.0), 2)
         assert "theta_star=" in capsys.readouterr().out
+        # three lognormal laws reach the root finder: at 30 dB the minimizer
+        # puts rising-branch mass on the two lesser coordinates
+        code, out = run(tmp_path, "solve", dict(CONFIGS["ln3"], thresholds_db=[30.0]))
+        assert code == 0
+        (sol,) = json.loads((out / "solve.json").read_text())["solutions"]
+        assert 0.0 < sol["theta_star"] < 1.0
+        assert sorted(sol["x_star"])[0] > 0.0
+
+
+def test_module_entry_point_runs_main(tmp_path):
+    # `python -m hrtwist.cli` in a fresh interpreter passes main's exit code
+    # on and writes the bytes of an in-process run
+    src = str(Path(hrtwist.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    cfg = write_config(tmp_path, CONFIGS["mixed"])
+
+    def module(command, out):
+        return subprocess.run(
+            [sys.executable, "-m", "hrtwist.cli", command, "--config", cfg,
+             "--output", str(tmp_path / out)],
+            capture_output=True, text=True, timeout=120, env=env)
+
+    proc = module("ccdf", "module")
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert main(["ccdf", "--config", cfg, "--output", str(tmp_path / "main")]) == 0
+    assert ((tmp_path / "module" / "ccdf.csv").read_bytes()
+            == (tmp_path / "main" / "ccdf.csv").read_bytes())
+    # the tables' former commands are gone: a config error
+    proc = module("efficiency", "refused")
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("config error: ")
 
 
 class TestDeterminism:

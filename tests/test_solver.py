@@ -101,13 +101,17 @@ class TestSecondMomentBound:
         assert second_moment_bound(0.3, 10.0, 1024) == math.inf
 
     # where (1 - theta)^(-2N) overflows, or exp(-2 theta A) underflows while
-    # the bound is normal (300 laws at 56.9 dB: 2.68e-127 at theta*)
+    # the bound is normal (300 laws at 56.9 dB: 2.68e-127 at theta*), or
+    # exp(-2 theta A) is subnormal and has lost bits (8 laws at 52.2 dB,
+    # theta 0.9: the product is 7e-6 off the bound 3.456113243761666e-303)
     @pytest.mark.parametrize("law, n, gamma_db, thetas", [
         (Weibull(0.5, 1.0), 64, 100.0, ()),
         (Weibull(0.5, 1.0), 1024, 300.0, ()),
         (Lognormal.from_db(0.0, 6.0), 256, 40.0, (0.5, 0.8)),
-        (Weibull(0.5, 1.0), 300, 56.9, (0.6,))],
-        ids=["weibull-64", "weibull-1024", "lognormal-256", "weibull-300"])
+        (Weibull(0.5, 1.0), 300, 56.9, (0.6,)),
+        (Weibull(0.5, 1.0), 8, 52.2, (0.9,))],
+        ids=["weibull-64", "weibull-1024", "lognormal-256", "weibull-300",
+             "weibull-8"])
     def test_large_n_bound_is_its_log_form(self, law, n, gamma_db, thetas):
         problem = SumProblem.from_db([law] * n, gamma_db)
         sol = solve_pprime(problem)
@@ -124,6 +128,9 @@ class TestSecondMomentBound:
                 assert bound == want, theta
         if n == 300:
             assert sol.second_moment_bound == pytest.approx(2.684739634352e-127, rel=1e-12)
+        if n == 8:
+            assert second_moment_bound(0.9, sol.objective, n) == pytest.approx(
+                3.456113243761666e-303, rel=1e-12)
 
 
 class TestIidReference:
