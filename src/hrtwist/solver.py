@@ -92,23 +92,15 @@ def second_moment_bound(theta: float, objective: float, n: int) -> float:
     """Upper bound (1 - theta)^(-2N) exp(-2 theta A) on the second moment of
     the weighted indicator.
 
-    Formed as that product wherever the exponential is a normal float and
-    the product finite and positive.  Elsewhere the power overflows or the
-    exponential is subnormal, with bits lost, or underflows, and the bound
-    is exp(-2N log1p(-theta) - 2 theta A): inf above the float range and 0
-    below it, never an overflow error or a false 0.
+    Formed as exp(-2N log1p(-theta) - 2 theta A), so that the power and the
+    exponential never overflow, underflow or lose bits alone: the bound is
+    inf above the float range and 0 below it, never an overflow error or a
+    false 0.
     """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     with np.errstate(over="ignore", under="ignore"):
-        decay = np.exp(-2.0 * theta * objective)
-        try:
-            bound = (1.0 - theta) ** (-2 * n) * decay
-        except OverflowError:
-            bound = 0.0
-        if not (decay >= np.finfo(float).tiny and 0.0 < bound < np.inf):
-            bound = np.exp(-2.0 * n * np.log1p(-theta) - 2.0 * theta * objective)
-    return bound
+        return np.exp(-2.0 * n * np.log1p(-theta) - 2.0 * theta * objective)
 
 
 # ---------------------------------------------------------------------------

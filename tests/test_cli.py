@@ -423,6 +423,30 @@ def test_module_entry_point_runs_main(tmp_path):
     assert proc.stderr.startswith("config error: ")
 
 
+def test_digest_tool_runs_both_modes():
+    # tests/outputs_digest.py, run in a fresh interpreter on its first case
+    # alone: one digest line per worker count, equal, then the total line;
+    # the values mode on one tree finds no number that differs
+    src = str(Path(hrtwist.__file__).resolve().parents[1])
+    script = ("import sys, outputs_digest as d; d.CASES[1:] = []; "
+              "sys.exit(d.main(sys.argv[1:]))")
+
+    def digest(*args):
+        proc = subprocess.run([sys.executable, "-c", script, *args],
+                              cwd=Path(__file__).parent, capture_output=True,
+                              text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert f"hrtwist from {Path(src) / 'hrtwist'}" in proc.stderr
+        return proc.stdout.splitlines()
+
+    one, two, total = digest(src)
+    assert re.fullmatch(r"[0-9a-f]{16}  solve-wb2 --workers 1", one)
+    assert two == one.replace("--workers 1", "--workers 2")
+    assert re.fullmatch(r"total [0-9a-f]{16}", total)
+    (values,) = digest("--values", src, src)
+    assert values.startswith("0 numbers or texts differ")
+
+
 class TestDeterminism:
     def test_ccdf_byte_identical_across_runs_and_workers(self, tmp_path):
         cfg = write_config(tmp_path, LN_PAIR)
