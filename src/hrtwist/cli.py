@@ -20,7 +20,8 @@ from pathlib import Path
 from . import __version__
 from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import MAX_COMPONENTS, MAX_WORKERS, is_estimate, log_big_jump, naive_mc
+from .estimators import (MAX_COMPONENTS, MAX_WORKERS, EstimateResult, is_estimate,
+                         log_big_jump, naive_mc)
 from .oracles import tail_convolution_2
 from .solver import SumProblem, second_moment_bound, solve_pprime
 
@@ -175,46 +176,69 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str,
     path.write_text("\n".join(lines) + "\n")
 
 
-def _runs(cfg: ExperimentConfig, workers: int):
-    """The estimation pass behind `ccdf` and `validate`, one threshold at a time.
+def _solved(cfg: ExperimentConfig, streams: int):
+    """Each threshold of `cfg`, solved once, with the substream ids it owns.
 
-    Threshold idx is solved, then sampled by IS at theta_override (theta*
-    if unset) on stream 2*idx and by naive MC on stream 2*idx + 1.  Yields
-    (gamma_db, problem, r_is, r_mc).  An IS run with no hit, or whose
-    every hit weighs 0, would report a tail of 0 with SE 0 as if it were
-    exact: once the caller has used it (so validate prints its line), it
-    raises ParameterError.  A run with no hit names M * p_lo, the hits
-    expected at the floor p_lo of the IS hit probability (`log_big_jump`).
+    Threshold idx owns the `streams` substream ids from streams * idx on,
+    so no two thresholds share a stream.  Yields (gamma_db, problem,
+    MinmaxSolution, ids).
     """
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
-        theta_star = solve_pprime(problem).theta_star
-        theta = theta_star if cfg.theta_override is None else cfg.theta_override
-        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=2 * idx, workers=workers)
-        r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
-                        stream_id=2 * idx + 1, workers=workers)
-        yield gamma_db, problem, r_is, r_mc
-        if r_is.hit_frequency == 0:
-            log_p_lo = log_big_jump(problem, theta)
-            raise ParameterError(
-                f"gamma_db={gamma_db:g}, theta={theta!r}: IS drew no hit in "
-                f"M={cfg.samples_is} samples of N={problem.n} components, where "
-                f"M*p_lo={cfg.samples_is * math.exp(log_p_lo):.3g} are expected "
+        yield (gamma_db, problem, solve_pprime(problem),
+               range(streams * idx, streams * idx + streams))
+
+
+def _unreported(gamma_db: float, problem: SumProblem,
+                r: EstimateResult) -> str | None:
+    """Why the IS run `r` on `problem` cannot be reported, or None.
+
+    A run with no hit, or whose every hit weighs 0, would report a tail
+    of 0 with SE 0 as if it were exact.  A run with no hit names M * p_lo,
+    the hits expected at the floor p_lo of the IS hit probability
+    (`log_big_jump`).
+    """
+    theta = r.theta_used
+    if r.hit_frequency == 0:
+        log_p_lo = log_big_jump(problem, theta)
+        return (f"gamma_db={gamma_db:g}, theta={theta!r}: IS drew no hit in "
+                f"M={r.sample_count} samples of N={problem.n} components, where "
+                f"M*p_lo={r.sample_count * math.exp(log_p_lo):.3g} are expected "
                 f"at the floor p_lo = 1 - prod_i (1 - S_i(gamma)^(1 - theta)) "
                 f"(log10_p_lo={log_p_lo / math.log(10.0):.6g}); about 100 hits "
                 f"take M near 100 / p_lo")
-        if r_is.hit_frequency > 0 and r_is.alpha_hat == 0.0:
-            raise ParameterError(
-                f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "
-                f"{r_is.hit_frequency} IS hits underflow to 0 "
-                f"(max_log_weight_hit={r_is.max_log_weight_hit:.6g}, "
-                f"log10_alpha_is={r_is.log_alpha_hat / math.log(10.0):.6g})")
+    if r.alpha_hat == 0.0:
+        return (f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "
+                f"{r.hit_frequency} IS hits underflow to 0 "
+                f"(max_log_weight_hit={r.max_log_weight_hit:.6g}, "
+                f"log10_alpha_is={r.log_alpha_hat / math.log(10.0):.6g})")
+    return None
+
+
+def _runs(cfg: ExperimentConfig, workers: int):
+    """The estimation pass behind `ccdf` and `validate`, one threshold at a time.
+
+    Each threshold is sampled by IS at theta_override (theta* if unset) on
+    its first stream and by naive MC on its second.  Yields (gamma_db,
+    problem, r_is, r_mc); once the caller has used a run that
+    `_unreported` turns down (so validate prints its line), raises
+    ParameterError with the cause.
+    """
+    for gamma_db, problem, solution, (is_id, mc_id) in _solved(cfg, 2):
+        theta = (solution.theta_star if cfg.theta_override is None
+                 else cfg.theta_override)
+        r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
+                           stream_id=is_id, workers=workers)
+        r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
+                        stream_id=mc_id, workers=workers)
+        yield gamma_db, problem, r_is, r_mc
+        cause = _unreported(gamma_db, problem, r_is)
+        if cause is not None:
+            raise ParameterError(cause)
 
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     reports = []
-    for gamma_db, problem in cfg.problems:
-        sol = solve_pprime(problem)
+    for gamma_db, problem, sol, _ in _solved(cfg, 0):
         reports.append({"gamma_db": gamma_db, "gamma": problem.gamma,
                         "n": problem.n, **sol.to_dict()})
         flag = "  [clamped: degenerates to naive MC]" if sol.clamped else ""
@@ -246,8 +270,9 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         freq.append((gamma_db, alpha, r_is.hit_frequency, r_mc.hit_frequency))
         if not 0.0 < alpha < 1.0:
             # the relative errors are undefined outside (0, 1); a zero
-            # estimate fails in `_runs` once this row is done, and no table
-            # is written, so only an estimate of at least 1 gets a note
+            # estimate is turned down by `_unreported` once this row is done,
+            # and no table is written, so only an estimate of at least 1
+            # gets a note
             if alpha >= 1.0:
                 print(f"skipping gamma_db={gamma_db:g}: estimate is at least 1",
                       file=sys.stderr)
@@ -281,15 +306,20 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         raise ConfigError("thresholds share a sweep file: " + "; ".join(clashes))
     # with no clash, names holds one file per threshold, in threshold order
     per_threshold = len(cfg.theta_grid) + 1  # theta* joins the grid
-    for idx, ((gamma_db, problem), name) in enumerate(zip(cfg.problems, names)):
-        solution = solve_pprime(problem)
+    for (gamma_db, problem, solution, ids), name in zip(_solved(cfg, per_threshold), names):
         rows = []
-        # theta number k of threshold idx samples on a stream of its own
-        for k, theta in enumerate(sorted({*cfg.theta_grid, solution.theta_star})):
+        # the thetas take the threshold's streams in increasing order; theta*
+        # on the grid leaves the last stream unused
+        for theta, stream_id in zip(sorted({*cfg.theta_grid, solution.theta_star}), ids):
             r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                            stream_id=per_threshold * idx + k, workers=workers)
-            rows.append((theta, r.second_moment_weight, second_moment_bound(
-                theta, solution.objective, problem.n), r.second_moment_std_error))
+                            stream_id=stream_id, workers=workers)
+            m2, se = r.second_moment_weight, r.second_moment_std_error
+            cause = _unreported(gamma_db, problem, r)
+            if cause is not None:
+                print(f"nan row: {cause}", file=sys.stderr)
+                m2 = se = math.nan
+            rows.append((theta, m2, second_moment_bound(
+                theta, solution.objective, problem.n), se))
         _write_csv(
             out_dir / name, cfg,
             "theta,second_moment_empirical,second_moment_bound,std_error", rows,

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import hrtwist
-from hrtwist import estimators
+from hrtwist import cli, estimators
 from hrtwist.cli import (COMMANDS, MAX_COMPONENTS, MAX_WORKERS, ConfigError,
                          ExperimentConfig, main)
 
@@ -662,25 +662,44 @@ class TestValidate:
         assert code == 1
 
 
-@pytest.mark.parametrize("command", ["ccdf", "validate"])
+def sweep_nan_rows(path):
+    """The rows of a sweep table whose second moment reads nan; every row
+    keeps a finite bound."""
+    rows = data_rows(path)
+    for row in rows:
+        assert (row[1] == "nan") == (row[3] == "nan")
+        assert math.isfinite(float(row[2]))  # the bound stays
+    return [row for row in rows if row[1] == "nan"]
+
+
+@pytest.mark.parametrize("command", ["ccdf", "validate", "theta-sweep"])
 def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
                                                        command):
     # theta this close to 1 twists the samples so far past gamma that every
     # weight underflows: a tail of 0 with SE 0 would look exact
     theta = 1.0 - 1e-12
     raw = dict(WB_PAIR, thresholds_db=[20.0], theta_override=theta,
-               samples_is=1_000, samples_naive=1_000, seed=1)
+               theta_grid=[theta], samples_is=1_000, samples_naive=1_000, seed=1)
     code, out = run(tmp_path, command, raw)
-    assert code == 2
+    sweep = command == "theta-sweep"
+    assert code == (0 if sweep else 2)
     printed, err = capsys.readouterr()
     *notes, last = err.splitlines()
+    prefix = "nan row: " if sweep else "numerical failure: "
+    # the sweep samples theta on the threshold's second stream, after theta*
+    top, log10_alpha = (r"-3\.53\d*", r"-1\.53\d*") if sweep else (r"-4\.6\d*", r"-2\.0\d*")
     assert re.fullmatch(
-        rf"numerical failure: gamma_db=20, theta={re.escape(repr(theta))}: "
+        rf"{prefix}gamma_db=20, theta={re.escape(repr(theta))}: "
         r"the weights of all 1000 IS hits underflow to 0 "
-        r"\(max_log_weight_hit=-4\.6\d*e\+10, log10_alpha_is=-2\.0\d*e\+10\)", last)
+        rf"\(max_log_weight_hit={top}e\+10, log10_alpha_is={log10_alpha}e\+10\)", last)
     # the failure is raised once the threshold's run has been used: ccdf
-    # writes no table and notes no skipped row, validate prints its line
-    if command == "ccdf":
+    # writes no table and notes no skipped row, validate prints its line;
+    # the sweep writes the row as nan beside its bound
+    if sweep:
+        assert notes == [] and printed == ""
+        (row,) = sweep_nan_rows(out / "theta_sweep_20dB.csv")
+        assert row[0] == format(theta, ".12e")
+    elif command == "ccdf":
         assert notes == []
         assert printed == "" and not out.exists()
     else:
@@ -690,7 +709,7 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
 
 
 
-@pytest.mark.parametrize("command", ["ccdf", "validate"])
+@pytest.mark.parametrize("command", ["ccdf", "validate", "theta-sweep"])
 def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command):
     # an IS run that draws no hit would report a tail of 0 with SE 0; the
     # failure names M, N, theta and M p_lo, the hits expected at the floor
@@ -702,19 +721,26 @@ def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command
                    seed=1)
         theta, n, m_p_lo = r"0\.699\d*", 16, r"0\.18"
     else:  # naive MC at 30 dB on the Weibull pair, where max(X_1, X_2) > gamma
-        # with p_lo = 3.69e-14, below the tail 3.82e-14
+        # with p_lo = 3.69e-14, below the tail 3.82e-14; the sweep's theta 0
+        # is its first theta and draws validate's IS stream
         raw = dict(WB_PAIR, thresholds_db=[30.0], theta_override=0.0,
-                   samples_is=1_000, samples_naive=1_000, seed=1)
+                   theta_grid=[0.0], samples_is=1_000, samples_naive=1_000, seed=1)
         theta, n, m_p_lo = r"0\.0", 2, r"3\.69e-11"
     code, out = run(tmp_path, command, raw)
-    assert code == 2
+    sweep = command == "theta-sweep"
+    assert code == (0 if sweep else 2)
     printed, err = capsys.readouterr()
     *notes, last = err.splitlines()
+    prefix = "nan row: " if sweep else "numerical failure: "
     assert re.fullmatch(
-        rf"numerical failure: gamma_db={raw['thresholds_db'][0]:g}, theta={theta}: "
+        rf"{prefix}gamma_db={raw['thresholds_db'][0]:g}, theta={theta}: "
         rf"IS drew no hit in M={raw['samples_is']} samples of N={n} components, "
         rf"where M\*p_lo={m_p_lo} are expected at the floor .*", last)
-    if command == "ccdf":
+    if sweep:
+        assert notes == [] and printed == ""
+        (row,) = sweep_nan_rows(out / "theta_sweep_30dB.csv")
+        assert float(row[0]) == 0.0
+    elif command == "ccdf":
         assert notes == []
         assert printed == "" and not out.exists()
     else:
@@ -743,19 +769,48 @@ def test_large_n_bound_never_fails(tmp_path, capsys, command, law, n, gamma_db, 
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
         assert "M*p_lo=" in err
         return
-    assert err == ""
     if command == "solve":
+        assert err == ""
         (sol,) = json.loads((tmp_path / "out" / "solve.json").read_text())["solutions"]
         assert sol["second_moment_bound"] == 0.0
         assert "bound=0.000000e+00" in printed
     else:
         tag = format(gamma_db, "g").replace(".", "p")
-        bounds = {float(row[0]): float(row[2])
-                  for row in data_rows(tmp_path / "out" / f"theta_sweep_{tag}dB.csv")}
+        path = tmp_path / "out" / f"theta_sweep_{tag}dB.csv"
+        bounds = {float(row[0]): float(row[2]) for row in data_rows(path)}
+        # a row whose IS run drew no hit reads nan, its cause on stderr: at
+        # theta 0 of the lognormal sum, and at every theta of the Weibull sum
+        causes = err.splitlines()
+        assert all(re.fullmatch(r"nan row: .*: IS drew no hit .* M\*p_lo=\S+ .*", cause)
+                   for cause in causes)
+        nan_thetas = [float(row[0]) for row in data_rows(path) if row[1] == row[3] == "nan"]
+        assert len(causes) == len(nan_thetas)
         if law == "lognormal":  # A <= N: theta* is 0
+            assert nan_thetas == [0.0]
             assert bounds[0.0] == 1.0 and bounds[0.8] == math.inf
         else:
+            assert nan_thetas == sorted(bounds)
             assert bounds[0.6] == pytest.approx(1.093917881989e-126, rel=1e-11)
+
+
+
+@pytest.mark.parametrize("command, override", [
+    ("solve", None), ("ccdf", None), ("ccdf", 0.5), ("theta-sweep", None),
+    ("validate", None)])
+def test_each_threshold_is_solved_once(tmp_path, monkeypatch, command, override):
+    # one path solves every command's thresholds, one solve each, in order,
+    # also where theta_override leaves theta* unused
+    solved, solve = [], cli.solve_pprime
+
+    def spy(problem):
+        solved.append(problem)
+        return solve(problem)
+
+    monkeypatch.setattr(cli, "solve_pprime", spy)
+    raw = dict(WB_PAIR, samples_is=1_000, samples_naive=1_000,
+               theta_grid=[0.5, 0.9], theta_override=override)
+    assert run(tmp_path, command, raw)[0] == 0
+    assert solved == [problem for _, problem in ExperimentConfig.from_dict(raw).problems]
 
 
 class TestImports:
