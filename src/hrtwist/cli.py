@@ -239,8 +239,12 @@ def _runs(cfg: ExperimentConfig, workers: int):
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     reports = []
     for gamma_db, problem, sol, _ in _solved(cfg, 0):
+        # x_star at the CSVs' 13 significant digits, since its last bits
+        # follow numpy's SIMD dispatch; theta_star keeps every bit, so that
+        # it can be fed back as theta_override
         reports.append({"gamma_db": gamma_db, "gamma": problem.gamma,
-                        "n": problem.n, **sol.to_dict()})
+                        "n": problem.n, **sol.to_dict(),
+                        "x_star": [float(format(x, ".12e")) for x in sol.x_star]})
         flag = "  [clamped: degenerates to naive MC]" if sol.clamped else ""
         print(f"gamma_db={gamma_db:g}  A={sol.objective:.10g}  "
               f"theta_star={sol.theta_star:.10g}  i0={sol.dominant_index}  "
@@ -389,8 +393,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1,
                         help="worker threads per estimation run, at most min("
-                             f"WORKERS, its chunks, {MAX_COMPONENTS} // N) "
-                             "(results are identical for any count)")
+                             "WORKERS, its chunks of 2^16 samples (2^15 from N = "
+                             "513), max(1, 512 // N)) (results are identical for "
+                             "any count)")
     return parser
 
 

@@ -24,21 +24,18 @@ and forms each linear output as exp(T) or exp(2T) times a value built from
 the merged sums (`_run`), so the standard error underflows only about
 where alpha_hat does, not where w^2 and w^4 do, far sooner.
 
-A chunk is CHUNK_SIZE consecutive rows, fixed and never derived from the
-worker count: it is the unit of the merge.  Each chunk has its own sums,
-and the run merges them in chunk order, so results are bit-identical for
-any worker count.  A pass is one call of `_pass_stats`: one draw, one
-compare and compress, and one inversion, hazard and weight step over a
-block of consecutive chunks, with each chunk's sums taken on its own slice.
-Every numpy call releases and retakes the GIL, and a chunk takes about 80
-of them, so threads hand the GIL over once a call: a pass of two chunks
-halves those hand-offs, and on one thread it halves the calls.
-The pass rule, at any thread count: a run uses at most min(workers, its
-chunks, MAX_COMPONENTS // N) threads, and its passes hold two chunks while
-each thread has more than two chunks to run and twice its threads stay
-within MAX_COMPONENTS // N, one chunk otherwise.  So up to N =
-MAX_COMPONENTS the words it draws at once stay within MAX_COMPONENTS *
-CHUNK_SIZE, 256 MiB.
+A chunk is the largest power of two of consecutive rows whose N words a
+row fit within MAX_WORDS, at most CHUNK_SIZE: 2^16 rows up to N = 512 and
+2^15 above it (`_chunk_rows`).  It depends on N alone, never on the
+worker count, and it is both the unit of work and the unit of the merge:
+one call of `_pass_stats`, a pass, draws, compares and compresses,
+inverts, sums hazards and weighs one chunk, and returns its sums.  The
+run merges them in chunk order, so results are bit-identical for any
+worker count.  Every numpy call releases and retakes the GIL, and a pass
+takes about 80 of them, so the chunk is as large as the word bound lets
+it be.  A run uses min(workers, its chunks, MAX_WORDS // (rows N))
+threads, one chunk each at a time, so the words it draws at once stay
+within MAX_WORDS, 256 MiB, up to N = MAX_COMPONENTS.
 
 Every run takes its passes through `_map_on_threads`, at any thread
 count: the caller and T - 1 helper threads that the call starts and
@@ -55,7 +52,6 @@ that split took a median 2.72 s against 2.10 s, slower in 12 of 12 rounds
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import operator
 import threading
@@ -67,10 +63,9 @@ from .errors import ParameterError
 from .solver import SumProblem
 from .streams import RandomStream, least_word, uniforms_from_words
 
-CHUNK_SIZE = 1 << 15  # rows; fixed, never derived from the worker count
-# the most components a config may have; a chunk draws CHUNK_SIZE * N words,
-# and a run holds at most MAX_COMPONENTS // N chunks (one at this N) at once
-MAX_COMPONENTS = 1024
+CHUNK_SIZE = 1 << 16  # the most rows of a chunk; never derived from the worker count
+MAX_WORDS = 1 << 25  # the most drawn words a run holds at once: 256 MiB
+MAX_COMPONENTS = 1024  # the most components a config may have
 MAX_WORKERS = 64  # the most threads a run may be asked for
 # the moments and extremes of a chunk without hits
 _NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
@@ -120,18 +115,13 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
-                stream: RandomStream, start: int, stop: int) -> list:
-    """Hit moments of each chunk of samples [start, stop), in one pass.
+                stream: RandomStream, start: int, stop: int) -> tuple:
+    """Hit moments of the chunk of samples [start, stop), in one pass.
 
-    The pass draws the block once, compares and compresses it once, and
-    brackets, inverts, sums hazards and weighs its rows once; only the
-    final sums are taken per chunk.  Chunks start at `start` and every
-    CHUNK_SIZE rows after it.  A chunk's kept rows and then its hits are a
-    contiguous slice of the pass's, and `count_nonzero` of the keep and hit
-    masks over its rows gives each slice's length.  So each chunk's tuple
+    The pass draws the chunk once, compares and compresses it once, and
+    brackets, inverts, sums hazards and weighs its rows once.  It returns
     (s_1, s_2, s_4, hit count, max log w t, min hazard sum), s_k the sum of
-    w^k / e^(k t) (`_weight_sums`), is the one a pass over that chunk alone
-    returns, bit for bit.
+    w^k / e^(k t) (`_weight_sums`), or _NO_HITS.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
     shift and tables of `_quantile_tables`.  A pass that expects fewer
@@ -140,10 +130,10 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     first takes one contiguous max over the drawn block: if its largest
     word lies below every cut word, the pass keeps no row and returns
     before any column is compared.  That is most naive-MC passes of a deep
-    threshold, whose cut words lie near 2^64.  The max costs about 11 us a
-    chunk, a fifth of the compares it can spare; an IS pass at theta* keeps
-    rows and never takes it.  A pass that keeps no row after the compares
-    returns too.
+    threshold, whose cut words lie near 2^64.  The max costs about 11 us
+    per 2^15 rows of a pair, a fifth of the compares it can spare; an IS
+    pass at theta* keeps rows and never takes it.  A pass that keeps no
+    row after the compares returns too.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -175,25 +165,21 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     """
     n = problem.n
     columns, shift, tables = cut
-    # each chunk's rows; then, as rows are selected, its slice of them
-    bounds = [*range(0, stop - start, CHUNK_SIZE), stop - start]
-    empty = [_NO_HITS] * (len(bounds) - 1)
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
     if _expected_kept(columns, stop - start) < _SCAN_BELOW and raw.max() < min(columns):
-        return empty
+        return _NO_HITS
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
     # cut word is compared once, with its columns' max, since numpy takes
     # the max of two strided columns faster than it compares one
     for w, cols in columns.items():
         keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
-    bounds = _slice_bounds(keep, bounds)
     # a copy of the kept rows while the block is alive would double the
     # pass's memory, so a block whose rows are all kept is used as it is
-    if bounds[-1] < raw.shape[0]:
+    if not keep.all():
         raw = raw.compress(keep, axis=0)
     if raw.shape[0] == 0:
-        return empty
+        return _NO_HITS
     gamma = problem.gamma
     if tables:
         lo = np.zeros(raw.shape[0])
@@ -210,8 +196,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         for i, comp in enumerate(problem.components):
             total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
         hits[near] = total > gamma
-        bounds = _slice_bounds(hits, bounds)
-        if bounds[-1] < raw.shape[0]:
+        if not hits.all():
             raw = raw.compress(hits, axis=0)
         hazard_sum = np.zeros(raw.shape[0])
         for i in range(n):
@@ -223,53 +208,42 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
             log_sf = _log_sf(raw[:, i], theta)
             total += comp.quantile_from_log_sf(log_sf)
             hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-        hits = total > gamma
-        bounds = _slice_bounds(hits, bounds)
-        hazard_sum = hazard_sum.compress(hits)
+        hazard_sum = hazard_sum.compress(total > gamma)
     if hazard_sum.size == 0:
-        return empty
+        return _NO_HITS
     # at theta = 0 every weight is exactly 1 (log weight +0.0)
     log_w = -n * math.log1p(-theta) - theta * hazard_sum
-    return [(*sums, b - a, t, float(np.min(hazard_sum[a:b]))) if b > a else _NO_HITS
-            for (a, b), (t, *sums) in zip(itertools.pairwise(bounds),
-                                          _weight_sums(log_w, bounds))]
+    t, *sums = _weight_sums(log_w)
+    return (*sums, hazard_sum.size, t, float(hazard_sum.min()))
 
 
-def _weight_sums(log_w: np.ndarray, bounds: list) -> list:
-    """(t, s_1, s_2, s_4) of each chunk's slice of log_w between `bounds`:
-    its top t = max log w and s_k = sum of exp(k (log w - t)).
+def _weight_sums(log_w: np.ndarray) -> tuple:
+    """(t, s_1, s_2, s_4) of a chunk's log weights: its top t = max log w
+    and s_k = sum of exp(k (log w - t)).
 
     Works in place on log_w: each temporary a pass keeps alive costs page
     faults.  No exp or product here has a subnormal result, which numpy
     takes about 147 ns for against about 1 ns for a normal one: where a
-    pass has a shifted log weight below F = _SHIFT_FLOOR, every such one is
-    raised to F.  The stand-ins e^F add under 2^16 e^-170, about 1e-69, to
-    an s_1 of at least 1, and e^(4 F) is normal.
+    chunk has a shifted log weight below F = _SHIFT_FLOOR, every such one
+    is raised to F.  The stand-ins e^F add under 2^16 e^-170, about 1e-69,
+    to an s_1 of at least 1, and e^(4 F) is normal.
     """
-    chunks = list(itertools.pairwise(bounds))
-    top = [float(log_w[a:b].max()) if b > a else -math.inf for a, b in chunks]
-    for (a, b), t in zip(chunks, top):
-        log_w[a:b] -= t
+    t = float(log_w.max())
+    log_w -= t
     if log_w.min() < _SHIFT_FLOOR:
         np.maximum(log_w, _SHIFT_FLOOR, out=log_w)
     w = np.exp(log_w, out=log_w)
-    sums = [_slice_sums(w, chunks)]
+    sums = [float(w.sum())]
     for _ in range(2):
         w *= w
-        sums.append(_slice_sums(w, chunks))
-    return list(zip(top, *sums))
+        sums.append(float(w.sum()))
+    return t, *sums
 
 
-def _slice_sums(w: np.ndarray, chunks: list) -> list:
-    return [float(np.sum(w[a:b])) for a, b in chunks]
-
-
-def _slice_bounds(mask: np.ndarray, bounds: list) -> list:
-    """Where each slice of `mask` between `bounds` starts and stops among
-    its true entries: the bounds of each chunk's rows once `mask`'s rows
-    are selected."""
-    ends = [int(np.count_nonzero(mask[a:b])) for a, b in itertools.pairwise(bounds)]
-    return [0, *itertools.accumulate(ends)]
+def _chunk_rows(n: int) -> int:
+    """Rows of each chunk of an N-component sum: the largest power of two
+    whose N words a row fit within MAX_WORDS, at most CHUNK_SIZE."""
+    return min(CHUNK_SIZE, 1 << (MAX_WORDS // n).bit_length() - 1)
 
 
 def _bucket_bits(sample_count: int) -> int:
@@ -391,18 +365,14 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
     cut = _run_constants(problem, theta, sample_count)
+    rows = _chunk_rows(problem.n)
     # with no cut no word can reach gamma: every row is a miss, so draw none
-    chunks = -(-sample_count // CHUNK_SIZE) if cut else 0
-    in_flight = max(1, MAX_COMPONENTS // problem.n)  # chunks a run may hold
-    threads = min(workers, chunks, in_flight)
-    size = CHUNK_SIZE  # or two chunks, by the module docstring's pass rule
-    if 2 * threads < chunks and 2 * threads <= in_flight:
-        size *= 2
-    starts = range(0, sample_count if cut else 0, size)
-    stops = [min(start + size, sample_count) for start in starts]
-    passes = _map_on_threads(functools.partial(_pass_stats, problem, theta, cut, stream),
+    starts = range(0, sample_count if cut else 0, rows)
+    stops = [min(start + rows, sample_count) for start in starts]
+    threads = min(workers, len(starts), MAX_WORDS // (rows * problem.n))
+    chunks = _map_on_threads(functools.partial(_pass_stats, problem, theta, cut, stream),
                              starts, stops, threads)
-    results = [chunk for stats in passes for chunk in stats if chunk[3]]
+    results = [chunk for chunk in chunks if chunk[3]]
 
     hits = sum(r[3] for r in results)
     top = max((r[4] for r in results), default=-math.inf)

@@ -45,7 +45,8 @@ COMMANDS = ["solve", "ccdf", "theta-sweep", "validate"]
 _SAMPLES = {"samples_is": 40_000, "samples_naive": 40_000,
             "theta_grid": [0.5, 0.9]}
 
-# 40,000 samples make two chunks, so two workers split every run
+# 40,000 samples are one chunk, so at two workers each run still takes one
+# thread; tests/test_cli.py's TestWorkers adds a case that two threads split
 CONFIGS = {
     "wb2": {
         "components": [{"family": "weibull", "shape": 0.5, "scale": 1.0,

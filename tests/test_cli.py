@@ -1,4 +1,5 @@
 import argparse
+import functools
 import json
 import math
 import os
@@ -445,6 +446,62 @@ def test_digest_tool_runs_both_modes():
     assert re.fullmatch(r"total [0-9a-f]{16}", total)
     (values,) = digest("--values", src, src)
     assert values.startswith("0 numbers or texts differ")
+
+
+def _numpy_env(disabled: str = "") -> dict:
+    """This environment with numpy's `disabled` CPU features, and no
+    others, turned off."""
+    env = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    if disabled:
+        env["NPY_DISABLE_CPU_FEATURES"] = disabled
+    return env
+
+
+@functools.cache
+def _digest_total(disabled: str = "") -> str:
+    """The total line of tests/outputs_digest.py over every case, in a
+    fresh interpreter, with numpy's `disabled` CPU features turned off."""
+    src = str(Path(hrtwist.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "outputs_digest.py", src],
+                          cwd=Path(__file__).parent, env=_numpy_env(disabled),
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()[-1]
+
+
+def test_digest_total_is_one_on_both_dispatch_paths():
+    # numpy picks a SIMD path by CPU, and exp's last bit with it.  Turning
+    # off the host's dispatched features above X86_V3 stands in for a CPU
+    # without them: AVX2's path in place of AVX-512's
+    script = ("from numpy._core._multiarray_umath import __cpu_dispatch__, "
+              "__cpu_features__ as has\n"
+              "above = __cpu_dispatch__[__cpu_dispatch__.index('X86_V3') + 1:] "
+              "if 'X86_V3' in __cpu_dispatch__ else []\n"
+              "print(' '.join(f for f in above if has.get(f)))")
+    proc = subprocess.run([sys.executable, "-c", script], env=_numpy_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    disabled = proc.stdout.strip()
+    if not disabled:
+        pytest.skip("numpy dispatches to no feature above X86_V3 on this host, "
+                    "so it has no second path to compare")
+    assert _digest_total(disabled) == _digest_total()
+
+
+def test_digest_total_is_the_committed_one():
+    # tests/DIGEST holds the total and the numpy and scipy versions it was
+    # recorded with; other versions may round differently
+    import numpy
+    import scipy
+
+    recorded = dict(line.split(" ", 1) for line in
+                    (Path(__file__).parent / "DIGEST").read_text().splitlines())
+    installed = {"numpy": numpy.__version__, "scipy": scipy.__version__}
+    if {k: recorded[k] for k in installed} != installed:
+        pytest.skip(f"tests/DIGEST was recorded with numpy {recorded['numpy']} and "
+                    f"scipy {recorded['scipy']}; this host has numpy "
+                    f"{installed['numpy']} and scipy {installed['scipy']}")
+    assert _digest_total() == f"total {recorded['total']}"
 
 
 class TestDeterminism:
@@ -949,9 +1006,16 @@ class TestNaiveCount:
 CASE_EXIT_CODES = {"validate-wb2": 2, "validate-ln3": 1, "validate-mixed": 1}
 
 
+# the digest's 40,000 samples are one chunk, so two workers split none of
+# its runs; this case's three chunks give both threads work
+SPLIT_CASE = ("ccdf-wb2-three-chunks", "ccdf",
+              dict(CONFIGS["wb2"], samples_is=2 * estimators.CHUNK_SIZE + 8_928,
+                   samples_naive=2 * estimators.CHUNK_SIZE + 8_928))
+
+
 class TestWorkers:
-    @pytest.mark.parametrize("case_id, command, raw", CASES,
-                             ids=[case[0] for case in CASES])
+    @pytest.mark.parametrize("case_id, command, raw", [*CASES, SPLIT_CASE],
+                             ids=[case[0] for case in [*CASES, SPLIT_CASE]])
     def test_outputs_identical_for_any_worker_count(self, tmp_path, case_id,
                                                    command, raw):
         runs = []

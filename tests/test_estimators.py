@@ -187,9 +187,10 @@ class TestDeterminism:
         serial = is_estimate(problem, 0.8, 100_000, 55, workers=1)
         parallel = is_estimate(problem, 0.8, 100_000, 55, workers=workers)
         assert serial == parallel
-        # more than two chunks a thread and a ragged tail: the threads pair
-        # chunks, on the table-free sum and on a tabled one
-        m = 2 * workers * estimators.CHUNK_SIZE + 3 * estimators.CHUNK_SIZE // 2
+        # more chunks than threads and a ragged tail, on the table-free sum
+        # and on a tabled one: every pass is one chunk
+        size = estimators.CHUNK_SIZE
+        m = (workers + 1) * size + size // 2
         for problem, theta in ((problem, 0.8), (lognormal_pair(20.0), 0.74)):
             serial = (is_estimate(problem, theta, m, 55, workers=1),
                       naive_mc(problem, m, 55, stream_id=1))
@@ -197,7 +198,7 @@ class TestDeterminism:
                 sizes = _pass_sizes(patch)
                 assert (is_estimate(problem, theta, m, 55, workers=workers),
                         naive_mc(problem, m, 55, stream_id=1, workers=workers)) == serial
-            assert 2 * estimators.CHUNK_SIZE in sizes
+            assert sorted(sizes) == 2 * [size // 2] + 2 * (workers + 1) * [size]
 
     def test_seed_changes_result(self):
         problem = weibull_pair(20.0)
@@ -206,26 +207,40 @@ class TestDeterminism:
         assert a.alpha_hat != b.alpha_hat
 
 
-def _chunks_in_flight(monkeypatch):
-    """Spy on `_pass_stats`: the returned list holds the most chunks that
-    live passes held at once, and the most one pass held."""
-    pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0], [0, 0]
+def _words_in_flight(monkeypatch):
+    """Spy on `_pass_stats`: the returned list holds the most words that
+    live passes held at once, and the most passes that were live at once."""
+    pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0, 0], [0, 0]
 
     def spy(problem, theta, cut, stream, start, stop):
-        chunks = -(-(stop - start) // estimators.CHUNK_SIZE)
+        words = (stop - start) * problem.n
         with lock:
-            live[0] += chunks
-            most[0] = max(most[0], live[0])
-            most[1] = max(most[1], chunks)
+            live[0] += words
+            live[1] += 1
+            most[:] = max(most[0], live[0]), max(most[1], live[1])
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
             return pass_stats(problem, theta, cut, stream, start, stop)
         finally:
             with lock:
-                live[0] -= chunks
+                live[0] -= words
+                live[1] -= 1
 
     monkeypatch.setattr(estimators, "_pass_stats", spy)
     return most
+
+
+def _thread_counts(monkeypatch):
+    """Spy on `_map_on_threads`: the returned list holds each run's thread
+    count."""
+    map_on_threads, counts = estimators._map_on_threads, []
+
+    def spy(fn, starts, stops, threads):
+        counts.append(threads)
+        return map_on_threads(fn, starts, stops, threads)
+
+    monkeypatch.setattr(estimators, "_map_on_threads", spy)
+    return counts
 
 
 def _pass_sizes(monkeypatch):
@@ -241,45 +256,43 @@ def _pass_sizes(monkeypatch):
 
 
 class TestThreads:
-    # 16 chunks of 64 rows at workers=8: only the word bound limits the threads
-    @pytest.mark.parametrize("n, cap", [(600, 1), (256, 4), (2, 8)])
-    def test_chunks_in_flight_bounded_by_words(self, monkeypatch, n, cap):
-        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
-        problem = SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * n,
-                                     10.0 * math.log10(3.0 * n))
-        serial = is_estimate(problem, 0.5, 16 * 64, 9, workers=1)
-        assert serial.hit_frequency > 0
-        most = _chunks_in_flight(monkeypatch)
-        assert is_estimate(problem, 0.5, 16 * 64, 9, workers=8) == serial
-        assert 1 <= most[0] <= cap
-        if cap > 1:
-            assert most[0] > 1  # the threads do run chunks side by side
+    def test_chunk_rows_follow_the_word_bound(self):
+        # 2^16 rows up to N = 512 and 2^15 above it; from N = 9 on the word
+        # bound, not MAX_WORKERS, limits a run's threads, to 512 // N or 1
+        for n in (1, 2, 9, 64, 512, 513, 600, estimators.MAX_COMPONENTS):
+            rows = estimators._chunk_rows(n)
+            assert rows == (1 << 16 if n <= 512 else 1 << 15)
+            assert rows * n <= estimators.MAX_WORDS == 1 << 25
+            if n >= 9:
+                assert estimators.MAX_WORDS // (rows * n) == max(1, 512 // n)
 
-    # 16 chunks of 64 rows: with more than two chunks a thread, one thread
-    # or several pair them while the pairs stay within the word bound; 512
-    # laws at workers=4 start two threads, each taking one chunk a pass
-    @pytest.mark.parametrize("n, workers, cap, per_pass", [
-        (2, 2, 4, 2), (256, 2, 4, 2), (256, 3, 3, 1), (2, 1, 2, 2),
-        (600, 2, 1, 1), (512, 4, 2, 1)])
-    def test_pool_pairs_chunks_within_the_bound(self, monkeypatch, n, workers,
-                                                cap, per_pass):
-        monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
+    # a run holds one chunk a thread, and no more words at once than
+    # MAX_WORDS, nor than the pass rule of fixed half-size chunks held: up
+    # to two a pass, and MAX_COMPONENTS // N of them a run
+    @pytest.mark.parametrize("workers", [1, 4, 8])
+    @pytest.mark.parametrize("n", [2, 64, 256, 512, 600, 1024])
+    def test_chunks_in_flight_bounded_by_words(self, monkeypatch, n, workers):
+        # the real constants scaled by 2^-11: 32 rows a chunk up to N = 512
+        monkeypatch.setattr(estimators, "MAX_WORDS", 1 << 14)
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 1 << 5)
+        rows = 1 << 5 if n <= 512 else 1 << 4
+        assert estimators._chunk_rows(n) == rows
         problem = SumProblem.from_db([Lognormal.from_db(0.0, 6.0)] * n,
                                      10.0 * math.log10(3.0 * n))
-        serial = is_estimate(problem, 0.5, 16 * 64 - 5, 9, workers=1)
-        with monkeypatch.context() as patch:
-            most = _chunks_in_flight(patch)
-            assert is_estimate(problem, 0.5, 16 * 64 - 5, 9, workers=workers) == serial
-        assert most[1] == per_pass
-        assert 1 <= most[0] <= cap
-        if cap > per_pass:
-            assert most[0] > per_pass  # the threads do run passes side by side
-        assert cap <= max(1, estimators.MAX_COMPONENTS // n)
-        # two threads with eight chunks each pair them; with exactly two
-        # each, they keep one chunk a pass
-        sizes = _pass_sizes(monkeypatch)
-        is_estimate(problem, 0.5, 2 * workers * 64, 9, workers=workers)
-        assert max(sizes) == 64
+        for m in (9 * rows - 5, rows + 1):  # a ragged last chunk
+            chunks = -(-m // rows)
+            serial = is_estimate(problem, 0.5, m, 9, workers=1)
+            assert serial.hit_frequency > 0
+            with monkeypatch.context() as patch:
+                most, counts = _words_in_flight(patch), _thread_counts(patch)
+                assert is_estimate(problem, 0.5, m, 9, workers=workers) == serial
+            threads = min(workers, chunks, (1 << 14) // (rows * n))
+            assert counts == [threads]
+            assert most[0] <= threads * rows * n <= 1 << 14
+            assert most[0] <= min(2 * workers, max(1, estimators.MAX_COMPONENTS // n)) * 16 * n
+            assert 1 <= most[1] <= threads
+            if threads > 1:
+                assert most[1] > 1  # the threads do run chunks side by side
 
     @pytest.mark.parametrize("problem, m", [
         (weibull_pair(20.0), 1000),  # one chunk
@@ -302,7 +315,7 @@ class TestThreads:
 
     def test_runs_leave_no_thread_behind(self):
         # a run joins its helper threads before it returns
-        problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
+        problem, m = lognormal_pair(20.0), 2 * estimators.CHUNK_SIZE
         before = threading.enumerate()
         serial = (is_estimate(problem, 0.74, m, 3), naive_mc(problem, m, 3))
         assert (is_estimate(problem, 0.74, m, 3, workers=2),
@@ -310,8 +323,8 @@ class TestThreads:
         assert threading.enumerate() == before
 
     def test_helpers_stay_within_each_count(self, monkeypatch):
-        # eight chunks of 64 rows: two and three threads pair them, four
-        # take one a pass.  The caller is one of a run's T threads, so at
+        # eight chunks of 64 rows on two, three or four threads, one chunk a
+        # pass.  The caller is one of a run's T threads, so at
         # most T - 1 helper threads are alive during the run, whatever
         # count the run before it asked for
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
@@ -376,7 +389,7 @@ class TestThreads:
     @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                         reason="no fork on this platform")
     def test_forked_child_starts_its_own_helpers(self):
-        problem, m = lognormal_pair(20.0), 4 * estimators.CHUNK_SIZE
+        problem, m = lognormal_pair(20.0), 2 * estimators.CHUNK_SIZE
         # from Python 3.12, os.fork warns, an error here, in a process
         # with threads besides the main one: a run must leave none
         parent = is_estimate(problem, 0.74, m, 6, workers=2)
@@ -408,7 +421,7 @@ class TestThreads:
         assert proc.returncode == 0 and int(proc.stdout) > 0, proc.stderr
 
     def test_failing_pass_reaches_the_caller(self, monkeypatch):
-        # 40 chunks of 64 rows on three threads, two a pass: a helper's
+        # 40 chunks of 64 rows on three threads, one a pass: a helper's
         # first pass raises, takes the passes left away, and the error
         # reaches the caller once the other threads end their current pass
         monkeypatch.setattr(estimators, "CHUNK_SIZE", 64)
@@ -490,10 +503,10 @@ class TestChunkMemory:
     @pytest.mark.parametrize("law", [Lognormal.from_db(0.0, 6.0),
                                      Weibull(0.5, 1.0)],
                              ids=["table", "no-table"])
-    def test_two_chunk_pass_holds_one_copy(self, monkeypatch, law):
+    def test_two_chunk_run_holds_one_copy(self, monkeypatch, law):
         n, m = 64, 4096
-        # four chunks on one thread: two passes of two chunks each
-        monkeypatch.setattr(estimators, "CHUNK_SIZE", m // 4)
+        # two chunks on one thread, one pass each
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", m // 2)
         problem = SumProblem.from_db([law] * n, 10.0)
         first = is_estimate(problem, 0.5, m, 3)
         sizes = _pass_sizes(monkeypatch)
@@ -507,7 +520,8 @@ class TestChunkMemory:
         # the same rows and hits as one chunk, summed in other groupings
         assert result.hit_frequency == m
         assert result.alpha_hat == pytest.approx(self.ALL_HITS.alpha_hat, rel=1e-12)
-        # a copy of the kept rows beside the drawn block would make it 2x
+        # a copy of the kept rows beside the drawn chunk, or both chunks'
+        # words at once, would make it 2x
         assert peak < 1.5 * (m // 2) * n * 8
 
 
@@ -531,10 +545,8 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
 
 
 def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
-    """`_pass_stats` without the survival cut, chunk by chunk."""
-    size = estimators.CHUNK_SIZE
-    return [_full_inversion_chunk_stats(problem, theta, stream, a, min(a + size, stop))
-            for a in range(start, stop, size)]
+    """`_pass_stats` without the survival cut."""
+    return _full_inversion_chunk_stats(problem, theta, stream, start, stop)
 
 
 def _fsum_weighs(log_w):
@@ -547,22 +559,20 @@ def _fsum_weighs(log_w):
     return t, math.fsum(e), math.fsum(e2), math.fsum(e2 * e2)
 
 
-# np.sum adds a chunk's at most 2^15 terms pairwise: blocks of 128 in eight
-# running sums of 16, joined in 3 steps, then 8 halvings.  So each term is
-# rounded at most 27 times, each by half an ulp of a partial sum at most
+# np.sum adds a chunk's at most 2^16 terms pairwise: blocks of 128 in eight
+# running sums of 16, joined in 3 steps, then 9 halvings.  So each term is
+# rounded at most 28 times, each by half an ulp of a partial sum at most
 # the total, and fsum rounds once.  The core's stand-ins for shifted log
 # weights below -170 add under 1e-69 of the sum.
 SUM_ULPS = 28
 
 
-def _assert_chunks_match(core, reference):
+def _assert_chunk_matches(c, r):
     """Chunk tuples (s_1, s_2, s_4, hits, t, min hazard sum): all but the
     sums equal, and each sum within SUM_ULPS of the reference's."""
-    assert len(core) == len(reference)
-    for c, r in zip(core, reference):
-        assert c[3:] == r[3:], (c, r)
-        for x, y in zip(c[:3], r[:3]):
-            assert abs(x - y) <= SUM_ULPS * math.ulp(y), (c, r)
+    assert c[3:] == r[3:], (c, r)
+    for x, y in zip(c[:3], r[:3]):
+        assert abs(x - y) <= SUM_ULPS * math.ulp(y), (c, r)
 
 
 class TestSurvivalCut:
@@ -571,42 +581,42 @@ class TestSurvivalCut:
         # the shifted sums lie within SUM_ULPS of fsum's
         # gamma from below the median (nearly every row kept) to deep tails
         rng = np.random.default_rng(2026)
+        half = estimators.CHUNK_SIZE // 2  # the cases span one to four chunks
         # N >= 8 too, where numpy's row sum is pairwise, not left to right
         sizes = [k % 6 + 1 for k in range(40)] + list(range(8, 13))
         cases = []
         for k, size in enumerate(sizes):
             comps = [random_component(rng) for _ in range(size)]
             problem = SumProblem.from_db(comps, float(rng.uniform(-5.0, 40.0)))
-            m = int(rng.integers(1, 2 * estimators.CHUNK_SIZE))
+            m = int(rng.integers(1, 2 * half))
             cases.append((problem, solve_pprime(problem).theta_star, m,
                           k % 2 + 1))
         # the strongest twist the estimators take, where nearly every row hits
         for k in range(2):
             comps = [random_component(rng) for _ in range(k + 2)]
             problem = SumProblem.from_db(comps, float(rng.uniform(-5.0, 40.0)))
-            cases.append((problem, 1 - 1e-12, estimators.CHUNK_SIZE + 7, k + 1))
+            cases.append((problem, 1 - 1e-12, half + 7, k + 1))
         # untwisted, only the top few uniforms of each component reach gamma / N
-        cases.append((weibull_pair(34.0), 0.0, 2 * estimators.CHUNK_SIZE, 2))
+        cases.append((weibull_pair(34.0), 0.0, 2 * half, 2))
         deep = len(cases)
         wb = Weibull(0.5, 1.0)
         for k, problem in enumerate([
                 weibull_pair(55.0), weibull_pair(62.0),  # weights below e^-760
                 SumProblem.from_db([Weibull(0.5, 3.0)] * 2, 30.0),
-                # distinct cut words: of naive MC's five chunks here, two
-                # return at the max and one passes it and keeps no row
+                # distinct cut words: of naive MC's three chunks here, the
+                # ragged last returns at the max and the second keeps no row
                 SumProblem.from_db([wb, Weibull(0.5, 3.0)], 28.0),
                 SumProblem.from_db([wb], 20.0),  # N = 1
                 SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0),
                 weibull_pair(57.0)]):  # weights near e^-700
             cases.append((problem, solve_pprime(problem).theta_star,
-                          (k + 1) * estimators.CHUNK_SIZE + 7 * k, k % 2 + 1))
+                          (k + 1) * half + 7 * k, k % 2 + 1))
         # the least and largest log weight of each chunk the core weighs
         spans, weight_sums = [], estimators._weight_sums
 
-        def spy(log_w, bounds):
-            spans.extend((log_w[a:b].min(), log_w[a:b].max())
-                         for a, b in itertools.pairwise(bounds) if b > a)
-            return weight_sums(log_w, bounds)
+        def spy(log_w):
+            spans.append((log_w.min(), log_w.max()))
+            return weight_sums(log_w)
 
         monkeypatch.setattr(estimators, "_weight_sums", spy)
         core = _equal_to_full_inversion(monkeypatch, cases)
@@ -692,14 +702,14 @@ def _block_maxes(monkeypatch):
 
 
 class TestEmptyChunk:
-    # naive MC of a deep threshold: a pass of two chunks expects 0.45,
+    # naive MC of a deep threshold: a chunk of 2^16 rows expects 0.45,
     # 2.5e-5 and 8.5e-5 kept rows, so each takes the max first
     @pytest.mark.parametrize("problem", [
         lognormal_pair(30.0), weibull_pair(30.0),
         SumProblem.from_db(DISTINCT_PAIR.components, 34.0)],
         ids=["lognormal", "weibull", "distinct"])
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
-        m = 2 * estimators.CHUNK_SIZE
+        m = estimators.CHUNK_SIZE
         cut = estimators._run_constants(problem, 0.0, m)
         assert cut and all(w > 0 for w in cut[0])
         assert estimators._expected_kept(cut[0], m) < estimators._SCAN_BELOW
@@ -718,11 +728,10 @@ class TestEmptyChunk:
         monkeypatch.setattr(estimators, "_log_sf", no_call)
         monkeypatch.setattr(Lognormal, "quantile_from_log_sf", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        # one chunk, and a pass of two with a ragged second
-        for stop in (estimators.CHUNK_SIZE, m - 3):
+        # a full chunk and a ragged one
+        for stop in (m, m - 3):
             stats = estimators._pass_stats(problem, 0.0, cut, Stream(), 0, stop)
-            assert stats == [(0.0, 0.0, 0.0, 0, -math.inf, math.inf)] * (
-                -(-stop // estimators.CHUNK_SIZE))
+            assert stats == (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
 
     def test_max_first_only_where_a_pass_likely_keeps_none(self, monkeypatch):
         size = estimators.CHUNK_SIZE
@@ -730,18 +739,18 @@ class TestEmptyChunk:
         # IS at theta* keeps rows in every pass and never takes the max
         for problem in (weibull_pair(30.0), lognormal_pair(30.0), DISTINCT_PAIR,
                         SumProblem.from_db(DISTINCT_PAIR.components, 34.0)):
-            r = is_estimate(problem, solve_pprime(problem).theta_star, 4 * size + 5, 1)
+            r = is_estimate(problem, solve_pprime(problem).theta_star, 2 * size + 5, 1)
             assert r.hit_frequency > 0 and taken == []
-        # two passes of two chunks: each column of naive MC passes the edge
-        # 500 with probability e^-22.4, so both take the max
-        assert naive_mc(weibull_pair(30.0), 4 * size, 1).hit_frequency == 0
-        assert taken == [2 * size, 2 * size]
+        # two chunks: each column of naive MC passes the edge 500 with
+        # probability e^-22.4, so both take the max
+        assert naive_mc(weibull_pair(30.0), 2 * size, 1).hit_frequency == 0
+        assert taken == [size, size]
         taken.clear()
-        # naive MC of DISTINCT_PAIR expects 2.3 kept rows in a pass of two
-        # chunks, and 0.29 in its ragged last pass of a quarter chunk: only
-        # that pass takes the max
-        naive_mc(DISTINCT_PAIR, 2 * size + size // 4, 1)
-        assert taken == [size // 4]
+        # naive MC of DISTINCT_PAIR expects 2.3 kept rows in a chunk of 2^16
+        # rows, and 0.29 in its ragged last chunk of an eighth of that: only
+        # that chunk takes the max
+        naive_mc(DISTINCT_PAIR, size + size // 8, 1)
+        assert taken == [size // 8]
 
     @pytest.mark.parametrize("problem", [
         SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 20.0), weibull_pair(20.0),
@@ -770,9 +779,9 @@ class TestEmptyChunk:
         chunks.append(rows)
         for rows in chunks:
             stream = _Words(rows.ravel())
-            _assert_chunks_match(
+            _assert_chunk_matches(
                 estimators._pass_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64),
-                [_full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64)])
+                _full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64))
 
 
 def _subnormal(x):
@@ -795,12 +804,6 @@ class _NormalOnly(np.ndarray):
         return out[0] if out is not None else result
 
 
-def _weigh(log_w, chunks):
-    """`_weight_sums` of log_w, on a copy, cut into chunks (a, b) that run
-    from 0 to its end."""
-    return estimators._weight_sums(log_w.copy(), [0, *(b for _, b in chunks)])
-
-
 class TestWeights:
     def test_shifted_sums_match_fsum(self):
         rng = np.random.default_rng(29)
@@ -812,12 +815,9 @@ class TestWeights:
                   np.concatenate([x[:1000], beside, x[1000:2000]])]
         for log_w in arrays:
             cuts = np.sort(rng.integers(0, log_w.size + 1, 5))
-            for chunks in ([(0, log_w.size)],
-                           list(itertools.pairwise([0, *cuts, log_w.size]))):
-                for (a, b), (t, *sums) in zip(chunks, _weigh(log_w, chunks)):
-                    if b == a:  # a chunk without hits
-                        assert (t, *sums) == (-math.inf, 0.0, 0.0, 0.0)
-                        continue
+            for a, b in [(0, log_w.size), *itertools.pairwise([0, *cuts, log_w.size])]:
+                if b > a:  # a chunk without hits is never weighed
+                    t, *sums = estimators._weight_sums(log_w[a:b].copy())
                     ref_t, *ref = _fsum_weighs(log_w[a:b])
                     assert t == ref_t
                     for got, want in zip(sums, ref):
@@ -826,8 +826,8 @@ class TestWeights:
     def test_each_chunk_shifted_by_its_own_top(self):
         # a top near e^-700 and one at e^-10 each scale their own chunk; in
         # the second the row 695 below its top adds less than half an ulp
-        log_w = np.array([-699.5, -705.0, -10.0, -705.0])
-        first, second = _weigh(log_w, [(0, 2), (2, 4)])
+        first, second = (estimators._weight_sums(np.array(log_w))
+                         for log_w in ([-699.5, -705.0], [-10.0, -705.0]))
         e = float(np.exp(np.array([0.0, -5.5]))[1])  # numpy's exp, as the core's
         assert first == (-699.5, 1.0 + e, 1.0 + e * e, 1.0 + (e * e) ** 2)
         assert second == (-10.0, 1.0, 1.0, 1.0)
@@ -838,24 +838,22 @@ class TestWeights:
         # the subnormal range, which numpy computes about 100 times slower
         problem = weibull_pair(55.0)
         theta = solve_pprime(problem).theta_star
-        cut = estimators._run_constants(problem, theta, 2 * estimators.CHUNK_SIZE)
+        cut = estimators._run_constants(problem, theta, estimators.CHUNK_SIZE)
         seen, weight_sums = [], estimators._weight_sums
 
-        def capture(log_w, bounds):
-            seen.append((log_w.copy(), bounds))
-            return weight_sums(log_w, bounds)
+        def capture(log_w):
+            seen.append(log_w.copy())
+            return weight_sums(log_w)
 
         monkeypatch.setattr(estimators, "_weight_sums", capture)
         estimators._pass_stats(problem, theta, cut, RandomStream(1), 0,
-                               2 * estimators.CHUNK_SIZE)
-        (log_w, bounds), = seen
-        assert len(bounds) == 3
-        shifted = np.concatenate([log_w[a:b] - log_w[a:b].max()
-                                  for a, b in itertools.pairwise(bounds)])
+                               estimators.CHUNK_SIZE)
+        log_w, = seen
+        shifted = log_w - log_w.max()
         for k in (1, 2, 4):
             assert _subnormal(np.exp(k * shifted)).any()
-        sums = weight_sums(log_w.copy().view(_NormalOnly), bounds)
-        assert sums == weight_sums(log_w, bounds)
+        sums = weight_sums(log_w.copy().view(_NormalOnly))
+        assert sums == weight_sums(log_w)
 
     def test_deep_tail_std_error_is_positive(self):
         # the Weibull(0.5, 1) pair at theta*: w^2 underflows from 51.5 dB
@@ -994,7 +992,7 @@ def _equal_to_full_inversion(monkeypatch, cases):
     reference, reference_chunks = run_all(_full_inversion_pass_stats)
     assert core_chunks.keys() == reference_chunks.keys()
     for key, stats in core_chunks.items():
-        _assert_chunks_match(stats, reference_chunks[key])
+        _assert_chunk_matches(stats, reference_chunks[key])
     for c, r in zip(core, reference, strict=True):
         assert (c.hit_frequency, c.max_log_weight_hit, c.min_hazard_sum_hit) == (
             r.hit_frequency, r.max_log_weight_hit, r.min_hazard_sum_hit)
@@ -1049,7 +1047,7 @@ class TestQuantileTable:
     def test_lognormal_pair_inverts_few_rows(self, monkeypatch):
         problem = lognormal_pair(30.0)
         theta = solve_pprime(problem).theta_star
-        m = 4 * estimators.CHUNK_SIZE
+        m = 2 * estimators.CHUNK_SIZE
         table = (1 << estimators._bucket_bits(m)) + 1
         sizes = _count_quantile_values(monkeypatch, Lognormal)
         is_estimate(problem, theta, m, 5)
@@ -1058,37 +1056,37 @@ class TestQuantileTable:
 
     def test_identical_laws_share_one_table(self, monkeypatch):
         problem = SumProblem.from_db([LN6] * 64, 40.0)
-        m = 2 * estimators.CHUNK_SIZE + 5
+        m = estimators.CHUNK_SIZE + 5
         sizes = _count_quantile_values(monkeypatch, Lognormal)
         r = is_estimate(problem, 0.9, m, 2)  # theta* is 0 here
         assert r.hit_frequency > 0
-        # one table, then one exact call per column and pass: three chunks,
-        # one pass of two and one of the ragged third
+        # one table, then one exact call per column and chunk: a full chunk
+        # and a ragged second
         assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
         assert len(sizes) == 1 + 64 * 2
 
     def test_weibull_pair_builds_no_table(self, monkeypatch):
         problem = weibull_pair(20.0)
         theta = solve_pprime(problem).theta_star
-        m = 4 * estimators.CHUNK_SIZE + 11
+        m = 2 * estimators.CHUNK_SIZE + 11
         sizes = _count_quantile_values(monkeypatch, Weibull)
         lognormal = _count_quantile_values(monkeypatch, Lognormal)
         is_estimate(problem, theta, m, 5)
         assert lognormal == []
         # each kept row inverted once per column, as by the table-free core,
-        # in three passes: two of two chunks, then the ragged fifth
+        # in three chunks, the last ragged
         assert sum(sizes) == 2 * _kept_rows(problem, theta, m, 5)
         assert len(sizes) == 2 * 3
 
     def test_mixed_pair_brackets_its_weibull_column(self, monkeypatch):
         problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)
         theta = solve_pprime(problem).theta_star
-        m = 4 * estimators.CHUNK_SIZE + 11
+        m = 2 * estimators.CHUNK_SIZE + 11
         kept = _kept_rows(problem, theta, m, 5)
         sizes = _count_quantile_values(monkeypatch, Weibull)
         is_estimate(problem, theta, m, 5)
-        # the table's edges, then one near-row array per pass of two chunks
-        # and one for the ragged fifth
+        # the table's edges, then one near-row array per chunk, the last
+        # ragged
         assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
         assert len(sizes) == 1 + 3
         assert sum(sizes[1:]) <= 0.02 * kept
@@ -1105,7 +1103,7 @@ class TestQuantileTable:
 
         monkeypatch.setattr(estimators, "_log_sf", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        m = 4 * estimators.CHUNK_SIZE + 11
+        m = 2 * estimators.CHUNK_SIZE + 11
         shift, tables = estimators._quantile_tables(problem, 0.8, m)
         assert tables == {}
         assert int(shift) == 64 - estimators._bucket_bits(m)
@@ -1231,6 +1229,8 @@ def _kept_of_rows(problem, cut, stream, start, stop):
 
 
 class TestTwoChunkPass:
+    """Two chunks side by side in one stream, each one pass."""
+
     SIZE = 64  # rows a chunk, so that blocks can be written word by word
 
     @pytest.mark.parametrize("problem", [
@@ -1266,14 +1266,16 @@ class TestTwoChunkPass:
                                                              seconds.items()):
                 stream = _Words(np.concatenate([first, second]).ravel())
                 stop = size + second.shape[0]
-                two = estimators._pass_stats(problem, theta, cut, stream, 0, stop)
+                chunks = [(0, size), (size, stop)]
+                two = [estimators._pass_stats(problem, theta, cut, stream, lo, hi)
+                       for lo, hi in chunks]
                 alone = [estimators._pass_stats(problem, theta, cut, _Words(block.ravel()),
-                                                0, block.shape[0])[0]
+                                                0, block.shape[0])
                          for block in (first, second)]
                 assert two == alone, (a, b, theta)
-                _assert_chunks_match(two, _full_inversion_pass_stats(
-                    problem, theta, cut, stream, 0, stop))
-                for chunk, (lo, hi) in zip(two, [(0, size), (size, stop)]):
+                for chunk, (lo, hi) in zip(two, chunks):
+                    _assert_chunk_matches(chunk, _full_inversion_chunk_stats(
+                        problem, theta, stream, lo, hi))
                     kept, rows = _kept_of_rows(problem, cut, stream, lo, hi)
                     seen.add(("kept", kept == 0, kept == rows, chunk[3] == 0))
                 seen.add(("ragged", stop % size > 0))
