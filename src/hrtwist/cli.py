@@ -14,7 +14,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 from . import __version__
@@ -23,7 +23,7 @@ from .errors import OracleConvergenceError, ParameterError
 from .estimators import (MAX_COMPONENTS, MAX_WORKERS, EstimateResult, is_estimate,
                          log_big_jump, naive_mc)
 from .oracles import tail_convolution_2
-from .solver import SumProblem, second_moment_bound, solve_pprime
+from .solver import SumProblem, log_weight, second_moment_bound, solve_pprime
 
 
 class ConfigError(Exception):
@@ -209,7 +209,8 @@ def _unreported(gamma_db: float, problem: SumProblem,
     if r.alpha_hat == 0.0:
         return (f"gamma_db={gamma_db:g}, theta={theta!r}: the weights of all "
                 f"{r.hit_frequency} IS hits underflow to 0 "
-                f"(max_log_weight_hit={r.max_log_weight_hit:.6g}, "
+                f"(max_log_weight_hit="
+                f"{log_weight(theta, r.min_hazard_sum_hit, problem.n):.6g}, "
                 f"log10_alpha_is={r.log_alpha_hat / math.log(10.0):.6g})")
     return None
 
@@ -243,7 +244,7 @@ def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
         # follow numpy's SIMD dispatch; theta_star keeps every bit, so that
         # it can be fed back as theta_override
         reports.append({"gamma_db": gamma_db, "gamma": problem.gamma,
-                        "n": problem.n, **sol.to_dict(),
+                        "n": problem.n, **asdict(sol),
                         "x_star": [float(format(x, ".12e")) for x in sol.x_star]})
         flag = "  [clamped: degenerates to naive MC]" if sol.clamped else ""
         print(f"gamma_db={gamma_db:g}  A={sol.objective:.10g}  "

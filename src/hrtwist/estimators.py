@@ -17,9 +17,11 @@ each of its steps over a pass's rows earns its keep.
 With theta = 0 the weighted estimator degenerates to naive MC exactly,
 weight identically 1 on exceedances.
 
-A chunk's weights are summed shifted by its top t, the largest log weight
-of its hits (`_weight_sums`): s_k = sum of exp(k (log w - t)) for k = 1, 2
-and 4, the scaled log-sum-exp.  The run merges them against its own top T
+Every weight is `solver.log_weight` of a hazard sum.  A chunk's weights
+are summed shifted by its top t, the log weight of its least hazard sum,
+which is its largest log weight (`_weight_sums`): s_k = sum of
+exp(k (log w - t)) for k = 1, 2 and 4, the scaled log-sum-exp.  The run
+merges them against its own top T, the log weight of its least hazard sum,
 and forms each linear output as exp(T) or exp(2T) times a value built from
 the merged sums (`_run`), so the standard error underflows only about
 where alpha_hat does, not where w^2 and w^4 do, far sooner.
@@ -60,19 +62,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError
-from .solver import SumProblem
+from .solver import SumProblem, log_weight
 from .streams import RandomStream, least_word, uniforms_from_words
 
 CHUNK_SIZE = 1 << 16  # the most rows of a chunk; never derived from the worker count
 MAX_WORDS = 1 << 25  # the most drawn words a run holds at once: 256 MiB
 MAX_COMPONENTS = 1024  # the most components a config may have
 MAX_WORKERS = 64  # the most threads a run may be asked for
-# the moments and extremes of a chunk without hits
-_NO_HITS = (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
+# the moments and least hazard sum of a chunk without hits
+_NO_HITS = (0.0, 0.0, 0.0, 0, math.inf)
 # a shifted log weight below this is raised to it: e^(4 F) is still normal
 _SHIFT_FLOOR = -170.0
-# a pass that expects fewer kept rows than this first tests its largest word
-_SCAN_BELOW = 1.0
 # log 2^-53: below it log(1 - e^x) = -e^x, and its logs, to double precision
 _LOG_EPS = -53.0 * math.log(2.0)
 
@@ -88,8 +88,9 @@ class EstimateResult:
     underflows only about where the value it describes does;
     `log_alpha_hat` is finite wherever the run has a hit, also where
     `alpha_hat` underflows.
-    The two hit extremes (`max_log_weight_hit`, `min_hazard_sum_hit`)
-    support the per-sample worst-case-weight certificate.
+    `min_hazard_sum_hit`, the least hazard sum of a hit (inf without
+    one), supports the per-sample worst-case-weight certificate: the
+    largest hit weight is its `solver.log_weight`.
     """
 
     alpha_hat: float
@@ -100,7 +101,6 @@ class EstimateResult:
     std_error: float
     second_moment_std_error: float
     theta_used: float
-    max_log_weight_hit: float
     min_hazard_sum_hit: float
 
 
@@ -120,20 +120,13 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
 
     The pass draws the chunk once, compares and compresses it once, and
     brackets, inverts, sums hazards and weighs its rows once.  It returns
-    (s_1, s_2, s_4, hit count, max log w t, min hazard sum), s_k the sum of
-    w^k / e^(k t) (`_weight_sums`), or _NO_HITS.
+    (s_1, s_2, s_4, hit count, min hazard sum), s_k the sum of w^k / e^(k t)
+    with t the log weight of the min hazard sum (`_weight_sums`), or
+    _NO_HITS.
 
     `cut` is `_run_constants`: each cut word with its columns, and the
-    shift and tables of `_quantile_tables`.  A pass that expects fewer
-    than _SCAN_BELOW kept rows of its own (`_expected_kept` of its cut
-    words and row count), and so keeps none with probability above 1/e,
-    first takes one contiguous max over the drawn block: if its largest
-    word lies below every cut word, the pass keeps no row and returns
-    before any column is compared.  That is most naive-MC passes of a deep
-    threshold, whose cut words lie near 2^64.  The max costs about 11 us
-    per 2^15 rows of a pair, a fifth of the compares it can spare; an IS
-    pass at theta* keeps rows and never takes it.  A pass that keeps no
-    row after the compares returns too.
+    shift and tables of `_quantile_tables`.  A pass that keeps no row
+    after the compares returns before it takes a log or a quantile.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -166,8 +159,6 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     n = problem.n
     columns, shift, tables = cut
     raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    if _expected_kept(columns, stop - start) < _SCAN_BELOW and raw.max() < min(columns):
-        return _NO_HITS
     keep = np.zeros(raw.shape[0], dtype=bool)
     # column by column, far cheaper than a 2-D compare and any(axis=1); a
     # cut word is compared once, with its columns' max, since numpy takes
@@ -211,15 +202,14 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         hazard_sum = hazard_sum.compress(total > gamma)
     if hazard_sum.size == 0:
         return _NO_HITS
-    # at theta = 0 every weight is exactly 1 (log weight +0.0)
-    log_w = -n * math.log1p(-theta) - theta * hazard_sum
-    t, *sums = _weight_sums(log_w)
-    return (*sums, hazard_sum.size, t, float(hazard_sum.min()))
+    min_hs = float(hazard_sum.min())
+    sums = _weight_sums(log_weight(theta, hazard_sum, n), log_weight(theta, min_hs, n))
+    return (*sums, hazard_sum.size, min_hs)
 
 
-def _weight_sums(log_w: np.ndarray) -> tuple:
-    """(t, s_1, s_2, s_4) of a chunk's log weights: its top t = max log w
-    and s_k = sum of exp(k (log w - t)).
+def _weight_sums(log_w: np.ndarray, t: float) -> tuple:
+    """(s_1, s_2, s_4) of a chunk's log weights shifted by their top t =
+    max log w: s_k = sum of exp(k (log w - t)).
 
     Works in place on log_w: each temporary a pass keeps alive costs page
     faults.  No exp or product here has a subnormal result, which numpy
@@ -228,7 +218,6 @@ def _weight_sums(log_w: np.ndarray) -> tuple:
     is raised to F.  The stand-ins e^F add under 2^16 e^-170, about 1e-69,
     to an s_1 of at least 1, and e^(4 F) is normal.
     """
-    t = float(log_w.max())
     log_w -= t
     if log_w.min() < _SHIFT_FLOOR:
         np.maximum(log_w, _SHIFT_FLOOR, out=log_w)
@@ -237,7 +226,7 @@ def _weight_sums(log_w: np.ndarray) -> tuple:
     for _ in range(2):
         w *= w
         sums.append(float(w.sum()))
-    return t, *sums
+    return tuple(sums)
 
 
 def _chunk_rows(n: int) -> int:
@@ -309,12 +298,6 @@ def _run_constants(problem: SumProblem, theta: float, sample_count: int):
     return (columns, *_quantile_tables(problem, theta, sample_count))
 
 
-def _expected_kept(columns: dict, rows: int) -> float:
-    """A bound on the kept rows of `rows` rows: a column passes its cut word
-    w with probability (2^64 - w) / 2^64, and a row is kept if any does."""
-    return rows * sum(len(cols) * (2 ** 64 - int(w)) for w, cols in columns.items()) / 2 ** 64
-
-
 def _map_on_threads(fn, starts, stops, threads: int) -> list:
     """fn over starts and stops, in order, on `threads` threads: the caller
     and threads - 1 helper threads started for this call and joined before
@@ -375,12 +358,16 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     results = [chunk for chunk in chunks if chunk[3]]
 
     hits = sum(r[3] for r in results)
-    top = max((r[4] for r in results), default=-math.inf)
-    min_hs = min((r[5] for r in results), default=math.inf)
+    min_hs = min((r[4] for r in results), default=math.inf)
+    # each chunk's top is the log weight of its least hazard sum, and the
+    # run's top the largest of them: that of min_hs, or -inf without hits
+    tops = [log_weight(theta, r[4], problem.n) for r in results]
+    top = max(tops, default=-math.inf)
     # merge in chunk order, each chunk's sums of w^k scaled to the run's top;
     # fsum keeps the merge associative in practice
-    sum_w, sum_w2, sum_w4 = (math.fsum(math.exp(k * (r[4] - top)) * r[i] for r in results)
-                             for i, k in enumerate((1, 2, 4)))
+    sum_w, sum_w2, sum_w4 = (
+        math.fsum(math.exp(k * (t - top)) * r[i] for r, t in zip(results, tops))
+        for i, k in enumerate((1, 2, 4)))
 
     m = sample_count
     mean_w, second, fourth = sum_w / m, sum_w2 / m, sum_w4 / m
@@ -398,7 +385,6 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         std_error=scale * math.sqrt(variance / m),
         second_moment_std_error=scale2 * math.sqrt(max(fourth - second * second, 0.0) / m),
         theta_used=theta,
-        max_log_weight_hit=top,
         min_hazard_sum_hit=min_hs,
     )
 

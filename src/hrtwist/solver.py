@@ -10,7 +10,7 @@ second-moment upper bound (1-theta)^(-2N) exp(-2 theta A).
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,9 +69,6 @@ class MinmaxSolution:
     second_moment_bound: float
     clamped: bool
 
-    def to_dict(self) -> dict:
-        return {**asdict(self), "x_star": list(self.x_star)}
-
 
 def theta_star(objective: float, n: int) -> float:
     """Minmax-optimal twisting amount, clamped to 0 for small objectives."""
@@ -89,20 +86,32 @@ def theta_star(objective: float, n: int) -> float:
     return theta
 
 
+def log_weight(theta, hazard_sum, n: int):
+    """Log of the IS weight (1 - theta)^(-N) exp(-theta * hazard sum):
+    -N log1p(-theta) - theta * hazard_sum, of a float or an ndarray of
+    hazard sums.
+
+    Each operation rounds monotonely, so the largest log weight of a set of
+    hazard sums is that of the least, bit for bit.  At theta = 0 a finite
+    hazard sum weighs exactly 1 (log weight +0.0).
+    """
+    return -n * math.log1p(-theta) - theta * hazard_sum
+
+
 def second_moment_bound(theta: float, objective: float, n: int) -> float:
     """Upper bound (1 - theta)^(-2N) exp(-2 theta A) on the second moment of
-    the weighted indicator.
+    the weighted indicator: the squared weight at hazard sum A.
 
-    Formed as exp(-2N log1p(-theta) - 2 theta A), so that the power and the
-    exponential never overflow, underflow or lose bits alone: the bound is
-    inf above the float range and 0 below it, never an overflow error or a
-    false 0.  It takes `math`'s exp, not numpy's, whose last bit follows
-    the SIMD path numpy dispatches to on the CPU at hand.
+    Formed as exp(2 `log_weight`), so that the power and the exponential
+    never overflow, underflow or lose bits alone: the bound is inf above the
+    float range and 0 below it, never an overflow error or a false 0.  It
+    takes `math`'s exp, not numpy's, whose last bit follows the SIMD path
+    numpy dispatches to on the CPU at hand.
     """
     if not (0.0 <= theta < 1.0):
         raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     try:
-        return math.exp(-2.0 * n * math.log1p(-theta) - 2.0 * theta * objective)
+        return math.exp(2.0 * log_weight(theta, objective, n))
     except OverflowError:
         return math.inf
 

@@ -5,12 +5,14 @@ hrtwist from:
 
     python tests/outputs_digest.py src
 
-Every command runs on every config below, once with `--workers 1` and
-once with `--workers 2`.  Each run prints one line, its digest and its
-case id, and a last line prints the total over all runs.  A run's digest
-covers its exit code, stdout, stderr and the name and bytes of every
-file it writes; a run that raises instead of exiting records the
-exception.  A change meant to keep every output byte-identical prints
+Every command runs once on every config below, with `--workers 1`: each
+config's runs are one chunk, which one thread takes at any worker count,
+and `tests/test_cli.py`'s `TestWorkers` checks that every case gives the
+same outputs at one and two workers.  Each run prints one line, its
+digest and its case id, and a last line prints the total over all runs.
+A run's digest covers its exit code, stdout, stderr and the name and
+bytes of every file it writes; a run that raises instead of exiting
+records the exception.  A change meant to keep every output byte-identical prints
 the same total as its parent:
 
     mkdir ../parent && git archive HEAD | tar -x -C ../parent
@@ -18,10 +20,10 @@ the same total as its parent:
     python tests/outputs_digest.py src
 
 A change meant to move some numbers and no others shows which moved in
-the values mode, which runs every case with `--workers 1` on two source
-trees and prints each number that differs, with its case, output and
-column, then the largest relative difference over the changed numbers
-that are normal floats on both sides:
+the values mode, which runs every case on two source trees and prints
+each number that differs, with its case, output and column, then the
+largest relative difference over the changed numbers that are normal
+floats on both sides:
 
     python tests/outputs_digest.py --values ../parent/src src
 
@@ -128,16 +130,15 @@ def _load_main(src: str):
     return cli_main
 
 
-def _results(cli_main, workers_list):
-    """(case id, workers, result) of every case, in `CASES` order."""
+def _results(cli_main):
+    """(case id, result) of every case at one worker, in `CASES` order."""
     for case_id, command, raw in CASES:
-        for workers in workers_list:
-            with tempfile.TemporaryDirectory() as work_dir:
-                try:
-                    result = run_case(cli_main, command, raw, workers, work_dir)
-                except Exception as exc:  # a traceback is an output too
-                    result = (f"raised {type(exc).__name__}: {exc}", "", "", {})
-            yield case_id, workers, result
+        with tempfile.TemporaryDirectory() as work_dir:
+            try:
+                result = run_case(cli_main, command, raw, 1, work_dir)
+            except Exception as exc:  # a traceback is an output too
+                result = (f"raised {type(exc).__name__}: {exc}", "", "", {})
+        yield case_id, result
 
 
 _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
@@ -176,10 +177,10 @@ def _outputs(result) -> dict:
 
 def _compare_values(a_src: str, b_src: str) -> int:
     """Print every number that differs between the two trees' outputs."""
-    a_runs = list(_results(_load_main(a_src), (1,)))
-    b_runs = list(_results(_load_main(b_src), (1,)))
+    a_runs = list(_results(_load_main(a_src)))
+    b_runs = list(_results(_load_main(b_src)))
     changed, worst = 0, (0.0, "")
-    for (case_id, _, a), (_, _, b) in zip(a_runs, b_runs):
+    for (case_id, a), (_, b) in zip(a_runs, b_runs):
         a_out, b_out = _outputs(a), _outputs(b)
         for name in sorted(a_out.keys() | b_out.keys()):
             a_skel, a_vals = _numbers(name, a_out.get(name, ""))
@@ -214,10 +215,10 @@ def main(argv) -> int:
         return 1
     cli_main = _load_main(argv[0])
     total = hashlib.sha256()
-    for case_id, workers, result in _results(cli_main, (1, 2)):
+    for case_id, result in _results(cli_main):
         digest = _digest(result)
         total.update(digest.encode())
-        print(f"{digest}  {case_id} --workers {workers}")
+        print(f"{digest}  {case_id}")
     print(f"total {total.hexdigest()[:16]}")
     return 0
 

@@ -23,6 +23,7 @@ from hrtwist import (
 )
 from hrtwist import RandomStream, estimators
 from hrtwist.estimators import EstimateResult
+from hrtwist.solver import log_weight
 from hrtwist.streams import uniforms_from_words
 
 from conftest import WB_PAIR_TAIL_55DB, lognormal_pair, random_component, weibull_pair
@@ -466,8 +467,7 @@ class TestChunkMemory:
         sample_count=4096, hit_frequency=4096,
         second_moment_weight=0.6170263418893602, std_error=0.01226923367863345,
         second_moment_std_error=0.4264214103726894,
-        theta_used=0.5, max_log_weight_hit=3.5648507182873956,
-        min_hazard_sum_hit=81.5931376750982)
+        theta_used=0.5, min_hazard_sum_hit=81.5931376750982)
     # the weights go through numpy's exp, whose last bits depend on the SIMD
     # path it dispatches to: with AVX-512 disabled, the float fields of
     # ALL_HITS come out up to 2 ulps off, which this bound covers
@@ -538,10 +538,10 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     hits = x.sum(axis=1) > problem.gamma
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
-        return 0.0, 0.0, 0.0, 0, -np.inf, np.inf
+        return 0.0, 0.0, 0.0, 0, np.inf
     log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
-    t, *sums = _fsum_weighs(log_w)
-    return (*sums, n_hits, t, float(np.min(hazard_sum[hits])))
+    _, *sums = _fsum_weighs(log_w)
+    return (*sums, n_hits, float(np.min(hazard_sum[hits])))
 
 
 def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
@@ -568,8 +568,9 @@ SUM_ULPS = 28
 
 
 def _assert_chunk_matches(c, r):
-    """Chunk tuples (s_1, s_2, s_4, hits, t, min hazard sum): all but the
-    sums equal, and each sum within SUM_ULPS of the reference's."""
+    """Chunk tuples (s_1, s_2, s_4, hits, min hazard sum): all but the sums
+    equal, and each sum within SUM_ULPS of the reference's, which are
+    shifted by the largest log weight."""
     assert c[3:] == r[3:], (c, r)
     for x, y in zip(c[:3], r[:3]):
         assert abs(x - y) <= SUM_ULPS * math.ulp(y), (c, r)
@@ -577,8 +578,8 @@ def _assert_chunk_matches(c, r):
 
 class TestSurvivalCut:
     def test_bit_identical_to_full_inversion(self, monkeypatch):
-        # the hits, each chunk's top and least hazard sum keep their bits;
-        # the shifted sums lie within SUM_ULPS of fsum's
+        # the hits and each chunk's least hazard sum keep their bits; the
+        # sums, shifted by the top, lie within SUM_ULPS of fsum's
         # gamma from below the median (nearly every row kept) to deep tails
         rng = np.random.default_rng(2026)
         half = estimators.CHUNK_SIZE // 2  # the cases span one to four chunks
@@ -604,7 +605,7 @@ class TestSurvivalCut:
                 weibull_pair(55.0), weibull_pair(62.0),  # weights below e^-760
                 SumProblem.from_db([Weibull(0.5, 3.0)] * 2, 30.0),
                 # distinct cut words: of naive MC's three chunks here, the
-                # ragged last returns at the max and the second keeps no row
+                # second keeps no row
                 SumProblem.from_db([wb, Weibull(0.5, 3.0)], 28.0),
                 SumProblem.from_db([wb], 20.0),  # N = 1
                 SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 25.0),
@@ -614,9 +615,9 @@ class TestSurvivalCut:
         # the least and largest log weight of each chunk the core weighs
         spans, weight_sums = [], estimators._weight_sums
 
-        def spy(log_w):
+        def spy(log_w, t):
             spans.append((log_w.min(), log_w.max()))
-            return weight_sums(log_w)
+            return weight_sums(log_w, t)
 
         monkeypatch.setattr(estimators, "_weight_sums", spy)
         core = _equal_to_full_inversion(monkeypatch, cases)
@@ -642,21 +643,6 @@ def _float_cut(theta, cut, words):
     return np.log1p(-uniforms_from_words(words)) / (1.0 - theta) < cut
 
 
-class _NoCompare(np.ndarray):
-    """Words on which any ufunc but a max over the whole array, and
-    `compress`, fail the test."""
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if (ufunc, method) != (np.maximum, "reduce"):
-            raise AssertionError(f"{ufunc.__name__}.{method} on the words")
-        inputs = [x.view(np.ndarray) if isinstance(x, _NoCompare) else x
-                  for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-    def compress(self, *args, **kwargs):
-        raise AssertionError("compress on the words")
-
-
 class _Words:
     """A stream of given words."""
 
@@ -674,36 +660,9 @@ class _Words:
 DISTINCT_PAIR = SumProblem.from_db([Weibull(0.5, 1.0), Weibull(0.5, 3.0)], 28.0)
 
 
-class _BlockMaxes(np.ndarray):
-    """Words that record, in `taken`, the rows of every block whose max over
-    all its words is taken."""
-
-    taken: list = []
-
-    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
-        if (ufunc, method) == (np.maximum, "reduce") and kwargs.get("axis") is None:
-            self.taken.append(inputs[0].shape[0])
-        inputs = [x.view(np.ndarray) if isinstance(x, _BlockMaxes) else x
-                  for x in inputs]
-        return getattr(ufunc, method)(*inputs, **kwargs)
-
-
-def _block_maxes(monkeypatch):
-    """Have every run's words record their block maxes; return the list of
-    the rows of each block whose max is taken."""
-    words_at, taken = RandomStream.words_at, []
-
-    def spy(self, offset, count):
-        return words_at(self, offset, count).view(_BlockMaxes)
-
-    monkeypatch.setattr(RandomStream, "words_at", spy)
-    monkeypatch.setattr(_BlockMaxes, "taken", taken)
-    return taken
-
-
 class TestEmptyChunk:
     # naive MC of a deep threshold: a chunk of 2^16 rows expects 0.45,
-    # 2.5e-5 and 8.5e-5 kept rows, so each takes the max first
+    # 2.5e-5 and 8.5e-5 kept rows
     @pytest.mark.parametrize("problem", [
         lognormal_pair(30.0), weibull_pair(30.0),
         SumProblem.from_db(DISTINCT_PAIR.components, 34.0)],
@@ -712,15 +671,13 @@ class TestEmptyChunk:
         m = estimators.CHUNK_SIZE
         cut = estimators._run_constants(problem, 0.0, m)
         assert cut and all(w > 0 for w in cut[0])
-        assert estimators._expected_kept(cut[0], m) < estimators._SCAN_BELOW
         below = min(cut[0]) - 1
 
         class Stream:
-            """Every word just below the least cut word, and open to no
-            test but the pass's max."""
+            """Every word just below the least cut word."""
 
             def words_at(self, offset, count):
-                return np.full(count, below, dtype=np.uint64).view(_NoCompare)
+                return np.full(count, below, dtype=np.uint64)
 
         def no_call(*args):
             raise AssertionError("an empty chunk did work")
@@ -731,39 +688,7 @@ class TestEmptyChunk:
         # a full chunk and a ragged one
         for stop in (m, m - 3):
             stats = estimators._pass_stats(problem, 0.0, cut, Stream(), 0, stop)
-            assert stats == (0.0, 0.0, 0.0, 0, -math.inf, math.inf)
-
-    def test_max_first_only_where_a_pass_likely_keeps_none(self, monkeypatch):
-        size = estimators.CHUNK_SIZE
-        taken = _block_maxes(monkeypatch)
-        # IS at theta* keeps rows in every pass and never takes the max
-        for problem in (weibull_pair(30.0), lognormal_pair(30.0), DISTINCT_PAIR,
-                        SumProblem.from_db(DISTINCT_PAIR.components, 34.0)):
-            r = is_estimate(problem, solve_pprime(problem).theta_star, 2 * size + 5, 1)
-            assert r.hit_frequency > 0 and taken == []
-        # two chunks: each column of naive MC passes the edge 500 with
-        # probability e^-22.4, so both take the max
-        assert naive_mc(weibull_pair(30.0), 2 * size, 1).hit_frequency == 0
-        assert taken == [size, size]
-        taken.clear()
-        # naive MC of DISTINCT_PAIR expects 2.3 kept rows in a chunk of 2^16
-        # rows, and 0.29 in its ragged last chunk of an eighth of that: only
-        # that chunk takes the max
-        naive_mc(DISTINCT_PAIR, size + size // 8, 1)
-        assert taken == [size // 8]
-
-    @pytest.mark.parametrize("problem", [
-        SumProblem.from_db([Lognormal.from_db(0.0, 6.0)], 20.0), weibull_pair(20.0),
-        DISTINCT_PAIR], ids=["one", "identical", "distinct"])
-    def test_expected_kept_bounds_the_kept_rows(self, problem):
-        m = estimators.CHUNK_SIZE
-        for theta in (0.0, solve_pprime(problem).theta_star):
-            expected = estimators._expected_kept(
-                estimators._run_constants(problem, theta, m)[0], m)
-            kept = _kept_rows(problem, theta, m, 5)
-            assert kept <= expected + 5.0 * math.sqrt(expected) + 1.0
-            if problem.n == 1:  # no union to bound: the mean itself
-                assert kept >= expected - 5.0 * math.sqrt(expected) - 1.0
+            assert stats == (0.0, 0.0, 0.0, 0, math.inf)
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
@@ -817,20 +742,19 @@ class TestWeights:
             cuts = np.sort(rng.integers(0, log_w.size + 1, 5))
             for a, b in [(0, log_w.size), *itertools.pairwise([0, *cuts, log_w.size])]:
                 if b > a:  # a chunk without hits is never weighed
-                    t, *sums = estimators._weight_sums(log_w[a:b].copy())
-                    ref_t, *ref = _fsum_weighs(log_w[a:b])
-                    assert t == ref_t
-                    for got, want in zip(sums, ref):
+                    t, *ref = _fsum_weighs(log_w[a:b])
+                    sums = estimators._weight_sums(log_w[a:b].copy(), t)
+                    for got, want in zip(sums, ref, strict=True):
                         assert abs(got - want) <= SUM_ULPS * math.ulp(want)
 
     def test_each_chunk_shifted_by_its_own_top(self):
         # a top near e^-700 and one at e^-10 each scale their own chunk; in
         # the second the row 695 below its top adds less than half an ulp
-        first, second = (estimators._weight_sums(np.array(log_w))
+        first, second = (estimators._weight_sums(np.array(log_w), log_w[0])
                          for log_w in ([-699.5, -705.0], [-10.0, -705.0]))
         e = float(np.exp(np.array([0.0, -5.5]))[1])  # numpy's exp, as the core's
-        assert first == (-699.5, 1.0 + e, 1.0 + e * e, 1.0 + (e * e) ** 2)
-        assert second == (-10.0, 1.0, 1.0, 1.0)
+        assert first == (1.0 + e, 1.0 + e * e, 1.0 + (e * e) ** 2)
+        assert second == (1.0, 1.0, 1.0)
 
     def test_no_exp_or_product_is_subnormal(self, monkeypatch):
         # the Weibull(0.5, 1) pair at 55 dB, theta*: shifted log weights run
@@ -841,19 +765,19 @@ class TestWeights:
         cut = estimators._run_constants(problem, theta, estimators.CHUNK_SIZE)
         seen, weight_sums = [], estimators._weight_sums
 
-        def capture(log_w):
-            seen.append(log_w.copy())
-            return weight_sums(log_w)
+        def capture(log_w, t):
+            seen.append((log_w.copy(), t))
+            return weight_sums(log_w, t)
 
         monkeypatch.setattr(estimators, "_weight_sums", capture)
         estimators._pass_stats(problem, theta, cut, RandomStream(1), 0,
                                estimators.CHUNK_SIZE)
-        log_w, = seen
-        shifted = log_w - log_w.max()
+        (log_w, t), = seen
+        shifted = log_w - t
         for k in (1, 2, 4):
             assert _subnormal(np.exp(k * shifted)).any()
-        sums = weight_sums(log_w.copy().view(_NormalOnly))
-        assert sums == weight_sums(log_w)
+        sums = weight_sums(log_w.copy().view(_NormalOnly), t)
+        assert sums == weight_sums(log_w, t)
 
     def test_deep_tail_std_error_is_positive(self):
         # the Weibull(0.5, 1) pair at theta*: w^2 underflows from 51.5 dB
@@ -966,7 +890,7 @@ class TestWordCut:
             assert r == EstimateResult(
                 alpha_hat=0.0, log_alpha_hat=-math.inf, sample_count=m, hit_frequency=0,
                 second_moment_weight=0.0, std_error=0.0, second_moment_std_error=0.0,
-                theta_used=theta, max_log_weight_hit=-math.inf, min_hazard_sum_hit=math.inf)
+                theta_used=theta, min_hazard_sum_hit=math.inf)
 
 
 def _equal_to_full_inversion(monkeypatch, cases):
@@ -994,8 +918,8 @@ def _equal_to_full_inversion(monkeypatch, cases):
     for key, stats in core_chunks.items():
         _assert_chunk_matches(stats, reference_chunks[key])
     for c, r in zip(core, reference, strict=True):
-        assert (c.hit_frequency, c.max_log_weight_hit, c.min_hazard_sum_hit) == (
-            r.hit_frequency, r.max_log_weight_hit, r.min_hazard_sum_hit)
+        assert (c.hit_frequency, c.min_hazard_sum_hit) == (
+            r.hit_frequency, r.min_hazard_sum_hit)
     return core
 
 
@@ -1160,9 +1084,9 @@ class TestBoundCertificate:
         for problem in (weibull_pair(20.0), lognormal_pair(20.0)):
             sol = solve_pprime(problem)
             r = is_estimate(problem, sol.theta_star, 200_000, 31)
-            cert = (-problem.n * math.log1p(-sol.theta_star)
-                    - sol.theta_star * sol.objective)
-            assert r.max_log_weight_hit <= cert + 1e-12
+            cert = log_weight(sol.theta_star, sol.objective, problem.n)
+            assert (log_weight(sol.theta_star, r.min_hazard_sum_hit, problem.n)
+                    <= cert + 1e-12)
             assert r.min_hazard_sum_hit >= sol.objective - 1e-9
 
     def test_empirical_second_moment_below_bound(self):
@@ -1176,17 +1100,25 @@ class TestBoundCertificate:
         SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0),
         SumProblem.from_db([LN6] * 3, 15.0)],
         ids=["weibull", "lognormal", "mixed", "lognormal-3"])
-    def test_hit_extremes_are_one_statistic(self, problem):
+    def test_hit_extremes_are_one_statistic(self, monkeypatch, problem):
         # a log weight is -N log1p(-theta) - theta * its hazard sum, rounded
-        # monotonely, so the largest log weight of a run's hits is that of
-        # its least hazard sum, bit for bit
+        # monotonely, so each chunk's shift, the log weight of its least
+        # hazard sum, is its largest log weight, bit for bit
         m = 3 * estimators.CHUNK_SIZE + 5
+        shifts, weight_sums = [], estimators._weight_sums
+
+        def spy(log_w, t):
+            shifts.append((t, float(log_w.max())))
+            return weight_sums(log_w, t)
+
+        monkeypatch.setattr(estimators, "_weight_sums", spy)
         for theta in (0.0, 0.5, solve_pprime(problem).theta_star, 0.9):
             for workers in (1, 2):
+                shifts.clear()
                 r = is_estimate(problem, theta, m, 12, workers=workers)
-                assert r.hit_frequency > 0
-                assert r.max_log_weight_hit == (
-                    -problem.n * math.log1p(-theta) - theta * r.min_hazard_sum_hit)
+                assert r.hit_frequency > 0 and shifts
+                for t, top in shifts:
+                    assert t.hex() == top.hex()
 
 
 class TestOptimalityRatio:

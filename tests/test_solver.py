@@ -96,6 +96,27 @@ class TestSecondMomentBound:
         with pytest.raises(ParameterError):
             second_moment_bound(1.0, 5.0, 1)
 
+    def test_is_the_squared_weight_at_a(self):
+        # one weight formula: the bound is exp(2 log_weight(theta, A, N)),
+        # with the bits of the doubled expression, since doubling is exact
+        def exp_or_inf(x):
+            try:
+                return math.exp(x)
+            except OverflowError:
+                return math.inf
+
+        seen = set()
+        for theta in (0.0, 1e-12, 0.1378, 0.5, 0.8, 0.99, 1 - 1e-12):
+            for a in (0.0, 0.5, 10.0, 1e3, 1e6, 1e12):
+                for n in (1, 2, 3, 64, 1024):
+                    bound = second_moment_bound(theta, a, n)
+                    assert bound == exp_or_inf(2.0 * solver.log_weight(theta, a, n))
+                    assert bound == exp_or_inf(
+                        -2.0 * n * math.log1p(-theta) - 2.0 * theta * a)
+                    seen.add(0.0 if bound == 0.0 else math.inf if bound == math.inf
+                             else 1.0)
+        assert seen == {0.0, 1.0, math.inf}
+
     def test_power_past_the_float_range_is_inf(self):
         # 0.7^-2048 is e^730, and the bound e^724.5: past the largest float
         assert second_moment_bound(0.3, 10.0, 1024) == math.inf
@@ -488,9 +509,3 @@ class TestSerialization:
         assert a == b
         assert hash(a) == hash(b)
         assert len({a, b}) == 1
-
-    def test_solution_to_dict(self):
-        d = solve_pprime(weibull_pair(20.0)).to_dict()
-        assert d["theta_star"] == pytest.approx(0.8, rel=1e-9)
-        assert isinstance(d["x_star"], list)
-        assert d["clamped"] is False
