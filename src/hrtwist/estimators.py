@@ -7,10 +7,11 @@ or past its component's survival cut (`_run_constants`) are kept; the rest
 are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
-weight needs only the hazard sum, which takes no quantile.  So a sum with
-a lognormal law brackets every kept row from a per-run table of each
-law's quantiles, and only rows near gamma are inverted exactly; a sum of
-Weibull laws alone gets no table and inverts every kept row.
+weight needs only the hazard sum, which takes no quantile.  So one column
+loop forms each log survival once on every kept row, for the hazard sum,
+and inverts it only on the open rows: those that a per-run table of each
+law's quantiles leaves near gamma, on a sum with a lognormal law, and
+every kept row of a sum of Weibull laws alone, which gets no table.
 `_quantile_tables` makes that choice; `_pass_stats` says why, and why
 each of its steps over a pass's rows earns its keep.
 
@@ -31,13 +32,13 @@ row fit within MAX_WORDS, at most CHUNK_SIZE: 2^16 rows up to N = 512 and
 2^15 above it (`_chunk_rows`).  It depends on N alone, never on the
 worker count, and it is both the unit of work and the unit of the merge:
 one call of `_pass_stats`, a pass, draws, compares and compresses,
-inverts, sums hazards and weighs one chunk, and returns its sums.  The
-run merges them in chunk order, so results are bit-identical for any
-worker count.  Every numpy call releases and retakes the GIL, and a pass
-takes about 80 of them, so the chunk is as large as the word bound lets
-it be.  A run uses min(workers, its chunks, MAX_WORDS // (rows N))
-threads, one chunk each at a time, so the words it draws at once stay
-within MAX_WORDS, 256 MiB, up to N = MAX_COMPONENTS.
+brackets, takes its one column loop and weighs one chunk, and returns its
+sums.  The run merges them in chunk order, so results are bit-identical
+for any worker count.  Every numpy call releases and retakes the GIL, and
+a pass on a lognormal pair takes about 70 of them, so the chunk is as
+large as the word bound lets it be.  A run uses min(workers, its chunks,
+MAX_WORDS // (rows N)) threads, one chunk each at a time, so the words it
+draws at once stay within MAX_WORDS, 256 MiB, up to N = MAX_COMPONENTS.
 
 Every run takes its passes through `_map_on_threads`, at any thread
 count: the caller and T - 1 helper threads that the call starts and
@@ -116,17 +117,15 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
 
 def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
                 stream: RandomStream, start: int, stop: int) -> tuple:
-    """Hit moments of the chunk of samples [start, stop), in one pass.
-
-    The pass draws the chunk once, compares and compresses it once, and
-    brackets, inverts, sums hazards and weighs its rows once.  It returns
+    """Hit moments of the chunk of samples [start, stop), in one pass:
     (s_1, s_2, s_4, hit count, min hazard sum), s_k the sum of w^k / e^(k t)
-    with t the log weight of the min hazard sum (`_weight_sums`), or
-    _NO_HITS.
+    with t the log weight of the min hazard sum (`_weight_sums`), or _NO_HITS.
 
-    `cut` is `_run_constants`: each cut word with its columns, and the
-    shift and tables of `_quantile_tables`.  A pass that keeps no row
-    after the compares returns before it takes a log or a quantile.
+    One flow for every sum: draw the chunk, keep the rows that pass the
+    cut words of `cut` (`_run_constants`, with the shift and tables of
+    `_quantile_tables`), bracket them where the sum has tables, take one
+    loop over the columns, then weigh the hits.  A pass that keeps no row
+    returns before it takes a log or a quantile.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -134,21 +133,27 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     bracketed first: every column adds the values at its bucket's two
     edges (bucket word >> shift) to lo and hi.  lo > gamma (1 + 1e-9) is a
     sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in
-    between are inverted: 0.10-0.15 % of the kept rows of a lognormal pair
-    at theta* and M = 10^6 (10-46 dB).  The margins dwarf the rounding of
-    an N-term sum and any float step against the quantile's monotony, so
-    the hits are those of exact inversion.  The hazard sums are then taken
-    on the hits alone, column by column, so each weight keeps its bits.
+    between are left open: 0.10-0.15 % of the kept rows of a lognormal
+    pair at theta* and M = 10^6 (10-46 dB).  The margins dwarf the
+    rounding of an N-term sum and any float step against the quantile's
+    monotony, so the hits are those of exact inversion.
 
     A sum of Weibull laws alone has no table: their quantile is one power,
     about as cheap as a bucket's shift, two gathers and two adds, and
     tabling the Weibull(0.5, 1) pair made its runs slower end to end.  So
-    there every kept row is inverted, and each column's log survival,
-    formed once, feeds both its quantile and the hazard sum.
+    there every kept row is open, a slice that copies nothing.
 
-    Rows are selected with `ndarray.compress`, not a boolean mask: with
-    numpy 2.4 on a 2-core Xeon, 14,000 rows take about 100 us by mask and
-    25 us by compress.
+    The column loop forms each column's log survival once on every kept
+    row, subtracts it into the hazard sum and adds its quantile to the
+    exact sum of the open rows; an open row hits iff that sum passes gamma.
+    The hazard sums are then compressed to the hits, so a table decides
+    only which rows are inverted exactly.  The log survivals of sure
+    misses, about a quarter of the kept rows of a lognormal pair at
+    theta*, are dropped, but no hit's words are copied and no log survival
+    is formed twice.
+
+    Rows are selected with `ndarray.compress`, not a boolean mask: 14,000
+    rows take about 25 us by compress, 100 us by mask (numpy 2.4, 2-core Xeon).
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -182,24 +187,18 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
             lo += np.take(table[:-1], bucket)
             hi += np.take(table[1:], bucket)
         hits = lo > gamma * (1.0 + 1e-9)
-        near = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
-        total = np.zeros(near.size)
-        for i, comp in enumerate(problem.components):
-            total += comp.quantile_from_log_sf(_log_sf(raw[near, i], theta))
-        hits[near] = total > gamma
-        if not hits.all():
-            raw = raw.compress(hits, axis=0)
-        hazard_sum = np.zeros(raw.shape[0])
-        for i in range(n):
-            hazard_sum -= _log_sf(raw[:, i], theta)
+        open_rows = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
+        total = np.zeros(open_rows.size)
     else:
+        hits, open_rows = np.zeros(raw.shape[0], dtype=bool), slice(None)
         total = np.zeros(raw.shape[0])
-        hazard_sum = np.zeros(raw.shape[0])
-        for i, comp in enumerate(problem.components):
-            log_sf = _log_sf(raw[:, i], theta)
-            total += comp.quantile_from_log_sf(log_sf)
-            hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-        hazard_sum = hazard_sum.compress(total > gamma)
+    hazard_sum = np.zeros(raw.shape[0])
+    for i, comp in enumerate(problem.components):
+        log_sf = _log_sf(raw[:, i], theta)
+        hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
+        total += comp.quantile_from_log_sf(log_sf[open_rows])
+    hits[open_rows] = total > gamma
+    hazard_sum = hazard_sum.compress(hits)
     if hazard_sum.size == 0:
         return _NO_HITS
     min_hs = float(hazard_sum.min())

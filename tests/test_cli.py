@@ -425,7 +425,7 @@ def test_module_entry_point_runs_main(tmp_path):
     assert proc.stderr.startswith("config error: ")
 
 
-def test_digest_tool_runs_both_modes():
+def test_digest_tool_runs_each_case_once():
     # tests/outputs_digest.py, run in a fresh interpreter on its first case
     # alone: one digest line for the case, then the total line; the values
     # mode on one tree finds no number that differs

@@ -923,14 +923,59 @@ def _equal_to_full_inversion(monkeypatch, cases):
     return core
 
 
-def _kept_rows(problem, theta, m, seed):
+def _kept_words(problem, theta, m, seed):
     """Rows of stream 0 of seed that pass the run's word cut."""
     words = RandomStream(seed).words_at(0, problem.n * m).reshape(-1, problem.n)
     keep = np.zeros(m, dtype=bool)
     for w, cols in estimators._run_constants(problem, theta, m)[0].items():
         for i in cols:
             keep |= words[:, i] >= w
-    return int(np.count_nonzero(keep))
+    return words[keep]
+
+
+def _kept_rows(problem, theta, m, seed):
+    return len(_kept_words(problem, theta, m, seed))
+
+
+def _open_rows(problem, theta, m, seed):
+    """Kept rows of stream 0 of seed that the run's tables leave undecided,
+    or every kept row of a sum without tables."""
+    words = _kept_words(problem, theta, m, seed)
+    _, shift, tables = estimators._run_constants(problem, theta, m)
+    if not tables:
+        return len(words)
+    bucket = (words >> shift).astype(np.intp)
+    lo = sum(tables[c][bucket[:, i]] for i, c in enumerate(problem.components))
+    hi = sum(tables[c][bucket[:, i] + 1] for i, c in enumerate(problem.components))
+    gamma = problem.gamma
+    return int(np.count_nonzero(
+        (lo <= gamma * (1.0 + 1e-9)) & (hi > gamma * (1.0 - 1e-9))))
+
+
+def _column_calls(monkeypatch):
+    """Per pass of a run, the sizes of the arrays given to `_log_sf` and to
+    any law's quantile_from_log_sf, call by call.  The calls before the
+    first pass build the run's cut and tables and are not counted."""
+    passes = []
+
+    def spy(inner, key, arg):
+        def call(*args):
+            if passes:
+                passes[-1][key].append(np.size(args[arg]))
+            return inner(*args)
+        return call
+
+    def pass_spy(*args):
+        passes.append({"log_sf": [], "quantile": []})
+        return inner_pass(*args)
+
+    inner_pass = estimators._pass_stats
+    monkeypatch.setattr(estimators, "_pass_stats", pass_spy)
+    monkeypatch.setattr(estimators, "_log_sf", spy(estimators._log_sf, "log_sf", 0))
+    for cls in (Lognormal, Weibull):
+        monkeypatch.setattr(cls, "quantile_from_log_sf",
+                            spy(cls.quantile_from_log_sf, "quantile", 1))
+    return passes
 
 
 def _count_quantile_values(monkeypatch, cls):
@@ -988,6 +1033,30 @@ class TestQuantileTable:
         # and a ragged second
         assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
         assert len(sizes) == 1 + 64 * 2
+
+    @pytest.mark.parametrize("problem", [
+        lognormal_pair(30.0),
+        SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0),
+        weibull_pair(20.0)], ids=["lognormal", "mixed", "weibull"])
+    def test_one_column_loop_per_pass(self, monkeypatch, problem):
+        # each column's log survival is formed once a pass, on every kept
+        # row, and inverted on the open rows alone
+        theta = solve_pprime(problem).theta_star
+        m = 2 * estimators.CHUNK_SIZE + 11  # three chunks, the last ragged
+        kept = _kept_rows(problem, theta, m, 5)
+        opened = _open_rows(problem, theta, m, 5)
+        passes = _column_calls(monkeypatch)
+        is_estimate(problem, theta, m, 5)
+        assert len(passes) == 3
+        for calls in passes:
+            assert len(calls["log_sf"]) == problem.n
+            assert len(set(calls["log_sf"])) == 1
+            assert len(calls["quantile"]) == problem.n
+            assert len(set(calls["quantile"])) == 1
+        assert sum(sum(c["log_sf"]) for c in passes) == problem.n * kept
+        assert sum(sum(c["quantile"]) for c in passes) == problem.n * opened
+        if any(law.family == "lognormal" for law in problem.laws):
+            assert opened <= 0.02 * kept
 
     def test_weibull_pair_builds_no_table(self, monkeypatch):
         problem = weibull_pair(20.0)
