@@ -1,4 +1,5 @@
 import argparse
+import ast
 import functools
 import json
 import math
@@ -137,6 +138,38 @@ def readme_block(language):
     return block
 
 
+def readme_section(readme, title):
+    """The entries of the README's `## title` list, one string each."""
+    section = readme.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+    return re.findall(r"^- .*?(?=^- |\Z)", section, re.M | re.S)
+
+
+def test_readme_references_resolve():
+    # a renamed test or a moved file fails here, rather than leave a
+    # guarantee or a limit that points nowhere
+    root = Path(__file__).parents[1]
+    readme = (root / "README.md").read_text("utf-8")
+    prose = re.sub(r"```.*?```", "", readme, flags=re.S)
+    cited = re.findall(r"`([^`\s]+)`", prose)
+    test_ids = [c for c in cited if re.fullmatch(r"tests/\w+\.py(::\w+)+", c)]
+    paths = {c.split("::")[0] for c in cited
+             if "/" in c or re.fullmatch(r"[A-Z]+\.md|BENCH_\d+\.json", c)}
+    assert {"CHANGES.md", "tests/DIGEST", "src/hrtwist/estimators.py"} <= paths
+    assert [p for p in sorted(paths) if not (root / p).exists()] == []
+    for test_id in test_ids:
+        path, *names = test_id.split("::")
+        scope = ast.parse((root / path).read_text("utf-8")).body
+        for name in names:  # a class, then its method; or a function
+            node = next((node for node in scope if isinstance(
+                node, (ast.ClassDef, ast.FunctionDef)) and node.name == name), None)
+            assert node is not None, test_id
+            scope = node.body
+    for entry in readme_section(readme, "Guarantees"):
+        assert re.search(r"`tests/\w+\.py::\w+", entry), entry
+    for entry in readme_section(readme, "Limits"):
+        assert any(f"`{p}" in entry for p in paths), entry
+
+
 def test_readme_library_example_runs(capsys):
     names = {}
     exec(readme_block("python"), names)
@@ -228,6 +261,9 @@ class TestExitCodes:
                                    "scale": 1.0, "count": 1000},
                                   {"family": "lognormal", "mu": 0.0,
                                    "sigma": 1.0, "count": 25}]}),
+        ("solve", {"components": [{"family": "weibull", "shape": 0.5,
+                                   "scale": 1.0, "count": 0}]}),
+        ("ccdf", {"thresholds_db": []}),
     ], ids=["theta-override-1", "theta-override-negative", "linear-zero",
             "weibull-shape-1.5", "theta-grid-1.2", "threshold-4000dB",
             "lognormal-mu-nan", "lognormal-mu-inf", "lognormal-mu-db-nan",
@@ -241,7 +277,7 @@ class TestExitCodes:
             "seed-string", "component-unknown-key", "unknown-key",
             "linear-subnormal", "lognormal-sigma-1e-4", "seed-2^63",
             "seed-below-2^63", "samples-is-1e30", "samples-naive-2^62",
-            "components-past-1024"])
+            "components-past-1024", "count-0", "thresholds-empty"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
         raw = {**WB_PAIR, "samples_is": 100, "samples_naive": 100, **change}
         assert run(tmp_path, command, raw)[0] == 1

@@ -456,13 +456,17 @@ class TestFindRoot:
         with pytest.raises(ParameterError, match="NaN"):
             find_root(lambda x: x - 0.5, 0.0, 1.0, 1e-12, f_lo=math.nan)
 
-    @pytest.mark.parametrize("f, match", [
-        (lambda x: x * x + 1.0, "no sign change"),
-        (lambda x: math.nan if x > 0.5 else x - 0.7, "NaN"),
-    ], ids=["no-sign-change", "nan"])
-    def test_failures_raise(self, f, match):
+    @pytest.mark.parametrize("f, lo, hi, xtol, match", [
+        (lambda x: x * x + 1.0, 0.0, 1.0, 1e-12, "no sign change"),
+        (lambda x: math.nan if x > 0.5 else x - 0.7, 0.0, 1.0, 1e-12, "NaN"),
+        # a step at 1e-300 in a bracket of width 2e300 takes more than
+        # 100 halvings to reach xtol
+        (lambda x: -1.0 if x < 1e-300 else 1.0, -1e300, 1e300, 1e-320,
+         "did not converge in 100 steps"),
+    ], ids=["no-sign-change", "nan", "no-convergence"])
+    def test_failures_raise(self, f, lo, hi, xtol, match):
         with pytest.raises(ParameterError, match=match):
-            find_root(f, 0.0, 1.0, 1e-12)
+            find_root(f, lo, hi, xtol)
 
 
 class TestRefinementReusesScan:
