@@ -160,16 +160,13 @@ def _fmt(x) -> str:
     return format(float(x), ".12e")
 
 
-def _write_csv(path: Path, cfg: ExperimentConfig, header: str,
-               rows: list[tuple], extra_meta: dict | None = None):
+def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]):
     lines = [
         f"# tool=hrtwist {__version__}",
         f"# config_sha256={cfg.config_hash}",
         f"# seed={cfg.seed}",
+        header,
     ]
-    for k, v in (extra_meta or {}).items():
-        lines.append(f"# {k}={v}")
-    lines.append(header)
     for row in rows:
         lines.append(",".join(_fmt(v) for v in row))
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -298,24 +295,17 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
-    """Per threshold, IS second moments against their bound over the grid."""
+    """Per threshold and theta, the IS second moment against its bound
+    (theta_sweep.csv), one row each, in threshold order and then by theta."""
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
-    names = {}
-    for gamma_db, _ in cfg.problems:
-        tag = format(gamma_db, "g").replace("-", "m").replace(".", "p")
-        names.setdefault(f"theta_sweep_{tag}dB.csv", []).append(gamma_db)
-    clashes = [f"{name} (gamma_db {', '.join(map(repr, dbs))})"
-               for name, dbs in names.items() if len(dbs) > 1]
-    if clashes:
-        raise ConfigError("thresholds share a sweep file: " + "; ".join(clashes))
-    # with no clash, names holds one file per threshold, in threshold order
+    rows = []
     per_threshold = len(cfg.theta_grid) + 1  # theta* joins the grid
-    for (gamma_db, problem, solution, ids), name in zip(_solved(cfg, per_threshold), names):
-        rows = []
+    for gamma_db, problem, solution, ids in _solved(cfg, per_threshold):
+        theta_star = solution.theta_star
         # the thetas take the threshold's streams in increasing order; theta*
         # on the grid leaves the last stream unused
-        for theta, stream_id in zip(sorted({*cfg.theta_grid, solution.theta_star}), ids):
+        for theta, stream_id in zip(sorted({*cfg.theta_grid, theta_star}), ids):
             r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
                             stream_id=stream_id, workers=workers)
             m2, se = r.second_moment_weight, r.second_moment_std_error
@@ -323,13 +313,11 @@ def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
             if cause is not None:
                 print(f"nan row: {cause}", file=sys.stderr)
                 m2 = se = math.nan
-            rows.append((theta, m2, second_moment_bound(
+            rows.append((gamma_db, theta_star, theta, m2, second_moment_bound(
                 theta, solution.objective, problem.n), se))
-        _write_csv(
-            out_dir / name, cfg,
-            "theta,second_moment_empirical,second_moment_bound,std_error", rows,
-            extra_meta={"gamma_db": format(gamma_db, "g"),
-                        "theta_star": format(solution.theta_star, ".12e")})
+    _write_csv(out_dir / "theta_sweep.csv", cfg,
+               "gamma_db,theta_star,theta,second_moment_empirical,"
+               "second_moment_bound,std_error", rows)
     return 0
 
 

@@ -6,13 +6,13 @@ in the far tail: survival-related quantities are computed in log space so
 that no intermediate ever forms ``1 - F(x)`` directly.
 
 Only the log-normal family needs special functions, scipy's ``log_ndtr``
-and ``ndtri_exp``.  Loading ``scipy.special`` takes about 0.25 s, half of
-the CLI's start-up, so `_special` imports it on the first log-normal
-evaluation, not at import, and a run whose laws are all Weibull never
-loads scipy.  A config with a log-normal law loads it while it is parsed,
-where the law's concavity onset is checked.  Each lazy value here, the
-module and each sigma's hazard-rate peak, is made once under
-`functools.cache` and kept for the life of the process.
+and ``ndtri_exp``.  Loading ``scipy.special`` costs about as much as the
+rest of the CLI's start-up, so `_special` imports it on the first
+log-normal evaluation, not at import, and a run whose laws are all
+Weibull never loads scipy.  A config with a log-normal law loads it
+while it is parsed, where the law's concavity onset is checked.  Each
+lazy value here, the module and each sigma's hazard-rate peak, is made
+once under `functools.cache` and kept for the life of the process.
 """
 from __future__ import annotations
 
@@ -109,6 +109,31 @@ class Distribution:
         return np.where(x == 0.0, 0.0, out)
 
 
+def _ratio(x, scale):
+    """x / scale, and its log where that quotient leaves the float range.
+
+    Returns (t, out, log_t).  `out` marks the x whose quotient is 0 or inf,
+    and there t is 1 and log_t is log x - log scale; when it marks none,
+    `out` and log_t are None.  So the quotient keeps its bits wherever it
+    is finite and positive, as `Lognormal.log_pdf` keeps its product's.
+    """
+    with np.errstate(over="ignore"):
+        t = x / scale
+    inside = (t > 0.0) & (t < np.inf)
+    if inside.all():
+        return t, None, None
+    return np.where(inside, t, 1.0), ~inside, np.log(x) - np.log(scale)
+
+
+def _power(t, out, log_t, p):
+    """(x / scale)^p from `_ratio`: exp(p log_t) where `out` marks, which is
+    inf or 0 only where the power itself leaves the float range."""
+    if out is None:
+        return t ** p
+    with np.errstate(over="ignore"):
+        return np.where(out, np.exp(p * log_t), t ** p)
+
+
 @dataclass(frozen=True)
 class Weibull(Distribution):
     """Weibull component; subexponential when shape < 1."""
@@ -127,19 +152,17 @@ class Weibull(Distribution):
             raise ParameterError(f"Weibull scale must be positive, got {self.scale}")
 
     def log_pdf(self, x):
-        x = _require_positive(x)
         k, b = self.shape, self.scale
-        t = x / b
-        return np.log(k / b) + (k - 1.0) * np.log(t) - t ** k
+        t, out, log_t = _ratio(_require_positive(x), b)
+        log = np.log(t) if out is None else np.where(out, log_t, np.log(t))
+        return np.log(k / b) + (k - 1.0) * log - _power(t, out, log_t, k)
 
     def log_survival(self, x):
-        x = _require_positive(x)
-        return -((x / self.scale) ** self.shape)
+        return -_power(*_ratio(_require_positive(x), self.scale), self.shape)
 
     def hazard_rate(self, x):
-        x = _require_positive(x)
         k, b = self.shape, self.scale
-        return (k / b) * (x / b) ** (k - 1.0)
+        return (k / b) * _power(*_ratio(_require_positive(x), b), k - 1.0)
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)

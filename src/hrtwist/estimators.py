@@ -44,13 +44,11 @@ Every run takes its passes through `_map_on_threads`, at any thread
 count: the caller and T - 1 helper threads that the call starts and
 joins, so a run of one thread starts none and no thread outlives a run.
 Each thread takes the next pass from one shared iterator until none is
-left.  The caller takes passes rather than wait on them: over 78
-thresholds of a lognormal pair, IS and naive at M = 10^6 on two threads,
-that took a median 2.71 s against 2.98 s for T threads and a waiting
-caller.  The iterator is shared, not split up front with thread k taking
-passes k, k + T, and so on: in a later measurement on the same ladder
-that split took a median 2.72 s against 2.10 s, slower in 12 of 12 rounds
-(runs interleaved in one process, shared 2-core Xeon).
+left.  The caller takes passes rather than wait on them, which measured
+faster than T threads and a waiting caller.  The iterator is shared, not
+split up front with thread k taking passes k, k + T, and so on: a shared
+iterator balances passes of unequal cost, and the split measured slower
+in every round.
 """
 from __future__ import annotations
 
@@ -152,8 +150,8 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     theta*, are dropped, but no hit's words are copied and no log survival
     is formed twice.
 
-    Rows are selected with `ndarray.compress`, not a boolean mask: 14,000
-    rows take about 25 us by compress, 100 us by mask (numpy 2.4, 2-core Xeon).
+    Rows are selected with `ndarray.compress`, not a boolean mask, which
+    measured about four times slower on a chunk's kept rows.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit

@@ -87,12 +87,24 @@ def quantile(dist, u):
     return dist.quantile_from_log_sf(np.log1p(-u))
 
 
+def sweep_rows(out, gamma_db):
+    """The rows of the `theta-sweep` table in `out` at threshold gamma_db,
+    in file order, as their text cells after gamma_db: theta*, theta, the
+    empirical second moment, its bound and its SE."""
+    lines = [line for line in (out / "theta_sweep.csv").read_text().splitlines()
+             if not line.startswith("#")]
+    assert lines[0] == ("gamma_db,theta_star,theta,second_moment_empirical,"
+                        "second_moment_bound,std_error")
+    rows = [line.split(",") for line in lines[1:]]
+    return [row[1:] for row in rows if float(row[0]) == gamma_db]
+
+
 def weibull_pair_sweep(tmp_path, gamma_db, grid, samples, seed):
-    """The `theta-sweep` table of the Weibull(0.5, 1) pair at one threshold.
+    """The `theta-sweep` rows of the Weibull(0.5, 1) pair at one threshold.
 
     Returns the rows (theta, empirical second moment, bound, SE), as
-    floats, and the theta* the file's header reports.  With one threshold
-    the sweep samples on the config seed itself.
+    floats, and the theta* they report.  With one threshold the sweep
+    samples on the config seed itself.
     """
     raw = {"components": [{"family": "weibull", "shape": 0.5, "scale": 1.0,
                            "count": 2}],
@@ -103,10 +115,6 @@ def weibull_pair_sweep(tmp_path, gamma_db, grid, samples, seed):
     out = tmp_path / f"sweep-{gamma_db}"
     assert main(["theta-sweep", "--config", str(config),
                  "--output", str(out)]) == 0
-    (path,) = out.glob("theta_sweep_*.csv")
-    lines = path.read_text().splitlines()
-    header = dict(line[2:].split("=", 1) for line in lines if line.startswith("#"))
-    body = [line for line in lines if not line.startswith("#")]
-    assert body[0] == "theta,second_moment_empirical,second_moment_bound,std_error"
-    rows = [tuple(map(float, line.split(","))) for line in body[1:]]
-    return rows, float(header["theta_star"])
+    rows = sweep_rows(out, gamma_db)
+    (theta_star,) = {row[0] for row in rows}
+    return [tuple(map(float, row[1:])) for row in rows], float(theta_star)

@@ -16,7 +16,7 @@ from hrtwist import cli, estimators
 from hrtwist.cli import (COMMANDS, MAX_COMPONENTS, MAX_WORKERS, ConfigError,
                          ExperimentConfig, main)
 
-from conftest import WB_PAIR_TAIL_20DB
+from conftest import WB_PAIR_TAIL_20DB, sweep_rows
 from outputs_digest import CASES, CONFIGS, run_case
 
 
@@ -642,16 +642,19 @@ class TestEfficiency:
 
 
 class TestThetaSweep:
-    def test_writes_per_threshold_files(self, tmp_path):
-        raw = dict(WB_PAIR, thresholds_db=[20.0], samples_is=5_000,
-                   theta_grid=[0.5, 0.7, 0.9])
+    def test_writes_one_table(self, tmp_path):
+        raw = dict(WB_PAIR, samples_is=5_000, theta_grid=[0.9, 0.5, 0.7])
         code, out = run(tmp_path, "theta-sweep", raw)
         assert code == 0
-        text = (out / "theta_sweep_20dB.csv").read_text()
-        assert "# theta_star=8.000000000000e-01" in text
-        data = [l for l in text.splitlines() if not l.startswith("#")]
-        # grid plus the inserted optimum
-        assert len(data) == 1 + 4
+        assert [p.name for p in out.iterdir()] == ["theta_sweep.csv"]
+        # in threshold order, each threshold's grid plus its theta* by theta
+        assert [float(row[0]) for row in data_rows(out / "theta_sweep.csv")] == [
+            15.0] * 4 + [20.0] * 4
+        for gamma_db in WB_PAIR["thresholds_db"]:
+            rows = sweep_rows(out, gamma_db)
+            thetas = [float(row[1]) for row in rows]
+            assert thetas == sorted({0.5, 0.7, 0.9, float(rows[0][0])})
+        assert {row[0] for row in sweep_rows(out, 20.0)} == {"8.000000000000e-01"}
 
     def test_runs_on_the_requested_workers(self, tmp_path, monkeypatch):
         from hrtwist import cli
@@ -673,9 +676,9 @@ class TestThetaSweep:
                             "--workers", str(workers))
             assert code == 0
             assert seen == [workers] * 6  # two thresholds, grid plus theta*
-            csvs[workers] = {p.name: p.read_bytes()
-                             for p in sorted(out.glob("*.csv"))}
-        assert len(csvs[1]) == 2 and csvs[1] == csvs[2]
+            assert [len(sweep_rows(out, g)) for g in WB_PAIR["thresholds_db"]] == [3, 3]
+            csvs[workers] = (out / "theta_sweep.csv").read_bytes()
+        assert csvs[1] == csvs[2]
 
     def test_seeds_do_not_alias_across_thresholds(self, tmp_path):
         # two configs that a per-threshold seed of seed + 1000003 i would
@@ -688,27 +691,22 @@ class TestThetaSweep:
                        samples_is=2_000, theta_grid=[0.5])
             code, out = run(tmp_path / name, "theta-sweep", raw)
             assert code == 0
-            rows.append(data_rows(out / "theta_sweep_20dB.csv"))
+            rows.append(sweep_rows(out, 20.0))
         assert rows[0] != rows[1]
 
-    @pytest.mark.parametrize("thresholds, clashes", [
-        ([20.0, 20.0000001], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0000001)"]),
-        ([20.0, 20.0], ["theta_sweep_20dB.csv (gamma_db 20.0, 20.0)"]),
-        ([15.0, -1.5, 15.0, -1.5], ["theta_sweep_15dB.csv (gamma_db 15.0, 15.0)",
-                                    "theta_sweep_m1p5dB.csv (gamma_db -1.5, -1.5)"]),
+    @pytest.mark.parametrize("thresholds", [
+        [20.0, 20.0000001], [20.0, 20.0], [15.0, -1.5, 15.0, -1.5],
     ], ids=["rounds-equal", "repeated", "two-pairs"])
-    def test_file_name_clash_is_config_error(self, tmp_path, capsys, monkeypatch,
-                                             thresholds, clashes):
-        from hrtwist import cli
-
-        monkeypatch.setattr(cli, "is_estimate", None)  # nothing is sampled
-        raw = dict(WB_PAIR, thresholds_db=thresholds, theta_grid=[0.5])
+    def test_equal_and_close_thresholds_sweep(self, tmp_path, thresholds):
+        # thresholds that print alike each get their own rows and streams
+        raw = dict(WB_PAIR, thresholds_db=thresholds, samples_is=2_000,
+                   theta_grid=[0.5])
         code, out = run(tmp_path, "theta-sweep", raw)
-        assert code == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: ")
-        assert all(clash in err for clash in clashes)
-        assert not out.exists()
+        assert code == 0
+        rows = data_rows(out / "theta_sweep.csv")
+        # G + 1 rows each: the grid of one theta, and theta*
+        assert [float(row[0]) for row in rows] == [t for t in thresholds for _ in range(2)]
+        assert len({tuple(row[3:]) for row in rows}) == len(rows)
 
 
 class TestValidate:
@@ -755,14 +753,14 @@ class TestValidate:
         assert code == 1
 
 
-def sweep_nan_rows(path):
-    """The rows of a sweep table whose second moment reads nan; every row
-    keeps a finite bound."""
-    rows = data_rows(path)
+def sweep_nan_rows(out, gamma_db):
+    """The sweep rows at gamma_db whose second moment reads nan, as
+    `sweep_rows` gives them; every row keeps a finite bound."""
+    rows = sweep_rows(out, gamma_db)
     for row in rows:
-        assert (row[1] == "nan") == (row[3] == "nan")
-        assert math.isfinite(float(row[2]))  # the bound stays
-    return [row for row in rows if row[1] == "nan"]
+        assert (row[2] == "nan") == (row[4] == "nan")
+        assert math.isfinite(float(row[3]))  # the bound stays
+    return [row for row in rows if row[2] == "nan"]
 
 
 @pytest.mark.parametrize("command", ["ccdf", "validate", "theta-sweep"])
@@ -790,8 +788,8 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
     # the sweep writes the row as nan beside its bound
     if sweep:
         assert notes == [] and printed == ""
-        (row,) = sweep_nan_rows(out / "theta_sweep_20dB.csv")
-        assert row[0] == format(theta, ".12e")
+        (row,) = sweep_nan_rows(out, 20.0)
+        assert row[1] == format(theta, ".12e")
     elif command == "ccdf":
         assert notes == []
         assert printed == "" and not out.exists()
@@ -831,8 +829,8 @@ def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command
         rf"where M\*p_lo={m_p_lo} are expected at the floor .*", last)
     if sweep:
         assert notes == [] and printed == ""
-        (row,) = sweep_nan_rows(out / "theta_sweep_30dB.csv")
-        assert float(row[0]) == 0.0
+        (row,) = sweep_nan_rows(out, 30.0)
+        assert float(row[1]) == 0.0
     elif command == "ccdf":
         assert notes == []
         assert printed == "" and not out.exists()
@@ -868,15 +866,14 @@ def test_large_n_bound_never_fails(tmp_path, capsys, command, law, n, gamma_db, 
         assert sol["second_moment_bound"] == 0.0
         assert "bound=0.000000e+00" in printed
     else:
-        tag = format(gamma_db, "g").replace(".", "p")
-        path = tmp_path / "out" / f"theta_sweep_{tag}dB.csv"
-        bounds = {float(row[0]): float(row[2]) for row in data_rows(path)}
+        rows = sweep_rows(tmp_path / "out", gamma_db)
+        bounds = {float(row[1]): float(row[3]) for row in rows}
         # a row whose IS run drew no hit reads nan, its cause on stderr: at
         # theta 0 of the lognormal sum, and at every theta of the Weibull sum
         causes = err.splitlines()
         assert all(re.fullmatch(r"nan row: .*: IS drew no hit .* M\*p_lo=\S+ .*", cause)
                    for cause in causes)
-        nan_thetas = [float(row[0]) for row in data_rows(path) if row[1] == row[3] == "nan"]
+        nan_thetas = [float(row[1]) for row in rows if row[2] == row[4] == "nan"]
         assert len(causes) == len(nan_thetas)
         if law == "lognormal":  # A <= N: theta* is 0
             assert nan_thetas == [0.0]
@@ -885,6 +882,27 @@ def test_large_n_bound_never_fails(tmp_path, capsys, command, law, n, gamma_db, 
             assert nan_thetas == sorted(bounds)
             assert bounds[0.6] == pytest.approx(1.093917881989e-126, rel=1e-11)
 
+
+
+@pytest.mark.parametrize("command", ["solve", "ccdf"])
+@pytest.mark.parametrize("scale, gamma_db, solved", [
+    (1e-300, 100.0, "A=269.1523389  theta_star=0.9925692639"),
+    (1e300, -100.0, "[clamped: degenerates to naive MC]"),
+], ids=["tiny-scale", "huge-scale"])
+def test_weibull_scale_past_the_quotient_range(tmp_path, capsys, command, scale,
+                                                gamma_db, solved):
+    # x / scale leaves the float range at the rates the solver takes; warnings
+    # are errors here, so an overflow or a 0 ** -0.5 would end the run
+    raw = dict(LN_PAIR, components=[{"family": "weibull", "shape": 0.5, "scale": scale},
+                                    {"family": "lognormal", "mu": 0.0, "sigma": 1.0}],
+               thresholds_db=[gamma_db], samples_is=2_000, samples_naive=2_000)
+    assert run(tmp_path, command, raw)[0] == 0
+    printed, err = capsys.readouterr()
+    if command == "solve":
+        assert solved in printed and err == ""
+    else:  # at -100 dB theta* clamps to 0 and every sample hits
+        assert err == ("skipping gamma_db=-100: estimate is at least 1\n"
+                       if gamma_db < 0 else "")
 
 
 @pytest.mark.parametrize("command, override", [

@@ -169,6 +169,35 @@ class TestHazardRate:
         assert math.isfinite(float(lognormal_std.hazard_rate(math.exp(45.0))))
 
 
+class TestWeibullScaleExtremes:
+    # x / scale is 0 or inf here though every value is a normal float;
+    # warnings are errors, so an overflow or a 0 ** -0.5 fails the test
+    @pytest.mark.parametrize("scale, x", [
+        # x / scale overflows; at 5e9, gamma / 2 at 100 dB, the rate is 7.07e144
+        (1e-300, [5e9, 1e10, 1e300]),
+        (1e300, [np.finfo(float).tiny, 1e-30]),  # x / scale underflows to 0
+    ], ids=["tiny-scale", "huge-scale"])
+    def test_log_forms_past_the_quotient_range(self, scale, x):
+        d = Weibull(0.5, scale)
+        log_t = np.log(x) - math.log(scale)
+        assert d.log_survival(x) == pytest.approx(-np.exp(0.5 * log_t), rel=1e-13)
+        assert d.hazard_rate(x) == pytest.approx(
+            np.exp(math.log(0.5 / scale) - 0.5 * log_t), rel=1e-13)
+        assert d.log_pdf(x) == pytest.approx(
+            math.log(0.5 / scale) - 0.5 * log_t - np.exp(0.5 * log_t), rel=1e-13)
+
+    def test_in_range_quotients_keep_their_bits(self):
+        # beside 1e10 / 1e-300, which overflows, the others take the plain
+        # formula
+        k, b = 0.5, 1e-300
+        d, x = Weibull(k, b), np.array([1e-10, 1.0, 1e10])
+        t = x[:2] / b
+        assert (d.log_survival(x)[:2] == -(t ** k)).all()
+        assert (d.hazard_rate(x)[:2] == (k / b) * t ** (k - 1.0)).all()
+        assert (d.log_pdf(x)[:2]
+                == np.log(k / b) + (k - 1.0) * np.log(t) - t ** k).all()
+
+
 class TestHazardFunction:
     def test_weibull(self, weibull_half):
         assert weibull_half.hazard_function(4.0) == pytest.approx(2.0, rel=1e-12)
