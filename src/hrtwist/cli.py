@@ -173,16 +173,16 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]
     path.write_text("\n".join(lines) + "\n")
 
 
-def _solved(cfg: ExperimentConfig, streams: int):
-    """Each threshold of `cfg`, solved once, with the substream ids it owns.
+def _solved(cfg: ExperimentConfig):
+    """Each threshold of `cfg`, solved once, with its two substream ids.
 
-    Threshold idx owns the `streams` substream ids from streams * idx on,
-    so no two thresholds share a stream.  Yields (gamma_db, problem,
-    MinmaxSolution, ids).
+    Threshold idx samples every IS run, at any theta and in any command,
+    on substream 2 idx, and naive MC on 2 idx + 1, so no two thresholds
+    share a stream and a run at one theta is the same run in every
+    command.  Yields (gamma_db, problem, MinmaxSolution, is_id, mc_id).
     """
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
-        yield (gamma_db, problem, solve_pprime(problem),
-               range(streams * idx, streams * idx + streams))
+        yield gamma_db, problem, solve_pprime(problem), 2 * idx, 2 * idx + 1
 
 
 def _unreported(gamma_db: float, problem: SumProblem,
@@ -215,13 +215,13 @@ def _unreported(gamma_db: float, problem: SumProblem,
 def _runs(cfg: ExperimentConfig, workers: int):
     """The estimation pass behind `ccdf` and `validate`, one threshold at a time.
 
-    Each threshold is sampled by IS at theta_override (theta* if unset) on
-    its first stream and by naive MC on its second.  Yields (gamma_db,
+    Each threshold is sampled by IS at theta_override (theta* if unset) and
+    by naive MC, on the streams `_solved` gives it.  Yields (gamma_db,
     problem, r_is, r_mc); once the caller has used a run that
     `_unreported` turns down (so validate prints its line), raises
     ParameterError with the cause.
     """
-    for gamma_db, problem, solution, (is_id, mc_id) in _solved(cfg, 2):
+    for gamma_db, problem, solution, is_id, mc_id in _solved(cfg):
         theta = (solution.theta_star if cfg.theta_override is None
                  else cfg.theta_override)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
@@ -236,7 +236,7 @@ def _runs(cfg: ExperimentConfig, workers: int):
 
 def cmd_solve(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     reports = []
-    for gamma_db, problem, sol, _ in _solved(cfg, 0):
+    for gamma_db, problem, sol, *_ in _solved(cfg):
         # x_star at the CSVs' 13 significant digits, since its last bits
         # follow numpy's SIMD dispatch; theta_star keeps every bit, so that
         # it can be fed back as theta_override
@@ -296,18 +296,16 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     """Per threshold and theta, the IS second moment against its bound
-    (theta_sweep.csv), one row each, in threshold order and then by theta."""
+    (theta_sweep.csv), one row each, in threshold order and then by theta;
+    a threshold's rows share its IS stream, so its theta* row is ccdf's run."""
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
     rows = []
-    per_threshold = len(cfg.theta_grid) + 1  # theta* joins the grid
-    for gamma_db, problem, solution, ids in _solved(cfg, per_threshold):
+    for gamma_db, problem, solution, is_id, _ in _solved(cfg):
         theta_star = solution.theta_star
-        # the thetas take the threshold's streams in increasing order; theta*
-        # on the grid leaves the last stream unused
-        for theta, stream_id in zip(sorted({*cfg.theta_grid, theta_star}), ids):
+        for theta in sorted({*cfg.theta_grid, theta_star}):  # theta* joins the grid
             r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                            stream_id=stream_id, workers=workers)
+                            stream_id=is_id, workers=workers)
             m2, se = r.second_moment_weight, r.second_moment_std_error
             cause = _unreported(gamma_db, problem, r)
             if cause is not None:

@@ -125,6 +125,17 @@ def _ratio(x, scale):
     return np.where(inside, t, 1.0), ~inside, np.log(x) - np.log(scale)
 
 
+def _log(t, out, log_t):
+    """log(x / scale) from `_ratio`."""
+    return np.log(t) if out is None else np.where(out, log_t, np.log(t))
+
+
+def _log_quotient(k, scale):
+    """log(k / scale), as log k - log scale where that quotient is 0 or inf."""
+    q = k / scale
+    return np.log(q) if 0.0 < q < np.inf else np.log(k) - np.log(scale)
+
+
 def _power(t, out, log_t, p):
     """(x / scale)^p from `_ratio`: exp(p log_t) where `out` marks, which is
     inf or 0 only where the power itself leaves the float range."""
@@ -153,16 +164,19 @@ class Weibull(Distribution):
 
     def log_pdf(self, x):
         k, b = self.shape, self.scale
-        t, out, log_t = _ratio(_require_positive(x), b)
-        log = np.log(t) if out is None else np.where(out, log_t, np.log(t))
-        return np.log(k / b) + (k - 1.0) * log - _power(t, out, log_t, k)
+        r = _ratio(_require_positive(x), b)
+        return _log_quotient(k, b) + (k - 1.0) * _log(*r) - _power(*r, k)
 
     def log_survival(self, x):
         return -_power(*_ratio(_require_positive(x), self.scale), self.shape)
 
     def hazard_rate(self, x):
         k, b = self.shape, self.scale
-        return (k / b) * _power(*_ratio(_require_positive(x), b), k - 1.0)
+        r = _ratio(_require_positive(x), b)
+        if 0.0 < k / b < np.inf:
+            return (k / b) * _power(*r, k - 1.0)
+        with np.errstate(over="ignore"):  # a rate past the float range is inf
+            return np.exp(_log_quotient(k, b) + (k - 1.0) * _log(*r))
 
     def quantile_from_log_sf(self, log_sf):
         log_sf = np.asarray(log_sf, dtype=float)

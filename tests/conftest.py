@@ -50,17 +50,6 @@ def lognormal_6db():
     return Lognormal.from_db(0.0, 6.0)
 
 
-@pytest.fixture
-def weibull_pair_20db():
-    return SumProblem.from_db((Weibull(0.5, 1.0), Weibull(0.5, 1.0)), 20.0)
-
-
-@pytest.fixture
-def lognormal_pair_20db():
-    comps = (Lognormal.from_db(0.0, 6.0), Lognormal.from_db(0.0, 6.0))
-    return SumProblem.from_db(comps, 20.0)
-
-
 def weibull_pair(gamma_db):
     return SumProblem.from_db((Weibull(0.5, 1.0), Weibull(0.5, 1.0)), gamma_db)
 

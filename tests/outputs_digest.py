@@ -147,17 +147,20 @@ _NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|inf|nan)")
 def _numbers(name: str, text: str) -> tuple:
     """(skeleton, {label: number}) of one output: the text with each number
     replaced by #, and each number labelled by its line and column.  A CSV
-    column is named by its header and its row by its first value; any other
-    number by the text just before it."""
-    values, header = {}, None
+    column is named by its header and its row by its first value, and by
+    that value's count from its second row on (a sweep has a row per
+    theta); any other number by the text just before it."""
+    values, header, rows = {}, None, {}
     for i, line in enumerate(text.splitlines(), 1):
         if name.endswith(".csv") and not line.startswith("#"):
             cells = line.split(",")
             if header is None:
                 header = cells
                 continue
+            rows[cells[0]] = count = rows.get(cells[0], 0) + 1
+            row = f"{header[0]}={cells[0]}" + (f" #{count}" if count > 1 else "")
             for column, cell in zip(header, cells):
-                values[f"{name} {header[0]}={cells[0]} {column}"] = cell
+                values[f"{name} {row} {column}"] = cell
             continue
         for k, match in enumerate(_NUMBER.finditer(line)):
             before = line[:match.start()].rstrip(' "=:')

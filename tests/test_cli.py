@@ -777,12 +777,12 @@ def test_hits_that_all_weigh_0_are_a_numerical_failure(tmp_path, capsys,
     printed, err = capsys.readouterr()
     *notes, last = err.splitlines()
     prefix = "nan row: " if sweep else "numerical failure: "
-    # the sweep samples theta on the threshold's second stream, after theta*
-    top, log10_alpha = (r"-3\.53\d*", r"-1\.53\d*") if sweep else (r"-4\.6\d*", r"-2\.0\d*")
+    # every command samples theta on the threshold's one IS stream, so all
+    # three name the same run
     assert re.fullmatch(
         rf"{prefix}gamma_db=20, theta={re.escape(repr(theta))}: "
         r"the weights of all 1000 IS hits underflow to 0 "
-        rf"\(max_log_weight_hit={top}e\+10, log10_alpha_is={log10_alpha}e\+10\)", last)
+        r"\(max_log_weight_hit=-4\.61882e\+10, log10_alpha_is=-2\.00593e\+10\)", last)
     # the failure is raised once the threshold's run has been used: ccdf
     # writes no table and notes no skipped row, validate prints its line;
     # the sweep writes the row as nan beside its bound
@@ -813,7 +813,7 @@ def test_an_is_run_without_hits_is_a_numerical_failure(tmp_path, capsys, command
         theta, n, m_p_lo = r"0\.699\d*", 16, r"0\.18"
     else:  # naive MC at 30 dB on the Weibull pair, where max(X_1, X_2) > gamma
         # with p_lo = 3.69e-14, below the tail 3.82e-14; the sweep's theta 0
-        # is its first theta and draws validate's IS stream
+        # draws validate's IS stream, as every theta of a threshold does
         raw = dict(WB_PAIR, thresholds_db=[30.0], theta_override=0.0,
                    theta_grid=[0.0], samples_is=1_000, samples_naive=1_000, seed=1)
         theta, n, m_p_lo = r"0\.0", 2, r"3\.69e-11"
@@ -884,11 +884,12 @@ def test_large_n_bound_never_fails(tmp_path, capsys, command, law, n, gamma_db, 
 
 
 
-@pytest.mark.parametrize("command", ["solve", "ccdf"])
+@pytest.mark.parametrize("command", ["solve", "ccdf", "validate"])
 @pytest.mark.parametrize("scale, gamma_db, solved", [
     (1e-300, 100.0, "A=269.1523389  theta_star=0.9925692639"),
     (1e300, -100.0, "[clamped: degenerates to naive MC]"),
-], ids=["tiny-scale", "huge-scale"])
+    (1e-310, 100.0, "A=269.1523389  theta_star=0.9925692639"),  # 0.5 / scale is inf
+], ids=["tiny-scale", "huge-scale", "subnormal-scale"])
 def test_weibull_scale_past_the_quotient_range(tmp_path, capsys, command, scale,
                                                 gamma_db, solved):
     # x / scale leaves the float range at the rates the solver takes; warnings
@@ -896,9 +897,18 @@ def test_weibull_scale_past_the_quotient_range(tmp_path, capsys, command, scale,
     raw = dict(LN_PAIR, components=[{"family": "weibull", "shape": 0.5, "scale": scale},
                                     {"family": "lognormal", "mu": 0.0, "sigma": 1.0}],
                thresholds_db=[gamma_db], samples_is=2_000, samples_naive=2_000)
-    assert run(tmp_path, command, raw)[0] == 0
+    code = run(tmp_path, command, raw)[0]
     printed, err = capsys.readouterr()
-    if command == "solve":
+    if command == "validate" and gamma_db > 0:
+        # the oracle cannot resolve this pair at 100 dB, and says only that
+        assert (code, printed, err) == (2, "", (
+            "numerical failure: convolution quadrature did not converge in "
+            "13 levels at gamma=10000000000.0\n"))
+        return
+    assert code == 0
+    if command == "validate":  # every sample hits at -100 dB
+        assert printed.startswith("PASS gamma_db=-100 ") and err == ""
+    elif command == "solve":
         assert solved in printed and err == ""
     else:  # at -100 dB theta* clamps to 0 and every sample hits
         assert err == ("skipping gamma_db=-100: estimate is at least 1\n"
@@ -1031,6 +1041,37 @@ class TestSharedPass:
             by_theta.append(ccdf)
         assert len(by_theta[0]) == 2
         assert all(a != b for a, b in zip(*by_theta))  # the override is used
+
+    @pytest.mark.parametrize("name, override", [
+        ("wb2", None), ("ln2-db", None), ("mixed", None), ("ln2-db", 0.5)],
+        ids=["wb2", "ln2-db", "mixed", "ln2-db-override-on-grid"])
+    def test_theta_sweep_rows_are_ccdf_runs(self, tmp_path, monkeypatch, name,
+                                            override):
+        # each threshold samples IS on one stream at every theta, so the
+        # sweep's run at theta* (or at a theta_override on its grid) is the
+        # run behind ccdf's alpha_is and se_is
+        runs = {}
+        real = cli.is_estimate
+
+        def spy(problem, theta, *args, **kwargs):
+            result = real(problem, theta, *args, **kwargs)
+            assert (problem.gamma, theta) not in runs[command]
+            runs[command][problem.gamma, theta] = result
+            return result
+
+        monkeypatch.setattr(cli, "is_estimate", spy)
+        raw = dict(CONFIGS[name])
+        if override is not None:
+            raw["theta_override"] = override
+        for command in ("ccdf", "theta-sweep"):
+            runs[command] = {}
+            (tmp_path / command).mkdir()
+            assert run(tmp_path / command, command, raw)[0] == 0
+        ccdf, sweep = runs["ccdf"], runs["theta-sweep"]
+        assert len(ccdf) == len(raw["thresholds_db"])
+        assert len(sweep) == 3 * len(ccdf)  # the grid of two, and theta*
+        for key, result in ccdf.items():
+            assert sweep[key] == result
 
 
 class TestNaiveCount:

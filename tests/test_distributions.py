@@ -172,19 +172,25 @@ class TestHazardRate:
 class TestWeibullScaleExtremes:
     # x / scale is 0 or inf here though every value is a normal float;
     # warnings are errors, so an overflow or a 0 ** -0.5 fails the test
-    @pytest.mark.parametrize("scale, x", [
+    @pytest.mark.parametrize("scale, x, rel", [
         # x / scale overflows; at 5e9, gamma / 2 at 100 dB, the rate is 7.07e144
-        (1e-300, [5e9, 1e10, 1e300]),
-        (1e300, [np.finfo(float).tiny, 1e-30]),  # x / scale underflows to 0
-    ], ids=["tiny-scale", "huge-scale"])
-    def test_log_forms_past_the_quotient_range(self, scale, x):
+        (1e-300, [5e9, 1e10, 1e300], 1e-13),
+        (1e300, [np.finfo(float).tiny, 1e-30], 1e-13),  # x / scale underflows to 0
+        # shape / scale overflows too, also beside the in-range 1e-300 / scale;
+        # at 1 the rate is 5.0e154 and the log density -1.0e155.  The rate is
+        # exp of a log near 700 here, on either side, so each carries a few
+        # of that log's ulps, 1.1e-13 each, as relative error
+        (1e-310, [1e-300, 1.0, 1e300], 5e-13),
+    ], ids=["tiny-scale", "huge-scale", "subnormal-scale"])
+    def test_log_forms_past_the_quotient_range(self, scale, x, rel):
         d = Weibull(0.5, scale)
         log_t = np.log(x) - math.log(scale)
-        assert d.log_survival(x) == pytest.approx(-np.exp(0.5 * log_t), rel=1e-13)
+        log_rate = math.log(0.5) - math.log(scale)
+        assert d.log_survival(x) == pytest.approx(-np.exp(0.5 * log_t), rel=rel)
         assert d.hazard_rate(x) == pytest.approx(
-            np.exp(math.log(0.5 / scale) - 0.5 * log_t), rel=1e-13)
+            np.exp(log_rate - 0.5 * log_t), rel=rel)
         assert d.log_pdf(x) == pytest.approx(
-            math.log(0.5 / scale) - 0.5 * log_t - np.exp(0.5 * log_t), rel=1e-13)
+            log_rate - 0.5 * log_t - np.exp(0.5 * log_t), rel=rel)
 
     def test_in_range_quotients_keep_their_bits(self):
         # beside 1e10 / 1e-300, which overflows, the others take the plain
