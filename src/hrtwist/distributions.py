@@ -173,9 +173,9 @@ class Weibull(Distribution):
     def hazard_rate(self, x):
         k, b = self.shape, self.scale
         r = _ratio(_require_positive(x), b)
-        if 0.0 < k / b < np.inf:
-            return (k / b) * _power(*r, k - 1.0)
         with np.errstate(over="ignore"):  # a rate past the float range is inf
+            if 0.0 < k / b < np.inf:
+                return (k / b) * _power(*r, k - 1.0)
             return np.exp(_log_quotient(k, b) + (k - 1.0) * _log(*r))
 
     def quantile_from_log_sf(self, log_sf):

@@ -21,11 +21,12 @@ weight identically 1 on exceedances.
 Every weight is `solver.log_weight` of a hazard sum.  A chunk's weights
 are summed shifted by its top t, the log weight of its least hazard sum,
 which is its largest log weight (`_weight_sums`): s_k = sum of
-exp(k (log w - t)) for k = 1, 2 and 4, the scaled log-sum-exp.  The run
-merges them against its own top T, the log weight of its least hazard sum,
-and forms each linear output as exp(T) or exp(2T) times a value built from
-the merged sums (`_run`), so the standard error underflows only about
-where alpha_hat does, not where w^2 and w^4 do, far sooner.
+exp(k (log w - t)) for k = 1, 2 and 4, the scaled log-sum-exp.  `_merge`
+merges a run's chunk records, `_Chunk`, against the run's own top T, the
+log weight of its least hazard sum, and forms each linear output as exp(T)
+or exp(2T) times a value built from the merged sums, so the standard error
+underflows only about where alpha_hat does, not where w^2 and w^4 do, far
+sooner.
 
 A chunk is the largest power of two of consecutive rows whose N words a
 row fit within MAX_WORDS, at most CHUNK_SIZE: 2^16 rows up to N = 512 and
@@ -33,7 +34,7 @@ row fit within MAX_WORDS, at most CHUNK_SIZE: 2^16 rows up to N = 512 and
 worker count, and it is both the unit of work and the unit of the merge:
 one call of `_pass_stats`, a pass, draws, compares and compresses,
 brackets, takes its one column loop and weighs one chunk, and returns its
-sums.  The run merges them in chunk order, so results are bit-identical
+record.  `_merge` takes them in chunk order, so results are bit-identical
 for any worker count.  Every numpy call releases and retakes the GIL, and
 a pass on a lognormal pair takes about 70 of them, so the chunk is as
 large as the word bound lets it be.  A run uses min(workers, its chunks,
@@ -57,6 +58,7 @@ import math
 import operator
 import threading
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -68,8 +70,6 @@ CHUNK_SIZE = 1 << 16  # the most rows of a chunk; never derived from the worker 
 MAX_WORDS = 1 << 25  # the most drawn words a run holds at once: 256 MiB
 MAX_COMPONENTS = 1024  # the most components a config may have
 MAX_WORKERS = 64  # the most threads a run may be asked for
-# the moments and least hazard sum of a chunk without hits
-_NO_HITS = (0.0, 0.0, 0.0, 0, math.inf)
 # a shifted log weight below this is raised to it: e^(4 F) is still normal
 _SHIFT_FLOOR = -170.0
 # log 2^-53: below it log(1 - e^x) = -e^x, and its logs, to double precision
@@ -103,6 +103,20 @@ class EstimateResult:
     min_hazard_sum_hit: float
 
 
+class _Chunk(NamedTuple):
+    """A pass's record of its chunk: s_k the sum of w^k / e^(k t) over its
+    hits, t the log weight of min_hazard_sum, the least hazard sum of a hit."""
+
+    s1: float
+    s2: float
+    s4: float
+    hits: int
+    min_hazard_sum: float
+
+
+_NO_HITS = _Chunk(0.0, 0.0, 0.0, 0, math.inf)  # a chunk without hits
+
+
 def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
     """Twisted log survival of words: log1p(-u) / (1 - theta), u their
     uniforms, formed in the uniforms' buffer."""
@@ -114,10 +128,10 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
 
 
 def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
-                stream: RandomStream, start: int, stop: int) -> tuple:
-    """Hit moments of the chunk of samples [start, stop), in one pass:
-    (s_1, s_2, s_4, hit count, min hazard sum), s_k the sum of w^k / e^(k t)
-    with t the log weight of the min hazard sum (`_weight_sums`), or _NO_HITS.
+                stream: RandomStream, start: int, stop: int) -> _Chunk:
+    """Hit moments of the chunk of samples [start, stop), in one pass: its
+    `_Chunk` of s1, s2, s4, hits and min_hazard_sum (`_weight_sums`), or
+    _NO_HITS.
 
     One flow for every sum: draw the chunk, keep the rows that pass the
     cut words of `cut` (`_run_constants`, with the shift and tables of
@@ -201,7 +215,7 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
         return _NO_HITS
     min_hs = float(hazard_sum.min())
     sums = _weight_sums(log_weight(theta, hazard_sum, n), log_weight(theta, min_hs, n))
-    return (*sums, hazard_sum.size, min_hs)
+    return _Chunk(*sums, hazard_sum.size, min_hs)
 
 
 def _weight_sums(log_w: np.ndarray, t: float) -> tuple:
@@ -352,19 +366,24 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
     threads = min(workers, len(starts), MAX_WORDS // (rows * problem.n))
     chunks = _map_on_threads(functools.partial(_pass_stats, problem, theta, cut, stream),
                              starts, stops, threads)
-    results = [chunk for chunk in chunks if chunk[3]]
+    return _merge(chunks, theta, sample_count, problem.n)
 
-    hits = sum(r[3] for r in results)
-    min_hs = min((r[4] for r in results), default=math.inf)
+
+def _merge(chunks, theta: float, sample_count: int, n: int) -> EstimateResult:
+    """The result of a run of sample_count samples of an n-term sum at
+    theta, from its chunks' records in chunk order."""
+    chunks = [c for c in chunks if c.hits]
+    hits = sum(c.hits for c in chunks)
+    min_hs = min((c.min_hazard_sum for c in chunks), default=math.inf)
     # each chunk's top is the log weight of its least hazard sum, and the
     # run's top the largest of them: that of min_hs, or -inf without hits
-    tops = [log_weight(theta, r[4], problem.n) for r in results]
+    tops = [log_weight(theta, c.min_hazard_sum, n) for c in chunks]
     top = max(tops, default=-math.inf)
     # merge in chunk order, each chunk's sums of w^k scaled to the run's top;
     # fsum keeps the merge associative in practice
     sum_w, sum_w2, sum_w4 = (
-        math.fsum(math.exp(k * (t - top)) * r[i] for r, t in zip(results, tops))
-        for i, k in enumerate((1, 2, 4)))
+        math.fsum(math.exp(k * (t - top)) * getattr(c, s) for c, t in zip(chunks, tops))
+        for k, s in ((1, "s1"), (2, "s2"), (4, "s4")))
 
     m = sample_count
     mean_w, second, fourth = sum_w / m, sum_w2 / m, sum_w4 / m

@@ -2,6 +2,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -191,6 +192,14 @@ class TestWeibullScaleExtremes:
             np.exp(log_rate - 0.5 * log_t), rel=rel)
         assert d.log_pdf(x) == pytest.approx(
             log_rate - 0.5 * log_t - np.exp(0.5 * log_t), rel=rel)
+
+    @pytest.mark.parametrize("scale", [1e-300, 1e-310], ids=["plain", "log"])
+    def test_rate_past_the_float_range_is_inf(self, scale):
+        # at x = 1e-320 the rate is 5e309 at scale 1e-300, where shape / scale
+        # is in range, and exp of about 725 at 1e-310, where it is not
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert Weibull(0.5, scale).hazard_rate(1e-320) == math.inf
 
     def test_in_range_quotients_keep_their_bits(self):
         # beside 1e10 / 1e-300, which overflows, the others take the plain

@@ -22,7 +22,7 @@ from hrtwist import (
     solve_pprime,
 )
 from hrtwist import RandomStream, estimators
-from hrtwist.estimators import EstimateResult
+from hrtwist.estimators import _NO_HITS, EstimateResult
 from hrtwist.solver import log_weight
 from hrtwist.streams import uniforms_from_words
 
@@ -538,10 +538,10 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     hits = x.sum(axis=1) > problem.gamma
     n_hits = int(np.count_nonzero(hits))
     if n_hits == 0:
-        return 0.0, 0.0, 0.0, 0, np.inf
+        return _NO_HITS
     log_w = -n * math.log1p(-theta) - theta * hazard_sum[hits]
     _, *sums = _fsum_weighs(log_w)
-    return (*sums, n_hits, float(np.min(hazard_sum[hits])))
+    return estimators._Chunk(*sums, n_hits, float(np.min(hazard_sum[hits])))
 
 
 def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
@@ -568,11 +568,11 @@ SUM_ULPS = 28
 
 
 def _assert_chunk_matches(c, r):
-    """Chunk tuples (s_1, s_2, s_4, hits, min hazard sum): all but the sums
-    equal, and each sum within SUM_ULPS of the reference's, which are
-    shifted by the largest log weight."""
-    assert c[3:] == r[3:], (c, r)
-    for x, y in zip(c[:3], r[:3]):
+    """Chunk records: hits and min_hazard_sum equal, and each of s1, s2 and
+    s4 within SUM_ULPS of the reference's, which are shifted by the largest
+    log weight."""
+    assert (c.hits, c.min_hazard_sum) == (r.hits, r.min_hazard_sum), (c, r)
+    for x, y in [(c.s1, r.s1), (c.s2, r.s2), (c.s4, r.s4)]:
         assert abs(x - y) <= SUM_ULPS * math.ulp(y), (c, r)
 
 
@@ -688,7 +688,7 @@ class TestEmptyChunk:
         # a full chunk and a ragged one
         for stop in (m, m - 3):
             stats = estimators._pass_stats(problem, 0.0, cut, Stream(), 0, stop)
-            assert stats == (0.0, 0.0, 0.0, 0, math.inf)
+            assert stats == _NO_HITS
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
@@ -879,7 +879,7 @@ class TestWordCut:
             # inverting every row agrees: nothing reaches gamma
             ref = _full_inversion_chunk_stats(
                 problem, theta, RandomStream(3, 1), 0, m)
-            assert ref[3] == 0
+            assert ref.hits == 0
 
         def no_draw(self, offset, count):
             raise AssertionError("an unreachable run drew words")
@@ -887,15 +887,66 @@ class TestWordCut:
         monkeypatch.setattr(RandomStream, "words_at", no_draw)
         for theta in (0.0, 0.3):
             r = is_estimate(problem, theta, m, 3, stream_id=1, workers=2)
-            assert r == EstimateResult(
-                alpha_hat=0.0, log_alpha_hat=-math.inf, sample_count=m, hit_frequency=0,
-                second_moment_weight=0.0, std_error=0.0, second_moment_std_error=0.0,
-                theta_used=theta, min_hazard_sum_hit=math.inf)
+            assert r == _no_hit_result(theta, m)
+
+
+def _no_hit_result(theta, m):
+    """The result of a run of m samples at theta without a hit."""
+    return EstimateResult(
+        alpha_hat=0.0, log_alpha_hat=-math.inf, sample_count=m, hit_frequency=0,
+        second_moment_weight=0.0, std_error=0.0, second_moment_std_error=0.0,
+        theta_used=theta, min_hazard_sum_hit=math.inf)
+
+
+class TestMerge:
+    # records built by hand, merged as a run of m samples of a pair
+    M, N = 1000, 2
+
+    @pytest.mark.parametrize("chunks", [[], [_NO_HITS] * 3], ids=["empty", "no-hits"])
+    def test_no_hit_records_give_the_zero_result(self, chunks):
+        # an unreachable run draws no chunk; a reachable one may hit nowhere
+        for theta in (0.0, 0.3):
+            assert estimators._merge(chunks, theta, self.M, self.N) == _no_hit_result(
+                theta, self.M)
+
+    def test_two_records_match_the_closed_form(self):
+        theta, m = 0.5, self.M
+        # the first record's top lies 0.5 below the second's
+        low = estimators._Chunk(2.0, 1.5, 1.125, 4, 12.0)
+        high = estimators._Chunk(1.5, 1.25, 1.0625, 3, 11.0)
+        r = estimators._merge([low, _NO_HITS, high], theta, m, self.N)
+        # the unshifted sums of w^k: each record's sums times e^(k t)
+        t_low, t_high = (-2 * math.log(0.5) - 0.5 * h for h in (12.0, 11.0))
+        w1, w2, w4 = (math.exp(k * t_low) * a + math.exp(k * t_high) * b
+                      for k, a, b in [(1, low.s1, high.s1), (2, low.s2, high.s2),
+                                      (4, low.s4, high.s4)])
+        mean, second = w1 / m, w2 / m
+        assert (r.sample_count, r.theta_used, r.hit_frequency, r.min_hazard_sum_hit) == (
+            m, theta, 7, 11.0)
+        for got, want in [
+                (r.alpha_hat, mean), (r.second_moment_weight, second),
+                (r.std_error, math.sqrt(m / (m - 1) * (second - mean ** 2) / m)),
+                (r.second_moment_std_error, math.sqrt((w4 / m - second ** 2) / m))]:
+            assert math.isclose(got, want, rel_tol=1e-12), (got, want)
+        assert math.isclose(r.log_alpha_hat, math.log(mean), rel_tol=0.0, abs_tol=1e-12)
+
+    def test_top_below_the_float_range_keeps_its_log(self):
+        # a top near -998.6: alpha_hat underflows, its log does not
+        theta, m = 0.5, self.M
+        chunk = estimators._Chunk(1.75, 1.5, 1.25, 5, 2000.0)
+        top = -2 * math.log(0.5) - 0.5 * 2000.0
+        assert top < -745.0
+        r = estimators._merge([chunk], theta, m, self.N)
+        assert (r.alpha_hat, r.hit_frequency) == (0.0, 5)
+        assert math.isfinite(r.log_alpha_hat)
+        assert math.isclose(r.log_alpha_hat, top + math.log(chunk.s1 / m),
+                            rel_tol=0.0, abs_tol=1e-12)
 
 
 def _equal_to_full_inversion(monkeypatch, cases):
-    """Assert that the core's chunk tuples on (problem, theta, m, workers)
-    cases, IS then naive, match those of inverting every row; return the
+    """Assert that the core's chunk records on (problem, theta, m, workers)
+    cases, IS then naive, match those of inverting every row, and that each
+    run's result matches `_merge` of the reference's records; return the
     core's results."""
     def run_all(pass_stats):
         out, chunks = [], {}
@@ -913,13 +964,22 @@ def _equal_to_full_inversion(monkeypatch, cases):
         return out, chunks
 
     core, core_chunks = run_all(estimators._pass_stats)
-    reference, reference_chunks = run_all(_full_inversion_pass_stats)
+    _, reference_chunks = run_all(_full_inversion_pass_stats)
     assert core_chunks.keys() == reference_chunks.keys()
     for key, stats in core_chunks.items():
         _assert_chunk_matches(stats, reference_chunks[key])
-    for c, r in zip(core, reference, strict=True):
-        assert (c.hit_frequency, c.min_hazard_sum_hit) == (
-            r.hit_frequency, r.min_hazard_sum_hit)
+    runs = [(problem, t, m) for problem, theta, m, _ in cases for t in (theta, 0.0)]
+    for k, (c, (problem, theta, m)) in enumerate(zip(core, runs, strict=True)):
+        r = estimators._merge([reference_chunks[key] for key in sorted(reference_chunks)
+                               if key[0] == k], theta, m, problem.n)
+        assert (c.sample_count, c.theta_used, c.hit_frequency, c.min_hazard_sum_hit) == (
+            r.sample_count, r.theta_used, r.hit_frequency, r.min_hazard_sum_hit)
+        # the chunk sums differ by up to SUM_ULPS
+        for got, want in [(c.alpha_hat, r.alpha_hat),
+                          (c.second_moment_weight, r.second_moment_weight)]:
+            assert math.isclose(got, want, rel_tol=1e-12), (k, got, want)
+        assert math.isclose(c.log_alpha_hat, r.log_alpha_hat, rel_tol=0.0,
+                            abs_tol=1e-12), (k, c, r)
     return core
 
 
@@ -1278,7 +1338,7 @@ class TestTwoChunkPass:
                     _assert_chunk_matches(chunk, _full_inversion_chunk_stats(
                         problem, theta, stream, lo, hi))
                     kept, rows = _kept_of_rows(problem, cut, stream, lo, hi)
-                    seen.add(("kept", kept == 0, kept == rows, chunk[3] == 0))
+                    seen.add(("kept", kept == 0, kept == rows, chunk.hits == 0))
                 seen.add(("ragged", stop % size > 0))
                 seen.add(("theta", theta > 0.0))
         # chunks that keep no row, keep some and keep all, with and without
