@@ -9,7 +9,7 @@ from .distributions import (
     db_to_linear,
 )
 from .errors import OracleConvergenceError, ParameterError
-from .estimators import EstimateResult, is_estimate, naive_mc
+from .estimators import EstimateResult, is_estimate, is_estimates, naive_mc
 from .oracles import tail_convolution_2
 from .solver import (
     MinmaxSolution,

@@ -21,7 +21,7 @@ from . import __version__
 from .distributions import Lognormal, Weibull
 from .errors import OracleConvergenceError, ParameterError
 from .estimators import (MAX_COMPONENTS, MAX_WORKERS, EstimateResult, is_estimate,
-                         log_big_jump, naive_mc)
+                         is_estimates, log_big_jump, naive_mc)
 from .oracles import tail_convolution_2
 from .solver import SumProblem, log_weight, second_moment_bound, solve_pprime
 
@@ -119,10 +119,12 @@ class ExperimentConfig:
             if not thresholds:
                 raise ConfigError("threshold list is empty")
             problems = [(t, SumProblem.from_db(components, t)) for t in thresholds]
+            # + 0.0 turns a theta of -0.0 into 0.0, which prints as 0.0 does
             theta_override = raw.get("theta_override")
             if theta_override is not None:
-                theta_override = _number(theta_override, "theta_override")
-            theta_grid = _numbers(raw.get("theta_grid", []), "theta_grid")
+                theta_override = _number(theta_override, "theta_override") + 0.0
+            theta_grid = [t + 0.0 for t in _numbers(raw.get("theta_grid", []),
+                                                    "theta_grid")]
             thetas = theta_grid + ([] if theta_override is None else [theta_override])
             bad = [t for t in thetas if not 0.0 <= t < 1.0]
             if bad:
@@ -177,7 +179,8 @@ def _solved(cfg: ExperimentConfig):
     """Each threshold of `cfg`, solved once, with its two substream ids.
 
     Threshold idx samples every IS run, at any theta and in any command,
-    on substream 2 idx, and naive MC on 2 idx + 1, so no two thresholds
+    on substream 2 idx, alone or in one pass with other thetas
+    (`is_estimates`), and naive MC on 2 idx + 1, so no two thresholds
     share a stream and a run at one theta is the same run in every
     command.  Yields (gamma_db, problem, MinmaxSolution, is_id, mc_id).
     """
@@ -297,16 +300,15 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     """Per threshold and theta, the IS second moment against its bound
     (theta_sweep.csv), one row each, in threshold order and then by theta;
-    a threshold's rows share its IS stream, so its theta* row is ccdf's run."""
+    a threshold's rows are one pass on its IS stream; its theta* row is ccdf's run."""
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
     rows = []
     for gamma_db, problem, solution, is_id, _ in _solved(cfg):
         theta_star = solution.theta_star
-        for theta in sorted({*cfg.theta_grid, theta_star}):  # theta* joins the grid
-            r = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                            stream_id=is_id, workers=workers)
-            m2, se = r.second_moment_weight, r.second_moment_std_error
+        for r in is_estimates(problem, sorted({*cfg.theta_grid, theta_star}), cfg.samples_is,
+                              cfg.seed, stream_id=is_id, workers=workers):
+            theta, m2, se = r.theta_used, r.second_moment_weight, r.second_moment_std_error
             cause = _unreported(gamma_db, problem, r)
             if cause is not None:
                 print(f"nan row: {cause}", file=sys.stderr)

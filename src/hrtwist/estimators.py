@@ -1,55 +1,44 @@
 """Naive Monte Carlo and hazard-twisting importance-sampling estimators.
 
-Both estimators share one sampling core: component i of sample j uses
-word j*N + i of the run's Philox stream, and samples are generated by
-exact inversion of the (possibly twisted) CDF.  Only rows with a word at
-or past its component's survival cut (`_run_constants`) are kept; the rest
-are misses.
+Every estimator is a run of one sampling core at one or more theta
+(`is_estimates`; `is_estimate` and `naive_mc`, theta 0, are runs at one):
+component i of sample j uses word j*N + i of the run's Philox stream, and
+its sample at theta is the base quantile at the twisted log survival
+log(1 - u) / (1 - theta), so one draw serves every theta.  Only rows with
+a word at or past its component's survival cut (`_run_constants`) are
+kept; the rest are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
-weight needs only the hazard sum, which takes no quantile.  So one column
-loop forms each log survival once on every kept row, for the hazard sum,
-and inverts it only on the open rows: those that a per-run table of each
-law's quantiles leaves near gamma, on a sum with a lognormal law, and
-every kept row of a sum of Weibull laws alone, which gets no table.
-`_quantile_tables` makes that choice; `_pass_stats` says why, and why
-each of its steps over a pass's rows earns its keep.
+weight needs only the hazard sum.  So one column loop forms each log
+survival once on every kept row and inverts it only on the rows that a
+table of each law's quantiles leaves near gamma (`_quantile_tables`,
+`_pass_stats`).  With theta = 0 every weight is 1: naive MC exactly.
 
-With theta = 0 the weighted estimator degenerates to naive MC exactly,
-weight identically 1 on exceedances.
-
-Every weight is `solver.log_weight` of a hazard sum.  A chunk's weights
-are summed shifted by its top t, the log weight of its least hazard sum,
-which is its largest log weight (`_weight_sums`): s_k = sum of
-exp(k (log w - t)) for k = 1, 2 and 4, the scaled log-sum-exp.  `_merge`
-merges a run's chunk records, `_Chunk`, against the run's own top T, the
-log weight of its least hazard sum, and forms each linear output as exp(T)
-or exp(2T) times a value built from the merged sums, so the standard error
-underflows only about where alpha_hat does, not where w^2 and w^4 do, far
-sooner.
+A chunk's weights, `solver.log_weight` of hazard sums, are summed shifted
+by its largest log weight (`_weight_sums`), and `_merge` merges a run's
+chunk records at one theta, `_Chunk`, against the run's largest, so the
+standard error underflows only about where alpha_hat does, not where w^2
+and w^4 do, far sooner.
 
 A chunk is the largest power of two of consecutive rows whose N words a
 row fit within MAX_WORDS, at most CHUNK_SIZE: 2^16 rows up to N = 512 and
 2^15 above it (`_chunk_rows`).  It depends on N alone, never on the
 worker count, and it is both the unit of work and the unit of the merge:
-one call of `_pass_stats`, a pass, draws, compares and compresses,
-brackets, takes its one column loop and weighs one chunk, and returns its
-record.  `_merge` takes them in chunk order, so results are bit-identical
-for any worker count.  Every numpy call releases and retakes the GIL, and
-a pass on a lognormal pair takes about 70 of them, so the chunk is as
-large as the word bound lets it be.  A run uses min(workers, its chunks,
-MAX_WORDS // (rows N)) threads, one chunk each at a time, so the words it
-draws at once stay within MAX_WORDS, 256 MiB, up to N = MAX_COMPONENTS.
+one call of `_pass_stats`, a pass, draws one chunk once for every theta
+of its run and returns one record per theta.  `_merge` takes them in
+chunk order, so results are bit-identical for any worker count.  Every
+numpy call releases and retakes the GIL, and a pass on a lognormal pair
+takes about 70 of them a theta, so the chunk is as large as the word
+bound lets it be.  A run uses min(workers, its chunks, MAX_WORDS // (rows
+N)) threads, one chunk each at a time, so the words it draws at once stay
+within MAX_WORDS, 256 MiB, up to N = MAX_COMPONENTS.
 
 Every run takes its passes through `_map_on_threads`, at any thread
-count: the caller and T - 1 helper threads that the call starts and
-joins, so a run of one thread starts none and no thread outlives a run.
-Each thread takes the next pass from one shared iterator until none is
-left.  The caller takes passes rather than wait on them, which measured
-faster than T threads and a waiting caller.  The iterator is shared, not
-split up front with thread k taking passes k, k + T, and so on: a shared
-iterator balances passes of unequal cost, and the split measured slower
-in every round.
+count, so no thread outlives a run.  The caller takes passes rather than
+wait on them, which measured faster than T threads and a waiting caller.
+The threads share one iterator of passes, not a split up front with
+thread k taking passes k, k + T, and so on: a shared iterator balances
+passes of unequal cost, and the split measured slower in every round.
 """
 from __future__ import annotations
 
@@ -127,17 +116,31 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
     return log_sf
 
 
-def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
-                stream: RandomStream, start: int, stop: int) -> _Chunk:
-    """Hit moments of the chunk of samples [start, stop), in one pass: its
-    `_Chunk` of s1, s2, s4, hits and min_hazard_sum (`_weight_sums`), or
-    _NO_HITS.
+def _keep(raw: np.ndarray, columns: dict) -> np.ndarray:
+    """The rows of raw with a word at or past its column's cut word, by
+    `ndarray.compress`: a boolean mask measured about four times slower."""
+    keep = np.zeros(raw.shape[0], dtype=bool)
+    # column by column, far cheaper than a 2-D compare and any(axis=1); a
+    # cut word is compared once, with its columns' max, since numpy takes
+    # the max of two strided columns faster than it compares one
+    for w, cols in columns.items():
+        keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
+    # a copy of the kept rows while the block is alive would double the
+    # pass's memory, so a block whose rows are all kept is used as it is
+    return raw if keep.all() else raw.compress(keep, axis=0)
 
-    One flow for every sum: draw the chunk, keep the rows that pass the
-    cut words of `cut` (`_run_constants`, with the shift and tables of
-    `_quantile_tables`), bracket them where the sum has tables, take one
-    loop over the columns, then weigh the hits.  A pass that keeps no row
-    returns before it takes a log or a quantile.
+
+def _pass_stats(problem: SumProblem, thetas: tuple, cuts: list, wide: dict,
+                stream: RandomStream, start: int, stop: int) -> list:
+    """Hit moments of the chunk of samples [start, stop), in one pass: per
+    theta its `_Chunk` (`_weight_sums`), or _NO_HITS.
+
+    One flow for every sum: draw the chunk once, keep the rows that pass
+    the wide cut (`_wide_cut`), then per theta those that pass its own cut
+    words (`_run_constants`), the rows of a pass at it alone in order, so
+    every sum keeps its bits.  Bracket them where the sum has tables
+    (`_quantile_tables`), take one loop over the columns and weigh the
+    hits; a theta without a cut or kept rows takes no log or quantile.
 
     A sum with a lognormal law has a table for each distinct law, Weibull
     laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
@@ -164,9 +167,6 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     theta*, are dropped, but no hit's words are copied and no log survival
     is formed twice.
 
-    Rows are selected with `ndarray.compress`, not a boolean mask, which
-    measured about four times slower on a chunk's kept rows.
-
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
     is the one a full inversion finds; from N = 8 on numpy sums pairwise,
@@ -174,21 +174,19 @@ def _pass_stats(problem: SumProblem, theta: float, cut: tuple,
     way.
     """
     n = problem.n
-    columns, shift, tables = cut
-    raw = stream.words_at(start * n, (stop - start) * n).reshape(-1, n)
-    keep = np.zeros(raw.shape[0], dtype=bool)
-    # column by column, far cheaper than a 2-D compare and any(axis=1); a
-    # cut word is compared once, with its columns' max, since numpy takes
-    # the max of two strided columns faster than it compares one
-    for w, cols in columns.items():
-        keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
-    # a copy of the kept rows while the block is alive would double the
-    # pass's memory, so a block whose rows are all kept is used as it is
-    if not keep.all():
-        raw = raw.compress(keep, axis=0)
+    # the drawn block is released here, unless every row passes
+    raw = _keep(stream.words_at(start * n, (stop - start) * n).reshape(-1, n), wide)
+    return [_NO_HITS if cut is None else _theta_stats(
+        problem, theta, cut, raw if cut[0] is wide else _keep(raw, cut[0]))
+        for theta, cut in zip(thetas, cuts)]
+
+
+def _theta_stats(problem: SumProblem, theta: float, cut: tuple, raw: np.ndarray) -> _Chunk:
+    """The `_Chunk` at theta of the kept rows raw of a pass (`_pass_stats`)."""
     if raw.shape[0] == 0:
         return _NO_HITS
-    gamma = problem.gamma
+    n, gamma = problem.n, problem.gamma
+    _, shift, tables = cut
     if tables:
         lo = np.zeros(raw.shape[0])
         hi = np.zeros(raw.shape[0])
@@ -281,7 +279,7 @@ def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
 
 
 def _run_constants(problem: SumProblem, theta: float, sample_count: int):
-    """What every pass of a run shares: (cut word -> its columns, shift,
+    """What every pass shares at theta: (cut word -> its columns, shift,
     tables), or None when no word can reach gamma.
 
     A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
@@ -343,8 +341,23 @@ def _map_on_threads(fn, starts, stops, threads: int) -> list:
     return out
 
 
-def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
-         stream_id: int, workers: int) -> EstimateResult:
+def _wide_cut(cuts: list) -> dict | None:
+    """Each column's least cut word over `cuts` (cut word -> columns), which
+    a row any cut keeps passes: a cut's own dict where it has those words."""
+    live = [cut[0] for cut in cuts if cut]
+    if len(live) < 2:  # a run at one theta builds no dict
+        return live[0] if live else None
+    least = {}  # in column order, each column's least word
+    for i, w in sorted((i, w) for c in live for w, cols in c.items() for i in cols):
+        least.setdefault(i, w)
+    wide = {}
+    for i, w in least.items():
+        wide.setdefault(w, []).append(i)
+    return next((c for c in live if {w: sorted(v) for w, v in c.items()} == wide), wide)
+
+
+def _run(problem: SumProblem, thetas: tuple, sample_count: int, seed: int,
+         stream_id: int, workers: int) -> list:
     try:
         sample_count, workers = operator.index(sample_count), operator.index(workers)
     except TypeError:
@@ -355,18 +368,21 @@ def _run(problem: SumProblem, theta: float, sample_count: int, seed: int,
         raise ParameterError("sample_count must be >= 1")
     if not 1 <= workers <= MAX_WORKERS:
         raise ParameterError(f"workers must lie in [1, {MAX_WORKERS}], got {workers}")
-    if not (0.0 <= theta < 1.0):
-        raise ParameterError(f"theta must lie in [0, 1), got {theta}")
+    for theta in thetas:
+        if not (0.0 <= theta < 1.0):
+            raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    cut = _run_constants(problem, theta, sample_count)
+    cuts = [_run_constants(problem, theta, sample_count) for theta in thetas]
+    wide = _wide_cut(cuts)
     rows = _chunk_rows(problem.n)
     # with no cut no word can reach gamma: every row is a miss, so draw none
-    starts = range(0, sample_count if cut else 0, rows)
+    starts = range(0, sample_count if wide else 0, rows)
     stops = [min(start + rows, sample_count) for start in starts]
     threads = min(workers, len(starts), MAX_WORDS // (rows * problem.n))
-    chunks = _map_on_threads(functools.partial(_pass_stats, problem, theta, cut, stream),
-                             starts, stops, threads)
-    return _merge(chunks, theta, sample_count, problem.n)
+    chunks = _map_on_threads(functools.partial(
+        _pass_stats, problem, thetas, cuts, wide, stream), starts, stops, threads)
+    return [_merge([c[k] for c in chunks], theta, sample_count, problem.n)
+            for k, theta in enumerate(thetas)]
 
 
 def _merge(chunks, theta: float, sample_count: int, n: int) -> EstimateResult:
@@ -437,13 +453,13 @@ def _log1mexp(x: float) -> float:
 
 def naive_mc(problem: SumProblem, sample_count: int, seed: int,
              stream_id: int = 0, workers: int = 1) -> EstimateResult:
-    """Plain Monte Carlo exceedance frequency under the base laws."""
-    return _run(problem, 0.0, sample_count, seed, stream_id, workers)
+    """Plain Monte Carlo exceedance frequency: the core's one pass at theta 0."""
+    return _run(problem, (0.0,), sample_count, seed, stream_id, workers)[0]
 
 
 def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
                 stream_id: int = 0, workers: int = 1) -> EstimateResult:
-    """Importance-sampling estimate under the theta-twisted laws.
+    """Importance-sampling estimate under the theta-twisted laws, in one pass.
 
     Each exceedance carries the likelihood weight
     (1-theta)^(-N) exp(-theta * sum of cumulative hazards).  The core sums
@@ -451,4 +467,11 @@ def is_estimate(problem: SumProblem, theta: float, sample_count: int, seed: int,
     underflows only about where alpha_hat does, though w^2 underflows far
     sooner; `log_alpha_hat` stays finite where alpha_hat underflows.
     """
-    return _run(problem, theta, sample_count, seed, stream_id, workers)
+    return _run(problem, (theta,), sample_count, seed, stream_id, workers)[0]
+
+
+def is_estimates(problem: SumProblem, thetas, sample_count: int, seed: int,
+                 stream_id: int = 0, workers: int = 1) -> list:
+    """[`is_estimate` at theta for theta in thetas], in one pass that draws
+    each chunk once for every theta."""
+    return _run(problem, tuple(thetas), sample_count, seed, stream_id, workers)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import hrtwist
-from hrtwist import cli, estimators
+from hrtwist import RandomStream, cli, estimators
 from hrtwist.cli import (COMMANDS, MAX_COMPONENTS, MAX_WORKERS, ConfigError,
                          ExperimentConfig, main)
 
@@ -124,6 +124,23 @@ class TestConfigParsing:
         message = str(info.value)
         assert all(part in message for part in
                    ("('mu', 'sigma')", "('mu_db', 'sigma_db')", repr(spec)))
+
+    def test_negative_zero_theta_is_zero(self, tmp_path):
+        # -0.0 samples the words 0.0 does, and is read as 0.0, so the sweep
+        # prints it as 0.0 too
+        rows = []
+        for zero in (-0.0, 0.0):
+            raw = dict(WB_PAIR, thresholds_db=[10.0], samples_is=2_000,
+                       theta_grid=[zero, 0.5])
+            cfg = ExperimentConfig.from_dict(dict(raw, theta_override=zero))
+            assert math.copysign(1.0, cfg.theta_grid[0]) == 1.0
+            assert math.copysign(1.0, cfg.theta_override) == 1.0
+            (tmp_path / str(zero)).mkdir()
+            code, out = run(tmp_path / str(zero), "theta-sweep", raw)
+            assert code == 0
+            rows.append(data_rows(out / "theta_sweep.csv"))
+        assert rows[0] == rows[1]
+        assert rows[0][0][2] == "0.000000000000e+00"
 
     def test_readme_example_parses(self):
         cfg = ExperimentConfig.from_dict(json.loads(readme_block("json")))
@@ -631,6 +648,7 @@ class TestEfficiency:
         from hrtwist import cli
 
         monkeypatch.setattr(cli, "is_estimate", None)  # nothing is sampled
+        monkeypatch.setattr(cli, "is_estimates", None)
         raw = dict(WB_PAIR, samples_is=1, theta_grid=[0.5])
         for command in COMMANDS:
             code, out = run(tmp_path, command, raw)
@@ -660,13 +678,13 @@ class TestThetaSweep:
         from hrtwist import cli
 
         seen = []
-        real = cli.is_estimate
+        real = cli.is_estimates
 
         def spy(*args, **kwargs):
             seen.append(kwargs.get("workers", 1))
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, "is_estimate", spy)
+        monkeypatch.setattr(cli, "is_estimates", spy)
         raw = dict(WB_PAIR, samples_is=40_000, theta_grid=[0.5, 0.9])
         csvs = {}
         for workers in (1, 2):
@@ -675,10 +693,33 @@ class TestThetaSweep:
             code, out = run(tmp_path / str(workers), "theta-sweep", raw,
                             "--workers", str(workers))
             assert code == 0
-            assert seen == [workers] * 6  # two thresholds, grid plus theta*
+            assert seen == [workers] * 2  # one pass a threshold, for grid and theta*
             assert [len(sweep_rows(out, g)) for g in WB_PAIR["thresholds_db"]] == [3, 3]
             csvs[workers] = (out / "theta_sweep.csv").read_bytes()
         assert csvs[1] == csvs[2]
+
+    def test_draws_each_word_once_per_threshold(self, tmp_path, monkeypatch):
+        # three chunks a threshold and four thetas: the pass of a threshold
+        # draws each chunk's words once for all of them, on its IS stream
+        drawn, words_at = [], RandomStream.words_at
+
+        def spy(self, offset, count):
+            drawn.append((self.stream_id, offset, count))
+            return words_at(self, offset, count)
+
+        monkeypatch.setattr(RandomStream, "words_at", spy)
+        m, rows = 2 * estimators.CHUNK_SIZE + 11, estimators._chunk_rows(2)
+        raw = dict(WB_PAIR, samples_is=m, theta_grid=[0.5, 0.7, 0.9])
+        chunks = [(2 * idx, 2 * start, 2 * min(rows, m - start))
+                  for idx in range(2) for start in range(0, m, rows)]
+        for workers in (1, 2):
+            drawn.clear()
+            (tmp_path / str(workers)).mkdir()
+            code, out = run(tmp_path / str(workers), "theta-sweep", raw,
+                            "--workers", str(workers))
+            assert code == 0
+            assert [len(sweep_rows(out, g)) for g in WB_PAIR["thresholds_db"]] == [4, 4]
+            assert sorted(drawn) == chunks
 
     def test_seeds_do_not_alias_across_thresholds(self, tmp_path):
         # two configs that a per-threshold seed of seed + 1000003 i would
@@ -1048,18 +1089,29 @@ class TestSharedPass:
     def test_theta_sweep_rows_are_ccdf_runs(self, tmp_path, monkeypatch, name,
                                             override):
         # each threshold samples IS on one stream at every theta, so the
-        # sweep's run at theta* (or at a theta_override on its grid) is the
-        # run behind ccdf's alpha_is and se_is
+        # sweep's run at theta* (or at a theta_override on its grid), taken
+        # in one pass with the grid's, is the run behind ccdf's alpha_is
+        # and se_is
         runs = {}
-        real = cli.is_estimate
+        real, real_many = cli.is_estimate, cli.is_estimates
+
+        def record(problem, theta, result):
+            assert (problem.gamma, theta) not in runs[command]
+            runs[command][problem.gamma, theta] = result
 
         def spy(problem, theta, *args, **kwargs):
             result = real(problem, theta, *args, **kwargs)
-            assert (problem.gamma, theta) not in runs[command]
-            runs[command][problem.gamma, theta] = result
+            record(problem, theta, result)
             return result
 
+        def spy_many(problem, thetas, *args, **kwargs):
+            results = real_many(problem, thetas, *args, **kwargs)
+            for theta, result in zip(thetas, results, strict=True):
+                record(problem, theta, result)
+            return results
+
         monkeypatch.setattr(cli, "is_estimate", spy)
+        monkeypatch.setattr(cli, "is_estimates", spy_many)
         raw = dict(CONFIGS[name])
         if override is not None:
             raw["theta_override"] = override
@@ -1106,11 +1158,15 @@ CASE_EXIT_CODES = {"validate-wb2": 2, "validate-ln3": 1, "validate-mixed": 1}
 SPLIT_CASE = ("ccdf-wb2-three-chunks", "ccdf",
               dict(CONFIGS["wb2"], samples_is=2 * estimators.CHUNK_SIZE + 8_928,
                    samples_naive=2 * estimators.CHUNK_SIZE + 8_928))
+# the same three chunks, which two threads split in a sweep's one pass per
+# threshold
+SWEEP_SPLIT_CASE = ("theta-sweep-wb2-three-chunks", "theta-sweep", SPLIT_CASE[2])
+SPLIT_CASES = [SPLIT_CASE, SWEEP_SPLIT_CASE]
 
 
 class TestWorkers:
-    @pytest.mark.parametrize("case_id, command, raw", [*CASES, SPLIT_CASE],
-                             ids=[case[0] for case in [*CASES, SPLIT_CASE]])
+    @pytest.mark.parametrize("case_id, command, raw", [*CASES, *SPLIT_CASES],
+                             ids=[case[0] for case in [*CASES, *SPLIT_CASES]])
     def test_outputs_identical_for_any_worker_count(self, tmp_path, case_id,
                                                    command, raw):
         runs = []

@@ -18,6 +18,7 @@ from hrtwist import (
     SumProblem,
     Weibull,
     is_estimate,
+    is_estimates,
     naive_mc,
     solve_pprime,
 )
@@ -213,7 +214,7 @@ def _words_in_flight(monkeypatch):
     live passes held at once, and the most passes that were live at once."""
     pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0, 0], [0, 0]
 
-    def spy(problem, theta, cut, stream, start, stop):
+    def spy(problem, thetas, cuts, wide, stream, start, stop):
         words = (stop - start) * problem.n
         with lock:
             live[0] += words
@@ -221,7 +222,7 @@ def _words_in_flight(monkeypatch):
             most[:] = max(most[0], live[0]), max(most[1], live[1])
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
-            return pass_stats(problem, theta, cut, stream, start, stop)
+            return pass_stats(problem, thetas, cuts, wide, stream, start, stop)
         finally:
             with lock:
                 live[0] -= words
@@ -248,9 +249,9 @@ def _pass_sizes(monkeypatch):
     """Spy on `_pass_stats`: the returned list holds each pass's row count."""
     pass_stats, sizes = estimators._pass_stats, []
 
-    def spy(problem, theta, cut, stream, start, stop):
+    def spy(problem, thetas, cuts, wide, stream, start, stop):
         sizes.append(stop - start)
-        return pass_stats(problem, theta, cut, stream, start, stop)
+        return pass_stats(problem, thetas, cuts, wide, stream, start, stop)
 
     monkeypatch.setattr(estimators, "_pass_stats", spy)
     return sizes
@@ -544,9 +545,17 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     return estimators._Chunk(*sums, n_hits, float(np.min(hazard_sum[hits])))
 
 
-def _full_inversion_pass_stats(problem, theta, cut, stream, start, stop):
+def _full_inversion_pass_stats(problem, thetas, cuts, wide, stream, start, stop):
     """`_pass_stats` without the survival cut."""
-    return _full_inversion_chunk_stats(problem, theta, stream, start, stop)
+    return [_full_inversion_chunk_stats(problem, theta, stream, start, stop)
+            for theta in thetas]
+
+
+def _one_pass(problem, theta, cut, stream, start, stop):
+    """The `_pass_stats` record of the chunk [start, stop) in a run at theta
+    alone, whose cut `cut` is its wide cut."""
+    stats, = estimators._pass_stats(problem, (theta,), [cut], cut[0], stream, start, stop)
+    return stats
 
 
 def _fsum_weighs(log_w):
@@ -687,7 +696,7 @@ class TestEmptyChunk:
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
         # a full chunk and a ragged one
         for stop in (m, m - 3):
-            stats = estimators._pass_stats(problem, 0.0, cut, Stream(), 0, stop)
+            stats = _one_pass(problem, 0.0, cut, Stream(), 0, stop)
             assert stats == _NO_HITS
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
@@ -705,7 +714,7 @@ class TestEmptyChunk:
         for rows in chunks:
             stream = _Words(rows.ravel())
             _assert_chunk_matches(
-                estimators._pass_stats(DISTINCT_PAIR, theta, cut, stream, 0, 64),
+                _one_pass(DISTINCT_PAIR, theta, cut, stream, 0, 64),
                 _full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64))
 
 
@@ -770,8 +779,7 @@ class TestWeights:
             return weight_sums(log_w, t)
 
         monkeypatch.setattr(estimators, "_weight_sums", capture)
-        estimators._pass_stats(problem, theta, cut, RandomStream(1), 0,
-                               estimators.CHUNK_SIZE)
+        _one_pass(problem, theta, cut, RandomStream(1), 0, estimators.CHUNK_SIZE)
         (log_w, t), = seen
         shifted = log_w - t
         for k in (1, 2, 4):
@@ -951,9 +959,9 @@ def _equal_to_full_inversion(monkeypatch, cases):
     def run_all(pass_stats):
         out, chunks = [], {}
 
-        def spy(problem, theta, cut, stream, start, stop):
-            stats = pass_stats(problem, theta, cut, stream, start, stop)
-            chunks[len(out), start] = stats
+        def spy(problem, thetas, cuts, wide, stream, start, stop):
+            stats = pass_stats(problem, thetas, cuts, wide, stream, start, stop)
+            chunks[len(out), start], = stats  # one theta a run
             return stats
 
         with monkeypatch.context() as patch:
@@ -1328,10 +1336,9 @@ class TestTwoChunkPass:
                 stream = _Words(np.concatenate([first, second]).ravel())
                 stop = size + second.shape[0]
                 chunks = [(0, size), (size, stop)]
-                two = [estimators._pass_stats(problem, theta, cut, stream, lo, hi)
-                       for lo, hi in chunks]
-                alone = [estimators._pass_stats(problem, theta, cut, _Words(block.ravel()),
-                                                0, block.shape[0])
+                two = [_one_pass(problem, theta, cut, stream, lo, hi) for lo, hi in chunks]
+                alone = [_one_pass(problem, theta, cut, _Words(block.ravel()),
+                                   0, block.shape[0])
                          for block in (first, second)]
                 assert two == alone, (a, b, theta)
                 for chunk, (lo, hi) in zip(two, chunks):
@@ -1393,3 +1400,138 @@ class TestHitLaw:
         top = max(log_q)
         expected = top + math.log(math.fsum(math.exp(x - top) for x in log_q))
         assert estimators.log_big_jump(problem, theta) == pytest.approx(expected, rel=1e-14)
+
+
+def _kept_mask(words, columns):
+    """Which rows of words have a word at or past its column's cut word."""
+    keep = np.zeros(words.shape[0], dtype=bool)
+    for w, cols in columns.items():
+        for i in cols:
+            keep |= words[:, i] >= w
+    return keep
+
+
+class TestManyThetas:
+    """`is_estimates`: one pass over a run's words for every theta."""
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_equals_one_theta_runs(self, monkeypatch, n):
+        # three full chunks and a ragged fourth, at a threshold every theta
+        # reaches and at one that theta 0 cannot reach, beside theta*
+        monkeypatch.setattr(estimators, "CHUNK_SIZE", 1 << 10)
+        m = 3 * (1 << 10) + 37
+        rng = np.random.default_rng(n)
+        mixed = [random_component(rng) for _ in range(n)]
+        reach = set()
+        for laws in ([mixed[0]] * n, mixed):
+            for gamma_db in (10.0 * math.log10(3.0 * n), 120.0):
+                problem = SumProblem.from_db(laws, gamma_db)
+                thetas = (0.0, 0.5, solve_pprime(problem).theta_star, 1 - 1e-9)
+                reach.add(tuple(estimators._run_constants(problem, t, m) is not None
+                                for t in thetas))
+                for workers in (1, 2):
+                    many = is_estimates(problem, thetas, m, 7, stream_id=3,
+                                        workers=workers)
+                    assert many == [is_estimate(problem, t, m, 7, stream_id=3,
+                                                workers=workers) for t in thetas]
+                    assert [r.theta_used for r in many] == list(thetas)
+        assert (True,) * 4 in reach
+        assert any(not r[0] and r[2] for r in reach)  # theta 0 has no cut
+
+    def test_unreachable_thetas_alone_draw_nothing(self, monkeypatch):
+        # the Weibull(0.5, 1) pair at 40 dB: no theta of this grid reaches
+        # gamma, so the pass draws no word
+        def no_draw(self, offset, count):
+            raise AssertionError("an unreachable run drew words")
+
+        monkeypatch.setattr(RandomStream, "words_at", no_draw)
+        m = 3 * estimators.CHUNK_SIZE + 5
+        thetas = (0.0, 0.3, 0.2)
+        assert is_estimates(weibull_pair(40.0), thetas, m, 3, workers=2) == [
+            _no_hit_result(theta, m) for theta in thetas]
+        assert is_estimates(weibull_pair(40.0), (), m, 3) == []
+
+    def test_wide_cut_keeps_every_row_a_cut_keeps(self):
+        # on integer cut words: the wide cut holds each column's least cut
+        # word, so its rows are those that any cut keeps.  Real cuts of a
+        # mixed triple from theta 0 to 1 - 1e-9, and made-up cuts in which
+        # each column's least word comes from another cut, so that the
+        # largest theta's cut is not the wide one
+        problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Lognormal(0.5, 1.2)], 20.0)
+        m = 1 << 14
+        words = RandomStream(4).words_at(0, 3 * m).reshape(-1, 3)
+        real = [estimators._run_constants(problem, t, m)
+                for t in (0.0, 0.3, solve_pprime(problem).theta_star, 0.9, 1 - 1e-9)]
+        assert all(real)
+        w = np.sort(words[:, 0])[[m // 4, m // 2, 3 * m // 4]].tolist()
+        made_up = [({w[0]: [0], w[2]: [1, 2]}, None, None), None,
+                   ({w[1]: [1], w[2]: [0, 2]}, None, None),
+                   ({w[0]: [2], w[1]: [0]}, None, None)]
+        for cuts in (real, made_up):
+            wide = estimators._wide_cut(cuts)
+            least = {}
+            for columns in (cut[0] for cut in cuts if cut):
+                for word, cols in columns.items():
+                    for i in cols:
+                        least[i] = min(word, least.get(i, word))
+            assert {i: word for word, cols in wide.items() for i in cols} == least
+            kept = [_kept_mask(words, cut[0]) for cut in cuts if cut]
+            assert all(k.any() for k in kept) and len({int(k.sum()) for k in kept}) > 1
+            assert np.array_equal(_kept_mask(words, wide), np.logical_or.reduce(kept))
+        assert not any(estimators._wide_cut(made_up) is cut[0] for cut in made_up if cut)
+        # a cut whose words are the wide ones is the wide cut itself, so
+        # its theta takes the wide rows as they are; one cut is always it
+        assert estimators._wide_cut(real) is real[-1][0]
+        assert estimators._wide_cut([None, real[1], None]) is real[1][0]
+        assert estimators._wide_cut([None, None]) is estimators._wide_cut([]) is None
+        # distinct laws can share a cut word, and their columns then follow
+        # law order, not column order
+        shallow = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Weibull(0.5, 1.0)], -300.0)
+        cuts = [estimators._run_constants(shallow, t, m) for t in (0.5, 0.9)]
+        assert cuts[0][0] == {0: [0, 2, 1]}
+        assert estimators._wide_cut(cuts) is cuts[0][0]
+
+    @pytest.mark.parametrize("problem", [
+        DISTINCT_PAIR, SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)],
+        ids=["table-free", "table"])
+    def test_crossing_cuts_give_each_theta_its_own_pass(self, monkeypatch, problem):
+        # two thetas whose cuts each hold the lesser word of one column: each
+        # cuts the wide rows again, and its record is that of a pass at it
+        # alone, which keeps the same rows in the same order
+        m = 4096
+        a, b = (estimators._run_constants(problem, t, m) for t in (0.9, 0.95))
+        (wa, wb) = ({i: w for w, cols in cut[0].items() for i in cols} for cut in (a, b))
+        assert all(wb[i] < wa[i] for i in range(2))
+        a = ({wb[0]: [0], wa[1]: [1]}, *a[1:])
+        b = ({wa[0]: [0], wb[1]: [1]}, *b[1:])
+        wide = estimators._wide_cut([a, b])
+        assert wide == {wb[0]: [0], wb[1]: [1]}
+        keeps, keep = [], estimators._keep
+
+        def spy(raw, columns):
+            keeps.append(columns)
+            return keep(raw, columns)
+
+        stream = RandomStream(2)
+        alone = [_one_pass(problem, t, cut, stream, 0, m) for t, cut in ((0.9, a), (0.95, b))]
+        monkeypatch.setattr(estimators, "_keep", spy)
+        together = estimators._pass_stats(problem, (0.9, 0.95), [a, b], wide, stream, 0, m)
+        assert together == alone and all(c.hits for c in alone)
+        assert keeps == [wide, a[0], b[0]]
+
+    def test_one_theta_pass_cuts_once(self, monkeypatch):
+        # one cut a chunk at one theta; in a sweep, a second cut for each
+        # theta but the one whose words are the wide cut's
+        problem, m = lognormal_pair(20.0), 2 * estimators.CHUNK_SIZE + 11
+        calls, keep = [], estimators._keep
+
+        def spy(raw, columns):
+            calls.append(raw.shape[0])
+            return keep(raw, columns)
+
+        monkeypatch.setattr(estimators, "_keep", spy)
+        is_estimate(problem, 0.74, m, 1)
+        assert len(calls) == 3
+        calls.clear()
+        is_estimates(problem, (0.0, 0.5, 0.74, 0.9), m, 1)
+        assert len(calls) == 3 * 4
