@@ -261,7 +261,12 @@ class Lognormal(Distribution):
 
     def concavity_onset(self) -> float:
         # Lambda'' = lambda', so Lambda turns concave at the hazard-rate peak
-        return float(np.exp(self.mu + self.sigma * _hazard_peak_z(self.sigma)))
+        with np.errstate(over="ignore"):
+            onset = float(np.exp(self.mu + self.sigma * _hazard_peak_z(self.sigma)))
+        if not 0.0 < onset < np.inf:
+            raise ParameterError(f"the hazard-rate peak of Log-normal mu {self.mu}, "
+                                 f"sigma {self.sigma} lies outside the float range")
+        return onset
 
     def rising_branch(self, rate):
         """x <= concavity_onset() at which the hazard rate equals rate.

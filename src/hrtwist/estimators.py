@@ -11,8 +11,9 @@ kept; the rest are misses.
 A hit needs the quantiles only to compare their sum with gamma, and the
 weight needs only the hazard sum.  So one column loop forms each log
 survival once on every kept row and inverts it only on the rows that a
-table of each law's quantiles leaves near gamma (`_quantile_tables`,
-`_pass_stats`).  With theta = 0 every weight is 1: naive MC exactly.
+table of its law's quantiles over H = -log survival, one for every theta,
+leaves near gamma (`_law_table`, `_pass_stats`).  With theta = 0 every
+weight is 1: naive MC exactly.
 
 A chunk's weights, `solver.log_weight` of hazard sums, are summed shifted
 by its largest log weight (`_weight_sums`), and `_merge` merges a run's
@@ -63,6 +64,8 @@ MAX_WORKERS = 64  # the most threads a run may be asked for
 _SHIFT_FLOOR = -170.0
 # log 2^-53: below it log(1 - e^x) = -e^x, and its logs, to double precision
 _LOG_EPS = -53.0 * math.log(2.0)
+_TABLE_BITS = 7  # mantissa bits of H a table bucket takes: 2^7 buckets a binade
+_TABLE_BINADES = (-20, 36)  # a table spans H in [2^-20, 2^36): 56 KiB at 7 bits
 
 
 @dataclass(frozen=True)
@@ -138,34 +141,30 @@ def _pass_stats(problem: SumProblem, thetas: tuple, cuts: list, wide: dict,
     One flow for every sum: draw the chunk once, keep the rows that pass
     the wide cut (`_wide_cut`), then per theta those that pass its own cut
     words (`_run_constants`), the rows of a pass at it alone in order, so
-    every sum keeps its bits.  Bracket them where the sum has tables
-    (`_quantile_tables`), take one loop over the columns and weigh the
-    hits; a theta without a cut or kept rows takes no log or quantile.
+    every sum keeps its bits.  Take one loop over the columns, bracketing
+    the sum where it has tables, and weigh the hits; a theta without a cut
+    or kept rows takes no log or quantile.
 
-    A sum with a lognormal law has a table for each distinct law, Weibull
-    laws included: its quantile at the 2^B + 1 edges of 2^B buckets over
-    the word's top B bits (`_bucket_bits`).  Each kept row's sum is
-    bracketed first: every column adds the values at its bucket's two
-    edges (bucket word >> shift) to lo and hi.  lo > gamma (1 + 1e-9) is a
-    sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the rows in
-    between are left open: 0.10-0.15 % of the kept rows of a lognormal
-    pair at theta* and M = 10^6 (10-46 dB).  The margins dwarf the
-    rounding of an N-term sum and any float step against the quantile's
-    monotony, so the hits are those of exact inversion.
+    A sum with a lognormal law brackets every column, Weibull laws
+    included: each adds the two edge values of its bucket of H = -log_sf
+    (`_buckets`) in its law's `_law_table` to lo and hi.  lo > gamma (1 +
+    1e-9) is a sure hit and hi <= gamma (1 - 1e-9) a sure miss; only the
+    rows in between are left open: under 2 % of the kept rows of the
+    lognormal pair and triple at theta* and at theta 0 (10-49 dB).  The
+    margins dwarf the rounding of an N-term sum and any float step against
+    the quantile's monotony, so the hits are those of exact inversion.
 
     A sum of Weibull laws alone has no table: their quantile is one power,
     about as cheap as a bucket's shift, two gathers and two adds, and
     tabling the Weibull(0.5, 1) pair made its runs slower end to end.  So
-    there every kept row is open, a slice that copies nothing.
+    there the column loop inverts every kept row.
 
     The column loop forms each column's log survival once on every kept
-    row, subtracts it into the hazard sum and adds its quantile to the
-    exact sum of the open rows; an open row hits iff that sum passes gamma.
-    The hazard sums are then compressed to the hits, so a table decides
-    only which rows are inverted exactly.  The log survivals of sure
-    misses, about a quarter of the kept rows of a lognormal pair at
-    theta*, are dropped, but no hit's words are copied and no log survival
-    is formed twice.
+    row and subtracts it into the hazard sum.  After it, the open rows'
+    words are gathered once and only their log survivals formed again, for
+    the exact sum; an open row hits iff that sum passes gamma.  The hazard
+    sums are then compressed to the hits, so a table decides only which
+    rows are inverted exactly.
 
     An exact sum is added up column by column, left to right.  numpy's row
     sum adds fewer than 8 terms in that order too, so for N <= 7 every hit
@@ -185,29 +184,25 @@ def _theta_stats(problem: SumProblem, theta: float, cut: tuple, raw: np.ndarray)
     """The `_Chunk` at theta of the kept rows raw of a pass (`_pass_stats`)."""
     if raw.shape[0] == 0:
         return _NO_HITS
-    n, gamma = problem.n, problem.gamma
-    _, shift, tables = cut
-    if tables:
-        lo = np.zeros(raw.shape[0])
-        hi = np.zeros(raw.shape[0])
-        for i, comp in enumerate(problem.components):
-            table = tables[comp]
-            # np.take on intp indexes: far cheaper than indexing by uint64
-            bucket = (raw[:, i] >> shift).astype(np.intp)
-            lo += np.take(table[:-1], bucket)
-            hi += np.take(table[1:], bucket)
-        hits = lo > gamma * (1.0 + 1e-9)
-        open_rows = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
-        total = np.zeros(open_rows.size)
-    else:
-        hits, open_rows = np.zeros(raw.shape[0], dtype=bool), slice(None)
-        total = np.zeros(raw.shape[0])
-    hazard_sum = np.zeros(raw.shape[0])
+    n, gamma, tables = problem.n, problem.gamma, cut[1]
+    hazard_sum, lo = np.zeros((2, raw.shape[0]))  # without tables, lo is exact
+    hi = np.zeros(raw.shape[0]) if tables else None
     for i, comp in enumerate(problem.components):
         log_sf = _log_sf(raw[:, i], theta)
         hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
-        total += comp.quantile_from_log_sf(log_sf[open_rows])
-    hits[open_rows] = total > gamma
+        if tables:
+            bucket = _buckets(log_sf)  # in log_sf's buffer
+            lo += np.take(tables[comp][:-1], bucket, mode="clip")
+            hi += np.take(tables[comp][1:], bucket, mode="clip")
+        else:
+            lo += comp.quantile_from_log_sf(log_sf)
+    hits = lo > gamma * (1.0 + 1e-9 if tables else 1.0)  # sure hits, or all hits
+    if tables:
+        open_rows = np.flatnonzero(~hits & (hi > gamma * (1.0 - 1e-9)))
+        words, total = raw[open_rows], np.zeros(open_rows.size)
+        for i, comp in enumerate(problem.components):
+            total += comp.quantile_from_log_sf(_log_sf(words[:, i], theta))
+        hits[open_rows] = total > gamma
     hazard_sum = hazard_sum.compress(hits)
     if hazard_sum.size == 0:
         return _NO_HITS
@@ -244,43 +239,39 @@ def _chunk_rows(n: int) -> int:
     return min(CHUNK_SIZE, 1 << (MAX_WORDS // n).bit_length() - 1)
 
 
-def _bucket_bits(sample_count: int) -> int:
-    """Top word bits B a quantile table buckets on: floor(log2 M) - 6, in [4, 12].
+def _buckets(log_sf: np.ndarray) -> np.ndarray:
+    """Bucket of each H = -log_sf in a `_law_table`, before the clip to its
+    ends, formed in log_sf's buffer: H's biased exponent and top _TABLE_BITS
+    mantissa bits, less the first edge's.  A kept log_sf is negative and
+    finite, so its int64 bits are H's, in value order, less 2^63."""
+    bucket = log_sf.view(np.int64)
+    bucket >>= 52 - _TABLE_BITS  # 2^63 is now 2048 << _TABLE_BITS
+    bucket += (2048 - 1023 - _TABLE_BINADES[0]) << _TABLE_BITS
+    return bucket
 
-    A law's 2^B + 1 table values are then at most M / 64 + 1 from M = 1024
-    on, and the cap keeps a table within 33 KiB.
+
+@functools.lru_cache(maxsize=MAX_COMPONENTS)
+def _law_table(law) -> np.ndarray:
+    """law's quantile at the edges of the `_buckets` of H: bucket b lies
+    between values b and b + 1, the first from H = 0 (value 0) and the last
+    to inf (value inf).  It depends on neither theta, M nor gamma, so it is
+    built once a process, in the thread of the first run that needs it.
+    The values come from the core's own expression, which is not monotone
+    to the last bit: they bracket the quantile of every H in a bucket only
+    to a few ulps, and the core's 1e-9 margins make its hits exact.
     """
-    return min(max(sample_count.bit_length() - 7, 4), 12)
+    low, high = _TABLE_BINADES
+    k = np.arange(((high - low) << _TABLE_BITS) + 1, dtype=np.int64)
+    h = ((k + ((1023 + low) << _TABLE_BITS)) << (52 - _TABLE_BITS)).view(np.float64)
+    table = law.quantile_from_log_sf(-h)
+    table[0], table[-1] = 0.0, math.inf
+    table.flags.writeable = False  # shared by every run
+    return table
 
 
-def _quantile_tables(problem: SumProblem, theta: float, sample_count: int):
-    """(shift, tables): the one rule for which columns the core brackets.
-
-    A sum with at least one lognormal law tables every distinct law, Weibull
-    laws included: its quantiles at the 2^B + 1 bucket edges, the least word
-    of each bucket (word >> shift) and the greatest word, 2^64 - 1.  Bucket
-    b lies between values b and b + 1.  A sum of Weibull laws alone gets no
-    table and evaluates no edge value; `_pass_stats` says why.
-
-    The values come from the core's own expression.  That expression is
-    not monotone to the last bit, so the lognormal values bracket the
-    quantile of every word in the bucket only to a few ulps; the core's
-    1e-9 margins are what make its hits exact.
-    """
-    bits = _bucket_bits(sample_count)
-    shift = np.uint64(64 - bits)
-    laws = problem.laws
-    if not any(law.family == "lognormal" for law in laws):
-        return shift, {}
-    edges = np.append(np.arange(1 << bits, dtype=np.uint64) << shift,
-                      np.uint64(2 ** 64 - 1))
-    log_sf = _log_sf(edges, theta)
-    return shift, {law: law.quantile_from_log_sf(log_sf) for law in laws}
-
-
-def _run_constants(problem: SumProblem, theta: float, sample_count: int):
-    """What every pass shares at theta: (cut word -> its columns, shift,
-    tables), or None when no word can reach gamma.
+def _run_constants(problem: SumProblem, theta: float):
+    """What every pass shares at theta: (cut word -> its columns, law ->
+    its `_law_table`), or None when no word can reach gamma.
 
     A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
     and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
@@ -290,7 +281,9 @@ def _run_constants(problem: SumProblem, theta: float, sample_count: int):
     rows lie under the edge and miss.  A law whose largest word fails the
     core's float test gets no cut word.  S_i(edge) is evaluated once per
     distinct law, and columns that share a cut word, identical laws' at
-    least, are compared once on their elementwise max.
+    least, are compared once on their elementwise max.  A sum with a
+    lognormal law tables every distinct law, and a Weibull-only sum none
+    (`_pass_stats` says why).
     """
     laws = problem.laws
     edge = problem.gamma * (1.0 - 1e-9) / problem.n
@@ -304,7 +297,8 @@ def _run_constants(problem: SumProblem, theta: float, sample_count: int):
             columns.setdefault(w, []).extend(idx)
     if not columns:
         return None
-    return (columns, *_quantile_tables(problem, theta, sample_count))
+    tabled = any(law.family == "lognormal" for law in laws)
+    return columns, {law: _law_table(law) for law in laws if tabled}
 
 
 def _map_on_threads(fn, starts, stops, threads: int) -> list:
@@ -372,7 +366,7 @@ def _run(problem: SumProblem, thetas: tuple, sample_count: int, seed: int,
         if not (0.0 <= theta < 1.0):
             raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    cuts = [_run_constants(problem, theta, sample_count) for theta in thetas]
+    cuts = [_run_constants(problem, theta) for theta in thetas]
     wide = _wide_cut(cuts)
     rows = _chunk_rows(problem.n)
     # with no cut no word can reach gamma: every row is a miss, so draw none

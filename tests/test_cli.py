@@ -267,6 +267,9 @@ class TestExitCodes:
                                   "scale": 1.0, "count": 3}]}),
         ("solve", {"components": [{"family": "lognormal", "mu": 0.0,
                                    "sigma": 1e-4, "count": 2}]}),
+        # the hazard-rate peak underflows to 0
+        ("solve", {"components": [{"family": "lognormal", "mu": 0.0,
+                                   "sigma": 30.0, "count": 2}]}),
         # Philox keys on 64 bits, so these would alias seeds in range
         ("ccdf", {"seed": 2 ** 63}),
         ("ccdf", {"seed": -2 ** 63 - 1}),
@@ -292,7 +295,7 @@ class TestExitCodes:
             "theta-grid-false", "theta-override-false", "theta-override-string",
             "count-string", "samples-is-string", "samples-naive-string",
             "seed-string", "component-unknown-key", "unknown-key",
-            "linear-subnormal", "lognormal-sigma-1e-4", "seed-2^63",
+            "linear-subnormal", "lognormal-sigma-1e-4", "lognormal-sigma-30", "seed-2^63",
             "seed-below-2^63", "samples-is-1e30", "samples-naive-2^62",
             "components-past-1024", "count-0", "thresholds-empty"])
     def test_bad_config_is_config_error(self, tmp_path, capsys, command, change):
@@ -333,9 +336,7 @@ class TestExitCodes:
         {"thresholds_db": [-200.0],
          "components": [{"family": "lognormal", "mu": 0.0, "sigma": 1.0,
                          "count": 2}]},
-        {"components": [{"family": "lognormal", "mu": 0.0, "sigma": 30.0,
-                         "count": 2}]},
-    ], ids=["lognormal-1-at-m200dB", "lognormal-sigma-30"])
+    ], ids=["lognormal-1-at-m200dB"])
     def test_numerical_failure_is_exit_2(self, tmp_path, capsys, change):
         assert run(tmp_path, "solve", dict(WB_PAIR, **change))[0] == 2
         err = capsys.readouterr().err
@@ -1062,6 +1063,27 @@ print(json.dumps([code, "concurrent.futures" in sys.modules]))
                                          "sigma": 1e-4, "count": 2}])
         report, _ = self.probe(tmp_path, "solve", raw)
         assert report["before"] == [] and report["code"] == 1
+
+    @pytest.mark.parametrize("spec", [
+        {"mu_db": 0.0, "sigma_db": 119.0},  # the peak underflows to 0
+        {"mu": 800.0, "sigma": 1.0}],  # the peak overflows
+        ids=["sigma-119dB", "mu-800"])
+    def test_lognormal_peak_outside_floats_is_config_error(
+            self, monkeypatch, tmp_path, capsys, spec):
+        def no_run(*args):
+            raise AssertionError("a config error was sampled")
+
+        monkeypatch.setattr(estimators, "_run", no_run)
+        raw = dict(WB_PAIR, components=[{"family": "lognormal", **spec, "count": 2}])
+        assert run(tmp_path, "ccdf", raw)[0] == 1
+        assert re.search(r"^config error: .*mu .*sigma .*float range",
+                         capsys.readouterr().err)
+
+    def test_lognormal_subnormal_peak_solves(self, tmp_path):
+        # sigma 118 dB puts the peak at 2.4e-321
+        raw = dict(WB_PAIR, components=[{"family": "lognormal", "mu_db": 0.0,
+                                         "sigma_db": 118.0, "count": 2}])
+        assert run(tmp_path, "solve", raw)[0] == 0
 
 
 class TestSharedPass:

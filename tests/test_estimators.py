@@ -678,7 +678,7 @@ class TestEmptyChunk:
         ids=["lognormal", "weibull", "distinct"])
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
         m = estimators.CHUNK_SIZE
-        cut = estimators._run_constants(problem, 0.0, m)
+        cut = estimators._run_constants(problem, 0.0)
         assert cut and all(w > 0 for w in cut[0])
         below = min(cut[0]) - 1
 
@@ -701,7 +701,7 @@ class TestEmptyChunk:
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
-        cut = estimators._run_constants(DISTINCT_PAIR, theta, 64)
+        cut = estimators._run_constants(DISTINCT_PAIR, theta)
         (lo, (i,)), (hi, (j,)) = sorted(cut[0].items())
         assert lo < hi
         rows = np.zeros((64, 2), dtype=np.uint64)
@@ -771,7 +771,7 @@ class TestWeights:
         # the subnormal range, which numpy computes about 100 times slower
         problem = weibull_pair(55.0)
         theta = solve_pprime(problem).theta_star
-        cut = estimators._run_constants(problem, theta, estimators.CHUNK_SIZE)
+        cut = estimators._run_constants(problem, theta)
         seen, weight_sums = [], estimators._weight_sums
 
         def capture(log_w, t):
@@ -823,7 +823,7 @@ class TestWordCut:
         problem = SumProblem([Weibull(1.0, edge / -c) for c in target], gamma)
         cuts = [float(c.log_survival(edge)) for c in problem.components]
         # each column that can pass the word cut -> its cut word
-        columns = estimators._run_constants(problem, theta, 1)[0]
+        columns = estimators._run_constants(problem, theta)[0]
         least = {i: w for w, cols in columns.items() for i in cols}
         top = (1 << 53) - 1
         largest = np.array([2 ** 64 - 1], dtype=np.uint64)
@@ -871,7 +871,7 @@ class TestWordCut:
             return inner(self, x)
 
         monkeypatch.setattr(Lognormal, "log_survival", spy)
-        columns = estimators._run_constants(problem, 0.5, 100)[0]
+        columns = estimators._run_constants(problem, 0.5)[0]
         assert calls == [LN6, other]
         assert all(reachable) and least[0] != least[1]
         assert least[0] == least[2] == least[3]
@@ -991,14 +991,19 @@ def _equal_to_full_inversion(monkeypatch, cases):
     return core
 
 
+def _kept_mask(words, columns):
+    """Which rows of words have a word at or past its column's cut word."""
+    keep = np.zeros(words.shape[0], dtype=bool)
+    for w, cols in columns.items():
+        for i in cols:
+            keep |= words[:, i] >= w
+    return keep
+
+
 def _kept_words(problem, theta, m, seed):
     """Rows of stream 0 of seed that pass the run's word cut."""
     words = RandomStream(seed).words_at(0, problem.n * m).reshape(-1, problem.n)
-    keep = np.zeros(m, dtype=bool)
-    for w, cols in estimators._run_constants(problem, theta, m)[0].items():
-        for i in cols:
-            keep |= words[:, i] >= w
-    return words[keep]
+    return words[_kept_mask(words, estimators._run_constants(problem, theta)[0])]
 
 
 def _kept_rows(problem, theta, m, seed):
@@ -1009,12 +1014,14 @@ def _open_rows(problem, theta, m, seed):
     """Kept rows of stream 0 of seed that the run's tables leave undecided,
     or every kept row of a sum without tables."""
     words = _kept_words(problem, theta, m, seed)
-    _, shift, tables = estimators._run_constants(problem, theta, m)
+    tables = estimators._run_constants(problem, theta)[1]
     if not tables:
         return len(words)
-    bucket = (words >> shift).astype(np.intp)
-    lo = sum(tables[c][bucket[:, i]] for i, c in enumerate(problem.components))
-    hi = sum(tables[c][bucket[:, i] + 1] for i, c in enumerate(problem.components))
+    lo = hi = np.zeros(len(words))
+    for i, c in enumerate(problem.components):
+        bucket = estimators._buckets(estimators._log_sf(words[:, i], theta))
+        bucket = np.clip(bucket, 0, tables[c].size - 2)
+        lo, hi = lo + tables[c][bucket], hi + tables[c][bucket + 1]
     gamma = problem.gamma
     return int(np.count_nonzero(
         (lo <= gamma * (1.0 + 1e-9)) & (hi > gamma * (1.0 - 1e-9))))
@@ -1059,14 +1066,53 @@ def _count_quantile_values(monkeypatch, cls):
     return sizes
 
 
+def _table_builds(monkeypatch):
+    """(law, values) of each quantile call outside a pass, which builds a
+    table, on runs of one worker."""
+    builds, in_pass, inner_pass = [], [], estimators._pass_stats
+
+    def pass_spy(*args):
+        in_pass.append(True)
+        try:
+            return inner_pass(*args)
+        finally:
+            in_pass.pop()
+
+    monkeypatch.setattr(estimators, "_pass_stats", pass_spy)
+    for cls in (Lognormal, Weibull):
+        def spy(self, log_sf, inner=cls.quantile_from_log_sf):
+            if not in_pass:
+                builds.append((self, np.size(log_sf)))
+            return inner(self, log_sf)
+
+        monkeypatch.setattr(cls, "quantile_from_log_sf", spy)
+    return builds
+
+
+@pytest.fixture
+def fresh_tables():
+    """No law's table built before the test, and none kept after it."""
+    estimators._law_table.cache_clear()
+    yield
+    estimators._law_table.cache_clear()
+
+
+def _table_size():
+    """Values of one law's table: an edge a bucket, and one more."""
+    low, high = estimators._TABLE_BINADES
+    return ((high - low) << estimators._TABLE_BITS) + 1
+
+
 LN6 = Lognormal.from_db(0.0, 6.0)
 
 
+@pytest.mark.usefixtures("fresh_tables")
 class TestQuantileTable:
     def test_tiny_table_equals_full_inversion(self, monkeypatch):
-        # 4 buckets: at 20 dB nearly every kept lognormal row is left near
-        # gamma and inverted exactly; at -5 dB most are sure hits
-        monkeypatch.setattr(estimators, "_bucket_bits", lambda m: 2)
+        # one bucket a binade of H: at 20 dB over a third of the kept
+        # lognormal rows are left near gamma and inverted exactly, against
+        # about 1 % at the table's own bits; at -5 dB most are sure hits
+        monkeypatch.setattr(estimators, "_TABLE_BITS", 0)
         problems = [
             lognormal_pair(20.0), lognormal_pair(-5.0),
             SumProblem.from_db([Weibull(0.5, 1.0), LN6, Lognormal(0.5, 1.2)], 15.0),
@@ -1080,15 +1126,31 @@ class TestQuantileTable:
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
         core = _equal_to_full_inversion(monkeypatch, cases)
         assert all(r.hit_frequency for r in core[::2])
+        problem, theta, m, _ = cases[0]  # the first run, on seed 0
+        assert _open_rows(problem, theta, m, 0) > 0.3 * _kept_rows(problem, theta, m, 0)
+        assert estimators._law_table(LN6).size == 56 + 1
+
+    @pytest.mark.parametrize("laws, gamma_db, m", [
+        ([LN6] * 2, 25.0, 2 * estimators.CHUNK_SIZE),
+        ([LN6] * 2, 30.0, 16 * estimators.CHUNK_SIZE),
+        ([LN6] * 3, 20.0, 20_000)], ids=["pair-25dB", "pair-30dB", "triple-20dB"])
+    def test_naive_mc_inverts_few_rows(self, monkeypatch, laws, gamma_db, m):
+        # theta 0 puts the tail columns of the kept rows at the largest
+        # words, which a table over the word's top bits left undecided
+        problem = SumProblem.from_db(laws, gamma_db)
+        kept = _kept_rows(problem, 0.0, m, 5)
+        passes = _column_calls(monkeypatch)
+        naive_mc(problem, m, 5)
+        assert kept > 0 and len(passes) == -(-m // estimators.CHUNK_SIZE)
+        assert sum(sum(c["quantile"]) for c in passes) <= 0.02 * problem.n * kept
 
     def test_lognormal_pair_inverts_few_rows(self, monkeypatch):
         problem = lognormal_pair(30.0)
         theta = solve_pprime(problem).theta_star
         m = 2 * estimators.CHUNK_SIZE
-        table = (1 << estimators._bucket_bits(m)) + 1
         sizes = _count_quantile_values(monkeypatch, Lognormal)
         is_estimate(problem, theta, m, 5)
-        assert sizes[0] == table
+        assert sizes[0] == _table_size()
         assert sum(sizes[1:]) <= 0.02 * _kept_rows(problem, theta, m, 5)
 
     def test_identical_laws_share_one_table(self, monkeypatch):
@@ -1099,7 +1161,7 @@ class TestQuantileTable:
         assert r.hit_frequency > 0
         # one table, then one exact call per column and chunk: a full chunk
         # and a ragged second
-        assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
+        assert sizes[0] == _table_size()
         assert len(sizes) == 1 + 64 * 2
 
     @pytest.mark.parametrize("problem", [
@@ -1107,24 +1169,26 @@ class TestQuantileTable:
         SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0),
         weibull_pair(20.0)], ids=["lognormal", "mixed", "weibull"])
     def test_one_column_loop_per_pass(self, monkeypatch, problem):
-        # each column's log survival is formed once a pass, on every kept
-        # row, and inverted on the open rows alone
-        theta = solve_pprime(problem).theta_star
+        # each column's log survival is formed once a pass on every kept
+        # row; with tables, it is formed again on the open rows alone, and
+        # only they are inverted
+        n, theta = problem.n, solve_pprime(problem).theta_star
         m = 2 * estimators.CHUNK_SIZE + 11  # three chunks, the last ragged
         kept = _kept_rows(problem, theta, m, 5)
         opened = _open_rows(problem, theta, m, 5)
+        tabled = any(law.family == "lognormal" for law in problem.laws)
         passes = _column_calls(monkeypatch)
         is_estimate(problem, theta, m, 5)
         assert len(passes) == 3
         for calls in passes:
-            assert len(calls["log_sf"]) == problem.n
-            assert len(set(calls["log_sf"])) == 1
-            assert len(calls["quantile"]) == problem.n
-            assert len(set(calls["quantile"])) == 1
-        assert sum(sum(c["log_sf"]) for c in passes) == problem.n * kept
-        assert sum(sum(c["quantile"]) for c in passes) == problem.n * opened
-        if any(law.family == "lognormal" for law in problem.laws):
-            assert opened <= 0.02 * kept
+            on_kept = calls["log_sf"][:n]
+            on_open = calls["log_sf"][n:] if tabled else calls["log_sf"]
+            assert len(calls["log_sf"]) == (2 * n if tabled else n)
+            assert calls["quantile"] == on_open and len(set(on_open)) == 1
+            assert len(set(on_kept)) == 1
+        assert sum(sum(c["log_sf"][:n]) for c in passes) == n * kept
+        assert sum(sum(c["quantile"]) for c in passes) == n * opened
+        assert opened <= (0.02 * kept if tabled else kept)
 
     def test_weibull_pair_builds_no_table(self, monkeypatch):
         problem = weibull_pair(20.0)
@@ -1142,14 +1206,15 @@ class TestQuantileTable:
     def test_mixed_pair_brackets_its_weibull_column(self, monkeypatch):
         problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)
         theta = solve_pprime(problem).theta_star
-        m = 2 * estimators.CHUNK_SIZE + 11
-        kept = _kept_rows(problem, theta, m, 5)
+        # five chunks, the last ragged: enough kept rows that the table,
+        # built once a process, is under a tenth of them
+        m = 4 * estimators.CHUNK_SIZE + 11
         sizes = _count_quantile_values(monkeypatch, Weibull)
         is_estimate(problem, theta, m, 5)
-        # the table's edges, then one near-row array per chunk, the last
-        # ragged
-        assert sizes[0] == (1 << estimators._bucket_bits(m)) + 1
-        assert len(sizes) == 1 + 3
+        kept = _kept_rows(problem, theta, m, 5)
+        # the table's edges, then one open-row array per chunk
+        assert sizes[0] == _table_size()
+        assert len(sizes) == 1 + 5
         assert sum(sizes[1:]) <= 0.02 * kept
         # inverting every kept row's Weibull column took `kept` values
         assert sum(sizes) <= 0.1 * kept
@@ -1162,33 +1227,67 @@ class TestQuantileTable:
         def no_call(*args):
             raise AssertionError("a Weibull-only sum evaluated a table value")
 
-        monkeypatch.setattr(estimators, "_log_sf", no_call)
+        monkeypatch.setattr(estimators, "_law_table", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        m = 2 * estimators.CHUNK_SIZE + 11
-        shift, tables = estimators._quantile_tables(problem, 0.8, m)
-        assert tables == {}
-        assert int(shift) == 64 - estimators._bucket_bits(m)
+        assert estimators._run_constants(problem, 0.8)[1] == {}
 
     def test_table_ends_at_inf(self, monkeypatch):
-        # at the strongest twist the greatest words' quantiles overflow
+        # at the strongest twist the greatest words' H lie past the table's
+        # binades, in its last bucket, and their quantiles overflow
         theta, m = 1 - 1e-12, estimators.CHUNK_SIZE + 9
+        top = estimators._log_sf(np.array([2 ** 64 - 1], dtype=np.uint64), theta)
+        assert -top[0] > 2.0 ** estimators._TABLE_BINADES[1]
         cases = []
         for problem in (lognormal_pair(20.0),
                         SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)):
-            _, tables = estimators._quantile_tables(problem, theta, m)
-            assert np.isinf(tables[LN6]).any()
-            assert not np.isinf(tables[LN6][:-1]).all()
+            for table in estimators._run_constants(problem, theta)[1].values():
+                assert (table[0], table[-1]) == (0.0, math.inf)
+                assert np.isfinite(table[:-1]).any()
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
         _equal_to_full_inversion(monkeypatch, cases)
 
 
+@pytest.mark.usefixtures("fresh_tables")
+class TestLawTable:
+    SWEEP = (0.0, 0.5, 0.6, 0.7, 0.8, 0.9)  # a grid of five and theta*
+
+    def test_one_build_per_law(self, monkeypatch):
+        # a six-theta run over 64 distinct laws builds each law's table
+        # once; a run at another theta, M and threshold builds none
+        laws = [Lognormal.from_db(mu_db, 6.0) for mu_db in np.linspace(-3.0, 3.0, 64)]
+        builds = _table_builds(monkeypatch)
+        results = is_estimates(SumProblem.from_db(laws, 25.0), self.SWEEP, 1000, 1)
+        assert all(r.hit_frequency for r in results)
+        assert sorted(builds, key=lambda b: laws.index(b[0])) == [(law, _table_size()) for law in laws]
+        builds.clear()
+        r = is_estimate(SumProblem.from_db(laws[::-1], 35.0), 0.95, 3000, 2)
+        assert r.hit_frequency and builds == []
+
+    def test_sweep_over_1024_laws_holds_one_table_a_law(self):
+        laws = [Lognormal.from_db(mu_db, 6.0) for mu_db in np.linspace(-3.0, 3.0, 1024)]
+        problem = SumProblem.from_db(laws, 40.0)
+        LN6.quantile_from_log_sf(-1.0)  # scipy loads outside the trace
+        tracemalloc.start()
+        try:
+            results = is_estimates(problem, self.SWEEP, 16, 1)
+            current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [r.hit_frequency for r in results][1:] == [16] * 5
+        table = estimators._law_table(LN6).nbytes
+        assert table == 8 * _table_size() <= 64 * 1024
+        # the tables, beside 16 rows of words and one table's temporaries
+        assert 1024 * table <= current and peak <= 1024 * table + 2 ** 21
+
+
+@pytest.mark.usefixtures("fresh_tables")
 class TestBucketEdges:
-    # the computed quantile is not monotone to the last bit: a word's
+    # the computed quantile is not monotone to the last bit: a log survival's
     # quantile can pass its bucket's edge values by a few ulps, which the
     # core's 1e-9 margins cover; 1e-12 is the slack allowed here
     SLACK = 1.0 + 1e-12
 
-    @pytest.mark.parametrize("bits", [2, 4, 8, 12])
+    @pytest.mark.parametrize("bits", [0, 2, 4, 7, 8, 12])
     def test_edges_bracket_the_core_quantile(self, monkeypatch, bits):
         rng = np.random.default_rng(bits)
         laws = [Lognormal.from_db(rng.uniform(-10.0, 10.0), sigma_db)
@@ -1197,23 +1296,32 @@ class TestBucketEdges:
         laws += [Weibull(shape, scale) for shape, scale in zip(
             np.geomspace(1e-9, 0.99, 12),
             rng.permutation(np.geomspace(1e-3, 37.0, 12)))]
-        problem = SumProblem(laws, 1.0)
-        monkeypatch.setattr(estimators, "_bucket_bits", lambda m: bits)
-        least = np.arange(1 << bits, dtype=np.uint64) << np.uint64(64 - bits)
-        words = np.concatenate([
-            least, least + np.uint64((1 << (64 - bits)) - 1),
-            rng.integers(0, 2 ** 64 - 1, 5000, dtype=np.uint64, endpoint=True)])
-        for theta in (0.0, float(rng.uniform(0.0, 0.99)), 1 - 1e-12):
-            shift, tables = estimators._quantile_tables(problem, theta, 1)
-            assert int(shift) == 64 - bits and set(tables) == set(laws)
-            log_sf = estimators._log_sf(words, theta)
-            b = (words >> shift).astype(np.intp)
-            for law in laws:
-                table = tables[law]
-                assert table.shape == ((1 << bits) + 1,)
-                q = law.quantile_from_log_sf(log_sf)
-                assert np.all(table[b] <= q * self.SLACK), (law, theta)
-                assert np.all(q <= table[b + 1] * self.SLACK), (law, theta)
+        monkeypatch.setattr(estimators, "_TABLE_BITS", bits)
+        low, high = estimators._TABLE_BINADES
+        # the edges of H, built from their binade and step
+        k = np.arange(((high - low) << bits) + 1)
+        edges = np.ldexp(1.0 + (k % (1 << bits)) / (1 << bits), low + (k >> bits))
+        # the first and last edges and 2,000 more, each at and beside its H
+        some = edges[np.unique(np.r_[k[:4], k[-4:], rng.choice(k, 2000)])]
+        words = rng.integers(0, 2 ** 64 - 1, 5000, dtype=np.uint64, endpoint=True)
+        h = np.concatenate([
+            some, np.nextafter(some, 0.0), np.nextafter(some, np.inf),
+            [2.0 ** -53, 2.0 ** -30, 1e-7, 2.0 ** 40, 3.7e13, 1e300],  # outside
+            *(-estimators._log_sf(words, t) for t in (0.0, rng.uniform(0.0, 0.99),
+                                                       1 - 1e-12))])
+        assert (h < 2.0 ** low).any() and (h > 2.0 ** high).any()
+        log_sf = -h
+        bucket = np.clip(estimators._buckets(log_sf.copy()), 0, edges.size - 2)
+        # an H in [edge b, edge b + 1) lies in bucket b; below the second
+        # edge in the first, and at or past the last but one in the last
+        want = np.clip(np.searchsorted(edges, h, side="right") - 1, 0, edges.size - 2)
+        assert np.array_equal(bucket, want)
+        for law in laws:
+            table = estimators._law_table(law)
+            assert table.shape == edges.shape and (table[0], table[-1]) == (0.0, math.inf)
+            q = law.quantile_from_log_sf(log_sf)
+            assert np.all(table[bucket] <= q * self.SLACK), law
+            assert np.all(q <= table[bucket + 1] * self.SLACK), law
 
 
 class TestBoundCertificate:
@@ -1286,17 +1394,6 @@ class TestResultRecord:
         assert r != naive_mc(single_weibull_gamma4, 100, 0, stream_id=4)
 
 
-def _kept_of_rows(problem, cut, stream, start, stop):
-    """How many rows of [start, stop) pass the word cut, and of how many."""
-    words = stream.words_at(start * problem.n, (stop - start) * problem.n)
-    words = words.reshape(-1, problem.n)
-    keep = np.zeros(words.shape[0], dtype=bool)
-    for w, cols in cut[0].items():
-        for i in cols:
-            keep |= words[:, i] >= w
-    return int(np.count_nonzero(keep)), words.shape[0]
-
-
 class TestTwoChunkPass:
     """Two chunks side by side in one stream, each one pass."""
 
@@ -1313,7 +1410,7 @@ class TestTwoChunkPass:
         monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
         seen = set()
         for theta in (0.0, solve_pprime(problem).theta_star):
-            cut = estimators._run_constants(problem, theta, 2 * size)
+            cut = estimators._run_constants(problem, theta)
             least = np.zeros(n, dtype=np.uint64)
             for w, cols in cut[0].items():
                 least[cols] = w
@@ -1344,8 +1441,9 @@ class TestTwoChunkPass:
                 for chunk, (lo, hi) in zip(two, chunks):
                     _assert_chunk_matches(chunk, _full_inversion_chunk_stats(
                         problem, theta, stream, lo, hi))
-                    kept, rows = _kept_of_rows(problem, cut, stream, lo, hi)
-                    seen.add(("kept", kept == 0, kept == rows, chunk.hits == 0))
+                    rows = stream.words_at(lo * n, (hi - lo) * n).reshape(-1, n)
+                    kept = int(np.count_nonzero(_kept_mask(rows, cut[0])))
+                    seen.add(("kept", kept == 0, kept == len(rows), chunk.hits == 0))
                 seen.add(("ragged", stop % size > 0))
                 seen.add(("theta", theta > 0.0))
         # chunks that keep no row, keep some and keep all, with and without
@@ -1402,15 +1500,6 @@ class TestHitLaw:
         assert estimators.log_big_jump(problem, theta) == pytest.approx(expected, rel=1e-14)
 
 
-def _kept_mask(words, columns):
-    """Which rows of words have a word at or past its column's cut word."""
-    keep = np.zeros(words.shape[0], dtype=bool)
-    for w, cols in columns.items():
-        for i in cols:
-            keep |= words[:, i] >= w
-    return keep
-
-
 class TestManyThetas:
     """`is_estimates`: one pass over a run's words for every theta."""
 
@@ -1427,7 +1516,7 @@ class TestManyThetas:
             for gamma_db in (10.0 * math.log10(3.0 * n), 120.0):
                 problem = SumProblem.from_db(laws, gamma_db)
                 thetas = (0.0, 0.5, solve_pprime(problem).theta_star, 1 - 1e-9)
-                reach.add(tuple(estimators._run_constants(problem, t, m) is not None
+                reach.add(tuple(estimators._run_constants(problem, t) is not None
                                 for t in thetas))
                 for workers in (1, 2):
                     many = is_estimates(problem, thetas, m, 7, stream_id=3,
@@ -1460,13 +1549,13 @@ class TestManyThetas:
         problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Lognormal(0.5, 1.2)], 20.0)
         m = 1 << 14
         words = RandomStream(4).words_at(0, 3 * m).reshape(-1, 3)
-        real = [estimators._run_constants(problem, t, m)
+        real = [estimators._run_constants(problem, t)
                 for t in (0.0, 0.3, solve_pprime(problem).theta_star, 0.9, 1 - 1e-9)]
         assert all(real)
         w = np.sort(words[:, 0])[[m // 4, m // 2, 3 * m // 4]].tolist()
-        made_up = [({w[0]: [0], w[2]: [1, 2]}, None, None), None,
-                   ({w[1]: [1], w[2]: [0, 2]}, None, None),
-                   ({w[0]: [2], w[1]: [0]}, None, None)]
+        made_up = [({w[0]: [0], w[2]: [1, 2]}, None), None,
+                   ({w[1]: [1], w[2]: [0, 2]}, None),
+                   ({w[0]: [2], w[1]: [0]}, None)]
         for cuts in (real, made_up):
             wide = estimators._wide_cut(cuts)
             least = {}
@@ -1487,7 +1576,7 @@ class TestManyThetas:
         # distinct laws can share a cut word, and their columns then follow
         # law order, not column order
         shallow = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Weibull(0.5, 1.0)], -300.0)
-        cuts = [estimators._run_constants(shallow, t, m) for t in (0.5, 0.9)]
+        cuts = [estimators._run_constants(shallow, t) for t in (0.5, 0.9)]
         assert cuts[0][0] == {0: [0, 2, 1]}
         assert estimators._wide_cut(cuts) is cuts[0][0]
 
@@ -1499,7 +1588,7 @@ class TestManyThetas:
         # cuts the wide rows again, and its record is that of a pass at it
         # alone, which keeps the same rows in the same order
         m = 4096
-        a, b = (estimators._run_constants(problem, t, m) for t in (0.9, 0.95))
+        a, b = (estimators._run_constants(problem, t) for t in (0.9, 0.95))
         (wa, wb) = ({i: w for w, cols in cut[0].items() for i in cols} for cut in (a, b))
         assert all(wb[i] < wa[i] for i in range(2))
         a = ({wb[0]: [0], wa[1]: [1]}, *a[1:])
