@@ -381,10 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--output", default="out",
                         help="output directory (default: out)")
     parser.add_argument("--workers", type=int, default=1,
-                        help="worker threads per estimation run, at most min("
-                             "WORKERS, its chunks of 2^16 samples (2^15 from N = "
-                             "513), max(1, 512 // N)) (results are identical for "
-                             "any count)")
+                        help=f"worker threads per estimation run: 1 to {MAX_WORKERS}, "
+                             "a ceiling; see README, Threads and memory (results "
+                             "are identical for any count)")
     return parser
 
 

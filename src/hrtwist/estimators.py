@@ -4,9 +4,10 @@ Every estimator is a run of one sampling core at one or more theta
 (`is_estimates`; `is_estimate` and `naive_mc`, theta 0, are runs at one):
 component i of sample j uses word j*N + i of the run's Philox stream, and
 its sample at theta is the base quantile at the twisted log survival
-log(1 - u) / (1 - theta), so one draw serves every theta.  Only rows with
-a word at or past its component's survival cut (`_run_constants`) are
-kept; the rest are misses.
+log(1 - u) / (1 - theta), so one draw serves every theta.  A run's one
+set-up, `_run_constants`, gives each distinct law of `SumProblem.laws` a
+survival cut word per theta, and each column its law's table.  Only rows
+with a word at or past its law's cut are kept; the rest are misses.
 
 A hit needs the quantiles only to compare their sum with gamma, and the
 weight needs only the hazard sum.  So one column loop forms each log
@@ -119,14 +120,14 @@ def _log_sf(words: np.ndarray, theta: float) -> np.ndarray:
     return log_sf
 
 
-def _keep(raw: np.ndarray, columns: dict) -> np.ndarray:
+def _keep(raw: np.ndarray, cut: dict) -> np.ndarray:
     """The rows of raw with a word at or past its column's cut word, by
     `ndarray.compress`: a boolean mask measured about four times slower."""
     keep = np.zeros(raw.shape[0], dtype=bool)
-    # column by column, far cheaper than a 2-D compare and any(axis=1); a
+    # law by law, far cheaper than a 2-D compare and any(axis=1); a law's
     # cut word is compared once, with its columns' max, since numpy takes
     # the max of two strided columns faster than it compares one
-    for w, cols in columns.items():
+    for cols, w in cut.items():
         keep |= functools.reduce(np.maximum, (raw[:, i] for i in cols)) >= w
     # a copy of the kept rows while the block is alive would double the
     # pass's memory, so a block whose rows are all kept is used as it is
@@ -134,16 +135,16 @@ def _keep(raw: np.ndarray, columns: dict) -> np.ndarray:
 
 
 def _pass_stats(problem: SumProblem, thetas: tuple, cuts: list, wide: dict,
-                stream: RandomStream, start: int, stop: int) -> list:
+                tables: list, stream: RandomStream, start: int, stop: int) -> list:
     """Hit moments of the chunk of samples [start, stop), in one pass: per
     theta its `_Chunk` (`_weight_sums`), or _NO_HITS.
 
-    One flow for every sum: draw the chunk once, keep the rows that pass
-    the wide cut (`_wide_cut`), then per theta those that pass its own cut
-    words (`_run_constants`), the rows of a pass at it alone in order, so
-    every sum keeps its bits.  Take one loop over the columns, bracketing
-    the sum where it has tables, and weigh the hits; a theta without a cut
-    or kept rows takes no log or quantile.
+    One flow for every sum, on the run's `_run_constants`: draw the chunk
+    once, keep the rows that pass the wide cut, then per theta those that
+    pass its own cut words, unless they are the wide ones: the rows of a
+    pass at it alone in order, so every sum keeps its bits.  Take one loop
+    over the columns, bracketing the sum where it has tables, and weigh the
+    hits; a theta without a cut or kept rows takes no log or quantile.
 
     A sum with a lognormal law brackets every column, Weibull laws
     included: each adds the two edge values of its bucket of H = -log_sf
@@ -176,15 +177,16 @@ def _pass_stats(problem: SumProblem, thetas: tuple, cuts: list, wide: dict,
     # the drawn block is released here, unless every row passes
     raw = _keep(stream.words_at(start * n, (stop - start) * n).reshape(-1, n), wide)
     return [_NO_HITS if cut is None else _theta_stats(
-        problem, theta, cut, raw if cut[0] is wide else _keep(raw, cut[0]))
+        problem, theta, tables, raw if cut == wide else _keep(raw, cut))
         for theta, cut in zip(thetas, cuts)]
 
 
-def _theta_stats(problem: SumProblem, theta: float, cut: tuple, raw: np.ndarray) -> _Chunk:
+def _theta_stats(problem: SumProblem, theta: float, tables: list,
+                 raw: np.ndarray) -> _Chunk:
     """The `_Chunk` at theta of the kept rows raw of a pass (`_pass_stats`)."""
     if raw.shape[0] == 0:
         return _NO_HITS
-    n, gamma, tables = problem.n, problem.gamma, cut[1]
+    n, gamma = problem.n, problem.gamma
     hazard_sum, lo = np.zeros((2, raw.shape[0]))  # without tables, lo is exact
     hi = np.zeros(raw.shape[0]) if tables else None
     for i, comp in enumerate(problem.components):
@@ -192,8 +194,8 @@ def _theta_stats(problem: SumProblem, theta: float, cut: tuple, raw: np.ndarray)
         hazard_sum -= log_sf  # cumulative hazard of the base law at x_i
         if tables:
             bucket = _buckets(log_sf)  # in log_sf's buffer
-            lo += np.take(tables[comp][:-1], bucket, mode="clip")
-            hi += np.take(tables[comp][1:], bucket, mode="clip")
+            lo += np.take(tables[i][:-1], bucket, mode="clip")
+            hi += np.take(tables[i][1:], bucket, mode="clip")
         else:
             lo += comp.quantile_from_log_sf(log_sf)
     hits = lo > gamma * (1.0 + 1e-9 if tables else 1.0)  # sure hits, or all hits
@@ -269,9 +271,13 @@ def _law_table(law) -> np.ndarray:
     return table
 
 
-def _run_constants(problem: SumProblem, theta: float):
-    """What every pass shares at theta: (cut word -> its columns, law ->
-    its `_law_table`), or None when no word can reach gamma.
+def _run_constants(problem: SumProblem, thetas: tuple):
+    """What every pass of a run shares: (cuts, wide, tables).  cuts holds
+    per theta a dict (a law's columns -> its cut word), keyed as
+    `SumProblem.laws`, or None where no word can reach gamma; wide each
+    law's least word over those cuts, which a row any cut keeps passes, or
+    None; tables each column's `_law_table` for a sum with a lognormal law,
+    and none for a Weibull-only sum (`_pass_stats` says why).
 
     A sum above gamma has a component above edge = gamma (1 - 1e-9) / N,
     and component i passes the edge iff its uniform exceeds 1 - s_i, s_i =
@@ -279,26 +285,25 @@ def _run_constants(problem: SumProblem, theta: float):
     least 1 - (1 + 1e-12) s_i - 2^-53; that slack dwarfs the rounding of
     the core's `_log_sf`, so every row that can hit is kept, and the extra
     rows lie under the edge and miss.  A law whose largest word fails the
-    core's float test gets no cut word.  S_i(edge) is evaluated once per
-    distinct law, and columns that share a cut word, identical laws' at
-    least, are compared once on their elementwise max.  A sum with a
-    lognormal law tables every distinct law, and a Weibull-only sum none
-    (`_pass_stats` says why).
+    core's float test gets no cut word.  S_i(edge) depends on no theta, so
+    it is evaluated once per distinct law and run.
     """
     laws = problem.laws
     edge = problem.gamma * (1.0 - 1e-9) / problem.n
-    cut = np.array([law.log_survival(edge) for law in laws])
-    reachable = _log_sf(np.full(cut.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < cut
-    least = least_word(
-        1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * cut) - 2.0 ** -53)
-    columns = {}
-    for idx, w, ok in zip(laws.values(), least, reachable):
-        if ok:
-            columns.setdefault(w, []).extend(idx)
-    if not columns:
-        return None
+    log_s = np.array([law.log_survival(edge) for law in laws])
+    cuts, wide = [], {}
+    for theta in thetas:
+        reachable = _log_sf(np.full(log_s.shape, 2 ** 64 - 1, dtype=np.uint64), theta) < log_s
+        least = least_word(
+            1.0 - (1.0 + 1e-12) * np.exp((1.0 - theta) * log_s) - 2.0 ** -53)
+        cut = {tuple(cols): w for cols, w, ok in zip(laws.values(), least, reachable) if ok}
+        for cols, w in cut.items():
+            wide[cols] = min(w, wide.get(cols, w))
+        cuts.append(cut or None)
+    if not wide:
+        return cuts, None, []
     tabled = any(law.family == "lognormal" for law in laws)
-    return columns, {law: _law_table(law) for law in laws if tabled}
+    return cuts, wide, [_law_table(comp) for comp in problem.components if tabled]
 
 
 def _map_on_threads(fn, starts, stops, threads: int) -> list:
@@ -335,21 +340,6 @@ def _map_on_threads(fn, starts, stops, threads: int) -> list:
     return out
 
 
-def _wide_cut(cuts: list) -> dict | None:
-    """Each column's least cut word over `cuts` (cut word -> columns), which
-    a row any cut keeps passes: a cut's own dict where it has those words."""
-    live = [cut[0] for cut in cuts if cut]
-    if len(live) < 2:  # a run at one theta builds no dict
-        return live[0] if live else None
-    least = {}  # in column order, each column's least word
-    for i, w in sorted((i, w) for c in live for w, cols in c.items() for i in cols):
-        least.setdefault(i, w)
-    wide = {}
-    for i, w in least.items():
-        wide.setdefault(w, []).append(i)
-    return next((c for c in live if {w: sorted(v) for w, v in c.items()} == wide), wide)
-
-
 def _run(problem: SumProblem, thetas: tuple, sample_count: int, seed: int,
          stream_id: int, workers: int) -> list:
     try:
@@ -366,15 +356,14 @@ def _run(problem: SumProblem, thetas: tuple, sample_count: int, seed: int,
         if not (0.0 <= theta < 1.0):
             raise ParameterError(f"theta must lie in [0, 1), got {theta}")
     stream = RandomStream(seed, stream_id)
-    cuts = [_run_constants(problem, theta) for theta in thetas]
-    wide = _wide_cut(cuts)
+    cuts, wide, tables = _run_constants(problem, thetas)
     rows = _chunk_rows(problem.n)
     # with no cut no word can reach gamma: every row is a miss, so draw none
     starts = range(0, sample_count if wide else 0, rows)
     stops = [min(start + rows, sample_count) for start in starts]
     threads = min(workers, len(starts), MAX_WORDS // (rows * problem.n))
     chunks = _map_on_threads(functools.partial(
-        _pass_stats, problem, thetas, cuts, wide, stream), starts, stops, threads)
+        _pass_stats, problem, thetas, cuts, wide, tables, stream), starts, stops, threads)
     return [_merge([c[k] for c in chunks], theta, sample_count, problem.n)
             for k, theta in enumerate(thetas)]
 

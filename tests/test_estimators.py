@@ -214,7 +214,7 @@ def _words_in_flight(monkeypatch):
     live passes held at once, and the most passes that were live at once."""
     pass_stats, lock, live, most = estimators._pass_stats, threading.Lock(), [0, 0], [0, 0]
 
-    def spy(problem, thetas, cuts, wide, stream, start, stop):
+    def spy(problem, thetas, cuts, wide, tables, stream, start, stop):
         words = (stop - start) * problem.n
         with lock:
             live[0] += words
@@ -222,7 +222,7 @@ def _words_in_flight(monkeypatch):
             most[:] = max(most[0], live[0]), max(most[1], live[1])
         try:
             time.sleep(0.01)  # long enough for free threads to overlap
-            return pass_stats(problem, thetas, cuts, wide, stream, start, stop)
+            return pass_stats(problem, thetas, cuts, wide, tables, stream, start, stop)
         finally:
             with lock:
                 live[0] -= words
@@ -249,9 +249,9 @@ def _pass_sizes(monkeypatch):
     """Spy on `_pass_stats`: the returned list holds each pass's row count."""
     pass_stats, sizes = estimators._pass_stats, []
 
-    def spy(problem, thetas, cuts, wide, stream, start, stop):
+    def spy(problem, thetas, cuts, wide, tables, stream, start, stop):
         sizes.append(stop - start)
-        return pass_stats(problem, thetas, cuts, wide, stream, start, stop)
+        return pass_stats(problem, thetas, cuts, wide, tables, stream, start, stop)
 
     monkeypatch.setattr(estimators, "_pass_stats", spy)
     return sizes
@@ -545,16 +545,16 @@ def _full_inversion_chunk_stats(problem, theta, stream, start, stop):
     return estimators._Chunk(*sums, n_hits, float(np.min(hazard_sum[hits])))
 
 
-def _full_inversion_pass_stats(problem, thetas, cuts, wide, stream, start, stop):
+def _full_inversion_pass_stats(problem, thetas, cuts, wide, tables, stream, start, stop):
     """`_pass_stats` without the survival cut."""
     return [_full_inversion_chunk_stats(problem, theta, stream, start, stop)
             for theta in thetas]
 
 
-def _one_pass(problem, theta, cut, stream, start, stop):
+def _one_pass(problem, theta, cut, tables, stream, start, stop):
     """The `_pass_stats` record of the chunk [start, stop) in a run at theta
     alone, whose cut `cut` is its wide cut."""
-    stats, = estimators._pass_stats(problem, (theta,), [cut], cut[0], stream, start, stop)
+    stats, = estimators._pass_stats(problem, (theta,), [cut], cut, tables, stream, start, stop)
     return stats
 
 
@@ -678,9 +678,9 @@ class TestEmptyChunk:
         ids=["lognormal", "weibull", "distinct"])
     def test_chunk_keeping_no_row_does_no_work(self, monkeypatch, problem):
         m = estimators.CHUNK_SIZE
-        cut = estimators._run_constants(problem, 0.0)
-        assert cut and all(w > 0 for w in cut[0])
-        below = min(cut[0]) - 1
+        (cut,), _, tables = estimators._run_constants(problem, (0.0,))
+        assert cut and all(w > 0 for w in cut.values())
+        below = min(cut.values()) - 1
 
         class Stream:
             """Every word just below the least cut word."""
@@ -696,13 +696,13 @@ class TestEmptyChunk:
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
         # a full chunk and a ragged one
         for stop in (m, m - 3):
-            stats = _one_pass(problem, 0.0, cut, Stream(), 0, stop)
+            stats = _one_pass(problem, 0.0, cut, tables, Stream(), 0, stop)
             assert stats == _NO_HITS
 
     @pytest.mark.parametrize("theta", [0.0, 0.9])
     def test_chunks_near_the_cuts_equal_full_inversion(self, theta):
-        cut = estimators._run_constants(DISTINCT_PAIR, theta)
-        (lo, (i,)), (hi, (j,)) = sorted(cut[0].items())
+        (cut,), _, tables = estimators._run_constants(DISTINCT_PAIR, (theta,))
+        ((i,), lo), ((j,), hi) = sorted(cut.items(), key=lambda item: item[1])
         assert lo < hi
         rows = np.zeros((64, 2), dtype=np.uint64)
         rows[:, j] = lo  # past the max, short of its own column's cut
@@ -714,7 +714,7 @@ class TestEmptyChunk:
         for rows in chunks:
             stream = _Words(rows.ravel())
             _assert_chunk_matches(
-                _one_pass(DISTINCT_PAIR, theta, cut, stream, 0, 64),
+                _one_pass(DISTINCT_PAIR, theta, cut, tables, stream, 0, 64),
                 _full_inversion_chunk_stats(DISTINCT_PAIR, theta, stream, 0, 64))
 
 
@@ -771,7 +771,7 @@ class TestWeights:
         # the subnormal range, which numpy computes about 100 times slower
         problem = weibull_pair(55.0)
         theta = solve_pprime(problem).theta_star
-        cut = estimators._run_constants(problem, theta)
+        (cut,), _, tables = estimators._run_constants(problem, (theta,))
         seen, weight_sums = [], estimators._weight_sums
 
         def capture(log_w, t):
@@ -779,7 +779,7 @@ class TestWeights:
             return weight_sums(log_w, t)
 
         monkeypatch.setattr(estimators, "_weight_sums", capture)
-        _one_pass(problem, theta, cut, RandomStream(1), 0, estimators.CHUNK_SIZE)
+        _one_pass(problem, theta, cut, tables, RandomStream(1), 0, estimators.CHUNK_SIZE)
         (log_w, t), = seen
         shifted = log_w - t
         for k in (1, 2, 4):
@@ -823,8 +823,8 @@ class TestWordCut:
         problem = SumProblem([Weibull(1.0, edge / -c) for c in target], gamma)
         cuts = [float(c.log_survival(edge)) for c in problem.components]
         # each column that can pass the word cut -> its cut word
-        columns = estimators._run_constants(problem, theta)[0]
-        least = {i: w for w, cols in columns.items() for i in cols}
+        (cut,), _, _ = estimators._run_constants(problem, (theta,))
+        least = {i: w for cols, w in cut.items() for i in cols}
         top = (1 << 53) - 1
         largest = np.array([2 ** 64 - 1], dtype=np.uint64)
         for i, cut in enumerate(cuts):
@@ -871,11 +871,16 @@ class TestWordCut:
             return inner(self, x)
 
         monkeypatch.setattr(Lognormal, "log_survival", spy)
-        columns = estimators._run_constants(problem, 0.5)[0]
+        (cut,), _, _ = estimators._run_constants(problem, (0.5,))
         assert calls == [LN6, other]
         assert all(reachable) and least[0] != least[1]
         assert least[0] == least[2] == least[3]
-        assert columns == {least[0]: [0, 2, 3], least[1]: [1]}
+        assert cut == {(0, 2, 3): least[0], (1,): least[1]}
+        # S(edge) depends on no theta: a run at three takes it once a law
+        calls.clear()
+        results = is_estimates(problem, (0.0, 0.5, 0.9), 1000, 1)
+        assert calls == [LN6, other]
+        assert [r.theta_used for r in results] == [0.0, 0.5, 0.9]
 
     def test_unreachable_run_draws_nothing(self, monkeypatch):
         # Weibull(0.5, 1) pair at 40 dB: each component must pass 5,000,
@@ -959,8 +964,8 @@ def _equal_to_full_inversion(monkeypatch, cases):
     def run_all(pass_stats):
         out, chunks = [], {}
 
-        def spy(problem, thetas, cuts, wide, stream, start, stop):
-            stats = pass_stats(problem, thetas, cuts, wide, stream, start, stop)
+        def spy(problem, thetas, cuts, wide, tables, stream, start, stop):
+            stats = pass_stats(problem, thetas, cuts, wide, tables, stream, start, stop)
             chunks[len(out), start], = stats  # one theta a run
             return stats
 
@@ -991,10 +996,10 @@ def _equal_to_full_inversion(monkeypatch, cases):
     return core
 
 
-def _kept_mask(words, columns):
+def _kept_mask(words, cut):
     """Which rows of words have a word at or past its column's cut word."""
     keep = np.zeros(words.shape[0], dtype=bool)
-    for w, cols in columns.items():
+    for cols, w in cut.items():
         for i in cols:
             keep |= words[:, i] >= w
     return keep
@@ -1003,7 +1008,8 @@ def _kept_mask(words, columns):
 def _kept_words(problem, theta, m, seed):
     """Rows of stream 0 of seed that pass the run's word cut."""
     words = RandomStream(seed).words_at(0, problem.n * m).reshape(-1, problem.n)
-    return words[_kept_mask(words, estimators._run_constants(problem, theta)[0])]
+    (cut,), _, _ = estimators._run_constants(problem, (theta,))
+    return words[_kept_mask(words, cut)]
 
 
 def _kept_rows(problem, theta, m, seed):
@@ -1014,14 +1020,14 @@ def _open_rows(problem, theta, m, seed):
     """Kept rows of stream 0 of seed that the run's tables leave undecided,
     or every kept row of a sum without tables."""
     words = _kept_words(problem, theta, m, seed)
-    tables = estimators._run_constants(problem, theta)[1]
+    tables = estimators._run_constants(problem, (theta,))[2]
     if not tables:
         return len(words)
     lo = hi = np.zeros(len(words))
-    for i, c in enumerate(problem.components):
+    for i, table in enumerate(tables):
         bucket = estimators._buckets(estimators._log_sf(words[:, i], theta))
-        bucket = np.clip(bucket, 0, tables[c].size - 2)
-        lo, hi = lo + tables[c][bucket], hi + tables[c][bucket + 1]
+        bucket = np.clip(bucket, 0, table.size - 2)
+        lo, hi = lo + table[bucket], hi + table[bucket + 1]
     gamma = problem.gamma
     return int(np.count_nonzero(
         (lo <= gamma * (1.0 + 1e-9)) & (hi > gamma * (1.0 - 1e-9))))
@@ -1229,7 +1235,7 @@ class TestQuantileTable:
 
         monkeypatch.setattr(estimators, "_law_table", no_call)
         monkeypatch.setattr(Weibull, "quantile_from_log_sf", no_call)
-        assert estimators._run_constants(problem, 0.8)[1] == {}
+        assert estimators._run_constants(problem, (0.8,))[2] == []
 
     def test_table_ends_at_inf(self, monkeypatch):
         # at the strongest twist the greatest words' H lie past the table's
@@ -1240,7 +1246,7 @@ class TestQuantileTable:
         cases = []
         for problem in (lognormal_pair(20.0),
                         SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)):
-            for table in estimators._run_constants(problem, theta)[1].values():
+            for table in estimators._run_constants(problem, (theta,))[2]:
                 assert (table[0], table[-1]) == (0.0, math.inf)
                 assert np.isfinite(table[:-1]).any()
             cases += [(problem, theta, m, 1), (problem, theta, m, 2)]
@@ -1410,10 +1416,10 @@ class TestTwoChunkPass:
         monkeypatch.setattr(estimators, "CHUNK_SIZE", size)
         seen = set()
         for theta in (0.0, solve_pprime(problem).theta_star):
-            cut = estimators._run_constants(problem, theta)
+            (cut,), _, tables = estimators._run_constants(problem, (theta,))
             least = np.zeros(n, dtype=np.uint64)
-            for w, cols in cut[0].items():
-                least[cols] = w
+            for cols, w in cut.items():
+                least[list(cols)] = w
             assert least.min() > 0
             random = RandomStream(11).words_at(0, 3 * size * n).reshape(-1, n)
             at_cut = np.zeros((size, n), dtype=np.uint64)
@@ -1433,8 +1439,9 @@ class TestTwoChunkPass:
                 stream = _Words(np.concatenate([first, second]).ravel())
                 stop = size + second.shape[0]
                 chunks = [(0, size), (size, stop)]
-                two = [_one_pass(problem, theta, cut, stream, lo, hi) for lo, hi in chunks]
-                alone = [_one_pass(problem, theta, cut, _Words(block.ravel()),
+                two = [_one_pass(problem, theta, cut, tables, stream, lo, hi)
+                       for lo, hi in chunks]
+                alone = [_one_pass(problem, theta, cut, tables, _Words(block.ravel()),
                                    0, block.shape[0])
                          for block in (first, second)]
                 assert two == alone, (a, b, theta)
@@ -1442,7 +1449,7 @@ class TestTwoChunkPass:
                     _assert_chunk_matches(chunk, _full_inversion_chunk_stats(
                         problem, theta, stream, lo, hi))
                     rows = stream.words_at(lo * n, (hi - lo) * n).reshape(-1, n)
-                    kept = int(np.count_nonzero(_kept_mask(rows, cut[0])))
+                    kept = int(np.count_nonzero(_kept_mask(rows, cut)))
                     seen.add(("kept", kept == 0, kept == len(rows), chunk.hits == 0))
                 seen.add(("ragged", stop % size > 0))
                 seen.add(("theta", theta > 0.0))
@@ -1516,8 +1523,8 @@ class TestManyThetas:
             for gamma_db in (10.0 * math.log10(3.0 * n), 120.0):
                 problem = SumProblem.from_db(laws, gamma_db)
                 thetas = (0.0, 0.5, solve_pprime(problem).theta_star, 1 - 1e-9)
-                reach.add(tuple(estimators._run_constants(problem, t) is not None
-                                for t in thetas))
+                cuts = estimators._run_constants(problem, thetas)[0]
+                reach.add(tuple(cut is not None for cut in cuts))
                 for workers in (1, 2):
                     many = is_estimates(problem, thetas, m, 7, stream_id=3,
                                         workers=workers)
@@ -1540,45 +1547,56 @@ class TestManyThetas:
             _no_hit_result(theta, m) for theta in thetas]
         assert is_estimates(weibull_pair(40.0), (), m, 3) == []
 
-    def test_wide_cut_keeps_every_row_a_cut_keeps(self):
-        # on integer cut words: the wide cut holds each column's least cut
+    def test_wide_cut_keeps_every_row_a_cut_keeps(self, monkeypatch):
+        # on integer cut words: the wide cut holds each law's least cut
         # word, so its rows are those that any cut keeps.  Real cuts of a
-        # mixed triple from theta 0 to 1 - 1e-9, and made-up cuts in which
-        # each column's least word comes from another cut, so that the
-        # largest theta's cut is not the wide one
+        # mixed triple from theta 0 to 1 - 1e-9, and made-up cut words in
+        # which each law's least word comes from another cut, so that no
+        # cut, the largest theta's included, is the wide one
         problem = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Lognormal(0.5, 1.2)], 20.0)
         m = 1 << 14
         words = RandomStream(4).words_at(0, 3 * m).reshape(-1, 3)
-        real = [estimators._run_constants(problem, t)
-                for t in (0.0, 0.3, solve_pprime(problem).theta_star, 0.9, 1 - 1e-9)]
-        assert all(real)
-        w = np.sort(words[:, 0])[[m // 4, m // 2, 3 * m // 4]].tolist()
-        made_up = [({w[0]: [0], w[2]: [1, 2]}, None), None,
-                   ({w[1]: [1], w[2]: [0, 2]}, None),
-                   ({w[0]: [2], w[1]: [0]}, None)]
-        for cuts in (real, made_up):
-            wide = estimators._wide_cut(cuts)
+        thetas = (0.0, 0.3, solve_pprime(problem).theta_star, 0.9, 1 - 1e-9)
+        real = estimators._run_constants(problem, thetas)
+        assert all(real[0])
+        # a law's cut word falls as theta grows: the largest theta's cut is
+        # the wide one, as is a run's only live cut
+        assert real[1] == real[0][-1]
+        cuts, wide, _ = estimators._run_constants(problem, (0.3,))
+        assert cuts == [wide] == [real[0][1]]
+        unreachable = estimators._run_constants(weibull_pair(40.0), (0.0, 0.3))
+        assert unreachable == ([None, None], None, [])
+        assert estimators._run_constants(problem, ()) == ([], None, [])
+
+        # per theta each law's made-up cut word, or None where it has none
+        w = np.sort(words[:, 0])[[m // 4, m // 2, 3 * m // 4]]
+        made_up = [[w[0], w[2], w[2]], [None] * 3, [w[2], w[1], w[2]], [w[1], None, w[0]]]
+        rows, row = iter(made_up), []
+
+        def top_log_sf(words, theta):
+            """The largest word's log survival, which fails where a law has
+            no word; it is taken first at each theta."""
+            row[:] = next(rows)
+            return np.array([0.0 if x is None else -np.inf for x in row])
+
+        with monkeypatch.context() as patch:
+            patch.setattr(estimators, "_log_sf", top_log_sf)
+            patch.setattr(estimators, "least_word", lambda u: np.array(
+                [0 if x is None else x for x in row], dtype=np.uint64))
+            made = estimators._run_constants(problem, (0.1, 0.2, 0.3, 0.4))
+        assert made[0] == [{(0,): w[0], (1,): w[2], (2,): w[2]}, None,
+                           {(0,): w[2], (1,): w[1], (2,): w[2]}, {(0,): w[1], (2,): w[0]}]
+        assert made[1] == {(0,): w[0], (1,): w[1], (2,): w[0]}
+        for cuts, wide, _ in (real, made):
             least = {}
-            for columns in (cut[0] for cut in cuts if cut):
-                for word, cols in columns.items():
-                    for i in cols:
-                        least[i] = min(word, least.get(i, word))
-            assert {i: word for word, cols in wide.items() for i in cols} == least
-            kept = [_kept_mask(words, cut[0]) for cut in cuts if cut]
+            for cut in filter(None, cuts):
+                for cols, word in cut.items():
+                    least[cols] = min(word, least.get(cols, word))
+            assert wide == least
+            kept = [_kept_mask(words, cut) for cut in cuts if cut]
             assert all(k.any() for k in kept) and len({int(k.sum()) for k in kept}) > 1
             assert np.array_equal(_kept_mask(words, wide), np.logical_or.reduce(kept))
-        assert not any(estimators._wide_cut(made_up) is cut[0] for cut in made_up if cut)
-        # a cut whose words are the wide ones is the wide cut itself, so
-        # its theta takes the wide rows as they are; one cut is always it
-        assert estimators._wide_cut(real) is real[-1][0]
-        assert estimators._wide_cut([None, real[1], None]) is real[1][0]
-        assert estimators._wide_cut([None, None]) is estimators._wide_cut([]) is None
-        # distinct laws can share a cut word, and their columns then follow
-        # law order, not column order
-        shallow = SumProblem.from_db([Weibull(0.5, 1.0), LN6, Weibull(0.5, 1.0)], -300.0)
-        cuts = [estimators._run_constants(shallow, t) for t in (0.5, 0.9)]
-        assert cuts[0][0] == {0: [0, 2, 1]}
-        assert estimators._wide_cut(cuts) is cuts[0][0]
+        assert made[1] not in made[0]
 
     @pytest.mark.parametrize("problem", [
         DISTINCT_PAIR, SumProblem.from_db([Weibull(0.5, 1.0), LN6], 20.0)],
@@ -1588,25 +1606,27 @@ class TestManyThetas:
         # cuts the wide rows again, and its record is that of a pass at it
         # alone, which keeps the same rows in the same order
         m = 4096
-        a, b = (estimators._run_constants(problem, t) for t in (0.9, 0.95))
-        (wa, wb) = ({i: w for w, cols in cut[0].items() for i in cols} for cut in (a, b))
-        assert all(wb[i] < wa[i] for i in range(2))
-        a = ({wb[0]: [0], wa[1]: [1]}, *a[1:])
-        b = ({wa[0]: [0], wb[1]: [1]}, *b[1:])
-        wide = estimators._wide_cut([a, b])
-        assert wide == {wb[0]: [0], wb[1]: [1]}
+        (a, b), wide, tables = estimators._run_constants(problem, (0.9, 0.95))
+        wa, wb = ({i: w for (i,), w in cut.items()} for cut in (a, b))
+        assert all(wb[i] < wa[i] for i in range(2)) and wide == b
+        # the real cuts' least words, crossed between the thetas
+        a = {(0,): wb[0], (1,): wa[1]}
+        b = {(0,): wa[0], (1,): wb[1]}
+        assert a != wide != b
         keeps, keep = [], estimators._keep
 
-        def spy(raw, columns):
-            keeps.append(columns)
-            return keep(raw, columns)
+        def spy(raw, cut):
+            keeps.append(cut)
+            return keep(raw, cut)
 
         stream = RandomStream(2)
-        alone = [_one_pass(problem, t, cut, stream, 0, m) for t, cut in ((0.9, a), (0.95, b))]
+        alone = [_one_pass(problem, t, cut, tables, stream, 0, m)
+                 for t, cut in ((0.9, a), (0.95, b))]
         monkeypatch.setattr(estimators, "_keep", spy)
-        together = estimators._pass_stats(problem, (0.9, 0.95), [a, b], wide, stream, 0, m)
+        together = estimators._pass_stats(
+            problem, (0.9, 0.95), [a, b], wide, tables, stream, 0, m)
         assert together == alone and all(c.hits for c in alone)
-        assert keeps == [wide, a[0], b[0]]
+        assert keeps == [wide, a, b]
 
     def test_one_theta_pass_cuts_once(self, monkeypatch):
         # one cut a chunk at one theta; in a sweep, a second cut for each
