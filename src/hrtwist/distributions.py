@@ -6,16 +6,25 @@ in the far tail: survival-related quantities are computed in log space so
 that no intermediate ever forms ``1 - F(x)`` directly.
 
 Only the log-normal family needs special functions, scipy's ``log_ndtr``
-and ``ndtri_exp``.  Loading ``scipy.special`` costs about as much as the
-rest of the CLI's start-up, so `_special` imports it on the first
-log-normal evaluation, not at import, and a run whose laws are all
-Weibull never loads scipy.  A config with a log-normal law loads it
-while it is parsed, where the law's concavity onset is checked.  Each
-lazy value here, the module and each sigma's hazard-rate peak, is made
-once under `functools.cache` and kept for the life of the process.
+and ``ndtri_exp``.  `_special` loads them on the first log-normal
+evaluation, not at import, so a run whose laws are all Weibull never
+loads scipy.  It loads only ``scipy.special._ufuncs``, the compiled module
+that holds both, and not the ``scipy.special`` package: the package's
+``__init__`` runs its array-API layer, which pulls in ``numpy.f2py``,
+``numpy.testing``, ``unittest`` and ``concurrent.futures``, costs as much
+as the rest of the CLI's start-up, and serves no command.  Where the
+package is already loaded it is used as it is, and where the ufunc module
+cannot be loaded alone the package is imported; either way the ufuncs are
+the same objects.  A config with a log-normal law loads them while it is
+parsed, where the law's concavity onset is checked.  Each lazy value
+here, the ufunc module and each sigma's hazard-rate peak, is made once
+and kept for the life of the process.
 """
 from __future__ import annotations
 
+import importlib.util
+import sys
+import threading
 from dataclasses import dataclass
 from functools import cache
 
@@ -40,9 +49,39 @@ def db_to_linear(value_db):
 # standard-normal tail utilities
 # ---------------------------------------------------------------------------
 
-@cache
+_SPECIAL = None
+_SPECIAL_LOCK = threading.Lock()  # the first use may come from two sampling threads
+
+
 def _special():
-    """The `scipy.special` module, imported on the first log-normal use."""
+    """A module holding scipy's ``log_ndtr`` and ``ndtri_exp``, loaded on the
+    first log-normal use: ``scipy.special._ufuncs``, or the package itself
+    where it is already loaded or the ufunc module cannot be loaded alone."""
+    global _SPECIAL
+    if _SPECIAL is None:
+        with _SPECIAL_LOCK:
+            if _SPECIAL is None:
+                _SPECIAL = _load_special()
+    return _SPECIAL
+
+
+def _load_special():
+    if "scipy.special" in sys.modules:
+        return sys.modules["scipy.special"]
+    try:
+        # a stub of the package, its spec unrun, lets the submodule load
+        # without the package's __init__; it never stays in sys.modules
+        stub = importlib.util.module_from_spec(importlib.util.find_spec("scipy.special"))
+        sys.modules["scipy.special"] = stub
+        try:
+            ufuncs = importlib.import_module("scipy.special._ufuncs")
+        finally:
+            if sys.modules.get("scipy.special") is stub:
+                del sys.modules["scipy.special"]
+        if hasattr(ufuncs, "log_ndtr") and hasattr(ufuncs, "ndtri_exp"):
+            return ufuncs
+    except (ImportError, AttributeError):  # another scipy layout
+        pass
     from scipy import special
 
     return special

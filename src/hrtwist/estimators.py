@@ -77,9 +77,11 @@ class EstimateResult:
     indicator: for naive MC (theta 0) the weight is the indicator itself.
     `std_error` is the standard error of `alpha_hat`, and
     `second_moment_std_error` that of `second_moment_weight`.  Each
-    underflows only about where the value it describes does;
-    `log_alpha_hat` is finite wherever the run has a hit, also where
-    `alpha_hat` underflows.
+    underflows only about where the value it describes does.  Each of the
+    four has its natural log beside it, formed from the run's sums and not
+    from the float: `log_alpha_hat` and `log_second_moment` are finite
+    wherever the run has a hit, also where their values underflow, and
+    each standard error's log is -inf only where its variance term is 0.
     `min_hazard_sum_hit`, the least hazard sum of a hit (inf without
     one), supports the per-sample worst-case-weight certificate: the
     largest hit weight is its `solver.log_weight`.
@@ -90,8 +92,11 @@ class EstimateResult:
     sample_count: int
     hit_frequency: int
     second_moment_weight: float
+    log_second_moment: float
     std_error: float
+    log_std_error: float
     second_moment_std_error: float
+    log_second_moment_std_error: float
     theta_used: float
     min_hazard_sum_hit: float
 
@@ -387,21 +392,30 @@ def _merge(chunks, theta: float, sample_count: int, n: int) -> EstimateResult:
     m = sample_count
     mean_w, second, fourth = sum_w / m, sum_w2 / m, sum_w4 / m
     variance = max((m / (m - 1.0)) * (second - mean_w * mean_w), 0.0) if m >= 2 else 0.0
+    var_se, var_se2 = variance / m, max(fourth - second * second, 0.0) / m
     # every linear output is exp(top) or exp(2 top), one rounding of an exact
     # float, times a value of order 1: never exp of a rounded log
     with np.errstate(over="ignore"):  # past the float range a weight is inf
         scale, scale2 = np.exp([top, 2.0 * top]).tolist()
     return EstimateResult(
         alpha_hat=scale * mean_w,
-        log_alpha_hat=top + math.log(mean_w) if hits else -math.inf,
+        log_alpha_hat=top + _log(mean_w),
         sample_count=m,
         hit_frequency=hits,
         second_moment_weight=scale2 * second,
-        std_error=scale * math.sqrt(variance / m),
-        second_moment_std_error=scale2 * math.sqrt(max(fourth - second * second, 0.0) / m),
+        log_second_moment=2.0 * top + _log(second),
+        std_error=scale * math.sqrt(var_se),
+        log_std_error=top + 0.5 * _log(var_se),
+        second_moment_std_error=scale2 * math.sqrt(var_se2),
+        log_second_moment_std_error=2.0 * top + 0.5 * _log(var_se2),
         theta_used=theta,
         min_hazard_sum_hit=min_hs,
     )
+
+
+def _log(x: float) -> float:
+    """log x for x >= 0, -inf at 0."""
+    return math.log(x) if x > 0.0 else -math.inf
 
 
 def log_big_jump(problem: SumProblem, theta: float) -> float:

@@ -978,8 +978,13 @@ def test_each_threshold_is_solved_once(tmp_path, monkeypatch, command, override)
 
 class TestImports:
     # scipy.special and what it loads are about half of the CLI's start-up,
-    # and only lognormal laws use it; scipy.optimize, and scipy.integrate
-    # which loads it, are no command's, validate included
+    # and only lognormal laws use it, through its ufunc module alone;
+    # scipy.optimize, and scipy.integrate which loads it, are no command's,
+    # validate included
+    UFUNCS = "scipy.special._ufuncs"
+    # the scipy.special package, and what its array-API layer pulls in
+    PACKAGE = ("scipy.special", "numpy.f2py", "scipy._lib._array_api",
+               "numpy.testing", "unittest", "concurrent.futures")
     PROBE = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
@@ -998,9 +1003,17 @@ import json, sys
 sys.path.insert(0, sys.argv[1])
 from hrtwist.cli import ExperimentConfig
 
-before = "scipy.special" in sys.modules
+before = sorted(sys.modules)
 ExperimentConfig.from_dict(json.loads(sys.argv[2]))
-print(json.dumps([before, "scipy.special" in sys.modules]))
+print(json.dumps([before, sorted(sys.modules)]))
+"""
+    MAIN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hrtwist.cli import main
+
+code = main(sys.argv[2:])
+print(json.dumps([code, sorted(sys.modules)]))
 """
 
     @staticmethod
@@ -1046,17 +1059,25 @@ print(json.dumps([code, "concurrent.futures" in sys.modules]))
         assert report == [0, False]
 
     def test_cli_loads_no_scipy_integrate_or_optimize(self, tmp_path):
-        # a lognormal run, which does load scipy.special
-        raw = dict(LN_PAIR, samples_is=1_000, samples_naive=1_000)
-        report, _ = self.probe(tmp_path, "validate", raw)
-        assert report["before"] == [] and report["code"] == 0
-        assert "scipy.special" in report["after"]
-        assert not [m for m in report["after"]
-                    if m.startswith(("scipy.optimize", "scipy.integrate"))]
+        # lognormal runs, which do load scipy's ufuncs: validate, and ccdf
+        # on three chunks a run on two threads
+        for command, samples, extra in [
+                ("validate", 1_000, []),
+                ("ccdf", 3 * estimators.CHUNK_SIZE, ["--workers", "2"])]:
+            raw = dict(LN_PAIR, samples_is=samples, samples_naive=samples)
+            (code, loaded), _ = self.fresh(
+                self.MAIN, command, "--config", write_config(tmp_path, raw),
+                "--output", str(tmp_path / command), *extra)
+            assert code == 0 and self.UFUNCS in loaded, command
+            assert not [m for m in loaded if m in self.PACKAGE
+                        or m.startswith(("scipy.optimize", "scipy.integrate"))], command
 
     def test_lognormal_config_loads_special_at_parse(self):
-        assert self.fresh(self.PARSE, json.dumps(LN_PAIR))[0] == [False, True]
-        assert self.fresh(self.PARSE, json.dumps(WB_PAIR))[0] == [False, False]
+        (before, after), _ = self.fresh(self.PARSE, json.dumps(LN_PAIR))
+        assert self.UFUNCS not in before and self.UFUNCS in after
+        assert not set(after) & set(self.PACKAGE)
+        (_, after), _ = self.fresh(self.PARSE, json.dumps(WB_PAIR))
+        assert not set(after) & {self.UFUNCS, "scipy.special"}
 
     def test_lognormal_sigma_too_small_is_config_error(self, tmp_path):
         raw = dict(WB_PAIR, components=[{"family": "lognormal", "mu": 0.0,

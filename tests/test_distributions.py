@@ -295,6 +295,163 @@ print(json.dumps({"unloaded": unloaded, "values": out}))
         assert report["values"] == [here, here]
 
 
+class TestSpecialLoader:
+    # _special loads scipy.special._ufuncs under a stub of the package, and
+    # falls back to the package where that fails; each case runs in a fresh
+    # interpreter, where scipy.special is not yet loaded
+    HEAD = """
+import importlib, importlib.abc, importlib.machinery, json, sys, types
+sys.path[:0] = sys.argv[1:3]
+from hrtwist import distributions
+"""
+    # the first import of the ufunc module raises, or its ndtri_exp is
+    # hidden from any reader outside the scipy.special package
+    FAULT = HEAD + """
+from outputs_digest import CONFIGS, _digest, run_case
+
+UFUNCS = "scipy.special._ufuncs"
+
+
+class Raise(importlib.abc.MetaPathFinder):
+    def __init__(self, error):
+        self.error = error
+
+    def find_spec(self, name, path, target=None):
+        if name == UFUNCS and self.error is not None:
+            error, self.error = self.error, None
+            raise error
+        return None
+
+
+class Hidden(types.ModuleType):
+    def __getattribute__(self, name):
+        if name == "ndtri_exp" and "scipy.special" not in sys.modules:
+            raise AttributeError(name)
+        return super().__getattribute__(name)
+
+
+class Hide(importlib.abc.MetaPathFinder, importlib.abc.Loader):
+    def find_spec(self, name, path, target=None):
+        if name != UFUNCS:
+            return None
+        spec = importlib.machinery.PathFinder.find_spec(name, path)
+        self.real, spec.loader = spec.loader, self
+        return spec
+
+    def create_module(self, spec):
+        return self.real.create_module(spec)
+
+    def exec_module(self, module):
+        self.real.exec_module(module)
+        module.__class__ = Hidden
+
+
+fault = sys.argv[3]
+sys.meta_path.insert(0, Hide() if fault == "hide" else Raise(
+    ImportError("no ufuncs") if fault == "import" else RuntimeError("broken")))
+raised = None
+try:
+    special = distributions._special()
+except RuntimeError as error:
+    raised = str(error)
+    stub_left = "scipy.special" in sys.modules
+    special = distributions._special()
+package = sys.modules.get("scipy.special")
+report = {"raised": raised, "package": special is package,
+          "full": hasattr(package, "logsumexp")}
+if raised:
+    report["stub_left"] = stub_left
+from hrtwist.cli import main
+report["ccdf"] = _digest(run_case(main, "ccdf", CONFIGS["ln2-db"], 1, sys.argv[4]))
+print(json.dumps(report))
+"""
+    LATER = HEAD + """
+special = distributions._special()
+loaded = "scipy.special" in sys.modules
+import scipy.special
+print(json.dumps([loaded, special is sys.modules["scipy.special._ufuncs"],
+                  distributions._special() is special,
+                  special.log_ndtr is scipy.special.log_ndtr,
+                  special.ndtri_exp is scipy.special.ndtri_exp]))
+"""
+    # scipy itself loaded, so that neither thread waits on its import, the
+    # ufunc module's import slowed, and the second thread started 0.1 s after
+    # the first, while the first's stub is in place
+    RACE = HEAD + """
+import threading, time
+import scipy
+
+
+class Slow(importlib.abc.MetaPathFinder):
+    def find_spec(self, name, path, target=None):
+        if name == "scipy.special._ufuncs":
+            time.sleep(0.2)
+        return None
+
+
+sys.meta_path.insert(0, Slow())
+start = threading.Barrier(2)
+out = [None, None]
+
+
+def first(k):
+    start.wait()
+    time.sleep(0.1 * k)
+    special = distributions._special()
+    out[k] = [special.__name__, hasattr(special, "ndtri_exp")]
+
+
+threads = [threading.Thread(target=first, args=(k,)) for k in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(json.dumps(out))
+"""
+    LOADED = HEAD + """
+import scipy.special
+before = dict(sys.modules)
+special = distributions._special()
+print(json.dumps([special is scipy.special, dict(sys.modules) == before]))
+"""
+
+    @staticmethod
+    def fresh(script, *argv):
+        tests = Path(__file__).resolve().parent
+        proc = subprocess.run(
+            [sys.executable, "-c", script, str(Path(hrtwist.__file__).resolve().parents[1]),
+             str(tests), *argv], capture_output=True, text=True, timeout=120, check=True)
+        return json.loads(proc.stdout)
+
+    @pytest.mark.parametrize("fault", ["import", "hide", "raise"])
+    def test_fallback_is_the_package_and_writes_the_same_bytes(self, tmp_path, fault):
+        from hrtwist.cli import main
+        from outputs_digest import CONFIGS, _digest, run_case
+
+        (tmp_path / "here").mkdir()
+        (tmp_path / "fresh").mkdir()
+        here = _digest(run_case(main, "ccdf", CONFIGS["ln2-db"], 1, tmp_path / "here"))
+        report = self.fresh(self.FAULT, fault, str(tmp_path / "fresh"))
+        assert report["ccdf"] == here
+        if fault == "raise":
+            # the error passes up, the stub does not stay, and the next
+            # call loads the ufunc module alone
+            assert report["raised"] == "broken" and not report["stub_left"]
+            assert not report["package"] and not report["full"]
+        else:
+            assert report["raised"] is None
+            assert report["package"] and report["full"]
+
+    def test_package_imported_later_holds_the_same_ufuncs(self):
+        assert self.fresh(self.LATER) == [False, True, True, True, True]
+
+    def test_first_call_from_two_threads(self):
+        assert self.fresh(self.RACE) == [["scipy.special._ufuncs", True]] * 2
+
+    def test_loaded_package_is_used_as_it_is(self):
+        assert self.fresh(self.LOADED) == [True, True]
+
+
 class TestIdentities:
     def test_pdf_hazard_identity(self):
         # pdf(x) = hazard_rate(x) * exp(-hazard_function(x))

@@ -466,8 +466,10 @@ class TestChunkMemory:
     ALL_HITS = EstimateResult(
         alpha_hat=0.024273908109737178, log_alpha_hat=-3.718353245847805,
         sample_count=4096, hit_frequency=4096,
-        second_moment_weight=0.6170263418893602, std_error=0.01226923367863345,
+        second_moment_weight=0.6170263418893602, log_second_moment=-0.48284356248831717,
+        std_error=0.01226923367863345, log_std_error=-4.400660477088803,
         second_moment_std_error=0.4264214103726894,
+        log_second_moment_std_error=-0.8523271954476241,
         theta_used=0.5, min_hazard_sum_hit=81.5931376750982)
     # the weights go through numpy's exp, whose last bits depend on the SIMD
     # path it dispatches to: with AVX-512 disabled, the float fields of
@@ -795,6 +797,41 @@ class TestWeights:
         assert r.std_error > 0.0 and r.second_moment_weight == 0.0
         assert abs(r.alpha_hat - WB_PAIR_TAIL_55DB) <= 5.0 * r.std_error
 
+    # each linear field of EstimateResult and its log field
+    LOG_FIELDS = [("alpha_hat", "log_alpha_hat"),
+                  ("second_moment_weight", "log_second_moment"),
+                  ("std_error", "log_std_error"),
+                  ("second_moment_std_error", "log_second_moment_std_error")]
+
+    @pytest.mark.parametrize("problem", [weibull_pair(db) for db in (20.0, 40.0, 50.0)]
+                             + [lognormal_pair(30.0)],
+                             ids=["weibull-20dB", "weibull-40dB", "weibull-50dB",
+                                  "lognormal-30dB"])
+    def test_log_fields_match_normal_linear_fields(self, problem):
+        checked = 0
+        for theta in (0.0, solve_pprime(problem).theta_star):
+            r = is_estimate(problem, theta, 100_000, 1)
+            for linear, log in self.LOG_FIELDS:
+                x, log_x = getattr(r, linear), getattr(r, log)
+                if x >= np.finfo(float).tiny:
+                    assert math.isclose(log_x, math.log(x), rel_tol=1e-12,
+                                        abs_tol=1e-12), (theta, log, log_x, x)
+                    checked += 1
+        assert checked >= 4
+
+    def test_deep_tail_log_fields_are_finite(self):
+        # the Weibull(0.5, 1) pair at 55 dB: at theta* w^2 underflows, so the
+        # second moment and its standard error read 0 and their logs do not;
+        # naive MC has no hit, and each log field is -inf
+        problem = weibull_pair(55.0)
+        r = is_estimate(problem, solve_pprime(problem).theta_star, 100_000, 1)
+        zero = [log for linear, log in self.LOG_FIELDS if getattr(r, linear) == 0.0]
+        assert zero == ["log_second_moment", "log_second_moment_std_error"]
+        assert all(math.isfinite(getattr(r, log)) for _, log in self.LOG_FIELDS)
+        naive = naive_mc(problem, 100_000, 1, stream_id=1)
+        assert naive.hit_frequency == 0
+        assert all(getattr(naive, log) == -math.inf for _, log in self.LOG_FIELDS)
+
     @pytest.mark.parametrize("problem", [
         *(weibull_pair(db) for db in np.arange(45.0, 52.5, 0.5).tolist()),
         lognormal_pair(30.0)],
@@ -907,8 +944,10 @@ def _no_hit_result(theta, m):
     """The result of a run of m samples at theta without a hit."""
     return EstimateResult(
         alpha_hat=0.0, log_alpha_hat=-math.inf, sample_count=m, hit_frequency=0,
-        second_moment_weight=0.0, std_error=0.0, second_moment_std_error=0.0,
-        theta_used=theta, min_hazard_sum_hit=math.inf)
+        second_moment_weight=0.0, log_second_moment=-math.inf, std_error=0.0,
+        log_std_error=-math.inf, second_moment_std_error=0.0,
+        log_second_moment_std_error=-math.inf, theta_used=theta,
+        min_hazard_sum_hit=math.inf)
 
 
 class TestMerge:
@@ -941,7 +980,11 @@ class TestMerge:
                 (r.std_error, math.sqrt(m / (m - 1) * (second - mean ** 2) / m)),
                 (r.second_moment_std_error, math.sqrt((w4 / m - second ** 2) / m))]:
             assert math.isclose(got, want, rel_tol=1e-12), (got, want)
-        assert math.isclose(r.log_alpha_hat, math.log(mean), rel_tol=0.0, abs_tol=1e-12)
+        for got, want in [
+                (r.log_alpha_hat, mean), (r.log_second_moment, second),
+                (r.log_std_error, math.sqrt(m / (m - 1) * (second - mean ** 2) / m)),
+                (r.log_second_moment_std_error, math.sqrt((w4 / m - second ** 2) / m))]:
+            assert math.isclose(got, math.log(want), rel_tol=0.0, abs_tol=1e-12), (got, want)
 
     def test_top_below_the_float_range_keeps_its_log(self):
         # a top near -998.6: alpha_hat underflows, its log does not
@@ -953,6 +996,9 @@ class TestMerge:
         assert (r.alpha_hat, r.hit_frequency) == (0.0, 5)
         assert math.isfinite(r.log_alpha_hat)
         assert math.isclose(r.log_alpha_hat, top + math.log(chunk.s1 / m),
+                            rel_tol=0.0, abs_tol=1e-12)
+        assert r.second_moment_weight == 0.0
+        assert math.isclose(r.log_second_moment, 2 * top + math.log(chunk.s2 / m),
                             rel_tol=0.0, abs_tol=1e-12)
 
 
