@@ -176,16 +176,18 @@ def _write_csv(path: Path, cfg: ExperimentConfig, header: str, rows: list[tuple]
 
 
 def _solved(cfg: ExperimentConfig):
-    """Each threshold of `cfg`, solved once, with its two substream ids.
+    """Each threshold of `cfg`, solved once, with its substream id.
 
-    Threshold idx samples every IS run, at any theta and in any command,
-    on substream 2 idx, alone or in one pass with other thetas
-    (`is_estimates`), and naive MC on 2 idx + 1, so no two thresholds
-    share a stream and a run at one theta is the same run in every
-    command.  Yields (gamma_db, problem, MinmaxSolution, is_id, mc_id).
+    Threshold idx samples every run, IS at any theta and in any command
+    and naive MC (the run at theta 0), on substream 2 idx, alone or in
+    one pass with other thetas (`is_estimates`).  So no two thresholds
+    share a stream, and a run at one theta is the same run in every
+    command.  The id is 2 idx rather than idx so that each IS run reads
+    the words it read when naive MC had the odd ids.  Yields (gamma_db,
+    problem, MinmaxSolution, stream_id).
     """
     for idx, (gamma_db, problem) in enumerate(cfg.problems):
-        yield gamma_db, problem, solve_pprime(problem), 2 * idx, 2 * idx + 1
+        yield gamma_db, problem, solve_pprime(problem), 2 * idx
 
 
 def _unreported(gamma_db: float, problem: SumProblem,
@@ -219,18 +221,20 @@ def _runs(cfg: ExperimentConfig, workers: int):
     """The estimation pass behind `ccdf` and `validate`, one threshold at a time.
 
     Each threshold is sampled by IS at theta_override (theta* if unset) and
-    by naive MC, on the streams `_solved` gives it.  Yields (gamma_db,
-    problem, r_is, r_mc); once the caller has used a run that
-    `_unreported` turns down (so validate prints its line), raises
-    ParameterError with the cause.
+    by naive MC, both on the one stream `_solved` gives it: naive MC is
+    the theta 0 run over the words IS reads, so the two estimates are
+    each unbiased but correlated, and where theta used is 0 they are one
+    run at equal M.  Yields (gamma_db, problem, r_is, r_mc); once the
+    caller has used a run that `_unreported` turns down (so validate
+    prints its line), raises ParameterError with the cause.
     """
-    for gamma_db, problem, solution, is_id, mc_id in _solved(cfg):
+    for gamma_db, problem, solution, stream_id in _solved(cfg):
         theta = (solution.theta_star if cfg.theta_override is None
                  else cfg.theta_override)
         r_is = is_estimate(problem, theta, cfg.samples_is, cfg.seed,
-                           stream_id=is_id, workers=workers)
+                           stream_id=stream_id, workers=workers)
         r_mc = naive_mc(problem, cfg.samples_naive, cfg.seed,
-                        stream_id=mc_id, workers=workers)
+                        stream_id=stream_id, workers=workers)
         yield gamma_db, problem, r_is, r_mc
         cause = _unreported(gamma_db, problem, r_is)
         if cause is not None:
@@ -300,14 +304,15 @@ def cmd_ccdf(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
 def cmd_theta_sweep(cfg: ExperimentConfig, out_dir: Path, workers: int) -> int:
     """Per threshold and theta, the IS second moment against its bound
     (theta_sweep.csv), one row each, in threshold order and then by theta;
-    a threshold's rows are one pass on its IS stream; its theta* row is ccdf's run."""
+    a threshold's rows are one pass on its stream; its theta* row is
+    ccdf's IS run, and a theta 0 row ccdf's naive run at equal M."""
     if not cfg.theta_grid:
         raise ConfigError("theta-sweep requires a theta_grid in the config")
     rows = []
-    for gamma_db, problem, solution, is_id, _ in _solved(cfg):
+    for gamma_db, problem, solution, stream_id in _solved(cfg):
         theta_star = solution.theta_star
         for r in is_estimates(problem, sorted({*cfg.theta_grid, theta_star}), cfg.samples_is,
-                              cfg.seed, stream_id=is_id, workers=workers):
+                              cfg.seed, stream_id=stream_id, workers=workers):
             theta, m2, se = r.theta_used, r.second_moment_weight, r.second_moment_std_error
             cause = _unreported(gamma_db, problem, r)
             if cause is not None:

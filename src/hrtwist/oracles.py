@@ -6,11 +6,12 @@ the convolution in log space (Takahasi & Mori, Publ. RIMS 9, 1974).  A
 single component's tail is its closed-form survival function,
 `Distribution.survival`.
 
-Nodes: an integral over [0, L] becomes a trapezoid sum in t over
-|t| <= 7.  The node at t sits L / (1 + exp(pi sinh |t|)) from the end its
-sign points to, and weighs L h (pi / 4) cosh t / cosh^2((pi / 2) sinh t).
-Both are kept as logs, so a node next to 0 keeps its precision even where
-its distance underflows; the integrand is then taken at the least normal
+Nodes: an integral over a panel of length L becomes a trapezoid sum in t
+over |t| <= 7.  The node at t sits L / (1 + exp(pi sinh |t|)) from the
+end its sign points to, and weighs
+L h (pi / 4) cosh t / cosh^2((pi / 2) sinh t).  Both are kept as logs,
+so a node next to 0 keeps its precision even where its distance
+underflows; the integrand is then taken at the least normal
 float, with the node's true weight.  The outermost nodes lie exp(-1722) L
 from their end, below the least normal float for any float L, so a
 density spike at 0 as slow as Weibull shape 0.05 is not cut short.
@@ -36,7 +37,7 @@ import math
 
 import numpy as np
 
-from .distributions import Distribution
+from .distributions import Distribution, Lognormal
 from .errors import OracleConvergenceError, ParameterError
 
 _RTOL = 1e-10       # the promise, relative
@@ -81,6 +82,15 @@ def _log_cdf(dist: Distribution, x: float) -> float:
         return float(np.log(-np.expm1(dist.log_survival(x))))
 
 
+def _modes(dist1: Distribution, dist2: Distribution, half: float) -> list:
+    """The density modes exp(mu - sigma^2) of the lognormal laws among the
+    two that lie inside (0, half), in increasing order, once each; exp
+    overflows from 709.79 on, far past any half."""
+    modes = {math.exp(d.mu - d.sigma ** 2) for d in (dist1, dist2)
+             if isinstance(d, Lognormal) and d.mu - d.sigma ** 2 < 709.0}
+    return sorted(m for m in modes if 0.0 < m < half)
+
+
 def tail_convolution_2(dist1: Distribution, dist2: Distribution,
                        gamma: float) -> float:
     """P(X1 + X2 > gamma) by tanh-sinh quadrature of the convolution.
@@ -94,26 +104,33 @@ def tail_convolution_2(dist1: Distribution, dist2: Distribution,
     Both integrals share their nodes and are summed as one, on log
     integrands, so a density spike at 0 sits on an endpoint and
     thresholds far in the joint tail (values hundreds of decades below 1)
-    lose no precision.
+    lose no precision.  [0, g/2] is cut into panels at the density mode
+    exp(mu - sigma^2) of each lognormal law that lies inside it, so a
+    lognormal spike far narrower than g/2 sits on panel ends too; a pair
+    of Weibull laws takes the one panel.
     """
     if gamma <= 0.0:
         raise ParameterError("gamma must be positive")
     half = 0.5 * gamma
-    log_half = math.log(half)
     tiny = np.finfo(float).tiny
     corner = float(dist1.log_survival(half) + dist2.log_survival(half))
+    ends = [0.0, *_modes(dist1, dist2, half), half]
+    panels = [(a, b, math.log(b - a)) for a, b in zip(ends[:-1], ends[1:])]
 
     log_sum = log_tail = -math.inf
     for level in range(_LEVELS):
         log_share, log_weight = _nodes(level)
-        near = np.exp(log_half + log_share)
-        x = np.maximum(np.concatenate([near, half - near]), tiny)
-        rest = gamma - x
-        terms = np.logaddexp(dist1.log_pdf(x) + dist2.log_survival(rest),
-                             dist2.log_pdf(x) + dist1.log_survival(rest))
+        parts = []
+        for a, b, log_length in panels:
+            near = np.exp(log_length + log_share)
+            x = np.maximum(np.concatenate([a + near, b - near]), tiny)
+            rest = gamma - x
+            terms = np.logaddexp(dist1.log_pdf(x) + dist2.log_survival(rest),
+                                 dist2.log_pdf(x) + dist1.log_survival(rest))
+            parts.append(log_length + _log_sum(terms + log_weight))
         # halving h halves the old nodes' weights
         log_sum = float(np.logaddexp(log_sum - math.log(2.0),
-                                     log_half + _log_sum(terms + log_weight)))
+                                     _log_sum(np.array(parts))))
         previous, log_tail = log_tail, float(np.logaddexp(corner, log_sum))
         change = abs(log_tail - previous)
         if level >= _MIN_LEVEL and change < _STOP_RTOL:

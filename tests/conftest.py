@@ -33,6 +33,11 @@ WB_PAIR_TAIL_55DB = 1.2024617976855149e-244  # iid Weibull(0.5, 1), 55 dB
 WB_SKEW_TAIL_35DB = 6.6656167603880517e-3    # Weibull(0.2, 1) + Weibull(0.8, 3)
 WB_SKEW_TAIL_42DB = 9.8979487930247306e-4    # same pair, 42 dB
 WB_LN_TAIL_26DB = 8.6279163942626544e-3      # Weibull(0.3, 2) + Lognormal 1/8 dB
+# Weibull(0.05, 1) + a lognormal spike at 1: Lognormal 0/0.1 dB, then 0/0.05 dB
+WB_SPIKE_TAIL_200DB = 4.5399929762484794e-5
+WB_SPIKE_TAIL_300DB = 1.8467266624096818e-14
+WB_NARROW_SPIKE_TAIL_100DB = 4.2329219623874317e-2
+WB_NARROW_SPIKE_TAIL_200DB = 4.5399929762484794e-5
 
 
 @pytest.fixture

@@ -84,8 +84,19 @@ def lognormal_pair_minimum(mu_db, sigma_db, g):
     return (interior, x) if interior < vertex else (vertex, mp.mpf(0))
 
 
-def _panels(lo, hi):
-    # dense near both ends, where densities spike and heavy tails live
+def spike_cuts(mu_db, sigma_db):
+    """exp(mu + z sigma) for z = -8, ..., 8: cuts that resolve a lognormal
+    spike far narrower than the integration range."""
+    mu, s = mp.mpf(DB_SCALE * mu_db), mp.mpf(DB_SCALE * sigma_db)
+    return [mp.exp(mu + z * s) for z in range(-8, 9)]
+
+
+def _panels(lo, hi, cuts=()):
+    # dense near both ends, where densities spike and heavy tails live,
+    # with the cuts that lie inside (lo, hi) as panel ends too
+    inner = sorted(c for c in cuts if lo < c < hi)
+    if inner:
+        return _panels(lo, inner[0]) + inner[1:] + _panels(inner[-1], hi)[1:]
     fracs = [mp.mpf(10) ** -e for e in range(15, 0, -1)]
     width = hi - lo
     left = [lo + width * f / 2 for f in fracs]
@@ -101,17 +112,19 @@ def _quad(f, points):
     return rough * mp.quad(lambda x: f(x) / rough, points)
 
 
-def tail_split(d1, d2, g):
+def tail_split(d1, d2, g, spikes=()):
     (f1, s1), (f2, s2) = d1, d2
     h = g / 2
-    i1 = _quad(lambda x: f1(x) * s2(g - x), _panels(0, h))
-    i2 = _quad(lambda y: f2(y) * s1(g - y), _panels(0, h))
+    cuts = [*spikes, *(g - c for c in spikes)]
+    i1 = _quad(lambda x: f1(x) * s2(g - x), _panels(0, h, cuts))
+    i2 = _quad(lambda y: f2(y) * s1(g - y), _panels(0, h, cuts))
     return s1(h) * s2(h) + i1 + i2
 
 
-def tail_direct(d1, d2, g):
+def tail_direct(d1, d2, g, spikes=()):
     (f1, s1), (_, s2) = d1, d2
-    return s1(g) + _quad(lambda x: f1(x) * s2(g - x), _panels(0, g))
+    cuts = [*spikes, *(g - c for c in spikes)]
+    return s1(g) + _quad(lambda x: f1(x) * s2(g - x), _panels(0, g, cuts))
 
 
 def db(value_db):
@@ -129,6 +142,20 @@ CASES = [
     ("WB_LN_TAIL_26DB", weibull(0.3, 2.0), lognormal_db(1.0, 8.0), db(26.0)),
 ]
 
+# a lognormal spike beside a wide law, far narrower than gamma: each
+# integral is also cut around the spike, where it sits in x and in g - x
+SPIKE_CASES = [
+    # name, component 1, component 2, threshold, the spike's cuts
+    ("WB_SPIKE_TAIL_200DB", weibull(0.05, 1.0), lognormal_db(0.0, 0.1), db(200.0),
+     spike_cuts(0.0, 0.1)),
+    ("WB_SPIKE_TAIL_300DB", weibull(0.05, 1.0), lognormal_db(0.0, 0.1), db(300.0),
+     spike_cuts(0.0, 0.1)),
+    ("WB_NARROW_SPIKE_TAIL_100DB", weibull(0.05, 1.0), lognormal_db(0.0, 0.05),
+     db(100.0), spike_cuts(0.0, 0.05)),
+    ("WB_NARROW_SPIKE_TAIL_200DB", weibull(0.05, 1.0), lognormal_db(0.0, 0.05),
+     db(200.0), spike_cuts(0.0, 0.05)),
+]
+
 
 def main():
     _, sf = lognormal_db(0.0, 6.0)
@@ -142,10 +169,10 @@ def main():
     print(f"# LN_PAIR_A_20DB minimiser x* = {mp.nstr(x, 8)}")
     for name, value in values:
         print(f"{name} = {mp.nstr(value, 17, min_fixed=1, max_fixed=0)}")
-    for name, d1, d2, g in CASES:
+    for name, d1, d2, g, spikes in [(*case, ()) for case in CASES] + SPIKE_CASES:
         g = mp.mpf(g)
-        split = tail_split(d1, d2, g)
-        direct = tail_direct(d1, d2, g)
+        split = tail_split(d1, d2, g, spikes)
+        direct = tail_direct(d1, d2, g, spikes)
         gap = abs(split - direct) / split
         if gap > mp.mpf(10) ** -20:
             raise SystemExit(f"{name}: decompositions differ by {mp.nstr(gap, 3)}")

@@ -342,6 +342,21 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("numerical failure: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["solve", "ccdf"])
+    def test_hazard_rates_underflow_at_tiny_gamma(self, tmp_path, capsys, command):
+        # at -300 dB the lognormal hazard rates at gamma underflow to 0, and
+        # the solver cannot place theta*; at -200 dB they are normal and
+        # theta* clamps to 0
+        raw = dict(LN_PAIR, samples_is=100, samples_naive=100)
+        assert run(tmp_path, command, dict(raw, thresholds_db=[-300.0]))[0] == 2
+        assert capsys.readouterr().err == (
+            "numerical failure: hazard rates underflow to 0 at gamma=1e-30\n")
+        code, out = run(tmp_path, "solve", dict(raw, thresholds_db=[-200.0]))
+        assert code == 0
+        [solution] = json.loads((out / "solve.json").read_text())["solutions"]
+        assert solution["clamped"] and solution["theta_star"] == 0.0
+        assert run(tmp_path, command, dict(raw, thresholds_db=[-200.0]))[0] == 0
+
     def test_config_directory_is_config_error(self, tmp_path, capsys):
         assert main(["solve", "--config", str(tmp_path)]) == 1
         assert capsys.readouterr().err.startswith("config error: ")
@@ -1167,6 +1182,58 @@ class TestSharedPass:
         assert len(sweep) == 3 * len(ccdf)  # the grid of two, and theta*
         for key, result in ccdf.items():
             assert sweep[key] == result
+
+    @pytest.mark.parametrize("change", [
+        {"thresholds_db": [-30.0]},  # theta* clamps to 0
+        {"theta_override": 0.0},
+    ], ids=["clamped", "theta-override-0"])
+    def test_naive_columns_are_the_is_columns_at_theta_0(self, tmp_path, change):
+        # naive MC is the theta 0 run over the words IS reads, so an IS run
+        # at theta 0 and the naive run at the same M are one run
+        raw = dict(WB_PAIR, **change)
+        code, out = run(tmp_path, "ccdf", raw)
+        assert code == 0
+        ccdf = data_rows(out / "ccdf.csv")
+        assert len(ccdf) == len(raw["thresholds_db"])
+        for _, alpha_naive, alpha_is, se_naive, se_is in ccdf:
+            assert (alpha_naive, se_naive) == (alpha_is, se_is)
+        for _, _, freq_is, freq_naive in data_rows(out / "freq_table.csv"):
+            assert freq_naive == freq_is
+
+    def test_theta_0_sweep_row_is_the_naive_run(self, tmp_path):
+        # every weight of the theta 0 run is its indicator, so its second
+        # moment is its hit frequency, which ccdf prints as alpha_naive
+        raw = dict(WB_PAIR, theta_grid=[0.0, 0.5])
+        for command in ("ccdf", "theta-sweep"):
+            (tmp_path / command).mkdir()
+            assert run(tmp_path / command, command, raw)[0] == 0
+        naive = [r[1] for r in data_rows(tmp_path / "ccdf" / "out" / "ccdf.csv")]
+        sweep = data_rows(tmp_path / "theta-sweep" / "out" / "theta_sweep.csv")
+        assert [r[3] for r in sweep if float(r[2]) == 0.0] == naive
+        assert len(naive) == 2
+
+    @pytest.mark.parametrize("command", ["ccdf", "validate"])
+    def test_is_and_naive_read_one_stream_per_threshold(self, tmp_path, monkeypatch,
+                                                        capsys, command):
+        # threshold i runs IS and naive MC on substream 2i; the odd ids
+        # are never drawn
+        ids = {"is": [], "naive": []}
+        real_is, real_naive = cli.is_estimate, cli.naive_mc
+
+        def spy_is(*args, stream_id, **kwargs):
+            ids["is"].append(stream_id)
+            return real_is(*args, stream_id=stream_id, **kwargs)
+
+        def spy_naive(*args, stream_id, **kwargs):
+            ids["naive"].append(stream_id)
+            return real_naive(*args, stream_id=stream_id, **kwargs)
+
+        monkeypatch.setattr(cli, "is_estimate", spy_is)
+        monkeypatch.setattr(cli, "naive_mc", spy_naive)
+        raw = dict(WB_PAIR, thresholds_db=[10.0, 15.0, 20.0],
+                   samples_is=2_000, samples_naive=2_000)
+        run(tmp_path, command, raw)
+        assert ids == {"is": [0, 2, 4], "naive": [0, 2, 4]}
 
 
 class TestNaiveCount:

@@ -23,11 +23,15 @@ from hrtwist import oracles
 from conftest import (
     LN_PAIR_TAIL_20DB,
     WB_LN_TAIL_26DB,
+    WB_NARROW_SPIKE_TAIL_100DB,
+    WB_NARROW_SPIKE_TAIL_200DB,
     WB_PAIR_TAIL_20DB,
     WB_PAIR_TAIL_30DB,
     WB_PAIR_TAIL_55DB,
     WB_SKEW_TAIL_35DB,
     WB_SKEW_TAIL_42DB,
+    WB_SPIKE_TAIL_200DB,
+    WB_SPIKE_TAIL_300DB,
     lognormal_pair,
     random_component,
     weibull_pair,
@@ -120,7 +124,17 @@ class TestTailConvolution:
         (Weibull(0.2, 1.0), Weibull(0.8, 3.0), 35.0, WB_SKEW_TAIL_35DB),
         (Weibull(0.2, 1.0), Weibull(0.8, 3.0), 42.0, WB_SKEW_TAIL_42DB),
         (Weibull(0.3, 2.0), Lognormal.from_db(1.0, 8.0), 26.0, WB_LN_TAIL_26DB),
-    ], ids=["skew-35dB", "skew-42dB", "weibull-lognormal-26dB"])
+        # a lognormal spike about 0.02 wide at 1 beside a law spread over
+        # decades, which the cut at its mode resolves
+        (Weibull(0.05, 1.0), Lognormal.from_db(0.0, 0.1), 200.0, WB_SPIKE_TAIL_200DB),
+        (Weibull(0.05, 1.0), Lognormal.from_db(0.0, 0.1), 300.0, WB_SPIKE_TAIL_300DB),
+        (Weibull(0.05, 1.0), Lognormal.from_db(0.0, 0.05), 100.0,
+         WB_NARROW_SPIKE_TAIL_100DB),
+        (Weibull(0.05, 1.0), Lognormal.from_db(0.0, 0.05), 200.0,
+         WB_NARROW_SPIKE_TAIL_200DB),
+    ], ids=["skew-35dB", "skew-42dB", "weibull-lognormal-26dB",
+            "spike-0.1dB-200dB", "spike-0.1dB-300dB", "spike-0.05dB-100dB",
+            "spike-0.05dB-200dB"])
     def test_mixed_pair_frozen_values(self, first, second, gamma_db, exact):
         gamma = float(db_to_linear(gamma_db))
         assert tail_convolution_2(first, second, gamma) == pytest.approx(
