@@ -115,26 +115,16 @@ def _require_nonnegative(x):
 class Distribution:
     """Common surface shared by the component families.
 
-    Subclasses implement ``log_pdf``, ``log_survival`` and
-    ``quantile_from_log_sf``; everything else derives from those three so
-    the identities exp(log_pdf) = hazard_rate * exp(-hazard_function) and
+    Subclasses implement ``log_pdf``, ``log_survival``,
+    ``quantile_from_log_sf`` (the inverse of log_survival: x with
+    log_survival(x) = log_sf <= 0) and ``concavity_onset`` (the x from
+    which the hazard function is concave, raising ParameterError where it
+    never turns concave).  The rest derives from the first two, so the
+    identities exp(log_pdf) = hazard_rate * exp(-hazard_function) and
     hazard_function = -log_survival hold by construction.
     """
 
     family: str
-
-    def log_pdf(self, x):
-        raise NotImplementedError
-
-    def log_survival(self, x):
-        raise NotImplementedError
-
-    def quantile_from_log_sf(self, log_sf):
-        """Inverse of log_survival: x with log_survival(x) = log_sf <= 0."""
-        raise NotImplementedError
-
-    def concavity_onset(self) -> float:
-        raise NotImplementedError
 
     def survival(self, x):
         return np.exp(self.log_survival(x))

@@ -783,6 +783,13 @@ class TestValidate:
         out = capsys.readouterr().out
         assert "is=1.000000e+00 (se=0.00e+00)" in out
         assert code == 0 and out.startswith("PASS")
+        # overridden to 0, IS is the naive run at equal M, by the same rule
+        code, _ = run(tmp_path, "validate", dict(WB_PAIR, theta_override=0.0))
+        lines = capsys.readouterr().out.splitlines()
+        assert code == 0 and len(lines) == len(WB_PAIR["thresholds_db"])
+        for line in lines:
+            fields = dict(f.split("=") for f in line.split() if "=" in f)
+            assert line.startswith("PASS") and fields["is"] == fields["naive"]
 
     def test_fail_when_both_sides_underflow(self, tmp_path, capsys):
         # at 58 dB the Weibull pair's tail is below the smallest double
